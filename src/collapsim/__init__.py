@@ -26,7 +26,6 @@ from .engine import (
     RunSummary,
     SimState,
     TimeSeriesRecord,
-    cluster_shrink_factor,
     initial_state,
     run,
     run_ensemble,
@@ -82,7 +81,6 @@ __all__ = [
     "amplitude_criterion",
     "apply_collapse",
     "asymptotic_regime_check",
-    "cluster_shrink_factor",
     "criterion_fires_batch",
     "de_broglie_wavelength",
     "draw_phase",

@@ -71,27 +71,38 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
         except OSError as exc:
             raise ConfigError([f"cannot read config file {args.config}: {exc}"]) from exc
         config = parse_config(text)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.duration_s is not None:
-        config = replace(config, duration=args.duration_s)
-    if args.rate_hz is not None:
-        config = replace(
-            config, environment=replace(config.environment, collision_rate=args.rate_hz)
-        )
-    if args.eta is not None:
-        config = replace(config, cluster_eta=args.eta)
-    if args.format is not None:
-        config = replace(config, output_format=args.format)
-    if args.output is not None:
-        config = replace(config, output_path=str(args.output))
+    overrides = (
+        ("--seed", args.seed, lambda c, v: replace(c, seed=v)),
+        ("--duration-s", args.duration_s, lambda c, v: replace(c, duration=v)),
+        (
+            "--rate-hz",
+            args.rate_hz,
+            lambda c, v: replace(c, environment=replace(c.environment, collision_rate=v)),
+        ),
+        ("--eta", args.eta, lambda c, v: replace(c, cluster_eta=v)),
+        ("--format", args.format, lambda c, v: replace(c, output_format=v)),
+        ("--output", args.output, lambda c, v: replace(c, output_path=str(v))),
+    )
+    problems = []
+    for flag, value, apply in overrides:
+        if value is None:
+            continue
+        try:
+            config = apply(config, value)
+        except ValueError as exc:
+            problems.append(f"{flag} {value}: {exc}")
+    if problems:
+        raise ConfigError(problems)
     return config
 
 
 def _open_sink(path: Optional[str]):
     if path is None or path == "-":
         return sys.stdout, False
-    return open(path, "w"), True
+    try:
+        return open(path, "w"), True
+    except OSError as exc:
+        raise ConfigError([f"cannot open output file {path}: {exc}"]) from exc
 
 
 def _summary_obj(summary) -> dict:
@@ -166,9 +177,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError([f"--values must be comma-separated numbers: {exc}"]) from exc
     if not values or any(v <= 0 for v in values):
         raise ConfigError([f"--values must be positive numbers, got {args.values!r}"])
-    rows = sweep(config, SweepAxis(args.axis), values, args.replicas)
     sink, close = _open_sink(config.output_path)
     try:
+        rows = sweep(config, SweepAxis(args.axis), values, args.replicas)
         _write_sweep(rows, sink)
     finally:
         if close:

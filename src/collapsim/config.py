@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 from numpy.random import PCG64, Generator
@@ -230,9 +230,11 @@ def parse_config(text: str) -> ScenarioConfig:
 
     alphas = doc.get("cluster_alphas_rad", [0.0])
     if not isinstance(alphas, list) or not alphas or not all(
-        isinstance(a, (int, float)) for a in alphas
+        isinstance(a, (int, float)) and math.isfinite(a) for a in alphas
     ):
-        problems.append(f"cluster_alphas_rad must be a non-empty list of numbers, got {alphas!r}")
+        problems.append(
+            f"cluster_alphas_rad must be a non-empty list of finite numbers, got {alphas!r}"
+        )
         alphas = [0.0]
     if "n_clusters" in doc and doc["n_clusters"] != len(alphas):
         problems.append(
@@ -263,9 +265,19 @@ def parse_config(text: str) -> ScenarioConfig:
         problems.append(f"seed must be a non-negative integer, got {seed!r}")
         seed = 0
 
-    jitter = doc.get("env_sigma_jitter", 0.0)
-    spread = doc.get("impact_spread_m", 0.0)
+    def number(key: str) -> float:
+        v = doc.get(key, 0.0)
+        if not isinstance(v, (int, float)):
+            problems.append(f"{key} must be a number, got {v!r}")
+            return 0.0
+        return v
+
+    jitter = number("env_sigma_jitter")
+    spread = number("impact_spread_m")
     output_path = doc.get("output_path")
+    if output_path is not None and not isinstance(output_path, str):
+        problems.append(f"output_path must be a string or null, got {output_path!r}")
+        output_path = None
     output_format = doc.get("output_format", "csv")
     redraw = doc.get("redraw_alpha_after_collapse", False)
     if not isinstance(redraw, bool):
@@ -290,10 +302,10 @@ def parse_config(text: str) -> ScenarioConfig:
         problems.append(str(exc))
         env = None
 
-    if problems or obj is None or env is None:
-        raise ConfigError(problems)
+    # ScenarioConfig checks its own fields whether or not the specs built, so
+    # its problems join the list either way.
     try:
-        return ScenarioConfig(
+        config = ScenarioConfig(
             object=obj,
             initial_sigma=initial_sigma,
             initial_alpha=initial_alpha,
@@ -306,10 +318,11 @@ def parse_config(text: str) -> ScenarioConfig:
             output_format=output_format,
             redraw_alpha_after_collapse=redraw,
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from exc
+    except ConfigError as exc:
+        problems.extend(exc.problems)
+    if problems:
+        raise ConfigError(problems)
+    return config
 
 
 def to_document(config: ScenarioConfig) -> dict:
@@ -334,8 +347,3 @@ def to_document(config: ScenarioConfig) -> dict:
         "output_format": config.output_format,
         "redraw_alpha_after_collapse": config.redraw_alpha_after_collapse,
     }
-
-
-def with_overrides(config: ScenarioConfig, **overrides) -> ScenarioConfig:
-    """Replace top-level fields, delegating validation to the dataclasses."""
-    return replace(config, **overrides)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA, PhysicalConstants
-from .packets import TWO_PI, GaussianPacket
+from .packets import TWO_PI, GaussianPacket, Vec3
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,20 +43,53 @@ class CriterionOutcome:
         return self.phase_ok and self.amplitude_ok
 
 
+def overlap_from_widths(sigma1: Vec3, sigma2: Vec3, separation: Vec3) -> float:
+    """Integral of |psi_1| * |psi_2| for widths sigma1, sigma2 and centers
+    ``separation`` apart, in [0, 1]; the closed per-axis form above."""
+    out = 1.0
+    for s1, s2, d in zip(sigma1, sigma2, separation):
+        ss = s1 * s1 + s2 * s2
+        out *= math.sqrt(2.0 * s1 * s2 / ss) * math.exp(-(d * d) / (4.0 * ss))
+    # Cauchy-Schwarz bounds the exact value by 1; clip rounding excursions.
+    return min(out, 1.0)
+
+
 def overlap_integral(p1: GaussianPacket, p2: GaussianPacket) -> float:
     """Integral of |psi_1| * |psi_2| over all space, in [0, 1].
 
     Symmetric in its arguments and equal to 1 exactly when the packets
     coincide in center and width.
     """
-    out = 1.0
-    for c1, c2, s1, s2 in zip(p1.center, p2.center, p1.sigma, p2.sigma):
-        ss = s1 * s1 + s2 * s2
-        d = c1 - c2
-        factor = math.sqrt(2.0 * s1 * s2 / ss) * math.exp(-(d * d) / (4.0 * ss))
-        out *= factor
-    # Cauchy-Schwarz bounds the exact value by 1; clip rounding excursions.
-    return min(out, 1.0)
+    separation = tuple(c1 - c2 for c1, c2 in zip(p1.center, p2.center))
+    return overlap_from_widths(p1.sigma, p2.sigma, separation)
+
+
+def phase_distance(alpha1: float, alpha2: float) -> float:
+    """Circular distance of two phase constants in [0, 2*pi); unchecked."""
+    d = abs(alpha1 - alpha2)
+    return TWO_PI - d if d > math.pi else d
+
+
+def _amplitude_clause(overlap: float, alpha1: float, alpha2: float) -> tuple[bool, float]:
+    alpha_min = alpha1 if alpha1 <= alpha2 else alpha2
+    return overlap * overlap >= alpha_min / TWO_PI, alpha_min
+
+
+def criterion_fires(
+    alpha1: float,
+    alpha2: float,
+    sigma1: Vec3,
+    sigma2: Vec3,
+    separation: Vec3,
+    constants: PhysicalConstants = CODATA,
+) -> bool:
+    """Both clauses on plain values that are already in range.
+
+    The overlap is computed only when the phase clause passes.
+    """
+    if phase_distance(alpha1, alpha2) > constants.phase_gap_limit:
+        return False
+    return _amplitude_clause(overlap_from_widths(sigma1, sigma2, separation), alpha1, alpha2)[0]
 
 
 def _check_phase_range(alpha: float, name: str) -> float:
@@ -76,9 +109,7 @@ def phase_criterion(
     """
     a1 = _check_phase_range(alpha1, "alpha1")
     a2 = _check_phase_range(alpha2, "alpha2")
-    d = abs(a1 - a2)
-    if d > math.pi:
-        d = TWO_PI - d
+    d = phase_distance(a1, a2)
     return d <= constants.phase_gap_limit, d
 
 
@@ -93,8 +124,7 @@ def amplitude_criterion(overlap: float, alpha1: float, alpha2: float) -> tuple[b
         raise ValueError(f"overlap must lie in [0, 1], got {overlap}")
     a1 = _check_phase_range(alpha1, "alpha1")
     a2 = _check_phase_range(alpha2, "alpha2")
-    alpha_min = a1 if a1 <= a2 else a2
-    return v * v >= alpha_min / TWO_PI, alpha_min
+    return _amplitude_clause(v, a1, a2)
 
 
 def evaluate_criterion(

@@ -1,10 +1,13 @@
 """Event-driven simulation loop.
 
-Between encounters the object packet spreads freely; at each encounter the
-contact criterion is evaluated against a fresh environment packet and, when
-it fires, the object contracts to the product support.  Stepping jumps from
-collision to collision because the free evolution is analytic; nothing is
-integrated on a time grid.
+The object is held as one packet at its waist, the state of its last
+contraction (or of t=0).  Free spreading is analytic, so stepping jumps from
+collision to collision and reads the widths out from the waist.  Each
+encounter is decided on plain values: the readout widths and the drawn
+offset, width and phase constant of the environment packet.  The offset is
+relative to the object, so its absolute position never enters the decision.
+A collision that does not fire changes only the counters; a firing one
+builds the new waist.
 
 The comparison phase constant depends on the regime: while the packet still
 covers the object's internal extent the object's own constant is used
@@ -25,10 +28,10 @@ import numpy as np
 
 from .config import RANDOM_ALPHA, ScenarioConfig
 from .constants import CODATA, PhysicalConstants
-from .contraction import apply_collapse
-from .criterion import evaluate_criterion
+from .contraction import product_support
+from .criterion import criterion_fires
 from .environment import CollisionEvent, EnvironmentSpec, RngState, draw_phase, next_collision
-from .packets import GaussianPacket, ObjectSpec, Vec3, evolve_free
+from .packets import GaussianPacket, ObjectSpec, Vec3, evolve_free, spread_widths
 
 
 class Regime(enum.Enum):
@@ -48,7 +51,11 @@ class EngineError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class SimState:
-    """Simulation state; ``object_packet`` is the readout at time ``t``."""
+    """Simulation state at time ``t``.
+
+    ``object_packet`` is the object's waist, its packet at the last collapse
+    (or at t=0); ``evolve_free(object_packet, t)`` reads the object out at t.
+    """
 
     t: float
     object_packet: GaussianPacket
@@ -74,20 +81,12 @@ def regime_for(sigma: Vec3, internal_radius: float) -> Regime:
     return Regime.CLUSTER_PHASE if min(sigma) < internal_radius else Regime.CM_PHASE
 
 
-def cluster_shrink_factor(state: SimState, config: ScenarioConfig) -> float:
-    """Damping exponent applied to contractions in the cluster regime.
-
-    The contracted width becomes sigma_old * (sigma_p / sigma_old)**eta per
-    axis; eta = 1 reproduces the undamped contraction.  Only meaningful in
-    the cluster regime.
-    """
-    if state.regime is not Regime.CLUSTER_PHASE:
-        raise ValueError("cluster_shrink_factor is only defined in the cluster regime")
-    return config.cluster_eta
-
-
 def damped_sigma(sigma_old: Vec3, sigma_p: Vec3, eta: float) -> Vec3:
-    """Apply the cluster-regime damping law per axis."""
+    """Apply the cluster-regime damping law per axis.
+
+    The contracted width becomes sigma_old * (sigma_p / sigma_old)**eta;
+    eta = 1 reproduces the undamped contraction.
+    """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     return tuple(so * (sp / so) ** eta for so, sp in zip(sigma_old, sigma_p))
@@ -119,18 +118,22 @@ def initial_state(config: ScenarioConfig, constants: PhysicalConstants = CODATA)
     )
 
 
-def _draw_event(state: SimState, env_spec: EnvironmentSpec) -> Optional[CollisionEvent]:
-    event, _ = next_collision(
-        state.rng,
-        env_spec,
-        state.t,
-        state.object_packet.center,
-        sequence_index=state.n_collisions + 1,
-    )
-    return event
+def _widths_at(state: SimState, t: float, constants: PhysicalConstants) -> Vec3:
+    """Object widths at time t, read out from the waist."""
+    waist = state.object_packet
+    try:
+        sigma = spread_widths(waist.ref_sigma, waist.mass, t - waist.t_ref, constants)
+        if not all(0.0 < s < math.inf for s in sigma):
+            raise OverflowError(f"widths {sigma} are not positive and finite")
+    except ArithmeticError as exc:
+        raise EngineError(
+            f"non-finite state at t={t} "
+            f"(collisions={state.n_collisions}, collapses={state.n_collapses}): {exc}"
+        ) from exc
+    return sigma
 
 
-def _process_event(
+def _collide(
     state: SimState,
     event: CollisionEvent,
     constants: PhysicalConstants,
@@ -143,82 +146,44 @@ def _process_event(
     before the collision, and whether the criterion fired.
     """
     rng = state.rng
-    try:
-        snapshot = evolve_free(state.object_packet, event.time, constants)
-    except (ValueError, OverflowError) as exc:
-        raise EngineError(
-            f"non-finite state at t={event.time} "
-            f"(collisions={state.n_collisions}, collapses={state.n_collapses}): {exc}"
-        ) from exc
-
-    env = event.env_packet
-    if env.center != snapshot.center or state.object_packet.center != snapshot.center:
-        # The drawn impact offset is relative to the object, which has moved
-        # since the draw; recenter the encounter on the object at impact time.
-        offset = tuple(e - c for e, c in zip(env.center, state.object_packet.center))
-        env = GaussianPacket(
-            center=tuple(c + o for c, o in zip(snapshot.center, offset)),
-            sigma=env.sigma,
-            velocity=env.velocity,
-            mass=env.mass,
-            alpha=env.alpha,
-            t_ref=env.t_ref,
-        )
-
-    regime = regime_for(snapshot.sigma, state.object_spec.internal_radius)
-    if regime is Regime.CLUSTER_PHASE:
-        alphas = state.object_spec.cluster_alphas
-        idx = min(int(rng.uniform() * len(alphas)), len(alphas) - 1)
-        compared = GaussianPacket(
-            center=snapshot.center,
-            sigma=snapshot.sigma,
-            velocity=snapshot.velocity,
-            mass=snapshot.mass,
-            alpha=alphas[idx],
-            t_ref=snapshot.t_ref,
-            ref_center=snapshot.ref_center,
-            ref_sigma=snapshot.ref_sigma,
-        )
-    else:
-        compared = snapshot
-
-    outcome = evaluate_criterion(compared, env, constants)
-    sigma_before_min = min(snapshot.sigma)
-
-    if outcome.fires:
-        result = apply_collapse(snapshot, env, event.time, outcome=outcome)
-        new_packet = result.contracted_1
-        if regime is Regime.CLUSTER_PHASE and cluster_eta != 1.0:
-            new_packet = GaussianPacket(
-                center=result.overlap_center,
-                sigma=damped_sigma(snapshot.sigma, result.overlap_sigma, cluster_eta),
-                velocity=snapshot.velocity,
-                mass=snapshot.mass,
-                alpha=snapshot.alpha,
-                t_ref=event.time,
-            )
+    waist = state.object_packet
+    spec = state.object_spec
+    sigma = _widths_at(state, event.time, constants)
+    sigma_before_min = min(sigma)
+    cluster = sigma_before_min < spec.internal_radius
+    alpha = waist.alpha
+    if cluster:
+        alphas = spec.cluster_alphas
+        alpha = alphas[min(int(rng.uniform() * len(alphas)), len(alphas) - 1)]
+    fired = criterion_fires(alpha, event.alpha, sigma, event.sigma, event.offset, constants)
+    n_collapses = state.n_collapses
+    last_event = LastEvent.COLLISION_NO_COLLAPSE
+    if fired:
+        readout = evolve_free(waist, event.time, constants)
+        env_center = tuple(c + o for c, o in zip(readout.center, event.offset))
+        center, sigma = product_support(readout.center, readout.sigma, env_center, event.sigma)
+        if cluster and cluster_eta != 1.0:
+            sigma = damped_sigma(readout.sigma, sigma, cluster_eta)
         if redraw_alpha:
             alpha, rng = draw_phase(rng)
-            new_packet = GaussianPacket(
-                center=new_packet.center,
-                sigma=new_packet.sigma,
-                velocity=new_packet.velocity,
-                mass=new_packet.mass,
-                alpha=alpha,
-                t_ref=new_packet.t_ref,
-            )
-        n_collapses = state.n_collapses + 1
+        else:
+            alpha = waist.alpha
+        waist = GaussianPacket(
+            center=center,
+            sigma=sigma,
+            velocity=waist.velocity,
+            mass=waist.mass,
+            alpha=alpha,
+            t_ref=event.time,
+        )
+        n_collapses += 1
         last_event = LastEvent.COLLAPSE
-    else:
-        new_packet = snapshot
-        n_collapses = state.n_collapses
-        last_event = LastEvent.COLLISION_NO_COLLAPSE
 
-    regime_after = regime_for(new_packet.sigma, state.object_spec.internal_radius)
+    regime_after = regime_for(sigma, spec.internal_radius)
     new_state = SimState(
         t=event.time,
-        object_packet=new_packet,
-        object_spec=state.object_spec,
+        object_packet=waist,
+        object_spec=spec,
         n_collisions=state.n_collisions + 1,
         n_collapses=n_collapses,
         regime=regime_after,
@@ -226,13 +191,13 @@ def _process_event(
     )
     record = TimeSeriesRecord(
         t=event.time,
-        sigma=new_packet.sigma,
+        sigma=sigma,
         n_collisions=new_state.n_collisions,
-        n_collapses=new_state.n_collapses,
+        n_collapses=n_collapses,
         regime=regime_after,
         last_event=last_event,
     )
-    return new_state, record, sigma_before_min, outcome.fires
+    return new_state, record, sigma_before_min, fired
 
 
 def step(
@@ -243,10 +208,10 @@ def step(
     redraw_alpha: bool = False,
 ) -> tuple[SimState, TimeSeriesRecord]:
     """Advance to the next collision and resolve it."""
-    event = _draw_event(state, env_spec)
+    event, _ = next_collision(state.rng, env_spec, state.t)
     if event is None:
         raise ValueError("step requires a positive collision rate")
-    new_state, record, _, _ = _process_event(state, event, constants, cluster_eta, redraw_alpha)
+    new_state, record, _, _ = _collide(state, event, constants, cluster_eta, redraw_alpha)
     return new_state, record
 
 
@@ -320,26 +285,17 @@ def run(
             records.append(record)
 
     def sample_record(t_sample: float) -> TimeSeriesRecord:
-        packet = evolve_free(state.object_packet, t_sample, constants)
+        sigma = _widths_at(state, t_sample, constants)
         return TimeSeriesRecord(
             t=t_sample,
-            sigma=packet.sigma,
+            sigma=sigma,
             n_collisions=state.n_collisions,
             n_collapses=state.n_collapses,
-            regime=regime_for(packet.sigma, internal_radius),
+            regime=regime_for(sigma, internal_radius),
             last_event=LastEvent.NONE,
         )
 
-    emit(
-        TimeSeriesRecord(
-            t=0.0,
-            sigma=state.object_packet.sigma,
-            n_collisions=0,
-            n_collapses=0,
-            regime=state.regime,
-            last_event=LastEvent.NONE,
-        )
-    )
+    emit(sample_record(0.0))
 
     min_sigma = min(state.object_packet.sigma)
     recovery_sum = 0.0
@@ -356,7 +312,7 @@ def run(
         if max_collisions is not None and state.n_collisions >= max_collisions:
             budget_exhausted = True
             break
-        event = _draw_event(state, config.environment)
+        event, _ = next_collision(state.rng, config.environment, state.t)
         if event is None:  # zero collision rate
             break
         if event.time > config.duration:
@@ -366,7 +322,7 @@ def run(
             next_sample += config.sample_interval
         if next_sample == event.time:
             next_sample += config.sample_interval
-        state, record, sigma_before, fired = _process_event(
+        state, record, sigma_before, fired = _collide(
             state, event, constants, config.cluster_eta, config.redraw_alpha_after_collapse
         )
         emit(record)

@@ -1,9 +1,11 @@
 """Seeded stream of environment encounters.
 
-Encounters form a homogeneous Poisson process; each event carries a fresh
-environment packet whose phase constant is uniform on [0, 2*pi), whose
-center is offset from the object by a Gaussian impact displacement, and
-whose widths are the configured template with optional relative jitter.
+Encounters form a homogeneous Poisson process.  Each event describes a fresh
+environment packet by plain values: its phase constant, uniform on
+[0, 2*pi); its center offset from the object, a Gaussian impact
+displacement drawn relative to the object so that no absolute position is
+needed; and its widths, the configured template with optional relative
+jitter.  No packet object is built per encounter.
 
 Randomness is fully positional: :class:`RngState` wraps a PCG64 generator
 and counts consumed 64-bit words, so a state can be reconstructed from
@@ -20,11 +22,7 @@ from typing import Optional
 import numpy as np
 from numpy.random import PCG64, Generator
 
-from .packets import TWO_PI, GaussianPacket, Vec3, as_vec3
-
-# Nominal mass for environment packets: the criterion and the contraction
-# geometry never read it, and the packets are discarded after their event.
-ENV_PACKET_MASS = 1.0
+from .packets import TWO_PI, Vec3, as_vec3
 
 # Fixed word budget of one collision draw: 1 inter-arrival + 3 x 2 offset
 # normals (Box-Muller, first of each pair) + 3 width jitters + 1 phase.
@@ -58,11 +56,17 @@ class EnvironmentSpec:
 
 @dataclass(frozen=True, slots=True)
 class CollisionEvent:
-    """One environment encounter."""
+    """One environment encounter, as plain values.
+
+    ``offset`` is the environment packet's center relative to the object's
+    center at ``time``; ``sigma`` and ``alpha`` are the packet's widths and
+    phase constant.
+    """
 
     time: float
-    env_packet: GaussianPacket
-    sequence_index: int
+    offset: Vec3
+    sigma: Vec3
+    alpha: float
 
 
 class RngState:
@@ -97,9 +101,6 @@ class RngState:
         self.position += 1
         return self._gen.random()
 
-    def clone(self) -> "RngState":
-        return RngState(self.seed, self.position)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RngState)
@@ -130,18 +131,14 @@ def _standard_normal(u1: float, u2: float) -> float:
 
 
 def next_collision(
-    rng: RngState,
-    spec: EnvironmentSpec,
-    t_now: float,
-    object_center: Vec3,
-    sequence_index: int = 1,
+    rng: RngState, spec: EnvironmentSpec, t_now: float
 ) -> tuple[Optional[CollisionEvent], RngState]:
     """Draw the next environment encounter after ``t_now``.
 
     Returns ``(None, rng)`` when the collision rate is zero.  The event time
-    is exponential with the configured rate; the packet center is
-    ``object_center`` plus a Gaussian offset; the packet widths are the
-    template scaled by a uniform relative jitter.  Consumes exactly 11 words.
+    is exponential with the configured rate; the offset is Gaussian with the
+    configured impact spread; the widths are the template scaled by a uniform
+    relative jitter.  Consumes exactly 11 words.
     """
     if spec.collision_rate == 0.0:
         return None, rng
@@ -154,13 +151,8 @@ def next_collision(
             spread * _standard_normal(w[3], w[4]),
             spread * _standard_normal(w[5], w[6]),
         )
-        center = (
-            object_center[0] + offset[0],
-            object_center[1] + offset[1],
-            object_center[2] + offset[2],
-        )
     else:
-        center = (object_center[0], object_center[1], object_center[2])
+        offset = (0.0, 0.0, 0.0)
     j = spec.env_sigma_jitter
     t1, t2, t3 = spec.env_sigma
     if j != 0.0:
@@ -171,14 +163,4 @@ def next_collision(
         )
     else:
         sigma = spec.env_sigma
-    alpha = TWO_PI * w[10]
-    time = t_now + dt
-    packet = GaussianPacket(
-        center=center,
-        sigma=sigma,
-        velocity=(0.0, 0.0, 0.0),
-        mass=ENV_PACKET_MASS,
-        alpha=alpha,
-        t_ref=time,
-    )
-    return CollisionEvent(time=time, env_packet=packet, sequence_index=sequence_index), rng
+    return CollisionEvent(time=t_now + dt, offset=offset, sigma=sigma, alpha=TWO_PI * w[10]), rng

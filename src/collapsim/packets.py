@@ -20,9 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
 
 from .constants import CODATA, PhysicalConstants
 
@@ -37,11 +34,6 @@ Vec3 = tuple[float, float, float]
 
 def as_vec3(value, name: str) -> Vec3:
     """Coerce a scalar or length-3 sequence to a tuple of three floats."""
-    if type(value) is tuple and len(value) == 3:
-        a, b, c = value
-        if type(a) is float and type(b) is float and type(c) is float:
-            return value
-        return (float(a), float(b), float(c))
     if isinstance(value, (int, float)):
         v = float(value)
         return (v, v, v)
@@ -98,48 +90,13 @@ class GaussianPacket:
             setattr_(self, "ref_sigma", self.sigma)
         else:
             setattr_(self, "ref_sigma", as_vec3(self.ref_sigma, "ref_sigma"))
-        s1, s2, s3 = self.sigma
-        r1, r2, r3 = self.ref_sigma
-        if not (
-            0.0 < s1 < _INF
-            and 0.0 < s2 < _INF
-            and 0.0 < s3 < _INF
-            and 0.0 < r1 < _INF
-            and 0.0 < r2 < _INF
-            and 0.0 < r3 < _INF
-        ):
+        if not all(0.0 < s < _INF for s in self.sigma + self.ref_sigma):
             raise ValueError(f"sigma components must be positive and finite, got {self.sigma}")
         if not 0.0 < self.mass < _INF:
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
-        c1, c2, c3 = self.center
-        v1, v2, v3 = self.velocity
-        k1, k2, k3 = self.ref_center
-        if not (
-            -_INF < c1 < _INF
-            and -_INF < c2 < _INF
-            and -_INF < c3 < _INF
-            and -_INF < v1 < _INF
-            and -_INF < v2 < _INF
-            and -_INF < v3 < _INF
-            and -_INF < k1 < _INF
-            and -_INF < k2 < _INF
-            and -_INF < k3 < _INF
-            and -_INF < self.t_ref < _INF
-        ):
+        coordinates = self.center + self.velocity + self.ref_center + (self.t_ref,)
+        if not all(-_INF < x < _INF for x in coordinates):
             raise ValueError("center, velocity and t_ref must be finite")
-
-    def modulus(self, r: Sequence[float]):
-        """|psi| at a point (or broadcastable arrays of coordinates)."""
-        out = 1.0
-        for x, c, s in zip(r, self.center, self.sigma):
-            out = out * (TWO_PI * s * s) ** (-0.25) * np.exp(-((x - c) ** 2) / (4.0 * s * s))
-        return out
-
-    def axis_modulus(self, axis: int, x):
-        """One Cartesian factor of |psi|, vectorized over x."""
-        c = self.center[axis]
-        s = self.sigma[axis]
-        return (TWO_PI * s * s) ** (-0.25) * np.exp(-((x - c) ** 2) / (4.0 * s * s))
 
 
 @dataclass(frozen=True)
@@ -214,35 +171,41 @@ def spreading_velocity_via_lambda(wavelength: float, v0: float, diameter: float)
     return wavelength * v0 / (TWO_PI * diameter)
 
 
-def evolve_free(packet: GaussianPacket, t: float, constants: PhysicalConstants = CODATA) -> GaussianPacket:
-    """Free-Schroedinger readout of the packet at time t >= t_ref.
+def spread_widths(
+    sigma0: Vec3, mass: float, dt: float, constants: PhysicalConstants = CODATA
+) -> Vec3:
+    """Per-axis widths a time dt after a waist of widths sigma0.
 
-    The center drifts with the packet velocity and each axis width follows
+    Each axis follows the free-Schroedinger law
 
-        sigma(t) = sigma0 * sqrt(1 + (hbar * dt / (2 m sigma0^2))^2)
-
-    with sigma0 the width at ``t_ref``.  Anchoring at ``t_ref`` makes repeated
-    readouts compose exactly: evolving to t1 and then to t2 equals evolving
-    straight to t2.
+        sigma(dt) = sigma0 * sqrt(1 + (hbar * dt / (2 m sigma0^2))^2)
     """
-    dt = t - packet.t_ref
-    if dt < 0.0:
-        raise ValueError(f"cannot evolve backwards: t={t} < t_ref={packet.t_ref}")
-    if dt == 0.0 and packet.center == packet.ref_center and packet.sigma == packet.ref_sigma:
-        return packet
-    k = constants.hbar * dt / (2.0 * packet.mass)
-    s1, s2, s3 = packet.ref_sigma
-    sigma_t = (
+    k = constants.hbar * dt / (2.0 * mass)
+    s1, s2, s3 = sigma0
+    return (
         s1 * math.sqrt(1.0 + (k / (s1 * s1)) ** 2),
         s2 * math.sqrt(1.0 + (k / (s2 * s2)) ** 2),
         s3 * math.sqrt(1.0 + (k / (s3 * s3)) ** 2),
     )
+
+
+def evolve_free(packet: GaussianPacket, t: float, constants: PhysicalConstants = CODATA) -> GaussianPacket:
+    """Free-Schroedinger readout of the packet at time t >= t_ref.
+
+    The center drifts with the packet velocity and the widths follow
+    :func:`spread_widths` from the waist at ``t_ref``.  Anchoring at ``t_ref``
+    makes repeated readouts compose exactly: evolving to t1 and then to t2
+    equals evolving straight to t2.
+    """
+    dt = t - packet.t_ref
+    if dt < 0.0:
+        raise ValueError(f"cannot evolve backwards: t={t} < t_ref={packet.t_ref}")
     c1, c2, c3 = packet.ref_center
     v1, v2, v3 = packet.velocity
     center_t = (c1 + v1 * dt, c2 + v2 * dt, c3 + v3 * dt)
     return GaussianPacket(
         center=center_t,
-        sigma=sigma_t,
+        sigma=spread_widths(packet.ref_sigma, packet.mass, dt, constants),
         velocity=packet.velocity,
         mass=packet.mass,
         alpha=packet.alpha,

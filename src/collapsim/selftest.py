@@ -108,8 +108,8 @@ def check_interarrival_mean(
     spec = EnvironmentSpec(collision_rate=rate, env_sigma=(1e-9, 1e-9, 1e-9))
     rng = RngState(seed)
     t = 0.0
-    for i in range(n_events):
-        event, rng = next_collision(rng, spec, t, (0.0, 0.0, 0.0), sequence_index=i + 1)
+    for _ in range(n_events):
+        event, rng = next_collision(rng, spec, t)
         t = event.time
     mean = t / n_events
     rel = abs(mean * rate - 1.0)

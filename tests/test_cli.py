@@ -101,6 +101,35 @@ class TestValidationFailures:
     def test_bad_eta_flag(self, capsys):
         assert run_cli(["run", "--scenario", "tpp", "--eta", "0.0"]) == 2
 
+    @pytest.mark.parametrize("rate", ["-1", "nan"])
+    def test_bad_rate_flag_named(self, rate, capsys):
+        assert run_cli(["run", "--scenario", "tpp", "--rate-hz", rate]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --rate-hz ") and "collision_rate" in err
+
+    def test_every_bad_flag_listed(self, capsys):
+        code = run_cli(
+            ["run", "--scenario", "tpp", "--rate-hz", "-1", "--duration-s", "-2", "--eta", "3"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        for flag in ("--rate-hz", "--duration-s", "--eta"):
+            assert f"error: {flag} " in err
+
+    def test_output_in_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "no" / "such" / "x.csv"
+        assert run_cli(["run", "--scenario", "tpp", "--output", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert str(target) in err and "Traceback" not in err
+
+    def test_config_output_path_not_a_string(self, tmp_path, capsys):
+        doc = to_document(preset("tpp"))
+        doc["output_path"] = 5
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli(["run", "--config", str(cfg)]) == 2
+        assert "output_path" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_sweep_table_sorted(self, tmp_path):

@@ -103,6 +103,32 @@ class TestParseConfig:
             parse_config(json.dumps(doc))
         assert "n_clusters" in str(exc.value)
 
+    @pytest.mark.parametrize("key", ["env_sigma_jitter", "impact_spread_m"])
+    def test_non_numeric_stream_value_reported_by_name(self, key):
+        doc = to_document(preset("tpp"))
+        doc[key] = "x"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert exc.value.problems == [f"{key} must be a number, got 'x'"]
+
+    def test_output_path_must_be_string_or_null(self):
+        doc = to_document(preset("tpp"))
+        doc["output_path"] = 5
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert "output_path" in str(exc.value)
+
+    def test_problems_collected_past_failing_specs(self):
+        doc = to_document(preset("tpp"))
+        doc["mass_kg"] = -1
+        doc["env_sigma_jitter"] = 2.0
+        doc["output_format"] = "xml"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        joined = " ".join(exc.value.problems)
+        for key in ("mass_kg", "env_sigma_jitter", "output_format"):
+            assert key in joined
+
     def test_scalar_sigma_broadcasts(self):
         doc = to_document(preset("tpp"))
         doc["initial_sigma_m"] = 1e-7

@@ -59,7 +59,7 @@ class TestApplyCollapse:
         p2 = fresh_packet(sigma=2e-10, alpha=0.0015, mass=1.0)
         result = apply_collapse(p1, p2, t=1.0)
         assert result.overlap_sigma[0] == pytest.approx(1.414e-10, rel=1e-3)
-        assert result.contracted_1.sigma == result.contracted_2.sigma
+        assert result.contracted_1.sigma == result.overlap_sigma
         assert result.contracted_1.t_ref == 1.0
 
     def test_localizes_to_narrow_partner(self):
@@ -72,10 +72,9 @@ class TestApplyCollapse:
         p1 = fresh_packet(sigma=1e-9, alpha=1.0, velocity=(3.0, 0.0, 0.0), mass=2e-20)
         p2 = fresh_packet(sigma=2e-9, alpha=1.001, velocity=(-1.0, 0.0, 0.0), mass=5.0)
         result = apply_collapse(p1, p2, t=0.5)
-        c1, c2 = result.contracted_1, result.contracted_2
+        c1 = result.contracted_1
         assert (c1.alpha, c1.mass, c1.velocity) == (p1.alpha, p1.mass, p1.velocity)
-        assert (c2.alpha, c2.mass, c2.velocity) == (p2.alpha, p2.mass, p2.velocity)
-        assert c1.center == c2.center == result.overlap_center
+        assert c1.center == result.overlap_center
 
     def test_guard_rejects_unfired_outcome(self):
         p1 = fresh_packet(alpha=0.0)
@@ -95,9 +94,8 @@ class TestApplyCollapse:
     @given(packets(), packets())
     def test_monotone_contraction(self, p1, p2):
         result = apply_collapse(p1, p2, t=0.0)
-        for packet in (result.contracted_1, result.contracted_2):
-            for sp, s1, s2 in zip(packet.sigma, p1.sigma, p2.sigma):
-                assert sp <= min(s1, s2)
+        for sp, s1, s2 in zip(result.contracted_1.sigma, p1.sigma, p2.sigma):
+            assert sp <= min(s1, s2)
 
     def test_repeated_collapse_strictly_shrinks(self):
         partner = fresh_packet(sigma=1e-9, alpha=0.0, mass=1.0)

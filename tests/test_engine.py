@@ -8,13 +8,17 @@ from collapsim import (
     CODATA,
     EngineError,
     EnvironmentSpec,
+    GaussianPacket,
     LastEvent,
     ObjectSpec,
     Regime,
+    RngState,
     ScenarioConfig,
-    cluster_shrink_factor,
+    evaluate_criterion,
     evolve_free,
+    next_collision,
     preset,
+    product_gaussian,
     run,
     run_ensemble,
     step,
@@ -207,19 +211,6 @@ class TestRun:
 
 
 class TestClusterRegime:
-    def test_shrink_factor_requires_cluster_regime(self):
-        cfg = preset("tpp")
-        state = initial_state(cfg)
-        assert state.regime is Regime.CM_PHASE
-        with pytest.raises(ValueError):
-            cluster_shrink_factor(state, cfg)
-
-    def test_shrink_factor_returns_configured_eta(self):
-        cfg = micro_config(initial_sigma=1e-10, cluster_eta=0.25)
-        state = initial_state(cfg)
-        assert state.regime is Regime.CLUSTER_PHASE
-        assert cluster_shrink_factor(state, cfg) == 0.25
-
     def test_damping_law_example(self):
         sigma = damped_sigma((4e-10, 4e-10, 4e-10), (1e-10, 1e-10, 1e-10), 0.5)
         assert sigma[0] == pytest.approx(2e-10, rel=1e-12)
@@ -331,3 +322,94 @@ class TestEnsemble:
         p = CODATA.phase_acceptance_probability
         band = 4.0 * math.sqrt(p * (1.0 - p) / ensemble.total_collisions)
         assert abs(ensemble.firing_fraction - p) <= band
+
+
+def rebuild_collision(cfg: ScenarioConfig, state):
+    """Resolve the next collision of ``state`` with the packet-level API.
+
+    Replays the draws from ``RngState(seed, position)`` and returns whether
+    the criterion fires, the widths after the collision, the object's phase
+    constant after it, and the stream position after it.
+    """
+    rng = RngState(state.rng.seed, state.rng.position)
+    event, rng = next_collision(rng, cfg.environment, state.t)
+    readout = evolve_free(state.object_packet, event.time)
+    cluster = min(readout.sigma) < cfg.object.internal_radius
+    alpha = readout.alpha
+    if cluster:
+        alphas = cfg.object.cluster_alphas
+        alpha = alphas[min(int(rng.uniform() * len(alphas)), len(alphas) - 1)]
+    # The encounter in the object's frame: the impact offset is drawn
+    # relative to the object.
+    compared = GaussianPacket(
+        center=0.0, sigma=readout.sigma, velocity=0.0, mass=readout.mass, alpha=alpha, t_ref=0.0
+    )
+    env = GaussianPacket(
+        center=event.offset, sigma=event.sigma, velocity=0.0, mass=1.0, alpha=event.alpha,
+        t_ref=0.0,
+    )
+    if not evaluate_criterion(compared, env).fires:
+        return False, readout.sigma, readout.alpha, rng.position
+    _, sigma = product_gaussian(compared, env)
+    if cluster and cfg.cluster_eta != 1.0:
+        sigma = damped_sigma(readout.sigma, sigma, cfg.cluster_eta)
+    alpha_after = TWO_PI * rng.uniform() if cfg.redraw_alpha_after_collapse else readout.alpha
+    return True, sigma, alpha_after, rng.position
+
+
+LEAN_LOOP_CONFIGS = {
+    # light object: collapses below the internal radius and re-spreads past it
+    "light": micro_config(
+        object=ObjectSpec(
+            mass=1.7e-23, internal_radius=5e-9, v0=10.0, cluster_alphas=(0.3, 1.0, 2.0, 4.0, 6.0)
+        ),
+        environment=EnvironmentSpec(
+            collision_rate=1e6, env_sigma=1e-10, env_sigma_jitter=0.3, impact_spread=1e-10
+        ),
+    ),
+    # heavy grain that stays in the cluster regime
+    "grain": micro_config(
+        object=ObjectSpec(
+            mass=1e-7, internal_radius=2.5e-4, v0=10.0, cluster_alphas=tuple(0.1 * np.arange(60))
+        ),
+        initial_sigma=5e-11,
+        initial_alpha="random",
+        environment=EnvironmentSpec(
+            collision_rate=1e6, env_sigma=5e-11, env_sigma_jitter=0.5, impact_spread=5e-11
+        ),
+        redraw_alpha_after_collapse=True,
+    ),
+}
+
+
+class TestLeanLoopMatchesPacketApi:
+    @pytest.mark.parametrize("name", sorted(LEAN_LOOP_CONFIGS))
+    def test_every_step_matches_packet_level_rebuild(self, name):
+        cfg = LEAN_LOOP_CONFIGS[name]
+        fired = 0
+        regimes = set()
+        for seed in range(8):
+            state = initial_state(replace(cfg, seed=seed))
+            for _ in range(4000):
+                fires, sigma, alpha, position = rebuild_collision(cfg, state)
+                new_state, record = step(
+                    state,
+                    cfg.environment,
+                    cluster_eta=cfg.cluster_eta,
+                    redraw_alpha=cfg.redraw_alpha_after_collapse,
+                )
+                assert (record.last_event is LastEvent.COLLAPSE) == fires
+                assert record.sigma == sigma
+                assert new_state.rng.position == position
+                if fires:
+                    fired += 1
+                    assert new_state.object_packet.sigma == sigma
+                    assert new_state.object_packet.t_ref == record.t
+                    assert new_state.object_packet.alpha == alpha
+                else:
+                    assert new_state.object_packet is state.object_packet
+                regimes.add(record.regime)
+                state = new_state
+        assert fired >= 10
+        if name == "light":
+            assert regimes == {Regime.CM_PHASE, Regime.CLUSTER_PHASE}

@@ -15,15 +15,14 @@ from collapsim import (
 from conftest import TWO_PI
 
 SPEC = EnvironmentSpec(collision_rate=1e3, env_sigma=(1e-9, 1e-9, 1e-9))
-ORIGIN = (0.0, 0.0, 0.0)
 
 
 def collect_events(seed: int, spec: EnvironmentSpec, n: int) -> list[CollisionEvent]:
     rng = RngState(seed)
     events = []
     t = 0.0
-    for i in range(n):
-        event, rng = next_collision(rng, spec, t, ORIGIN, sequence_index=i + 1)
+    for _ in range(n):
+        event, rng = next_collision(rng, spec, t)
         events.append(event)
         t = event.time
     return events
@@ -51,7 +50,7 @@ class TestRngState:
         rng.words(17)
         resumed = RngState(2024, 17)
         assert resumed == rng
-        assert resumed.uniform() == rng.clone().uniform()
+        assert resumed.uniform() == rng.uniform()
 
     def test_block_equals_sequential(self):
         a = RngState(5)
@@ -99,20 +98,20 @@ class TestNextCollision:
     def test_zero_rate_is_no_event(self):
         rng = RngState(1)
         spec = EnvironmentSpec(collision_rate=0.0, env_sigma=1e-9)
-        event, rng_out = next_collision(rng, spec, 0.0, ORIGIN)
+        event, rng_out = next_collision(rng, spec, 0.0)
         assert event is None
         assert rng_out.position == 0
 
     def test_seed_42_reproducible(self):
-        e1, _ = next_collision(RngState(42), SPEC, 0.0, ORIGIN)
-        e2, _ = next_collision(RngState(42), SPEC, 0.0, ORIGIN)
+        e1, _ = next_collision(RngState(42), SPEC, 0.0)
+        e2, _ = next_collision(RngState(42), SPEC, 0.0)
         assert e1 == e2
         assert e1.time > 0.0
-        assert 0.0 <= e1.env_packet.alpha < TWO_PI
+        assert 0.0 <= e1.alpha < TWO_PI
 
     def test_fixed_word_consumption(self):
         rng = RngState(3)
-        next_collision(rng, SPEC, 0.0, ORIGIN)
+        next_collision(rng, SPEC, 0.0)
         assert rng.position == 11
 
     def test_times_strictly_increasing(self):
@@ -145,26 +144,21 @@ class TestNextCollision:
             collision_rate=1e3, env_sigma=(1e-9, 2e-9, 3e-9), env_sigma_jitter=0.25
         )
         for event in collect_events(4, spec, 500):
-            for s, template in zip(event.env_packet.sigma, spec.env_sigma):
+            for s, template in zip(event.sigma, spec.env_sigma):
                 assert (1 - 0.25) * template <= s <= (1 + 0.25) * template
 
     def test_zero_jitter_uses_template_exactly(self):
         for event in collect_events(4, SPEC, 50):
-            assert event.env_packet.sigma == SPEC.env_sigma
+            assert event.sigma == SPEC.env_sigma
 
     def test_impact_spread_offsets_center(self):
         spec = EnvironmentSpec(collision_rate=1e3, env_sigma=1e-9, impact_spread=1e-8)
         events = collect_events(8, spec, 2000)
-        offsets = np.array([e.env_packet.center for e in events])
+        offsets = np.array([e.offset for e in events])
         assert np.all(offsets.std(axis=0) > 0)
         # per-axis sample std should be near the configured spread
         assert np.allclose(offsets.std(axis=0), 1e-8, rtol=0.1)
 
     def test_zero_spread_centers_on_object(self):
-        center = (1.0, -2.0, 3.0)
-        event, _ = next_collision(RngState(15), SPEC, 0.0, center)
-        assert event.env_packet.center == center
-
-    def test_sequence_index_passthrough(self):
-        event, _ = next_collision(RngState(15), SPEC, 0.0, ORIGIN, sequence_index=17)
-        assert event.sequence_index == 17
+        event, _ = next_collision(RngState(15), SPEC, 0.0)
+        assert event.offset == (0.0, 0.0, 0.0)
