@@ -48,11 +48,23 @@ from .packets import (
     spreading_velocity,
     spreading_velocity_via_lambda,
 )
-from .quadrature import QuadratureError, norm_quadrature, overlap_integral_quadrature
 from .recording import RecordWriteError, read_records, write_records
 from .sweep import SweepAxis, SweepRow, sweep
 
 __version__ = "0.1.0"
+
+# The quadrature oracle imports scipy.integrate, most of the package's import
+# time; it loads on first use of one of these names.
+_QUADRATURE_NAMES = ("QuadratureError", "norm_quadrature", "overlap_integral_quadrature")
+
+
+def __getattr__(name: str):
+    if name in _QUADRATURE_NAMES:
+        from . import quadrature
+
+        return getattr(quadrature, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CODATA",

@@ -9,7 +9,6 @@ from dataclasses import replace
 from pathlib import Path
 from typing import IO, Optional
 
-from . import selftest
 from .config import PRESETS, ConfigError, ScenarioConfig, parse_config, preset
 from .engine import EngineError, run, run_ensemble
 from .recording import RecordWriteError, write_records
@@ -188,6 +187,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from . import selftest  # imports scipy; no other command needs it
+
     results = selftest.run_all(fast=args.fast)
     all_ok = True
     for res in results:

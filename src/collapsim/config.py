@@ -21,6 +21,11 @@ OUTPUT_FORMATS = ("csv", "json")
 
 RANDOM_ALPHA = "random"
 
+# Largest sampling grid a run may ask for: duration / sample_interval rows.
+# Each row is a record (about 290 bytes when kept) and a width readout, so a
+# larger grid would run for minutes and could exhaust memory.
+MAX_SAMPLE_ROWS = 10**7
+
 
 class ConfigError(ValueError):
     """Carries every validation problem found in a config document."""
@@ -69,6 +74,12 @@ class ScenarioConfig:
             problems.append(f"seed must be a non-negative integer, got {self.seed}")
         if not (self.sample_interval > 0.0 and math.isfinite(self.sample_interval)):
             problems.append(f"sample_interval must be positive, got {self.sample_interval}")
+        elif self.duration > 0.0 and self.duration / self.sample_interval > MAX_SAMPLE_ROWS:
+            problems.append(
+                f"duration_s / sample_interval_s = {self.duration:g} / {self.sample_interval:g} "
+                f"asks for {self.duration / self.sample_interval:.3g} sample rows; "
+                f"the limit is {MAX_SAMPLE_ROWS:.0e}"
+            )
         if not (0.0 < self.cluster_eta <= 1.0):
             problems.append(f"cluster_eta must lie in (0, 1], got {self.cluster_eta}")
         if self.output_format not in OUTPUT_FORMATS:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -143,6 +144,18 @@ def evaluate_criterion(
     )
 
 
+def phase_clause_batch(
+    alpha1: Union[float, np.ndarray], alpha2: np.ndarray, constants: PhysicalConstants = CODATA
+) -> np.ndarray:
+    """Phase-gap clause for arrays of phase constants already in range.
+
+    Unchecked; element by element it decides exactly as the scalar clause
+    of :func:`criterion_fires` does.
+    """
+    d = np.abs(alpha1 - alpha2)
+    return np.minimum(d, TWO_PI - d) <= constants.phase_gap_limit
+
+
 def criterion_fires_batch(
     alpha1: np.ndarray,
     alpha2: np.ndarray,
@@ -162,8 +175,5 @@ def criterion_fires_batch(
     ov = np.asarray(overlap, dtype=float)
     if np.any(ov < 0.0) or np.any(ov > 1.0):
         raise ValueError("overlap must lie in [0, 1]")
-    d = np.abs(a1 - a2)
-    d = np.minimum(d, TWO_PI - d)
-    phase_ok = d <= constants.phase_gap_limit
     amplitude_ok = ov * ov >= np.minimum(a1, a2) / TWO_PI
-    return phase_ok & amplitude_ok
+    return phase_clause_batch(a1, a2, constants) & amplitude_ok

@@ -15,13 +15,42 @@ covers the object's internal extent the object's own constant is used
 environment packet meets only one of the object's clusters, so a uniformly
 chosen cluster constant is compared instead and the contraction is damped
 (``CLUSTER_PHASE``).
+
+Word layout.  One collision takes 11 words of the seeded stream: the
+inter-arrival time, six offset uniforms, three width jitters and the
+environment phase (see :mod:`collapsim.environment`).  In the cluster regime
+a 12th word follows and picks the compared cluster; when
+``redraw_alpha_after_collapse`` is set, a firing collision takes one more
+word for the object's new phase constant.
+
+Block scan.  :func:`step` resolves one collision at a time and is the
+reference; :func:`run` gives the same bits faster.  Only about
+alpha_s / (2 pi) ~ 1.2e-3 of encounters pass the phase clause, and between
+two firings the waist, and with it the whole trajectory, is fixed.  So
+:func:`run` draws the words of a block of collisions at once (about
+2 pi / alpha_s of them) and evaluates their times, readout widths, cluster
+picks and phase clauses in numpy: thinning (Lewis & Shedler 1979) evaluated
+in blocks.  A phase-rejected collision only advances counters, records and
+the recovery sum, so those are taken in bulk.  A phase-passing collision, or
+one whose widths are not finite, goes through the scalar :func:`_collide`
+from its own stream position ``RngState(seed, position)``; an amplitude
+reject there changes only counters and the block goes on.  A block ends at a
+firing, before the first collision past the duration, at ``max_collisions``,
+and after the first collision of a cluster-regime block that reads out in
+the CM regime, because the stride drops from 12 words to 11 there.  Widths
+only grow between firings, so a CM-regime block cannot enter the cluster
+regime.  The arithmetic matches the scalar path bit for bit: times are a
+sequential ``np.cumsum`` of ``math.log1p`` gaps, widths come from
+:func:`spread_widths` on arrays, and sums are accumulated in collision order.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -29,8 +58,17 @@ import numpy as np
 from .config import RANDOM_ALPHA, ScenarioConfig
 from .constants import CODATA, PhysicalConstants
 from .contraction import product_support
-from .criterion import criterion_fires
-from .environment import CollisionEvent, EnvironmentSpec, RngState, draw_phase, next_collision
+from .criterion import criterion_fires, phase_clause_batch
+from .environment import (
+    CLUSTER_COLLISION_WORDS,
+    COLLISION_WORDS,
+    CollisionEvent,
+    EnvironmentSpec,
+    RngState,
+    draw_collision_block,
+    draw_phase,
+    next_collision,
+)
 from .packets import GaussianPacket, ObjectSpec, Vec3, evolve_free, spread_widths
 
 
@@ -118,9 +156,12 @@ def initial_state(config: ScenarioConfig, constants: PhysicalConstants = CODATA)
     )
 
 
-def _widths_at(state: SimState, t: float, constants: PhysicalConstants) -> Vec3:
-    """Object widths at time t, read out from the waist."""
-    waist = state.object_packet
+def _widths_at(
+    waist: GaussianPacket, t: float, n_collisions: int, n_collapses: int,
+    constants: PhysicalConstants,
+) -> Vec3:
+    """Object widths at time t, read out from the waist; the counters go
+    into the error message."""
     try:
         sigma = spread_widths(waist.ref_sigma, waist.mass, t - waist.t_ref, constants)
         if not all(0.0 < s < math.inf for s in sigma):
@@ -128,7 +169,7 @@ def _widths_at(state: SimState, t: float, constants: PhysicalConstants) -> Vec3:
     except ArithmeticError as exc:
         raise EngineError(
             f"non-finite state at t={t} "
-            f"(collisions={state.n_collisions}, collapses={state.n_collapses}): {exc}"
+            f"(collisions={n_collisions}, collapses={n_collapses}): {exc}"
         ) from exc
     return sigma
 
@@ -148,7 +189,7 @@ def _collide(
     rng = state.rng
     waist = state.object_packet
     spec = state.object_spec
-    sigma = _widths_at(state, event.time, constants)
+    sigma = _widths_at(waist, event.time, state.n_collisions, state.n_collapses, constants)
     sigma_before_min = min(sigma)
     cluster = sigma_before_min < spec.internal_radius
     alpha = waist.alpha
@@ -235,6 +276,9 @@ class RunSummary:
     localized: bool
     final_regime: Regime
     budget_exhausted: bool
+    # Stream position after the last processed collision:
+    # RngState(seed, rng_position) draws the first collision not processed.
+    rng_position: int
 
     @property
     def mean_recovery_ratio(self) -> Optional[float]:
@@ -263,6 +307,120 @@ class RunSummary:
         return self.collapse_after_sum / self.n_collapses
 
 
+def _block_size(constants: PhysicalConstants) -> int:
+    """Collisions drawn per block: the mean gap between phase-clause passes."""
+    return math.ceil(1.0 / constants.phase_acceptance_probability)
+
+
+_REGIMES = (Regime.CM_PHASE, Regime.CLUSTER_PHASE)  # indexed by "in the cluster regime"
+
+
+@dataclass(frozen=True, slots=True)
+class _Block:
+    """The next collisions of a run, evaluated in numpy from the current waist.
+
+    Collisions ``0 .. end-1`` belong to the block; collision ``i`` starts at
+    word ``start + i * stride``.  ``scalar`` lists the ones that must go
+    through :func:`_collide`: phase-clause passes and non-finite widths.
+    ``past_duration`` says that collision ``end`` lies past the duration.
+    ``sigmas`` and ``regimes`` are per-collision record fields, filled only
+    when records are kept.
+    """
+
+    start: int
+    stride: int
+    end: int
+    past_duration: bool
+    times: list
+    sigma_min: np.ndarray
+    cluster: np.ndarray
+    scalar: list
+    sigmas: list
+    regimes: list
+
+
+def _evaluate_block(
+    state: SimState, config: ScenarioConfig, n: int, constants: PhysicalConstants,
+    with_records: bool,
+) -> _Block:
+    """Draw the next ``n`` collisions of ``state`` and evaluate them."""
+    waist = state.object_packet
+    cluster_block = state.regime is Regime.CLUSTER_PHASE
+    start = state.rng.position
+    gaps, env_alpha, pick = draw_collision_block(state.rng, config.environment, n, cluster_block)
+    times = np.cumsum(np.concatenate(((state.t,), gaps)))[1:]
+    with np.errstate(all="ignore"):
+        sx, sy, sz = spread_widths(waist.ref_sigma, waist.mass, times - waist.t_ref, constants)
+    sigma_min = np.minimum(np.minimum(sx, sy), sz)
+    finite = (sigma_min > 0.0) & (np.maximum(np.maximum(sx, sy), sz) < math.inf)
+    cluster = sigma_min < config.object.internal_radius
+
+    # The block ends before the first collision past the duration or, in the
+    # cluster regime, just after the first collision that reads out in the
+    # CM regime: it draws no 12th word, so the stride changes there.
+    end = int(np.searchsorted(times, config.duration, side="right"))
+    past_duration = end < n
+    alpha = waist.alpha
+    if cluster_block:
+        crossing = np.flatnonzero(~cluster[:end])
+        if len(crossing):
+            end, past_duration = int(crossing[0]) + 1, False
+        alphas = np.array(config.object.cluster_alphas)
+        picked = np.minimum((pick * len(alphas)).astype(np.intp), len(alphas) - 1)
+        alpha = np.where(cluster, alphas[picked], waist.alpha)
+    scalar = phase_clause_batch(alpha, env_alpha, constants) | ~finite
+    return _Block(
+        start=start,
+        stride=CLUSTER_COLLISION_WORDS if cluster_block else COLLISION_WORDS,
+        end=end,
+        past_duration=past_duration,
+        times=times.tolist(),
+        sigma_min=sigma_min,
+        cluster=cluster,
+        scalar=np.flatnonzero(scalar[:end]).tolist(),
+        sigmas=list(zip(sx.tolist(), sy.tolist(), sz.tolist())) if with_records else [],
+        regimes=[_REGIMES[c] for c in cluster.tolist()] if with_records else [],
+    )
+
+
+@dataclass
+class _Sums:
+    """Running aggregates of one run, accumulated in collision order."""
+
+    min_sigma: float
+    recovery_sum: float = 0.0
+    recovery_samples: int = 0
+    respread_sum: float = 0.0
+    respread_samples: int = 0
+    collapse_before_sum: float = 0.0
+    collapse_after_sum: float = 0.0
+    sigma_after_last_collapse: Optional[float] = None
+
+    def add_rejected(self, sigma_before: np.ndarray) -> None:
+        """Collisions that did not fire; only the recovery sum moves."""
+        if self.sigma_after_last_collapse is None or not len(sigma_before):
+            return
+        ratios = sigma_before / self.sigma_after_last_collapse
+        # A sequential sum, as the scalar loop adds; np.sum adds pairwise.
+        self.recovery_sum = float(np.cumsum(np.concatenate(((self.recovery_sum,), ratios)))[-1])
+        self.recovery_samples += len(ratios)
+
+    def add_collision(self, sigma_before: float, fired: bool, sigma_after: float) -> None:
+        """One collision resolved by :func:`_collide`."""
+        if self.sigma_after_last_collapse is not None:
+            self.recovery_sum += sigma_before / self.sigma_after_last_collapse
+            self.recovery_samples += 1
+            if fired:
+                self.respread_sum += sigma_before / self.sigma_after_last_collapse
+                self.respread_samples += 1
+        if fired:
+            self.collapse_before_sum += sigma_before
+            self.collapse_after_sum += sigma_after
+            self.sigma_after_last_collapse = sigma_after
+            if sigma_after < self.min_sigma:
+                self.min_sigma = sigma_after
+
+
 def run(
     config: ScenarioConfig,
     constants: PhysicalConstants = CODATA,
@@ -274,78 +432,128 @@ def run(
     Emits one record per collision plus records on the uniform sampling grid
     and at t=0 and t=duration.  An event drawn beyond the duration is not
     processed.  ``max_collisions`` caps the number of processed events.
+    Collisions are scanned in blocks (see the module docstring); records,
+    summary and stream position equal those of a loop over :func:`step`.
     """
     state = initial_state(config, constants)
     internal_radius = config.object.internal_radius
-
+    interval = config.sample_interval
+    block_size = _block_size(constants)
     records: list[TimeSeriesRecord] = []
+    next_sample = interval
 
-    def emit(record: TimeSeriesRecord) -> None:
-        if keep_records:
-            records.append(record)
-
-    def sample_record(t_sample: float) -> TimeSeriesRecord:
-        sigma = _widths_at(state, t_sample, constants)
+    def sample_record(t_sample: float, n_collisions: int) -> TimeSeriesRecord:
+        sigma = _widths_at(
+            state.object_packet, t_sample, n_collisions, state.n_collapses, constants
+        )
         return TimeSeriesRecord(
             t=t_sample,
             sigma=sigma,
-            n_collisions=state.n_collisions,
+            n_collisions=n_collisions,
             n_collapses=state.n_collapses,
             regime=regime_for(sigma, internal_radius),
             last_event=LastEvent.NONE,
         )
 
-    emit(sample_record(0.0))
+    def emit_samples(t: float, n_collisions: int) -> None:
+        """Grid records before a collision at t; a grid point equal to t is skipped."""
+        nonlocal next_sample
+        while next_sample < t:
+            record = sample_record(next_sample, n_collisions)
+            if keep_records:
+                records.append(record)
+            next_sample += interval
+        if next_sample == t:
+            next_sample += interval
 
-    min_sigma = min(state.object_packet.sigma)
-    recovery_sum = 0.0
-    recovery_samples = 0
-    respread_sum = 0.0
-    respread_samples = 0
-    collapse_before_sum = 0.0
-    collapse_after_sum = 0.0
-    sigma_after_last_collapse: Optional[float] = None
-    next_sample = config.sample_interval
+    def emit_rejected(block: _Block, lo: int, hi: int) -> None:
+        """Records of block collisions lo..hi-1, which did not fire."""
+        if keep_records:
+            n0 = state.n_collisions
+            records.extend(map(
+                TimeSeriesRecord, block.times[lo:hi], block.sigmas[lo:hi],
+                range(n0 + lo + 1, n0 + hi + 1), repeat(state.n_collapses),
+                block.regimes[lo:hi], repeat(LastEvent.COLLISION_NO_COLLAPSE),
+            ))
+
+    initial = sample_record(0.0, 0)
+    if keep_records:
+        records.append(initial)
+    sums = _Sums(min_sigma=min(state.object_packet.sigma))
     budget_exhausted = False
 
-    while True:
-        if max_collisions is not None and state.n_collisions >= max_collisions:
-            budget_exhausted = True
-            break
-        event, _ = next_collision(state.rng, config.environment, state.t)
-        if event is None:  # zero collision rate
-            break
-        if event.time > config.duration:
-            break
-        while next_sample < event.time:
-            emit(sample_record(next_sample))
-            next_sample += config.sample_interval
-        if next_sample == event.time:
-            next_sample += config.sample_interval
-        state, record, sigma_before, fired = _collide(
-            state, event, constants, config.cluster_eta, config.redraw_alpha_after_collapse
-        )
-        emit(record)
-        if sigma_after_last_collapse is not None:
-            recovery_sum += sigma_before / sigma_after_last_collapse
-            recovery_samples += 1
+    while config.environment.collision_rate > 0.0:
+        n = block_size
+        if max_collisions is not None:
+            n = min(n, max_collisions - state.n_collisions)
+            if n <= 0:
+                budget_exhausted = True
+                break
+        block = _evaluate_block(state, config, n, constants, keep_records)
+        times, n0 = block.times, state.n_collisions
+        fired = False
+        lo = 0
+        for j in block.scalar + [block.end]:
+            # Collisions lo..j-1 failed the phase clause: take them in bulk,
+            # with the grid samples that fall between them.
+            if lo < j:
+                i = lo
+                while next_sample <= times[j - 1]:
+                    k = bisect.bisect_left(times, next_sample, i, j)
+                    emit_rejected(block, i, k)
+                    emit_samples(times[k], n0 + k)
+                    i = k
+                emit_rejected(block, i, j)
+                sums.add_rejected(block.sigma_min[lo:j])
+            if j == block.end:
+                break
+            # Collision j goes through the scalar path from its own words.
+            rng = RngState(config.seed, block.start + j * block.stride)
+            before = replace(
+                state,
+                t=times[j - 1] if j else state.t,
+                n_collisions=n0 + j,
+                regime=_REGIMES[bool(block.cluster[j - 1])] if j else state.regime,
+                rng=rng,
+            )
+            event, _ = next_collision(rng, config.environment, before.t)
+            emit_samples(event.time, n0 + j)
+            after, record, sigma_before, fired = _collide(
+                before, event, constants, config.cluster_eta, config.redraw_alpha_after_collapse
+            )
+            if keep_records:
+                records.append(record)
+            sums.add_collision(sigma_before, fired, min(after.object_packet.sigma))
+            lo = j + 1
             if fired:
-                respread_sum += sigma_before / sigma_after_last_collapse
-                respread_samples += 1
+                state = after
+                break
         if fired:
-            sigma_after_min = min(state.object_packet.sigma)
-            collapse_before_sum += sigma_before
-            collapse_after_sum += sigma_after_min
-            sigma_after_last_collapse = sigma_after_min
-            if sigma_after_min < min_sigma:
-                min_sigma = sigma_after_min
+            continue
+        end = block.end
+        if end == 0:  # the block's first collision is past the duration
+            state = replace(state, rng=RngState(config.seed, block.start))
+            break
+        # The crossing collision of a cluster-regime block has no 12th word.
+        crossed = block.stride == CLUSTER_COLLISION_WORDS and not block.cluster[end - 1]
+        used = end * block.stride - crossed
+        rng = state.rng  # the block draw left it after all n collisions
+        if used < n * block.stride:
+            rng = RngState(config.seed, block.start + used)
+        state = replace(
+            state,
+            t=times[end - 1],
+            n_collisions=n0 + end,
+            regime=_REGIMES[bool(block.cluster[end - 1])],
+            rng=rng,
+        )
+        if block.past_duration:
+            break
 
-    while next_sample < config.duration:
-        emit(sample_record(next_sample))
-        next_sample += config.sample_interval
-    final = sample_record(config.duration)
-    if not records or records[-1].t < config.duration:
-        emit(final)
+    emit_samples(config.duration, state.n_collisions)
+    final = sample_record(config.duration, state.n_collisions)
+    if keep_records and records[-1].t < config.duration:
+        records.append(final)
 
     summary = RunSummary(
         seed=config.seed,
@@ -354,16 +562,17 @@ def run(
         n_collapses=state.n_collapses,
         final_sigma=final.sigma,
         final_min_sigma=min(final.sigma),
-        min_sigma=min(min_sigma, min(final.sigma)),
-        recovery_ratio_sum=recovery_sum,
-        recovery_samples=recovery_samples,
-        respread_sum=respread_sum,
-        respread_samples=respread_samples,
-        collapse_before_sum=collapse_before_sum,
-        collapse_after_sum=collapse_after_sum,
+        min_sigma=min(sums.min_sigma, min(final.sigma)),
+        recovery_ratio_sum=sums.recovery_sum,
+        recovery_samples=sums.recovery_samples,
+        respread_sum=sums.respread_sum,
+        respread_samples=sums.respread_samples,
+        collapse_before_sum=sums.collapse_before_sum,
+        collapse_after_sum=sums.collapse_after_sum,
         localized=min(final.sigma) <= internal_radius,
         final_regime=final.regime,
         budget_exhausted=budget_exhausted,
+        rng_position=state.rng.position,
     )
     return summary, records
 

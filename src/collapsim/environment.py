@@ -25,8 +25,11 @@ from numpy.random import PCG64, Generator
 from .packets import TWO_PI, Vec3, as_vec3
 
 # Fixed word budget of one collision draw: 1 inter-arrival + 3 x 2 offset
-# normals (Box-Muller, first of each pair) + 3 width jitters + 1 phase.
-_COLLISION_WORDS = 11
+# normals (Box-Muller, first of each pair) + 3 width jitters + 1 phase.  In
+# the cluster regime the engine draws a 12th word right after them to pick
+# the compared cluster.
+COLLISION_WORDS = 11
+CLUSTER_COLLISION_WORDS = 12
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,7 @@ def next_collision(
     """
     if spec.collision_rate == 0.0:
         return None, rng
-    w = rng.words(_COLLISION_WORDS).tolist()
+    w = rng.words(COLLISION_WORDS).tolist()
     dt = -math.log1p(-w[0]) / spec.collision_rate
     spread = spec.impact_spread
     if spread != 0.0:
@@ -164,3 +167,23 @@ def next_collision(
     else:
         sigma = spec.env_sigma
     return CollisionEvent(time=t_now + dt, offset=offset, sigma=sigma, alpha=TWO_PI * w[10]), rng
+
+
+def draw_collision_block(
+    rng: RngState, spec: EnvironmentSpec, n: int, cluster: bool
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Bulk draw of the next ``n`` collisions at a positive collision rate.
+
+    Returns the inter-arrival times, the environment phase constants and, in
+    the cluster regime, the cluster-pick uniforms.  Collision ``i`` occupies
+    words ``i * 11`` to ``i * 11 + 10`` (``i * 12`` to ``i * 12 + 11`` when
+    ``cluster``), the layout of :func:`next_collision` followed by the
+    engine's cluster pick, so element ``i`` equals what the ``i``-th
+    sequential draw would give.  Consumes ``n * 11`` or ``n * 12`` words.
+    The inter-arrival logarithm is taken with ``math.log1p`` per element:
+    ``np.log1p`` is not bit-identical to it.
+    """
+    stride = CLUSTER_COLLISION_WORDS if cluster else COLLISION_WORDS
+    w = rng.words(n * stride).reshape(n, stride)
+    log_gap = np.fromiter(map(math.log1p, (-w[:, 0]).tolist()), float, n)
+    return -log_gap / spec.collision_rate, TWO_PI * w[:, 10], (w[:, 11] if cluster else None)

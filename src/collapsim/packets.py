@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .constants import CODATA, PhysicalConstants
 
 TWO_PI = 2.0 * math.pi
@@ -171,21 +173,27 @@ def spreading_velocity_via_lambda(wavelength: float, v0: float, diameter: float)
     return wavelength * v0 / (TWO_PI * diameter)
 
 
-def spread_widths(
-    sigma0: Vec3, mass: float, dt: float, constants: PhysicalConstants = CODATA
-) -> Vec3:
+def spread_widths(sigma0: Vec3, mass: float, dt, constants: PhysicalConstants = CODATA):
     """Per-axis widths a time dt after a waist of widths sigma0.
 
     Each axis follows the free-Schroedinger law
 
-        sigma(dt) = sigma0 * sqrt(1 + (hbar * dt / (2 m sigma0^2))^2)
+        sigma(dt) = sigma0 * sqrt(1 + q^2),  q = hbar * dt / (2 m sigma0^2)
+
+    ``dt`` is a float or a numpy array of times; an array gives one array per
+    axis whose elements equal the float results bit for bit.  Both forms
+    square as ``q * q`` (``q ** 2`` on a float calls the C ``pow``, which is
+    not correctly rounded) and take a correctly rounded square root.  A
+    square that overflows gives ``inf``; it does not raise.
     """
+    sqrt = np.sqrt if isinstance(dt, np.ndarray) else math.sqrt
     k = constants.hbar * dt / (2.0 * mass)
     s1, s2, s3 = sigma0
+    q1, q2, q3 = k / (s1 * s1), k / (s2 * s2), k / (s3 * s3)
     return (
-        s1 * math.sqrt(1.0 + (k / (s1 * s1)) ** 2),
-        s2 * math.sqrt(1.0 + (k / (s2 * s2)) ** 2),
-        s3 * math.sqrt(1.0 + (k / (s3 * s3)) ** 2),
+        s1 * sqrt(1.0 + q1 * q1),
+        s2 * sqrt(1.0 + q2 * q2),
+        s3 * sqrt(1.0 + q3 * q3),
     )
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +133,37 @@ class TestValidationFailures:
         cfg.write_text(json.dumps(doc))
         assert run_cli(["run", "--config", str(cfg)]) == 2
         assert "output_path" in capsys.readouterr().err
+
+    def test_absurd_sample_grid_refused(self, tmp_path, capsys):
+        doc = to_document(preset("tpp"))
+        doc.update(duration_s=1e-4, sample_interval_s=1e-12)
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli(["run", "--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "duration_s" in err and "sample_interval_s" in err and "1e+08" in err
+        assert "Traceback" not in err
+        assert run_cli(["run", "--scenario", "tpp", "--duration-s", "1e5"]) == 2
+        assert "error: --duration-s " in capsys.readouterr().err
+
+
+class TestImportCost:
+    def test_run_does_not_import_scipy(self, tmp_path):
+        # scipy serves only the quadrature oracle and selftest; a run never needs it.
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys, collapsim, collapsim.cli\n"
+            f"assert collapsim.cli.main(['run', '--scenario', 'tpp', '--duration-s', '1e-4',"
+            f" '--output', {str(tmp_path / 'out.csv')!r}]) == 0\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported'\n"
+            "assert callable(collapsim.overlap_integral_quadrature)\n"
+            "assert 'scipy' in sys.modules\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSweepCommand:

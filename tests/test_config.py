@@ -151,6 +151,18 @@ class TestScenarioConfigValidation:
                 cluster_eta=0.0,
             )
 
+    def test_absurd_sample_grid_refused(self):
+        doc = to_document(preset("tpp"))
+        doc.update(duration_s=1e-4, sample_interval_s=1e-12)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        message = str(exc.value)
+        assert "duration_s" in message and "sample_interval_s" in message
+        assert "1e+08 sample rows" in message
+        # the limit itself is allowed
+        doc.update(duration_s=10.0, sample_interval_s=1e-6)
+        assert parse_config(json.dumps(doc)).sample_interval == 1e-6
+
     def test_bad_format(self):
         cfg = preset("tpp")
         with pytest.raises(ConfigError):

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -13,17 +14,22 @@ from collapsim import (
     ObjectSpec,
     Regime,
     RngState,
+    RunSummary,
     ScenarioConfig,
+    TimeSeriesRecord,
     evaluate_criterion,
     evolve_free,
     next_collision,
+    parse_config,
     preset,
     product_gaussian,
     run,
     run_ensemble,
     step,
+    to_document,
 )
-from collapsim.engine import aggregate_summaries, damped_sigma, initial_state, regime_for
+from collapsim.engine import _widths_at, aggregate_summaries, damped_sigma, initial_state, regime_for
+from collapsim.packets import spread_widths
 
 TWO_PI = 2.0 * math.pi
 
@@ -413,3 +419,194 @@ class TestLeanLoopMatchesPacketApi:
         assert fired >= 10
         if name == "light":
             assert regimes == {Regime.CM_PHASE, Regime.CLUSTER_PHASE}
+
+
+def reference_run(config: ScenarioConfig, max_collisions=None):
+    """The semantics of ``run`` as a plain loop over ``step``.
+
+    This is the scalar reference the block scan must match bit for bit: one
+    collision per ``step``, grid samples and sums in collision order, and the
+    stream position after the last processed collision.
+    """
+    state = initial_state(config)
+    env = config.environment
+    interval = config.sample_interval
+    records = []
+
+    def sample(t):
+        waist = state.object_packet
+        sigma = _widths_at(waist, t, state.n_collisions, state.n_collapses, CODATA)
+        return TimeSeriesRecord(
+            t, sigma, state.n_collisions, state.n_collapses,
+            regime_for(sigma, config.object.internal_radius), LastEvent.NONE,
+        )
+
+    def samples_before(t):
+        nonlocal next_sample
+        while next_sample < t:
+            records.append(sample(next_sample))
+            next_sample += interval
+        if next_sample == t:
+            next_sample += interval
+
+    records.append(sample(0.0))
+    next_sample = interval
+    min_sigma = min(state.object_packet.sigma)
+    recovery = respread = before_sum = after_sum = 0.0
+    n_recovery = n_respread = 0
+    after_last = None
+    exhausted = False
+    position = state.rng.position
+    while env.collision_rate > 0.0:
+        if max_collisions is not None and state.n_collisions >= max_collisions:
+            exhausted = True
+            break
+        position = state.rng.position
+        waist = state.object_packet
+        try:
+            new_state, record = step(
+                state, env, cluster_eta=config.cluster_eta,
+                redraw_alpha=config.redraw_alpha_after_collapse,
+            )
+        except EngineError:
+            # Unless the collision is past the duration, its grid samples come
+            # first and may fail before it does.
+            event, _ = next_collision(RngState(config.seed, position), env, state.t)
+            if event.time > config.duration:
+                break
+            samples_before(event.time)
+            raise
+        if record.t > config.duration:
+            break
+        samples_before(record.t)
+        records.append(record)
+        fired = record.last_event is LastEvent.COLLAPSE
+        sigma_before = min(spread_widths(waist.ref_sigma, waist.mass, record.t - waist.t_ref))
+        if after_last is not None:
+            recovery += sigma_before / after_last
+            n_recovery += 1
+            if fired:
+                respread += sigma_before / after_last
+                n_respread += 1
+        state = new_state
+        position = state.rng.position
+        if fired:
+            after_last = min(state.object_packet.sigma)
+            before_sum += sigma_before
+            after_sum += after_last
+            min_sigma = min(min_sigma, after_last)
+    samples_before(config.duration)
+    final = sample(config.duration)
+    if records[-1].t < config.duration:
+        records.append(final)
+    summary = RunSummary(
+        seed=config.seed,
+        duration=config.duration,
+        n_collisions=state.n_collisions,
+        n_collapses=state.n_collapses,
+        final_sigma=final.sigma,
+        final_min_sigma=min(final.sigma),
+        min_sigma=min(min_sigma, min(final.sigma)),
+        recovery_ratio_sum=recovery,
+        recovery_samples=n_recovery,
+        respread_sum=respread,
+        respread_samples=n_respread,
+        collapse_before_sum=before_sum,
+        collapse_after_sum=after_sum,
+        localized=min(final.sigma) <= config.object.internal_radius,
+        final_regime=final.regime,
+        budget_exhausted=exhausted,
+        rng_position=position,
+    )
+    return summary, records
+
+
+def generic_document_config(duration: float) -> ScenarioConfig:
+    """The benchmark's generic document: a narrow random-phase grain with
+    width jitter, impact spread and phase redraw."""
+    doc = to_document(preset("sugar_grain"))
+    doc.update(
+        initial_sigma_m=5e-11,
+        initial_alpha_rad="random",
+        env_sigma_jitter=0.5,
+        impact_spread_m=5e-11,
+        redraw_alpha_after_collapse=True,
+        output_format="json",
+        duration_s=duration,
+    )
+    return parse_config(json.dumps(doc))
+
+
+BLOCK_CONFIGS = {
+    "tpp": (replace(preset("tpp"), duration=1e-3), None),
+    "sugar_grain": (replace(preset("sugar_grain"), duration=1e-3), None),
+    "generic_json": (generic_document_config(1e-3), None),
+    # A collapse takes this object below its internal radius; it re-spreads
+    # past it a few hundred collisions later, inside a block.
+    "light_crossing": (
+        micro_config(
+            object=ObjectSpec(
+                mass=2e-20, internal_radius=5e-9, v0=10.0, cluster_alphas=(0.3, 1.0, 2.0, 4.0, 6.0)
+            ),
+            environment=EnvironmentSpec(collision_rate=1e6, env_sigma=1e-10, env_sigma_jitter=0.2),
+            duration=1e-3,
+            sample_interval=1e-4,
+            cluster_eta=0.5,
+        ),
+        None,
+    ),
+    # 1000 = 862 + 138: the budget ends the second block part way.
+    "budget_cut": (replace(preset("tpp"), duration=1.0), 1000),
+}
+
+
+class TestBlockMatchesStep:
+    @pytest.mark.parametrize("name", sorted(BLOCK_CONFIGS))
+    def test_run_equals_step_loop(self, name):
+        config, max_collisions = BLOCK_CONFIGS[name]
+        collapses = 0
+        crossings = 0
+        for seed in range(64):
+            cfg = replace(config, seed=seed)
+            summary, records = run(cfg, max_collisions=max_collisions)
+            expected_summary, expected_records = reference_run(cfg, max_collisions)
+            # Every float is positive or +0.0, so == compares bits.  The
+            # summaries include the final stream position.
+            assert records == expected_records
+            assert summary == expected_summary
+            quiet, _ = run(cfg, keep_records=False, max_collisions=max_collisions)
+            assert quiet == summary
+            collapses += summary.n_collapses
+            # Two consecutive non-firing collisions, cluster then CM regime:
+            # the regime crossed inside a block.
+            events = [r for r in records if r.last_event is not LastEvent.NONE]
+            crossings += sum(
+                a.last_event is b.last_event is LastEvent.COLLISION_NO_COLLAPSE
+                and a.regime is Regime.CLUSTER_PHASE and b.regime is Regime.CM_PHASE
+                for a, b in zip(events, events[1:])
+            )
+        assert collapses >= 30
+        if name == "light_crossing":
+            assert crossings >= 10
+        if name == "budget_cut":
+            assert summary.budget_exhausted and summary.n_collisions == max_collisions
+
+    def test_width_overflow_fails_at_the_same_collision(self):
+        cfg = ScenarioConfig(
+            object=ObjectSpec(mass=1e-162, internal_radius=1e-16, v0=0.0, cluster_alphas=(0.0,)),
+            initial_sigma=1e-15,
+            initial_alpha=0.0,
+            environment=EnvironmentSpec(collision_rate=1e6, env_sigma=1e-15),
+            duration=1.0,
+            seed=0,
+            sample_interval=1e-4,
+            cluster_eta=1.0,
+        )
+        for seed in range(64):
+            cfg = replace(cfg, seed=seed)
+            with pytest.raises(EngineError) as expected:
+                reference_run(cfg)
+            with pytest.raises(EngineError) as got:
+                run(cfg, keep_records=False)
+            assert str(got.value) == str(expected.value)
+            assert "collisions=0," not in str(got.value)

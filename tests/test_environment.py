@@ -12,6 +12,7 @@ from collapsim import (
     draw_phases,
     next_collision,
 )
+from collapsim.environment import draw_collision_block
 from conftest import TWO_PI
 
 SPEC = EnvironmentSpec(collision_rate=1e3, env_sigma=(1e-9, 1e-9, 1e-9))
@@ -162,3 +163,23 @@ class TestNextCollision:
     def test_zero_spread_centers_on_object(self):
         event, _ = next_collision(RngState(15), SPEC, 0.0)
         assert event.offset == (0.0, 0.0, 0.0)
+
+
+class TestDrawCollisionBlock:
+    @pytest.mark.parametrize("cluster", [False, True])
+    def test_equals_sequential_draws(self, cluster):
+        spec = EnvironmentSpec(collision_rate=1e6, env_sigma=1e-10)
+        block = RngState(9, 5)
+        gaps, alphas, picks = draw_collision_block(block, spec, 500, cluster)
+        rng = RngState(9, 5)
+        t = 0.0
+        for i in range(500):
+            event, rng = next_collision(rng, spec, t)
+            assert t + gaps[i] == event.time
+            assert event.alpha == alphas[i]
+            if cluster:
+                assert rng.uniform() == picks[i]
+            t = event.time
+        assert picks is None or len(picks) == 500
+        assert block == rng
+        assert block.position == 5 + 500 * (12 if cluster else 11)

@@ -17,6 +17,7 @@ from collapsim import (
     spreading_velocity,
     spreading_velocity_via_lambda,
 )
+from collapsim.packets import spread_widths
 from conftest import TWO_PI, fresh_packet, log_uniform, packets
 
 
@@ -167,6 +168,20 @@ class TestEvolveFree:
             p = fresh_packet(center=tuple(gen.normal(0, 1e-3, 3)), sigma=sigma, mass=1e-20)
             q = evolve_free(p, 1e-3)
             assert abs(norm_quadrature(q) - 1.0) < 1e-8
+
+
+class TestSpreadWidths:
+    def test_array_form_equals_float_form_bitwise(self, gen):
+        for _ in range(20):
+            sigma0 = tuple(log_uniform(gen, 1e-12, 1e-2, 3))
+            mass = float(log_uniform(gen, 1e-25, 1e-5))
+            dt = log_uniform(gen, 1e-12, 1e2, 500)
+            arrays = spread_widths(sigma0, mass, dt)
+            for i, d in enumerate(dt.tolist()):
+                assert tuple(a[i] for a in arrays) == spread_widths(sigma0, mass, d)
+
+    def test_overflow_gives_inf(self):
+        assert spread_widths((1e-15,) * 3, 1e-300, 1.0) == (math.inf,) * 3
 
 
 class TestAsymptoticRegimeCheck:

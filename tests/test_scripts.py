@@ -1,0 +1,27 @@
+"""Smoke tests: the example scripts in ``scripts/`` still run end to end."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("micro_macro_demo", ["--duration-s", "1e-3"]),
+        ("borderline_sweep", ["--duration-s", "1e-4", "--replicas", "1", "--decades", "2"]),
+    ],
+)
+def test_script_runs(name, argv, capsys):
+    assert load_script(name).main(argv) == 0
+    assert capsys.readouterr().out.strip()
