@@ -8,7 +8,6 @@ localization divide because the free spreading rate scales as 1/mass.
 """
 
 from .config import PRESETS, ConfigError, ScenarioConfig, parse_config, preset, to_document
-from .constants import CODATA, PhysicalConstants
 from .contraction import ContractionResult, apply_collapse, product_gaussian
 from .criterion import (
     CriterionOutcome,
@@ -67,7 +66,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "CODATA",
     "CollisionEvent",
     "ConfigError",
     "ContractionResult",
@@ -79,7 +77,6 @@ __all__ = [
     "LastEvent",
     "ObjectSpec",
     "PRESETS",
-    "PhysicalConstants",
     "QuadratureError",
     "RecordWriteError",
     "Regime",

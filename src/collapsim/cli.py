@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -168,14 +169,35 @@ def _write_sweep(rows, sink: IO[str]) -> None:
         )
 
 
+def _sweep_flags(args: argparse.Namespace) -> tuple[list[float], list[str]]:
+    """The ``--values`` list, and every problem with ``--values`` and ``--replicas``."""
+    values, problems = [], []
+    for text in (v.strip() for v in args.values.split(",")):
+        if not text:
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            problems.append(f"--values {text!r}: not a number")
+            continue
+        if not 0.0 < value < math.inf:
+            problems.append(f"--values {text}: must be positive and finite")
+        values.append(value)
+    if not values and not problems:
+        problems.append("--values: at least one value is required")
+    if args.replicas < 1:
+        problems.append(f"--replicas must be >= 1, got {args.replicas}")
+    return values, problems
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    values, problems = _sweep_flags(args)
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError([f"--values must be comma-separated numbers: {exc}"]) from exc
-    if not values or any(v <= 0 for v in values):
-        raise ConfigError([f"--values must be positive numbers, got {args.values!r}"])
+        config = _load_config(args)
+    except ConfigError as exc:
+        problems = exc.problems + problems
+    if problems:
+        raise ConfigError(problems)
     sink, close = _open_sink(config.output_path)
     try:
         rows = sweep(config, SweepAxis(args.axis), values, args.replicas)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from numpy.random import PCG64, Generator
 
@@ -188,6 +188,26 @@ _OPTIONAL_KEYS = (
 )
 
 
+def _as_float(v) -> Optional[float]:
+    """A JSON number as a float (an int too large for a float gives inf);
+    None for anything else, booleans included."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
+
+
+def _positive(x: float) -> bool:
+    return 0.0 < x < math.inf
+
+
+def _finite_number(v) -> bool:
+    x = _as_float(v)
+    return x is not None and math.isfinite(x)
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a flat JSON config document.
 
@@ -211,80 +231,70 @@ def parse_config(text: str) -> ScenarioConfig:
         if key not in doc:
             problems.append(f"missing required key: {key!r}")
 
+    def number(key: str, default: float, what: str, ok) -> float:
+        """``doc[key]`` as a float, or ``default`` when it is absent or
+        fails ``ok``; a boolean is not a number."""
+        v = doc.get(key, default)
+        x = _as_float(v)
+        if x is None:
+            problems.append(f"{key} must be a number, got {v!r}")
+        elif not ok(x):
+            problems.append(f"{key} must be {what}, got {v!r}")
+        else:
+            return x
+        return default
+
     def positive(key: str) -> float:
-        if key not in doc:  # already reported as missing
-            return 1.0
-        v = doc[key]
-        if not isinstance(v, (int, float)) or not v > 0 or not math.isfinite(v):
-            problems.append(f"{key} must be a positive finite number, got {v!r}")
-            return 1.0
-        return float(v)
+        return number(key, 1.0, "a positive finite number", _positive)
+
+    def non_negative(key: str) -> float:
+        return number(key, 0.0, "a non-negative finite number", lambda x: 0.0 <= x < math.inf)
+
+    def widths(key: str) -> Vec3:
+        v = doc.get(key, 1.0)
+        xs = [_as_float(x) for x in (v if isinstance(v, list) and len(v) == 3 else [v])]
+        if not all(x is not None and _positive(x) for x in xs):
+            problems.append(f"{key} must be a positive number or length-3 list, got {v!r}")
+            return (1.0, 1.0, 1.0)
+        return as_vec3(v, key)
 
     mass = positive("mass_kg")
     internal_radius = positive("internal_radius_m")
     duration = positive("duration_s")
     sample_interval = positive("sample_interval_s")
-    cluster_eta = doc.get("cluster_eta", 1.0)
-    if not isinstance(cluster_eta, (int, float)) or not 0.0 < cluster_eta <= 1.0:
-        problems.append(f"cluster_eta must lie in (0, 1], got {cluster_eta!r}")
-        cluster_eta = 1.0
-
-    v0 = doc.get("v0_m_per_s", 0.0)
-    if not isinstance(v0, (int, float)) or v0 < 0 or not math.isfinite(v0):
-        problems.append(f"v0_m_per_s must be a non-negative number, got {v0!r}")
-        v0 = 0.0
-
-    rate = doc.get("collision_rate_hz", 0.0)
-    if not isinstance(rate, (int, float)) or rate < 0 or not math.isfinite(rate):
-        problems.append(f"collision_rate_hz must be a non-negative number, got {rate!r}")
-        rate = 0.0
+    cluster_eta = number("cluster_eta", 1.0, "in (0, 1]", lambda x: 0.0 < x <= 1.0)
+    v0 = non_negative("v0_m_per_s")
+    rate = non_negative("collision_rate_hz")
+    jitter = number("env_sigma_jitter", 0.0, "in [0, 1)", lambda x: 0.0 <= x < 1.0)
+    spread = non_negative("impact_spread_m")
+    initial_sigma = widths("initial_sigma_m")
+    env_sigma = widths("env_sigma_m")
 
     alphas = doc.get("cluster_alphas_rad", [0.0])
-    if not isinstance(alphas, list) or not alphas or not all(
-        isinstance(a, (int, float)) and math.isfinite(a) for a in alphas
-    ):
+    if not isinstance(alphas, list) or not alphas or not all(map(_finite_number, alphas)):
         problems.append(
             f"cluster_alphas_rad must be a non-empty list of finite numbers, got {alphas!r}"
         )
         alphas = [0.0]
-    if "n_clusters" in doc and doc["n_clusters"] != len(alphas):
+    n_clusters = doc.get("n_clusters", len(alphas))
+    if isinstance(n_clusters, bool) or n_clusters != len(alphas):
         problems.append(
-            f"n_clusters ({doc['n_clusters']!r}) does not match "
+            f"n_clusters ({n_clusters!r}) does not match "
             f"len(cluster_alphas_rad) ({len(alphas)})"
         )
 
-    def vec(key: str):
-        v = doc.get(key, 1.0)
-        try:
-            return as_vec3(v, key)
-        except (TypeError, ValueError):
-            problems.append(f"{key} must be a positive number or length-3 list, got {v!r}")
-            return (1.0, 1.0, 1.0)
-
-    initial_sigma = vec("initial_sigma_m")
-    env_sigma = vec("env_sigma_m")
-
     initial_alpha = doc.get("initial_alpha_rad", 0.0)
-    if initial_alpha != RANDOM_ALPHA and not isinstance(initial_alpha, (int, float)):
-        problems.append(
-            f"initial_alpha_rad must be a number or '{RANDOM_ALPHA}', got {initial_alpha!r}"
+    if initial_alpha != RANDOM_ALPHA:
+        initial_alpha = number(
+            "initial_alpha_rad", 0.0, f"in [0, 2*pi) or '{RANDOM_ALPHA}'",
+            lambda x: 0.0 <= x < TWO_PI,
         )
-        initial_alpha = 0.0
 
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         problems.append(f"seed must be a non-negative integer, got {seed!r}")
         seed = 0
 
-    def number(key: str) -> float:
-        v = doc.get(key, 0.0)
-        if not isinstance(v, (int, float)):
-            problems.append(f"{key} must be a number, got {v!r}")
-            return 0.0
-        return v
-
-    jitter = number("env_sigma_jitter")
-    spread = number("impact_spread_m")
     output_path = doc.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
         problems.append(f"output_path must be a string or null, got {output_path!r}")
@@ -295,26 +305,14 @@ def parse_config(text: str) -> ScenarioConfig:
         problems.append(f"redraw_alpha_after_collapse must be a boolean, got {redraw!r}")
         redraw = False
 
-    try:
-        obj = ObjectSpec(
-            mass=mass, internal_radius=internal_radius, v0=v0, cluster_alphas=tuple(alphas)
-        )
-    except ValueError as exc:
-        problems.append(str(exc))
-        obj = None
-    try:
-        env = EnvironmentSpec(
-            collision_rate=rate,
-            env_sigma=env_sigma,
-            env_sigma_jitter=jitter,
-            impact_spread=spread,
-        )
-    except ValueError as exc:
-        problems.append(str(exc))
-        env = None
-
-    # ScenarioConfig checks its own fields whether or not the specs built, so
-    # its problems join the list either way.
+    # Every value is in range now, so the specs build; ScenarioConfig adds
+    # the problems that involve several keys.
+    obj = ObjectSpec(
+        mass=mass, internal_radius=internal_radius, v0=v0, cluster_alphas=tuple(alphas)
+    )
+    env = EnvironmentSpec(
+        collision_rate=rate, env_sigma=env_sigma, env_sigma_jitter=jitter, impact_spread=spread
+    )
     try:
         config = ScenarioConfig(
             object=obj,

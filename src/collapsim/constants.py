@@ -8,7 +8,6 @@ the CODATA measured value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 PLANCK_H = 6.62607015e-34          # J s, exact (SI definition)
 HBAR = PLANCK_H / (2.0 * math.pi)  # J s
@@ -16,34 +15,10 @@ FINE_STRUCTURE = 7.2973525693e-3   # dimensionless
 
 SECONDS_PER_YEAR = 31_557_600.0    # Julian year
 
+# Largest admissible phase-constant mismatch, alpha_s / 2.
+PHASE_GAP_LIMIT = 0.5 * FINE_STRUCTURE
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Constants entering the spreading law and the phase-gap criterion."""
-
-    hbar: float = HBAR
-    h: float = PLANCK_H
-    alpha_s: float = FINE_STRUCTURE
-
-    def __post_init__(self) -> None:
-        if not math.isclose(self.h, 2.0 * math.pi * self.hbar, rel_tol=1e-15):
-            raise ValueError("h must equal 2*pi*hbar")
-        if not 7.29e-3 < self.alpha_s < 7.30e-3:
-            raise ValueError(f"alpha_s out of range: {self.alpha_s}")
-
-    @property
-    def phase_gap_limit(self) -> float:
-        """Largest admissible phase-constant mismatch, alpha_s / 2."""
-        return 0.5 * self.alpha_s
-
-    @property
-    def phase_acceptance_probability(self) -> float:
-        """Chance that two independent uniform phase constants pass the gap test.
-
-        The circular distance of two independent uniform angles is uniform on
-        [0, pi], so P(distance <= alpha_s/2) = alpha_s / (2*pi).
-        """
-        return self.alpha_s / (2.0 * math.pi)
-
-
-CODATA = PhysicalConstants()
+# Chance that two independent uniform phase constants pass the gap test.  The
+# circular distance of two independent uniform angles is uniform on [0, pi],
+# so P(distance <= alpha_s/2) = alpha_s / (2*pi).
+PHASE_ACCEPTANCE_PROBABILITY = FINE_STRUCTURE / (2.0 * math.pi)

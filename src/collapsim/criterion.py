@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .constants import CODATA, PhysicalConstants
+from .constants import PHASE_GAP_LIMIT
 from .packets import TWO_PI, GaussianPacket, Vec3
 
 
@@ -77,18 +77,13 @@ def _amplitude_clause(overlap: float, alpha1: float, alpha2: float) -> tuple[boo
 
 
 def criterion_fires(
-    alpha1: float,
-    alpha2: float,
-    sigma1: Vec3,
-    sigma2: Vec3,
-    separation: Vec3,
-    constants: PhysicalConstants = CODATA,
+    alpha1: float, alpha2: float, sigma1: Vec3, sigma2: Vec3, separation: Vec3
 ) -> bool:
     """Both clauses on plain values that are already in range.
 
     The overlap is computed only when the phase clause passes.
     """
-    if phase_distance(alpha1, alpha2) > constants.phase_gap_limit:
+    if phase_distance(alpha1, alpha2) > PHASE_GAP_LIMIT:
         return False
     return _amplitude_clause(overlap_from_widths(sigma1, sigma2, separation), alpha1, alpha2)[0]
 
@@ -100,9 +95,7 @@ def _check_phase_range(alpha: float, name: str) -> float:
     return a
 
 
-def phase_criterion(
-    alpha1: float, alpha2: float, constants: PhysicalConstants = CODATA
-) -> tuple[bool, float]:
+def phase_criterion(alpha1: float, alpha2: float) -> tuple[bool, float]:
     """Evaluate the phase-gap clause.
 
     Returns ``(phase_ok, phase_distance)`` where the distance is circular
@@ -111,7 +104,7 @@ def phase_criterion(
     a1 = _check_phase_range(alpha1, "alpha1")
     a2 = _check_phase_range(alpha2, "alpha2")
     d = phase_distance(a1, a2)
-    return d <= constants.phase_gap_limit, d
+    return d <= PHASE_GAP_LIMIT, d
 
 
 def amplitude_criterion(overlap: float, alpha1: float, alpha2: float) -> tuple[bool, float]:
@@ -128,12 +121,10 @@ def amplitude_criterion(overlap: float, alpha1: float, alpha2: float) -> tuple[b
     return _amplitude_clause(v, a1, a2)
 
 
-def evaluate_criterion(
-    p1: GaussianPacket, p2: GaussianPacket, constants: PhysicalConstants = CODATA
-) -> CriterionOutcome:
+def evaluate_criterion(p1: GaussianPacket, p2: GaussianPacket) -> CriterionOutcome:
     """Evaluate both clauses for two time-aligned packets."""
     overlap = overlap_integral(p1, p2)
-    phase_ok, distance = phase_criterion(p1.alpha, p2.alpha, constants)
+    phase_ok, distance = phase_criterion(p1.alpha, p2.alpha)
     amplitude_ok, alpha_min = amplitude_criterion(overlap, p1.alpha, p2.alpha)
     return CriterionOutcome(
         phase_ok=phase_ok,
@@ -144,24 +135,17 @@ def evaluate_criterion(
     )
 
 
-def phase_clause_batch(
-    alpha1: Union[float, np.ndarray], alpha2: np.ndarray, constants: PhysicalConstants = CODATA
-) -> np.ndarray:
+def phase_clause_batch(alpha1: Union[float, np.ndarray], alpha2: np.ndarray) -> np.ndarray:
     """Phase-gap clause for arrays of phase constants already in range.
 
     Unchecked; element by element it decides exactly as the scalar clause
     of :func:`criterion_fires` does.
     """
     d = np.abs(alpha1 - alpha2)
-    return np.minimum(d, TWO_PI - d) <= constants.phase_gap_limit
+    return np.minimum(d, TWO_PI - d) <= PHASE_GAP_LIMIT
 
 
-def criterion_fires_batch(
-    alpha1: np.ndarray,
-    alpha2: np.ndarray,
-    overlap,
-    constants: PhysicalConstants = CODATA,
-) -> np.ndarray:
+def criterion_fires_batch(alpha1: np.ndarray, alpha2: np.ndarray, overlap) -> np.ndarray:
     """Vectorized firing decision for arrays of phase pairs.
 
     Applies the same two clauses as :func:`evaluate_criterion`; ``overlap``
@@ -176,4 +160,4 @@ def criterion_fires_batch(
     if np.any(ov < 0.0) or np.any(ov > 1.0):
         raise ValueError("overlap must lie in [0, 1]")
     amplitude_ok = ov * ov >= np.minimum(a1, a2) / TWO_PI
-    return phase_clause_batch(a1, a2, constants) & amplitude_ok
+    return phase_clause_batch(a1, a2) & amplitude_ok

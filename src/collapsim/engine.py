@@ -9,6 +9,11 @@ relative to the object, so its absolute position never enters the decision.
 A collision that does not fire changes only the counters; a firing one
 builds the new waist.
 
+A state holds plain values: the time, the waist, the counters and the
+position of the seeded stream.  The seed and every other input stay in the
+:class:`ScenarioConfig`, and ``RngState(config.seed, position)`` rebuilds the
+stream, so a state is a value: stepping it twice gives the same collision.
+
 The comparison phase constant depends on the regime: while the packet still
 covers the object's internal extent the object's own constant is used
 (``CM_PHASE``); once the packet is narrower than the internal radius an
@@ -56,20 +61,19 @@ from typing import Optional
 import numpy as np
 
 from .config import RANDOM_ALPHA, ScenarioConfig
-from .constants import CODATA, PhysicalConstants
+from .constants import PHASE_ACCEPTANCE_PROBABILITY
 from .contraction import product_support
 from .criterion import criterion_fires, phase_clause_batch
 from .environment import (
     CLUSTER_COLLISION_WORDS,
     COLLISION_WORDS,
     CollisionEvent,
-    EnvironmentSpec,
     RngState,
     draw_collision_block,
     draw_phase,
     next_collision,
 )
-from .packets import GaussianPacket, ObjectSpec, Vec3, evolve_free, spread_widths
+from .packets import GaussianPacket, Vec3, evolve_free, spread_widths
 
 
 class Regime(enum.Enum):
@@ -89,19 +93,19 @@ class EngineError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class SimState:
-    """Simulation state at time ``t``.
+    """Simulation state at time ``t`` of the run of one config.
 
     ``object_packet`` is the object's waist, its packet at the last collapse
     (or at t=0); ``evolve_free(object_packet, t)`` reads the object out at t.
+    ``position`` counts the words of the seeded stream consumed so far:
+    ``RngState(config.seed, position)`` draws the next collision.
     """
 
     t: float
     object_packet: GaussianPacket
-    object_spec: ObjectSpec
     n_collisions: int
     n_collapses: int
-    regime: Regime
-    rng: RngState
+    position: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,13 +134,12 @@ def damped_sigma(sigma_old: Vec3, sigma_p: Vec3, eta: float) -> Vec3:
     return tuple(so * (sp / so) ** eta for so, sp in zip(sigma_old, sigma_p))
 
 
-def initial_state(config: ScenarioConfig, constants: PhysicalConstants = CODATA) -> SimState:
+def initial_state(config: ScenarioConfig) -> SimState:
     """Build the t=0 state; draws the object phase constant if configured."""
-    rng = RngState(config.seed)
     if config.initial_alpha == RANDOM_ALPHA:
-        alpha, rng = draw_phase(rng)
+        alpha, position = draw_phase(RngState(config.seed)), 1
     else:
-        alpha = config.initial_alpha
+        alpha, position = config.initial_alpha, 0
     packet = GaussianPacket(
         center=(0.0, 0.0, 0.0),
         sigma=config.initial_sigma,
@@ -145,25 +148,14 @@ def initial_state(config: ScenarioConfig, constants: PhysicalConstants = CODATA)
         alpha=alpha,
         t_ref=0.0,
     )
-    return SimState(
-        t=0.0,
-        object_packet=packet,
-        object_spec=config.object,
-        n_collisions=0,
-        n_collapses=0,
-        regime=regime_for(packet.sigma, config.object.internal_radius),
-        rng=rng,
-    )
+    return SimState(t=0.0, object_packet=packet, n_collisions=0, n_collapses=0, position=position)
 
 
-def _widths_at(
-    waist: GaussianPacket, t: float, n_collisions: int, n_collapses: int,
-    constants: PhysicalConstants,
-) -> Vec3:
+def _widths_at(waist: GaussianPacket, t: float, n_collisions: int, n_collapses: int) -> Vec3:
     """Object widths at time t, read out from the waist; the counters go
     into the error message."""
     try:
-        sigma = spread_widths(waist.ref_sigma, waist.mass, t - waist.t_ref, constants)
+        sigma = spread_widths(waist.ref_sigma, waist.mass, t - waist.t_ref)
         if not all(0.0 < s < math.inf for s in sigma):
             raise OverflowError(f"widths {sigma} are not positive and finite")
     except ArithmeticError as exc:
@@ -175,40 +167,34 @@ def _widths_at(
 
 
 def _collide(
-    state: SimState,
-    event: CollisionEvent,
-    constants: PhysicalConstants,
-    cluster_eta: float,
-    redraw_alpha: bool,
+    state: SimState, event: CollisionEvent, config: ScenarioConfig, rng: RngState
 ) -> tuple[SimState, TimeSeriesRecord, float, bool]:
     """Advance through one collision.
 
-    Returns the new state, its record, the minimum-axis width immediately
-    before the collision, and whether the criterion fired.
+    ``rng`` stands just after the words of ``event``; the cluster pick and a
+    phase redraw are drawn from it.  Returns the new state, its record, the
+    minimum-axis width immediately before the collision, and whether the
+    criterion fired.
     """
-    rng = state.rng
     waist = state.object_packet
-    spec = state.object_spec
-    sigma = _widths_at(waist, event.time, state.n_collisions, state.n_collapses, constants)
+    spec = config.object
+    sigma = _widths_at(waist, event.time, state.n_collisions, state.n_collapses)
     sigma_before_min = min(sigma)
     cluster = sigma_before_min < spec.internal_radius
     alpha = waist.alpha
     if cluster:
         alphas = spec.cluster_alphas
         alpha = alphas[min(int(rng.uniform() * len(alphas)), len(alphas) - 1)]
-    fired = criterion_fires(alpha, event.alpha, sigma, event.sigma, event.offset, constants)
+    fired = criterion_fires(alpha, event.alpha, sigma, event.sigma, event.offset)
     n_collapses = state.n_collapses
     last_event = LastEvent.COLLISION_NO_COLLAPSE
     if fired:
-        readout = evolve_free(waist, event.time, constants)
+        readout = evolve_free(waist, event.time)
         env_center = tuple(c + o for c, o in zip(readout.center, event.offset))
         center, sigma = product_support(readout.center, readout.sigma, env_center, event.sigma)
-        if cluster and cluster_eta != 1.0:
-            sigma = damped_sigma(readout.sigma, sigma, cluster_eta)
-        if redraw_alpha:
-            alpha, rng = draw_phase(rng)
-        else:
-            alpha = waist.alpha
+        if cluster and config.cluster_eta != 1.0:
+            sigma = damped_sigma(readout.sigma, sigma, config.cluster_eta)
+        alpha = draw_phase(rng) if config.redraw_alpha_after_collapse else waist.alpha
         waist = GaussianPacket(
             center=center,
             sigma=sigma,
@@ -220,39 +206,31 @@ def _collide(
         n_collapses += 1
         last_event = LastEvent.COLLAPSE
 
-    regime_after = regime_for(sigma, spec.internal_radius)
-    new_state = SimState(
-        t=event.time,
-        object_packet=waist,
-        object_spec=spec,
-        n_collisions=state.n_collisions + 1,
-        n_collapses=n_collapses,
-        regime=regime_after,
-        rng=rng,
-    )
+    n_collisions = state.n_collisions + 1
+    new_state = SimState(event.time, waist, n_collisions, n_collapses, rng.position)
     record = TimeSeriesRecord(
         t=event.time,
         sigma=sigma,
-        n_collisions=new_state.n_collisions,
+        n_collisions=n_collisions,
         n_collapses=n_collapses,
-        regime=regime_after,
+        regime=regime_for(sigma, spec.internal_radius),
         last_event=last_event,
     )
     return new_state, record, sigma_before_min, fired
 
 
-def step(
-    state: SimState,
-    env_spec: EnvironmentSpec,
-    constants: PhysicalConstants = CODATA,
-    cluster_eta: float = 1.0,
-    redraw_alpha: bool = False,
-) -> tuple[SimState, TimeSeriesRecord]:
-    """Advance to the next collision and resolve it."""
-    event, _ = next_collision(state.rng, env_spec, state.t)
+def step(state: SimState, config: ScenarioConfig) -> tuple[SimState, TimeSeriesRecord]:
+    """Advance ``state``, a state of the run of ``config``, to the next
+    collision and resolve it.
+
+    The scalar reference for :func:`run`.  It rebuilds the stream from
+    ``RngState(config.seed, state.position)`` and leaves ``state`` as it was.
+    """
+    rng = RngState(config.seed, state.position)
+    event = next_collision(rng, config.environment, state.t)
     if event is None:
         raise ValueError("step requires a positive collision rate")
-    new_state, record, _, _ = _collide(state, event, constants, cluster_eta, redraw_alpha)
+    new_state, record, _, _ = _collide(state, event, config, rng)
     return new_state, record
 
 
@@ -307,10 +285,8 @@ class RunSummary:
         return self.collapse_after_sum / self.n_collapses
 
 
-def _block_size(constants: PhysicalConstants) -> int:
-    """Collisions drawn per block: the mean gap between phase-clause passes."""
-    return math.ceil(1.0 / constants.phase_acceptance_probability)
-
+# Collisions drawn per block: the mean gap between phase-clause passes.
+_BLOCK_SIZE = math.ceil(1.0 / PHASE_ACCEPTANCE_PROBABILITY)
 
 _REGIMES = (Regime.CM_PHASE, Regime.CLUSTER_PHASE)  # indexed by "in the cluster regime"
 
@@ -340,17 +316,18 @@ class _Block:
 
 
 def _evaluate_block(
-    state: SimState, config: ScenarioConfig, n: int, constants: PhysicalConstants,
+    state: SimState, config: ScenarioConfig, rng: RngState, n: int, cluster_block: bool,
     with_records: bool,
 ) -> _Block:
-    """Draw the next ``n`` collisions of ``state`` and evaluate them."""
+    """Draw the next ``n`` collisions of ``state`` from ``rng``, which stands
+    at ``state.position``, and evaluate them; ``cluster_block`` says that
+    the widths at ``state.t`` are in the cluster regime."""
     waist = state.object_packet
-    cluster_block = state.regime is Regime.CLUSTER_PHASE
-    start = state.rng.position
-    gaps, env_alpha, pick = draw_collision_block(state.rng, config.environment, n, cluster_block)
+    start = rng.position
+    gaps, env_alpha, pick = draw_collision_block(rng, config.environment, n, cluster_block)
     times = np.cumsum(np.concatenate(((state.t,), gaps)))[1:]
     with np.errstate(all="ignore"):
-        sx, sy, sz = spread_widths(waist.ref_sigma, waist.mass, times - waist.t_ref, constants)
+        sx, sy, sz = spread_widths(waist.ref_sigma, waist.mass, times - waist.t_ref)
     sigma_min = np.minimum(np.minimum(sx, sy), sz)
     finite = (sigma_min > 0.0) & (np.maximum(np.maximum(sx, sy), sz) < math.inf)
     cluster = sigma_min < config.object.internal_radius
@@ -368,7 +345,7 @@ def _evaluate_block(
         alphas = np.array(config.object.cluster_alphas)
         picked = np.minimum((pick * len(alphas)).astype(np.intp), len(alphas) - 1)
         alpha = np.where(cluster, alphas[picked], waist.alpha)
-    scalar = phase_clause_batch(alpha, env_alpha, constants) | ~finite
+    scalar = phase_clause_batch(alpha, env_alpha) | ~finite
     return _Block(
         start=start,
         stride=CLUSTER_COLLISION_WORDS if cluster_block else COLLISION_WORDS,
@@ -422,10 +399,7 @@ class _Sums:
 
 
 def run(
-    config: ScenarioConfig,
-    constants: PhysicalConstants = CODATA,
-    keep_records: bool = True,
-    max_collisions: Optional[int] = None,
+    config: ScenarioConfig, keep_records: bool = True, max_collisions: Optional[int] = None
 ) -> tuple[RunSummary, list[TimeSeriesRecord]]:
     """Simulate one scenario from t=0 to t=duration.
 
@@ -435,17 +409,14 @@ def run(
     Collisions are scanned in blocks (see the module docstring); records,
     summary and stream position equal those of a loop over :func:`step`.
     """
-    state = initial_state(config, constants)
+    state = initial_state(config)
     internal_radius = config.object.internal_radius
     interval = config.sample_interval
-    block_size = _block_size(constants)
     records: list[TimeSeriesRecord] = []
     next_sample = interval
 
     def sample_record(t_sample: float, n_collisions: int) -> TimeSeriesRecord:
-        sigma = _widths_at(
-            state.object_packet, t_sample, n_collisions, state.n_collapses, constants
-        )
+        sigma = _widths_at(state.object_packet, t_sample, n_collisions, state.n_collapses)
         return TimeSeriesRecord(
             t=t_sample,
             sigma=sigma,
@@ -481,15 +452,21 @@ def run(
         records.append(initial)
     sums = _Sums(min_sigma=min(state.object_packet.sigma))
     budget_exhausted = False
+    # The regime of the widths at state.t, which sets the block's stride.
+    cluster = min(state.object_packet.sigma) < internal_radius
+    # The stream at state.position, reused while blocks follow each other.
+    rng = RngState(config.seed, state.position)
 
     while config.environment.collision_rate > 0.0:
-        n = block_size
+        n = _BLOCK_SIZE
         if max_collisions is not None:
             n = min(n, max_collisions - state.n_collisions)
             if n <= 0:
                 budget_exhausted = True
                 break
-        block = _evaluate_block(state, config, n, constants, keep_records)
+        if rng.position != state.position:
+            rng = RngState(config.seed, state.position)
+        block = _evaluate_block(state, config, rng, n, cluster, keep_records)
         times, n0 = block.times, state.n_collisions
         fired = False
         lo = 0
@@ -508,45 +485,35 @@ def run(
             if j == block.end:
                 break
             # Collision j goes through the scalar path from its own words.
-            rng = RngState(config.seed, block.start + j * block.stride)
+            at_j = RngState(config.seed, block.start + j * block.stride)
             before = replace(
-                state,
-                t=times[j - 1] if j else state.t,
-                n_collisions=n0 + j,
-                regime=_REGIMES[bool(block.cluster[j - 1])] if j else state.regime,
-                rng=rng,
+                state, t=times[j - 1] if j else state.t, n_collisions=n0 + j, position=at_j.position
             )
-            event, _ = next_collision(rng, config.environment, before.t)
+            event = next_collision(at_j, config.environment, before.t)
             emit_samples(event.time, n0 + j)
-            after, record, sigma_before, fired = _collide(
-                before, event, constants, config.cluster_eta, config.redraw_alpha_after_collapse
-            )
+            after, record, sigma_before, fired = _collide(before, event, config, at_j)
             if keep_records:
                 records.append(record)
             sums.add_collision(sigma_before, fired, min(after.object_packet.sigma))
             lo = j + 1
             if fired:
-                state = after
+                state, rng, cluster = after, at_j, record.regime is Regime.CLUSTER_PHASE
                 break
         if fired:
             continue
         end = block.end
         if end == 0:  # the block's first collision is past the duration
-            state = replace(state, rng=RngState(config.seed, block.start))
+            state = replace(state, position=block.start)
             break
         # The crossing collision of a cluster-regime block has no 12th word.
         crossed = block.stride == CLUSTER_COLLISION_WORDS and not block.cluster[end - 1]
-        used = end * block.stride - crossed
-        rng = state.rng  # the block draw left it after all n collisions
-        if used < n * block.stride:
-            rng = RngState(config.seed, block.start + used)
         state = replace(
             state,
             t=times[end - 1],
             n_collisions=n0 + end,
-            regime=_REGIMES[bool(block.cluster[end - 1])],
-            rng=rng,
+            position=block.start + end * block.stride - crossed,
         )
+        cluster = bool(block.cluster[end - 1])
         if block.past_duration:
             break
 
@@ -572,7 +539,7 @@ def run(
         localized=min(final.sigma) <= internal_radius,
         final_regime=final.regime,
         budget_exhausted=budget_exhausted,
-        rng_position=state.rng.position,
+        rng_position=state.position,
     )
     return summary, records
 
@@ -609,8 +576,8 @@ def aggregate_summaries(
     recovery_samples = sum(s.recovery_samples for s in ordered)
     finals = np.array([s.final_min_sigma for s in ordered])
     return EnsembleSummary(
-        n_replicas=len(ordered) + len(failures),
-        base_seed=base_seed,
+        len(ordered) + len(failures),  # n_replicas
+        base_seed,
         total_collisions=total_collisions,
         total_collapses=total_collapses,
         firing_fraction=(total_collapses / total_collisions) if total_collisions else 0.0,
@@ -631,32 +598,22 @@ def aggregate_summaries(
 
 
 def run_ensemble(
-    config: ScenarioConfig,
-    n_replicas: int,
-    base_seed: Optional[int] = None,
-    constants: PhysicalConstants = CODATA,
-    max_collisions: Optional[int] = None,
+    config: ScenarioConfig, n_replicas: int, max_collisions: Optional[int] = None
 ) -> EnsembleSummary:
-    """Run independent replicas with seeds base_seed + index and aggregate.
+    """Run independent replicas with seeds ``config.seed + index`` and aggregate.
 
     A failing replica is reported in ``failures`` without aborting the rest.
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-    if base_seed is None:
-        base_seed = config.seed
     summaries: list[RunSummary] = []
     failures: list[tuple[int, str]] = []
-    for i in range(n_replicas):
-        seed = base_seed + i
+    for seed in range(config.seed, config.seed + n_replicas):
         try:
             summary, _ = run(
-                replace(config, seed=seed),
-                constants,
-                keep_records=False,
-                max_collisions=max_collisions,
+                replace(config, seed=seed), keep_records=False, max_collisions=max_collisions
             )
             summaries.append(summary)
         except EngineError as exc:
             failures.append((seed, str(exc)))
-    return aggregate_summaries(summaries, base_seed, failures)
+    return aggregate_summaries(summaries, config.seed, failures)

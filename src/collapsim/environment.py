@@ -115,17 +115,17 @@ class RngState:
         return f"RngState(seed={self.seed}, position={self.position})"
 
 
-def draw_phase(rng: RngState) -> tuple[float, RngState]:
+def draw_phase(rng: RngState) -> float:
     """Draw one phase constant uniform on [0, 2*pi). Consumes one word."""
-    return TWO_PI * rng.uniform(), rng
+    return TWO_PI * rng.uniform()
 
 
-def draw_phases(rng: RngState, n: int) -> tuple[np.ndarray, RngState]:
+def draw_phases(rng: RngState, n: int) -> np.ndarray:
     """Bulk variant of :func:`draw_phase`: n draws from the same stream.
 
     Consumes n words and equals n sequential single draws bit-for-bit.
     """
-    return TWO_PI * rng.words(n), rng
+    return TWO_PI * rng.words(n)
 
 
 def _standard_normal(u1: float, u2: float) -> float:
@@ -133,18 +133,16 @@ def _standard_normal(u1: float, u2: float) -> float:
     return math.sqrt(-2.0 * math.log1p(-u1)) * math.cos(TWO_PI * u2)
 
 
-def next_collision(
-    rng: RngState, spec: EnvironmentSpec, t_now: float
-) -> tuple[Optional[CollisionEvent], RngState]:
+def next_collision(rng: RngState, spec: EnvironmentSpec, t_now: float) -> Optional[CollisionEvent]:
     """Draw the next environment encounter after ``t_now``.
 
-    Returns ``(None, rng)`` when the collision rate is zero.  The event time
+    Returns None, and consumes nothing, when the collision rate is zero.  The event time
     is exponential with the configured rate; the offset is Gaussian with the
     configured impact spread; the widths are the template scaled by a uniform
     relative jitter.  Consumes exactly 11 words.
     """
     if spec.collision_rate == 0.0:
-        return None, rng
+        return None
     w = rng.words(COLLISION_WORDS).tolist()
     dt = -math.log1p(-w[0]) / spec.collision_rate
     spread = spec.impact_spread
@@ -166,7 +164,7 @@ def next_collision(
         )
     else:
         sigma = spec.env_sigma
-    return CollisionEvent(time=t_now + dt, offset=offset, sigma=sigma, alpha=TWO_PI * w[10]), rng
+    return CollisionEvent(time=t_now + dt, offset=offset, sigma=sigma, alpha=TWO_PI * w[10])
 
 
 def draw_collision_block(

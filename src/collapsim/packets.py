@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import CODATA, PhysicalConstants
+from .constants import HBAR, PLANCK_H
 
 TWO_PI = 2.0 * math.pi
 
@@ -140,16 +140,16 @@ class ObjectSpec:
         return 2.0 * self.internal_radius
 
 
-def de_broglie_wavelength(mass: float, v0: float, constants: PhysicalConstants = CODATA) -> float:
+def de_broglie_wavelength(mass: float, v0: float) -> float:
     """Matter wavelength h / (m * v) of an object moving at speed v0."""
     if not mass > 0.0:
         raise ValueError(f"mass must be positive, got {mass}")
     if not v0 > 0.0:
         raise ValueError(f"v0 must be positive, got {v0}")
-    return constants.h / (mass * v0)
+    return PLANCK_H / (mass * v0)
 
 
-def spreading_velocity(diameter: float, mass: float, constants: PhysicalConstants = CODATA) -> float:
+def spreading_velocity(diameter: float, mass: float) -> float:
     """Asymptotic width-growth rate hbar / (d * m) of a free packet.
 
     ``diameter`` is the minimum diameter at the beginning of spreading,
@@ -159,7 +159,7 @@ def spreading_velocity(diameter: float, mass: float, constants: PhysicalConstant
         raise ValueError(f"diameter must be positive, got {diameter}")
     if not mass > 0.0:
         raise ValueError(f"mass must be positive, got {mass}")
-    return constants.hbar / (diameter * mass)
+    return HBAR / (diameter * mass)
 
 
 def spreading_velocity_via_lambda(wavelength: float, v0: float, diameter: float) -> float:
@@ -173,7 +173,7 @@ def spreading_velocity_via_lambda(wavelength: float, v0: float, diameter: float)
     return wavelength * v0 / (TWO_PI * diameter)
 
 
-def spread_widths(sigma0: Vec3, mass: float, dt, constants: PhysicalConstants = CODATA):
+def spread_widths(sigma0: Vec3, mass: float, dt):
     """Per-axis widths a time dt after a waist of widths sigma0.
 
     Each axis follows the free-Schroedinger law
@@ -187,7 +187,7 @@ def spread_widths(sigma0: Vec3, mass: float, dt, constants: PhysicalConstants = 
     square that overflows gives ``inf``; it does not raise.
     """
     sqrt = np.sqrt if isinstance(dt, np.ndarray) else math.sqrt
-    k = constants.hbar * dt / (2.0 * mass)
+    k = HBAR * dt / (2.0 * mass)
     s1, s2, s3 = sigma0
     q1, q2, q3 = k / (s1 * s1), k / (s2 * s2), k / (s3 * s3)
     return (
@@ -197,7 +197,7 @@ def spread_widths(sigma0: Vec3, mass: float, dt, constants: PhysicalConstants = 
     )
 
 
-def evolve_free(packet: GaussianPacket, t: float, constants: PhysicalConstants = CODATA) -> GaussianPacket:
+def evolve_free(packet: GaussianPacket, t: float) -> GaussianPacket:
     """Free-Schroedinger readout of the packet at time t >= t_ref.
 
     The center drifts with the packet velocity and the widths follow
@@ -213,7 +213,7 @@ def evolve_free(packet: GaussianPacket, t: float, constants: PhysicalConstants =
     center_t = (c1 + v1 * dt, c2 + v2 * dt, c3 + v3 * dt)
     return GaussianPacket(
         center=center_t,
-        sigma=spread_widths(packet.ref_sigma, packet.mass, dt, constants),
+        sigma=spread_widths(packet.ref_sigma, packet.mass, dt),
         velocity=packet.velocity,
         mass=packet.mass,
         alpha=packet.alpha,
@@ -223,7 +223,7 @@ def evolve_free(packet: GaussianPacket, t: float, constants: PhysicalConstants =
     )
 
 
-def asymptotic_regime_check(packet: GaussianPacket, t: float, constants: PhysicalConstants = CODATA) -> bool:
+def asymptotic_regime_check(packet: GaussianPacket, t: float) -> bool:
     """True when the linear spreading law is valid on every axis at time t.
 
     Compares hbar*dt / (2 m sigma0^2) against a fixed threshold of 10.
@@ -231,5 +231,5 @@ def asymptotic_regime_check(packet: GaussianPacket, t: float, constants: Physica
     dt = t - packet.t_ref
     if dt < 0.0:
         raise ValueError(f"cannot evaluate before t_ref: t={t} < t_ref={packet.t_ref}")
-    k = constants.hbar * dt / (2.0 * packet.mass)
+    k = HBAR * dt / (2.0 * packet.mass)
     return all(k / (s0 * s0) > SPREADING_LINEAR_THRESHOLD for s0 in packet.ref_sigma)

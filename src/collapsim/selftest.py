@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CODATA
+from .constants import PHASE_ACCEPTANCE_PROBABILITY
 from .criterion import criterion_fires_batch, overlap_integral
 from .environment import EnvironmentSpec, RngState, next_collision
 from .packets import GaussianPacket
@@ -88,7 +88,7 @@ def check_phase_acceptance(n_pairs: int = 10_000_000, seed: int = 654) -> CheckR
         a2 = two_pi * gen.random(n)
         fired += int(np.count_nonzero(criterion_fires_batch(a1, a2, 1.0)))
         remaining -= n
-    p = CODATA.phase_acceptance_probability
+    p = PHASE_ACCEPTANCE_PROBABILITY
     empirical = fired / n_pairs
     band = 4.0 * math.sqrt(p * (1.0 - p) / n_pairs)
     return CheckResult(
@@ -109,7 +109,7 @@ def check_interarrival_mean(
     rng = RngState(seed)
     t = 0.0
     for _ in range(n_events):
-        event, rng = next_collision(rng, spec, t)
+        event = next_collision(rng, spec, t)
         t = event.time
     mean = t / n_events
     rel = abs(mean * rate - 1.0)

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from .config import ScenarioConfig
-from .constants import CODATA, PhysicalConstants
 from .engine import run_ensemble
 
 
@@ -40,11 +40,7 @@ def _apply_axis(config: ScenarioConfig, axis: SweepAxis, value: float) -> Scenar
 
 
 def sweep(
-    base: ScenarioConfig,
-    axis: SweepAxis,
-    values: list[float],
-    n_replicas: int,
-    constants: PhysicalConstants = CODATA,
+    base: ScenarioConfig, axis: SweepAxis, values: list[float], n_replicas: int
 ) -> list[SweepRow]:
     """Run one ensemble per value; rows come back sorted by value.
 
@@ -52,14 +48,12 @@ def sweep(
     """
     if not values:
         raise ValueError("sweep needs at least one value")
-    if any(v <= 0 for v in values):
-        raise ValueError(f"sweep values must be positive, got {values}")
+    if not all(0.0 < v < math.inf for v in values):
+        raise ValueError(f"sweep values must be positive and finite, got {values}")
     rows = []
     for value in sorted(values):
         try:
-            summary = run_ensemble(
-                _apply_axis(base, axis, value), n_replicas, constants=constants
-            )
+            summary = run_ensemble(_apply_axis(base, axis, value), n_replicas)
             error = None
             if summary.failures:
                 error = (

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from collapsim import (
-    CODATA,
     GaussianPacket,
     criterion_fires_batch,
     de_broglie_wavelength,
@@ -24,7 +23,7 @@ from collapsim import (
     spreading_velocity_via_lambda,
 )
 from collapsim.cli import main
-from collapsim.constants import SECONDS_PER_YEAR
+from collapsim.constants import HBAR, PHASE_ACCEPTANCE_PROBABILITY, SECONDS_PER_YEAR
 from collapsim.selftest import random_packet_pair
 
 TWO_PI = 2.0 * math.pi
@@ -101,7 +100,7 @@ def test_criterion_6_phase_acceptance_statistics():
         a1 = TWO_PI * gen.random(n // 10)
         a2 = TWO_PI * gen.random(n // 10)
         fired += int(np.count_nonzero(criterion_fires_batch(a1, a2, 1.0)))
-    p = CODATA.phase_acceptance_probability
+    p = PHASE_ACCEPTANCE_PROBABILITY
     empirical = fired / n
     band = 4.0 * math.sqrt(p * (1.0 - p) / n)
     assert abs(empirical - p) <= band
@@ -137,8 +136,8 @@ def test_criterion_7_monotone_contraction():
 
 
 def test_criterion_8_micro_macro_dichotomy():
-    micro = run_ensemble(preset("tpp"), 16, base_seed=2026)
-    macro = run_ensemble(preset("sugar_grain"), 16, base_seed=2026)
+    micro = run_ensemble(replace(preset("tpp"), seed=2026), 16)
+    macro = run_ensemble(replace(preset("sugar_grain"), seed=2026), 16)
     assert not micro.failures and not macro.failures
 
     assert micro.mean_recovery_ratio is not None
@@ -207,7 +206,7 @@ def test_criterion_10_semigroup_and_normalization():
         )
         # evolve far enough to matter while keeping widths inside the
         # quadrature oracle's conditioning domain
-        spread_time = 2.0 * p.mass * min(sigma) ** 2 / CODATA.hbar
+        spread_time = 2.0 * p.mass * min(sigma) ** 2 / HBAR
         evolved = evolve_free(p, gen.uniform(0.0, 300.0) * spread_time)
         worst_norm = max(worst_norm, abs(norm_quadrature(evolved) - 1.0))
     assert worst_norm <= 1e-8

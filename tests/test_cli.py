@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,9 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from collapsim.cli import main
-from collapsim.config import preset, to_document
+from collapsim.cli import _load_config, build_parser, main
+from collapsim.config import PRESETS, ConfigError, preset, to_document
 from collapsim.recording import CSV_HEADER
 
 
@@ -147,6 +151,53 @@ class TestValidationFailures:
         assert "error: --duration-s " in capsys.readouterr().err
 
 
+OVERRIDE_FLAGS = ("--seed", "--duration-s", "--rate-hz", "--eta", "--format", "--output")
+FLAG_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "0.5", "csv", "json"]),
+    st.text(max_size=6),
+)
+
+
+def override_problems(scenario: str, flags: dict):
+    """``None`` when the override flags load, ``"argparse"`` when the parser
+    refuses them (exit 2, naming the flag), else the ``ConfigError`` problems."""
+    argv = ["run", "--scenario", scenario] + [f"{flag}={value}" for flag, value in flags.items()]
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code == 2 and "argument --" in err.getvalue()
+        return "argparse"
+    try:
+        _load_config(args)
+    except ConfigError as exc:
+        return exc.problems
+    return None
+
+
+class TestFuzzedOverrides:
+    # The engine never runs here: there is no bound on expected collisions
+    # yet, so a valid --rate-hz 1e300 would not finish.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scenario=st.sampled_from(PRESETS),
+        flags=st.dictionaries(st.sampled_from(OVERRIDE_FLAGS), FLAG_VALUES, min_size=1, max_size=4),
+    )
+    def test_every_rejected_flag_is_named(self, scenario, flags):
+        problems = override_problems(scenario, flags)
+        if problems in (None, "argparse"):
+            return
+        named = {flag for flag in flags if any(p.startswith(f"{flag} ") for p in problems)}
+        assert len(named) == len(problems), problems
+        # Each flag is checked on its own, so a combination rejects exactly
+        # the flags that are rejected alone.
+        alone = {flag for flag in flags if override_problems(scenario, {flag: flags[flag]})}
+        assert named == alone
+
+
 class TestImportCost:
     def test_run_does_not_import_scipy(self, tmp_path):
         # scipy serves only the quadrature oracle and selftest; a run never needs it.
@@ -185,6 +236,30 @@ class TestSweepCommand:
         assert run_cli(
             ["sweep", "--scenario", "tpp", "--axis", "mass", "--values", "-1.0"]
         ) == 2
+
+    @pytest.mark.parametrize(
+        "flags,problem",
+        [
+            (["--values", "1e-20,nan"], "error: --values nan: "),
+            (["--values", "inf"], "error: --values inf: "),
+            (["--values", "1e-20", "--replicas", "0"], "error: --replicas must be >= 1"),
+        ],
+    )
+    def test_bad_sweep_flag_named(self, flags, problem, capsys):
+        assert run_cli(["sweep", "--scenario", "tpp", "--axis", "mass", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(problem) and len(err.splitlines()) == 1
+
+    def test_every_bad_sweep_flag_listed(self, capsys):
+        code = run_cli(
+            ["sweep", "--scenario", "tpp", "--axis", "mass", "--values=-1,nan,inf",
+             "--replicas", "0"]
+        )
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 4
+        for problem in ("--values -1:", "--values nan:", "--values inf:", "--replicas "):
+            assert any(line.startswith(f"error: {problem}") for line in lines), problem
 
 
 class TestSelftestCommand:

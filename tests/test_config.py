@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapsim import ConfigError, parse_config, preset, to_document
 from collapsim.config import PRESETS, ScenarioConfig
@@ -111,6 +113,28 @@ class TestParseConfig:
             parse_config(json.dumps(doc))
         assert exc.value.problems == [f"{key} must be a number, got 'x'"]
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [(key, True) for key in (
+            "mass_kg", "internal_radius_m", "v0_m_per_s", "initial_sigma_m", "initial_alpha_rad",
+            "collision_rate_hz", "env_sigma_m", "env_sigma_jitter", "impact_spread_m",
+            "duration_s", "sample_interval_s", "cluster_eta",
+        )]
+        + [
+            ("cluster_alphas_rad", [0.0, False]),
+            ("initial_sigma_m", [1e-7, True, 1e-7]),
+            ("env_sigma_m", [False, 1e-10, 1e-10]),
+            ("n_clusters", True),
+        ],
+    )
+    def test_boolean_is_not_a_number(self, key, value):
+        doc = to_document(preset("tpp"))
+        doc[key] = value
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        problems = exc.value.problems
+        assert len(problems) == 1 and key in problems[0]
+
     def test_output_path_must_be_string_or_null(self):
         doc = to_document(preset("tpp"))
         doc["output_path"] = 5
@@ -134,6 +158,56 @@ class TestParseConfig:
         doc["initial_sigma_m"] = 1e-7
         cfg = parse_config(json.dumps(doc))
         assert cfg.initial_sigma == (1e-7, 1e-7, 1e-7)
+
+
+# Any JSON value, plus near-valid ones so that some mutated documents parse.
+JSON_VALUES = st.one_of(
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8,
+    ),
+    st.floats(-1.0, 10.0),
+    st.lists(st.floats(1e-12, 1e-3), min_size=3, max_size=3),
+    st.sampled_from(["random", "csv", "json"]),
+)
+DOCUMENT_KEYS = sorted(to_document(preset("tpp")))
+# Keys checked together with another key: one alone may be rejected and the
+# pair accepted (a duration fits a coarser grid; a cluster count fits a list).
+COUPLED = {
+    "duration_s": "sample_interval_s", "sample_interval_s": "duration_s",
+    "n_clusters": "cluster_alphas_rad", "cluster_alphas_rad": "n_clusters",
+}
+
+
+def config_problems(doc: dict):
+    """``None`` when ``doc`` parses, else its problems; any other exception escapes."""
+    try:
+        parse_config(json.dumps(doc))
+    except ConfigError as exc:
+        return exc.problems
+    return None
+
+
+class TestFuzzedDocuments:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from(PRESETS),
+        mutations=st.dictionaries(
+            st.sampled_from(DOCUMENT_KEYS), JSON_VALUES, min_size=1, max_size=4
+        ),
+    )
+    def test_every_rejected_key_is_named(self, name, mutations):
+        base = to_document(preset(name))
+        problems = config_problems({**base, **mutations})
+        if problems is None:
+            return
+        for problem in problems:
+            assert any(key in problem for key in mutations), problem
+        for key, value in mutations.items():
+            if COUPLED.get(key) not in mutations and config_problems({**base, key: value}):
+                assert any(key in problem for problem in problems), (key, problems)
 
 
 class TestScenarioConfigValidation:

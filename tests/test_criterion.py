@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapsim import (
-    CODATA,
     amplitude_criterion,
     criterion_fires_batch,
     evaluate_criterion,
@@ -14,10 +13,11 @@ from collapsim import (
     overlap_integral_quadrature,
     phase_criterion,
 )
+from collapsim.constants import FINE_STRUCTURE, PHASE_ACCEPTANCE_PROBABILITY
 from collapsim.selftest import random_packet_pair
 from conftest import TWO_PI, fresh_packet, packets
 
-HALF_ALPHA_S = CODATA.alpha_s / 2.0
+HALF_ALPHA_S = FINE_STRUCTURE / 2.0
 
 
 class TestOverlapIntegral:
@@ -213,5 +213,5 @@ class TestBatchEvaluator:
         a1 = TWO_PI * gen.random(n)
         a2 = TWO_PI * gen.random(n)
         fraction = np.count_nonzero(criterion_fires_batch(a1, a2, 1.0)) / n
-        p = CODATA.phase_acceptance_probability
+        p = PHASE_ACCEPTANCE_PROBABILITY
         assert abs(fraction - p) <= 4.0 * math.sqrt(p * (1 - p) / n)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from collapsim import (
-    CODATA,
     EngineError,
     EnvironmentSpec,
     GaussianPacket,
@@ -29,6 +28,7 @@ from collapsim import (
     to_document,
 )
 from collapsim.engine import _widths_at, aggregate_summaries, damped_sigma, initial_state, regime_for
+from collapsim.constants import HBAR, PHASE_ACCEPTANCE_PROBABILITY
 from collapsim.packets import spread_widths
 
 TWO_PI = 2.0 * math.pi
@@ -54,7 +54,7 @@ class TestStep:
     def test_non_firing_collision_only_spreads(self):
         cfg = preset("tpp")
         state = initial_state(cfg)
-        new_state, record = step(state, cfg.environment, cluster_eta=cfg.cluster_eta)
+        new_state, record = step(state, cfg)
         assert record.last_event is LastEvent.COLLISION_NO_COLLAPSE
         assert new_state.n_collisions == 1
         assert new_state.n_collapses == 0
@@ -64,7 +64,7 @@ class TestStep:
         cfg = micro_config()
         state = initial_state(cfg)
         for _ in range(100_000):
-            state, record = step(state, cfg.environment, cluster_eta=cfg.cluster_eta)
+            state, record = step(state, cfg)
             if record.last_event is LastEvent.COLLAPSE:
                 break
         assert record.last_event is LastEvent.COLLAPSE
@@ -75,23 +75,32 @@ class TestStep:
         state = initial_state(cfg)
         for _ in range(100_000):
             pre_state = state
-            state, record = step(state, cfg.environment, cluster_eta=cfg.cluster_eta)
+            state, record = step(state, cfg)
             if record.last_event is LastEvent.COLLAPSE:
                 pre_sigma = evolve_free(pre_state.object_packet, record.t).sigma
                 assert all(s <= p for s, p in zip(record.sigma, pre_sigma))
                 return
         pytest.fail("no collapse observed")
 
+    def test_state_is_a_value(self):
+        cfg = preset("tpp")
+        s0 = initial_state(cfg)
+        before = replace(s0)
+        first = step(s0, cfg)
+        assert step(s0, cfg) == first
+        assert s0 == before
+        assert first[0].position == s0.position + 11
+
     def test_zero_rate_rejected(self):
         cfg = micro_config(environment=EnvironmentSpec(collision_rate=0.0, env_sigma=1e-10))
         with pytest.raises(ValueError):
-            step(initial_state(cfg), cfg.environment)
+            step(initial_state(cfg), cfg)
 
     def test_counters_monotone_and_consistent(self):
         cfg = micro_config(seed=11)
         state = initial_state(cfg)
         for _ in range(2000):
-            state, _ = step(state, cfg.environment, cluster_eta=cfg.cluster_eta)
+            state, _ = step(state, cfg)
         assert state.n_collapses <= state.n_collisions == 2000
 
 
@@ -145,7 +154,7 @@ class TestRun:
                 sigma_at_collapse = r.sigma
                 continue
             dt = r.t - last_collapse_t
-            k = CODATA.hbar * dt / (2.0 * mass)
+            k = HBAR * dt / (2.0 * mass)
             for got, s0 in zip(r.sigma, sigma_at_collapse):
                 expected = s0 * math.sqrt(1.0 + (k / (s0 * s0)) ** 2)
                 assert got == pytest.approx(expected, rel=1e-12)
@@ -213,7 +222,7 @@ class TestRun:
         assert s1 == s2
         state = initial_state(cfg)
         assert 0.0 <= state.object_packet.alpha < TWO_PI
-        assert state.rng.position == 1
+        assert state.position == 1
 
 
 class TestClusterRegime:
@@ -251,11 +260,9 @@ class TestClusterRegime:
             seed=23,
         )
         state = initial_state(cfg)
-        assert state.regime is Regime.CLUSTER_PHASE
+        assert min(state.object_packet.sigma) < cfg.object.internal_radius  # cluster regime
         for _ in range(100_000):
-            state, record = step(
-                state, cfg.environment, cluster_eta=cfg.cluster_eta
-            )
+            state, record = step(state, cfg)
             if record.last_event is LastEvent.COLLAPSE:
                 break
         else:
@@ -268,18 +275,19 @@ class TestClusterRegime:
 class TestEnsemble:
     def test_single_replica_equals_run(self):
         cfg = replace(preset("tpp"), duration=2e-3)
-        ensemble = run_ensemble(cfg, 1, base_seed=9)
+        ensemble = run_ensemble(replace(cfg, seed=9), 1)
         single, _ = run(replace(cfg, seed=9), keep_records=False)
         assert ensemble.replicas == (single,)
         assert ensemble.total_collisions == single.n_collisions
 
     def test_same_base_seed_bit_identical(self):
         cfg = replace(preset("tpp"), duration=1e-3)
-        assert run_ensemble(cfg, 3, base_seed=40) == run_ensemble(cfg, 3, base_seed=40)
+        cfg = replace(cfg, seed=40)
+        assert run_ensemble(cfg, 3) == run_ensemble(cfg, 3)
 
     def test_aggregation_order_independent(self):
         cfg = replace(preset("tpp"), duration=1e-3)
-        ensemble = run_ensemble(cfg, 4, base_seed=60)
+        ensemble = run_ensemble(replace(cfg, seed=60), 4)
         reversed_agg = aggregate_summaries(list(ensemble.replicas[::-1]), 60, [])
         assert reversed_agg == aggregate_summaries(list(ensemble.replicas), 60, [])
 
@@ -295,7 +303,7 @@ class TestEnsemble:
             sample_interval=0.1,
             cluster_eta=1.0,
         )
-        ensemble = run_ensemble(cfg, 2, base_seed=5)
+        ensemble = run_ensemble(replace(cfg, seed=5), 2)
         assert len(ensemble.failures) == 2
         assert {seed for seed, _ in ensemble.failures} == {5, 6}
 
@@ -323,9 +331,9 @@ class TestEnsemble:
             sample_interval=1.0,
             cluster_eta=1e-9,
         )
-        ensemble = run_ensemble(cfg, 4, base_seed=100, max_collisions=250_000)
+        ensemble = run_ensemble(replace(cfg, seed=100), 4, max_collisions=250_000)
         assert ensemble.total_collisions == 1_000_000
-        p = CODATA.phase_acceptance_probability
+        p = PHASE_ACCEPTANCE_PROBABILITY
         band = 4.0 * math.sqrt(p * (1.0 - p) / ensemble.total_collisions)
         assert abs(ensemble.firing_fraction - p) <= band
 
@@ -337,8 +345,8 @@ def rebuild_collision(cfg: ScenarioConfig, state):
     the criterion fires, the widths after the collision, the object's phase
     constant after it, and the stream position after it.
     """
-    rng = RngState(state.rng.seed, state.rng.position)
-    event, rng = next_collision(rng, cfg.environment, state.t)
+    rng = RngState(cfg.seed, state.position)
+    event = next_collision(rng, cfg.environment, state.t)
     readout = evolve_free(state.object_packet, event.time)
     cluster = min(readout.sigma) < cfg.object.internal_radius
     alpha = readout.alpha
@@ -395,18 +403,14 @@ class TestLeanLoopMatchesPacketApi:
         fired = 0
         regimes = set()
         for seed in range(8):
-            state = initial_state(replace(cfg, seed=seed))
+            seeded = replace(cfg, seed=seed)
+            state = initial_state(seeded)
             for _ in range(4000):
-                fires, sigma, alpha, position = rebuild_collision(cfg, state)
-                new_state, record = step(
-                    state,
-                    cfg.environment,
-                    cluster_eta=cfg.cluster_eta,
-                    redraw_alpha=cfg.redraw_alpha_after_collapse,
-                )
+                fires, sigma, alpha, position = rebuild_collision(seeded, state)
+                new_state, record = step(state, seeded)
                 assert (record.last_event is LastEvent.COLLAPSE) == fires
                 assert record.sigma == sigma
-                assert new_state.rng.position == position
+                assert new_state.position == position
                 if fires:
                     fired += 1
                     assert new_state.object_packet.sigma == sigma
@@ -435,7 +439,7 @@ def reference_run(config: ScenarioConfig, max_collisions=None):
 
     def sample(t):
         waist = state.object_packet
-        sigma = _widths_at(waist, t, state.n_collisions, state.n_collapses, CODATA)
+        sigma = _widths_at(waist, t, state.n_collisions, state.n_collapses)
         return TimeSeriesRecord(
             t, sigma, state.n_collisions, state.n_collapses,
             regime_for(sigma, config.object.internal_radius), LastEvent.NONE,
@@ -456,22 +460,19 @@ def reference_run(config: ScenarioConfig, max_collisions=None):
     n_recovery = n_respread = 0
     after_last = None
     exhausted = False
-    position = state.rng.position
+    position = state.position
     while env.collision_rate > 0.0:
         if max_collisions is not None and state.n_collisions >= max_collisions:
             exhausted = True
             break
-        position = state.rng.position
+        position = state.position
         waist = state.object_packet
         try:
-            new_state, record = step(
-                state, env, cluster_eta=config.cluster_eta,
-                redraw_alpha=config.redraw_alpha_after_collapse,
-            )
+            new_state, record = step(state, config)
         except EngineError:
             # Unless the collision is past the duration, its grid samples come
             # first and may fail before it does.
-            event, _ = next_collision(RngState(config.seed, position), env, state.t)
+            event = next_collision(RngState(config.seed, position), env, state.t)
             if event.time > config.duration:
                 break
             samples_before(event.time)
@@ -489,7 +490,7 @@ def reference_run(config: ScenarioConfig, max_collisions=None):
                 respread += sigma_before / after_last
                 n_respread += 1
         state = new_state
-        position = state.rng.position
+        position = state.position
         if fired:
             after_last = min(state.object_packet.sigma)
             before_sum += sigma_before

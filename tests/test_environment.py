@@ -23,7 +23,7 @@ def collect_events(seed: int, spec: EnvironmentSpec, n: int) -> list[CollisionEv
     events = []
     t = 0.0
     for _ in range(n):
-        event, rng = next_collision(rng, spec, t)
+        event = next_collision(rng, spec, t)
         events.append(event)
         t = event.time
     return events
@@ -55,12 +55,9 @@ class TestRngState:
 
     def test_block_equals_sequential(self):
         a = RngState(5)
-        block, _ = draw_phases(a, 1000)
+        block = draw_phases(a, 1000)
         b = RngState(5)
-        singles = []
-        for _ in range(1000):
-            alpha, b = draw_phase(b)
-            singles.append(alpha)
+        singles = [draw_phase(b) for _ in range(1000)]
         assert np.array_equal(block, np.array(singles))
         assert a.position == b.position == 1000
 
@@ -75,21 +72,21 @@ class TestDrawPhase:
     def test_range(self):
         rng = RngState(0)
         for _ in range(1000):
-            alpha, rng = draw_phase(rng)
+            alpha = draw_phase(rng)
             assert 0.0 <= alpha < TWO_PI
 
     def test_fixed_seed_reproduces_sequence(self):
-        seq1, _ = draw_phases(RngState(77), 500)
-        seq2, _ = draw_phases(RngState(77), 500)
+        seq1 = draw_phases(RngState(77), 500)
+        seq2 = draw_phases(RngState(77), 500)
         assert np.array_equal(seq1, seq2)
 
     def test_uniform_moments(self):
-        phases, _ = draw_phases(RngState(11), 1_000_000)
+        phases = draw_phases(RngState(11), 1_000_000)
         assert abs(phases.mean() - math.pi) < 0.01
         assert abs(phases.var() / (math.pi**2 / 3.0) - 1.0) < 0.01
 
     def test_chi_squared_uniformity(self):
-        phases, _ = draw_phases(RngState(13), 1_000_000)
+        phases = draw_phases(RngState(13), 1_000_000)
         counts, _ = np.histogram(phases, bins=100, range=(0.0, TWO_PI))
         result = stats.chisquare(counts)
         assert result.pvalue > 1e-3
@@ -99,13 +96,12 @@ class TestNextCollision:
     def test_zero_rate_is_no_event(self):
         rng = RngState(1)
         spec = EnvironmentSpec(collision_rate=0.0, env_sigma=1e-9)
-        event, rng_out = next_collision(rng, spec, 0.0)
-        assert event is None
-        assert rng_out.position == 0
+        assert next_collision(rng, spec, 0.0) is None
+        assert rng.position == 0
 
     def test_seed_42_reproducible(self):
-        e1, _ = next_collision(RngState(42), SPEC, 0.0)
-        e2, _ = next_collision(RngState(42), SPEC, 0.0)
+        e1 = next_collision(RngState(42), SPEC, 0.0)
+        e2 = next_collision(RngState(42), SPEC, 0.0)
         assert e1 == e2
         assert e1.time > 0.0
         assert 0.0 <= e1.alpha < TWO_PI
@@ -161,7 +157,7 @@ class TestNextCollision:
         assert np.allclose(offsets.std(axis=0), 1e-8, rtol=0.1)
 
     def test_zero_spread_centers_on_object(self):
-        event, _ = next_collision(RngState(15), SPEC, 0.0)
+        event = next_collision(RngState(15), SPEC, 0.0)
         assert event.offset == (0.0, 0.0, 0.0)
 
 
@@ -174,7 +170,7 @@ class TestDrawCollisionBlock:
         rng = RngState(9, 5)
         t = 0.0
         for i in range(500):
-            event, rng = next_collision(rng, spec, t)
+            event = next_collision(rng, spec, t)
             assert t + gaps[i] == event.time
             assert event.alpha == alphas[i]
             if cluster:

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapsim import (
-    CODATA,
     GaussianPacket,
     ObjectSpec,
-    PhysicalConstants,
     asymptotic_regime_check,
     de_broglie_wavelength,
     evolve_free,
@@ -17,22 +15,17 @@ from collapsim import (
     spreading_velocity,
     spreading_velocity_via_lambda,
 )
+from collapsim.constants import FINE_STRUCTURE, HBAR, PLANCK_H
 from collapsim.packets import spread_widths
 from conftest import TWO_PI, fresh_packet, log_uniform, packets
 
 
 class TestConstants:
     def test_h_is_two_pi_hbar(self):
-        assert math.isclose(CODATA.h, TWO_PI * CODATA.hbar, rel_tol=1e-15)
+        assert math.isclose(PLANCK_H, TWO_PI * HBAR, rel_tol=1e-15)
 
     def test_alpha_s_range(self):
-        assert 7.29e-3 < CODATA.alpha_s < 7.30e-3
-
-    def test_inconsistent_constants_rejected(self):
-        with pytest.raises(ValueError):
-            PhysicalConstants(hbar=1.0, h=1.0, alpha_s=7.297e-3)
-        with pytest.raises(ValueError):
-            PhysicalConstants(alpha_s=0.1)
+        assert 7.29e-3 < FINE_STRUCTURE < 7.30e-3
 
 
 class TestDeBroglie:
@@ -122,14 +115,14 @@ class TestEvolveFree:
         s0, m, dt = 5e-11, 1.7e-23, 1e-6
         p = fresh_packet(sigma=s0, mass=m)
         q = evolve_free(p, dt)
-        x = CODATA.hbar * dt / (2.0 * m * s0 * s0)
+        x = HBAR * dt / (2.0 * m * s0 * s0)
         assert q.sigma[0] == pytest.approx(s0 * math.sqrt(1.0 + x * x), rel=1e-15)
 
     def test_asymptotic_slope_matches_spreading_velocity(self):
         # finite-difference slope deep in the linear regime
         s0, m = 5e-11, 1.7e-23
         p = fresh_packet(sigma=s0, mass=m)
-        t = 1e4 * 2.0 * m * s0 * s0 / CODATA.hbar  # bracket term dominates 1e4x
+        t = 1e4 * 2.0 * m * s0 * s0 / HBAR  # bracket term dominates 1e4x
         h = t * 1e-3
         slope = (evolve_free(p, t + h).sigma[0] - evolve_free(p, t - h).sigma[0]) / (2 * h)
         assert slope == pytest.approx(spreading_velocity(2.0 * s0, m), rel=1e-6)
@@ -190,13 +183,13 @@ class TestAsymptoticRegimeCheck:
 
     def test_light_molecule_after_one_second(self):
         p = fresh_packet(sigma=5e-11, mass=1.7e-23)
-        ratio = CODATA.hbar * 1.0 / (2 * 1.7e-23 * (5e-11) ** 2)
+        ratio = HBAR * 1.0 / (2 * 1.7e-23 * (5e-11) ** 2)
         assert ratio > 10
         assert asymptotic_regime_check(p, 1.0) is True
 
     def test_heavy_grain_after_one_second(self):
         p = fresh_packet(sigma=5e-11, mass=1e-7)
-        ratio = CODATA.hbar * 1.0 / (2 * 1e-7 * (5e-11) ** 2)
+        ratio = HBAR * 1.0 / (2 * 1e-7 * (5e-11) ** 2)
         assert ratio < 10
         assert asymptotic_regime_check(p, 1.0) is False
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -43,8 +44,9 @@ class TestSweep:
     def test_empty_or_nonpositive_values_rejected(self, base):
         with pytest.raises(ValueError):
             sweep(base, SweepAxis.MASS, [], 1)
-        with pytest.raises(ValueError):
-            sweep(base, SweepAxis.MASS, [1.0, -2.0], 1)
+        for values in ([1.0, -2.0], [1e-20, math.nan], [math.inf]):
+            with pytest.raises(ValueError, match="positive and finite"):
+                sweep(base, SweepAxis.MASS, values, 1)
 
     def test_per_value_failure_recorded_without_aborting(self, base):
         # a mass of 1e-308 blows up the spreading law immediately
