@@ -260,8 +260,12 @@ def parse_config(text: str) -> ScenarioConfig:
 
     mass = positive("mass_kg")
     internal_radius = positive("internal_radius_m")
+    checked = len(problems)
     duration = positive("duration_s")
     sample_interval = positive("sample_interval_s")
+    if len(problems) > checked or not {"duration_s", "sample_interval_s"} <= doc.keys():
+        # A substituted value does not size a sampling grid: leave one row.
+        sample_interval = duration
     cluster_eta = number("cluster_eta", 1.0, "in (0, 1]", lambda x: 0.0 < x <= 1.0)
     v0 = non_negative("v0_m_per_s")
     rate = non_negative("collision_rate_hz")

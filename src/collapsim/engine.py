@@ -21,32 +21,30 @@ environment packet meets only one of the object's clusters, so a uniformly
 chosen cluster constant is compared instead and the contraction is damped
 (``CLUSTER_PHASE``).
 
-Word layout.  One collision takes 11 words of the seeded stream: the
-inter-arrival time, six offset uniforms, three width jitters and the
-environment phase (see :mod:`collapsim.environment`).  In the cluster regime
-a 12th word follows and picks the compared cluster; when
-``redraw_alpha_after_collapse`` is set, a firing collision takes one more
-word for the object's new phase constant.
+Word layout.  One collision takes 12 words of the seeded stream in either
+regime: the inter-arrival time, six offset uniforms, three width jitters, the
+environment phase and the cluster pick (see :mod:`collapsim.environment`).
+When ``redraw_alpha_after_collapse`` is set, a firing collision takes one
+more word for the object's new phase constant.  Collision ``j`` after a
+state at word ``position`` therefore starts at ``position + 12 * j`` until
+the next firing.
 
-Block scan.  :func:`step` resolves one collision at a time and is the
-reference; :func:`run` gives the same bits faster.  Only about
-alpha_s / (2 pi) ~ 1.2e-3 of encounters pass the phase clause, and between
-two firings the waist, and with it the whole trajectory, is fixed.  So
-:func:`run` draws the words of a block of collisions at once (about
+Block scan.  :func:`step` resolves one collision at a time; it is the
+reference, and :func:`run` resolves its scalar collisions with it.  Only
+about alpha_s / (2 pi) ~ 1.2e-3 of encounters pass the phase clause, and
+between two firings the waist, and with it the whole trajectory, is fixed.
+So :func:`run` draws the words of a block of collisions at once (about
 2 pi / alpha_s of them) and evaluates their times, readout widths, cluster
 picks and phase clauses in numpy: thinning (Lewis & Shedler 1979) evaluated
 in blocks.  A phase-rejected collision only advances counters, records and
 the recovery sum, so those are taken in bulk.  A phase-passing collision, or
-one whose widths are not finite, goes through the scalar :func:`_collide`
-from its own stream position ``RngState(seed, position)``; an amplitude
-reject there changes only counters and the block goes on.  A block ends at a
-firing, before the first collision past the duration, at ``max_collisions``,
-and after the first collision of a cluster-regime block that reads out in
-the CM regime, because the stride drops from 12 words to 11 there.  Widths
-only grow between firings, so a CM-regime block cannot enter the cluster
-regime.  The arithmetic matches the scalar path bit for bit: times are a
-sequential ``np.cumsum`` of ``math.log1p`` gaps, widths come from
-:func:`spread_widths` on arrays, and sums are accumulated in collision order.
+one whose widths are not finite, goes through :func:`step` from its own
+stream position; an amplitude reject there changes only counters and the
+block goes on.  A block ends at a firing, before the first collision past
+the duration, or at ``max_collisions``.  The arithmetic matches the scalar
+path bit for bit: times are a sequential ``np.cumsum`` of ``math.log1p``
+gaps, widths come from :func:`spread_widths` on arrays, and sums are
+accumulated in collision order.
 """
 
 from __future__ import annotations
@@ -64,15 +62,7 @@ from .config import RANDOM_ALPHA, ScenarioConfig
 from .constants import PHASE_ACCEPTANCE_PROBABILITY
 from .contraction import product_support
 from .criterion import criterion_fires, phase_clause_batch
-from .environment import (
-    CLUSTER_COLLISION_WORDS,
-    COLLISION_WORDS,
-    CollisionEvent,
-    RngState,
-    draw_collision_block,
-    draw_phase,
-    next_collision,
-)
+from .environment import COLLISION_WORDS, RngState, draw_collision_block, draw_phase, next_collision
 from .packets import GaussianPacket, Vec3, evolve_free, spread_widths
 
 
@@ -166,29 +156,31 @@ def _widths_at(waist: GaussianPacket, t: float, n_collisions: int, n_collapses: 
     return sigma
 
 
-def _collide(
-    state: SimState, event: CollisionEvent, config: ScenarioConfig, rng: RngState
-) -> tuple[SimState, TimeSeriesRecord, float, bool]:
-    """Advance through one collision.
+def step(state: SimState, config: ScenarioConfig) -> tuple[SimState, TimeSeriesRecord]:
+    """Advance ``state``, a state of the run of ``config``, to the next
+    collision and resolve it.
 
-    ``rng`` stands just after the words of ``event``; the cluster pick and a
-    phase redraw are drawn from it.  Returns the new state, its record, the
-    minimum-axis width immediately before the collision, and whether the
-    criterion fired.
+    The scalar reference for :func:`run`, which also resolves its
+    phase-passing collisions with it.  It rebuilds the stream from
+    ``RngState(config.seed, state.position)`` and leaves ``state`` as it was.
+    The collision's cluster pick selects the compared cluster in the cluster
+    regime; a firing draws one more word only for a phase redraw.
     """
+    rng = RngState(config.seed, state.position)
+    event = next_collision(rng, config.environment, state.t)
+    if event is None:
+        raise ValueError("step requires a positive collision rate")
     waist = state.object_packet
     spec = config.object
     sigma = _widths_at(waist, event.time, state.n_collisions, state.n_collapses)
-    sigma_before_min = min(sigma)
-    cluster = sigma_before_min < spec.internal_radius
+    cluster = min(sigma) < spec.internal_radius
     alpha = waist.alpha
     if cluster:
         alphas = spec.cluster_alphas
-        alpha = alphas[min(int(rng.uniform() * len(alphas)), len(alphas) - 1)]
-    fired = criterion_fires(alpha, event.alpha, sigma, event.sigma, event.offset)
+        alpha = alphas[min(int(event.pick * len(alphas)), len(alphas) - 1)]
     n_collapses = state.n_collapses
     last_event = LastEvent.COLLISION_NO_COLLAPSE
-    if fired:
+    if criterion_fires(alpha, event.alpha, sigma, event.sigma, event.offset):
         readout = evolve_free(waist, event.time)
         env_center = tuple(c + o for c, o in zip(readout.center, event.offset))
         center, sigma = product_support(readout.center, readout.sigma, env_center, event.sigma)
@@ -216,21 +208,6 @@ def _collide(
         regime=regime_for(sigma, spec.internal_radius),
         last_event=last_event,
     )
-    return new_state, record, sigma_before_min, fired
-
-
-def step(state: SimState, config: ScenarioConfig) -> tuple[SimState, TimeSeriesRecord]:
-    """Advance ``state``, a state of the run of ``config``, to the next
-    collision and resolve it.
-
-    The scalar reference for :func:`run`.  It rebuilds the stream from
-    ``RngState(config.seed, state.position)`` and leaves ``state`` as it was.
-    """
-    rng = RngState(config.seed, state.position)
-    event = next_collision(rng, config.environment, state.t)
-    if event is None:
-        raise ValueError("step requires a positive collision rate")
-    new_state, record, _, _ = _collide(state, event, config, rng)
     return new_state, record
 
 
@@ -296,64 +273,49 @@ class _Block:
     """The next collisions of a run, evaluated in numpy from the current waist.
 
     Collisions ``0 .. end-1`` belong to the block; collision ``i`` starts at
-    word ``start + i * stride``.  ``scalar`` lists the ones that must go
-    through :func:`_collide`: phase-clause passes and non-finite widths.
+    word ``start + 12 * i``.  ``scalar`` lists the ones that must go through
+    :func:`step`: phase-clause passes and non-finite widths.
     ``past_duration`` says that collision ``end`` lies past the duration.
     ``sigmas`` and ``regimes`` are per-collision record fields, filled only
     when records are kept.
     """
 
     start: int
-    stride: int
     end: int
     past_duration: bool
     times: list
     sigma_min: np.ndarray
-    cluster: np.ndarray
     scalar: list
     sigmas: list
     regimes: list
 
 
 def _evaluate_block(
-    state: SimState, config: ScenarioConfig, rng: RngState, n: int, cluster_block: bool,
-    with_records: bool,
+    state: SimState, config: ScenarioConfig, rng: RngState, n: int, with_records: bool
 ) -> _Block:
     """Draw the next ``n`` collisions of ``state`` from ``rng``, which stands
-    at ``state.position``, and evaluate them; ``cluster_block`` says that
-    the widths at ``state.t`` are in the cluster regime."""
+    at ``state.position``, and evaluate them."""
     waist = state.object_packet
     start = rng.position
-    gaps, env_alpha, pick = draw_collision_block(rng, config.environment, n, cluster_block)
+    gaps, env_alpha, pick = draw_collision_block(rng, config.environment, n)
     times = np.cumsum(np.concatenate(((state.t,), gaps)))[1:]
     with np.errstate(all="ignore"):
         sx, sy, sz = spread_widths(waist.ref_sigma, waist.mass, times - waist.t_ref)
     sigma_min = np.minimum(np.minimum(sx, sy), sz)
     finite = (sigma_min > 0.0) & (np.maximum(np.maximum(sx, sy), sz) < math.inf)
     cluster = sigma_min < config.object.internal_radius
-
-    # The block ends before the first collision past the duration or, in the
-    # cluster regime, just after the first collision that reads out in the
-    # CM regime: it draws no 12th word, so the stride changes there.
-    end = int(np.searchsorted(times, config.duration, side="right"))
-    past_duration = end < n
-    alpha = waist.alpha
-    if cluster_block:
-        crossing = np.flatnonzero(~cluster[:end])
-        if len(crossing):
-            end, past_duration = int(crossing[0]) + 1, False
-        alphas = np.array(config.object.cluster_alphas)
-        picked = np.minimum((pick * len(alphas)).astype(np.intp), len(alphas) - 1)
-        alpha = np.where(cluster, alphas[picked], waist.alpha)
+    alphas = np.array(config.object.cluster_alphas)
+    picked = np.minimum((pick * len(alphas)).astype(np.intp), len(alphas) - 1)
+    alpha = np.where(cluster, alphas[picked], waist.alpha)
     scalar = phase_clause_batch(alpha, env_alpha) | ~finite
+    # The block ends before the first collision past the duration.
+    end = int(np.searchsorted(times, config.duration, side="right"))
     return _Block(
         start=start,
-        stride=CLUSTER_COLLISION_WORDS if cluster_block else COLLISION_WORDS,
         end=end,
-        past_duration=past_duration,
+        past_duration=end < n,
         times=times.tolist(),
         sigma_min=sigma_min,
-        cluster=cluster,
         scalar=np.flatnonzero(scalar[:end]).tolist(),
         sigmas=list(zip(sx.tolist(), sy.tolist(), sz.tolist())) if with_records else [],
         regimes=[_REGIMES[c] for c in cluster.tolist()] if with_records else [],
@@ -383,7 +345,7 @@ class _Sums:
         self.recovery_samples += len(ratios)
 
     def add_collision(self, sigma_before: float, fired: bool, sigma_after: float) -> None:
-        """One collision resolved by :func:`_collide`."""
+        """One collision resolved by :func:`step`."""
         if self.sigma_after_last_collapse is not None:
             self.recovery_sum += sigma_before / self.sigma_after_last_collapse
             self.recovery_samples += 1
@@ -452,8 +414,6 @@ def run(
         records.append(initial)
     sums = _Sums(min_sigma=min(state.object_packet.sigma))
     budget_exhausted = False
-    # The regime of the widths at state.t, which sets the block's stride.
-    cluster = min(state.object_packet.sigma) < internal_radius
     # The stream at state.position, reused while blocks follow each other.
     rng = RngState(config.seed, state.position)
 
@@ -466,7 +426,7 @@ def run(
                 break
         if rng.position != state.position:
             rng = RngState(config.seed, state.position)
-        block = _evaluate_block(state, config, rng, n, cluster, keep_records)
+        block = _evaluate_block(state, config, rng, n, keep_records)
         times, n0 = block.times, state.n_collisions
         fired = False
         lo = 0
@@ -484,36 +444,32 @@ def run(
                 sums.add_rejected(block.sigma_min[lo:j])
             if j == block.end:
                 break
-            # Collision j goes through the scalar path from its own words.
-            at_j = RngState(config.seed, block.start + j * block.stride)
+            # Collision j goes through step from its own words, after the
+            # grid samples before it.
+            emit_samples(times[j], n0 + j)
             before = replace(
-                state, t=times[j - 1] if j else state.t, n_collisions=n0 + j, position=at_j.position
+                state, t=times[j - 1] if j else state.t, n_collisions=n0 + j,
+                position=block.start + COLLISION_WORDS * j,
             )
-            event = next_collision(at_j, config.environment, before.t)
-            emit_samples(event.time, n0 + j)
-            after, record, sigma_before, fired = _collide(before, event, config, at_j)
+            after, record = step(before, config)
             if keep_records:
                 records.append(record)
-            sums.add_collision(sigma_before, fired, min(after.object_packet.sigma))
+            fired = record.last_event is LastEvent.COLLAPSE
+            sums.add_collision(float(block.sigma_min[j]), fired, min(after.object_packet.sigma))
             lo = j + 1
             if fired:
-                state, rng, cluster = after, at_j, record.regime is Regime.CLUSTER_PHASE
+                state = after
                 break
         if fired:
             continue
         end = block.end
-        if end == 0:  # the block's first collision is past the duration
-            state = replace(state, position=block.start)
-            break
-        # The crossing collision of a cluster-regime block has no 12th word.
-        crossed = block.stride == CLUSTER_COLLISION_WORDS and not block.cluster[end - 1]
-        state = replace(
-            state,
-            t=times[end - 1],
-            n_collisions=n0 + end,
-            position=block.start + end * block.stride - crossed,
-        )
-        cluster = bool(block.cluster[end - 1])
+        if end:
+            state = replace(
+                state,
+                t=times[end - 1],
+                n_collisions=n0 + end,
+                position=block.start + COLLISION_WORDS * end,
+            )
         if block.past_duration:
             break
 
@@ -556,7 +512,6 @@ class EnsembleSummary:
     mean_recovery_ratio: Optional[float]
     recovery_samples: int
     final_min_sigma_mean: float
-    final_min_sigma_quantiles: tuple[float, float, float]
     localized_fraction: float
     replicas: tuple[RunSummary, ...]
     failures: tuple[tuple[int, str], ...]
@@ -584,11 +539,6 @@ def aggregate_summaries(
         mean_recovery_ratio=(recovery_sum / recovery_samples) if recovery_samples else None,
         recovery_samples=recovery_samples,
         final_min_sigma_mean=float(np.mean(finals)) if len(finals) else math.nan,
-        final_min_sigma_quantiles=(
-            tuple(float(q) for q in np.quantile(finals, (0.1, 0.5, 0.9)))
-            if len(finals)
-            else (math.nan, math.nan, math.nan)
-        ),
         localized_fraction=(
             sum(1 for s in ordered if s.localized) / len(ordered) if ordered else 0.0
         ),

@@ -4,13 +4,15 @@ Encounters form a homogeneous Poisson process.  Each event describes a fresh
 environment packet by plain values: its phase constant, uniform on
 [0, 2*pi); its center offset from the object, a Gaussian impact
 displacement drawn relative to the object so that no absolute position is
-needed; and its widths, the configured template with optional relative
-jitter.  No packet object is built per encounter.
+needed; its widths, the configured template with optional relative
+jitter; and a uniform that picks which of the object's clusters the packet
+meets.  No packet object is built per encounter.
 
 Randomness is fully positional: :class:`RngState` wraps a PCG64 generator
 and counts consumed 64-bit words, so a state can be reconstructed from
 ``(seed, position)`` alone and a stream replayed bit-exactly within one
-build.  Every logical draw consumes a fixed number of words.
+build.  Every logical draw consumes a fixed number of words, and a
+collision takes :data:`COLLISION_WORDS` in every regime.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ from numpy.random import PCG64, Generator
 from .packets import TWO_PI, Vec3, as_vec3
 
 # Fixed word budget of one collision draw: 1 inter-arrival + 3 x 2 offset
-# normals (Box-Muller, first of each pair) + 3 width jitters + 1 phase.  In
-# the cluster regime the engine draws a 12th word right after them to pick
-# the compared cluster.
-COLLISION_WORDS = 11
-CLUSTER_COLLISION_WORDS = 12
+# normals (Box-Muller, first of each pair) + 3 width jitters + 1 phase + 1
+# cluster pick.  The pick is drawn in either regime; only the cluster regime
+# reads it.
+COLLISION_WORDS = 12
 
 
 @dataclass(frozen=True)
@@ -63,13 +64,15 @@ class CollisionEvent:
 
     ``offset`` is the environment packet's center relative to the object's
     center at ``time``; ``sigma`` and ``alpha`` are the packet's widths and
-    phase constant.
+    phase constant.  ``pick``, uniform on [0, 1), chooses the cluster whose
+    phase constant the encounter is compared against in the cluster regime.
     """
 
     time: float
     offset: Vec3
     sigma: Vec3
     alpha: float
+    pick: float
 
 
 class RngState:
@@ -139,7 +142,7 @@ def next_collision(rng: RngState, spec: EnvironmentSpec, t_now: float) -> Option
     Returns None, and consumes nothing, when the collision rate is zero.  The event time
     is exponential with the configured rate; the offset is Gaussian with the
     configured impact spread; the widths are the template scaled by a uniform
-    relative jitter.  Consumes exactly 11 words.
+    relative jitter.  Consumes exactly :data:`COLLISION_WORDS` (12) words.
     """
     if spec.collision_rate == 0.0:
         return None
@@ -164,24 +167,21 @@ def next_collision(rng: RngState, spec: EnvironmentSpec, t_now: float) -> Option
         )
     else:
         sigma = spec.env_sigma
-    return CollisionEvent(time=t_now + dt, offset=offset, sigma=sigma, alpha=TWO_PI * w[10])
+    return CollisionEvent(t_now + dt, offset, sigma, TWO_PI * w[10], w[11])
 
 
 def draw_collision_block(
-    rng: RngState, spec: EnvironmentSpec, n: int, cluster: bool
-) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    rng: RngState, spec: EnvironmentSpec, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bulk draw of the next ``n`` collisions at a positive collision rate.
 
-    Returns the inter-arrival times, the environment phase constants and, in
-    the cluster regime, the cluster-pick uniforms.  Collision ``i`` occupies
-    words ``i * 11`` to ``i * 11 + 10`` (``i * 12`` to ``i * 12 + 11`` when
-    ``cluster``), the layout of :func:`next_collision` followed by the
-    engine's cluster pick, so element ``i`` equals what the ``i``-th
-    sequential draw would give.  Consumes ``n * 11`` or ``n * 12`` words.
-    The inter-arrival logarithm is taken with ``math.log1p`` per element:
-    ``np.log1p`` is not bit-identical to it.
+    Returns the inter-arrival times, the environment phase constants and the
+    cluster-pick uniforms.  Collision ``i`` occupies words ``i * 12`` to
+    ``i * 12 + 11``, the layout of :func:`next_collision`, so element ``i``
+    equals what the ``i``-th sequential draw would give.  Consumes ``n * 12``
+    words.  The inter-arrival logarithm is taken with ``math.log1p`` per
+    element: ``np.log1p`` is not bit-identical to it.
     """
-    stride = CLUSTER_COLLISION_WORDS if cluster else COLLISION_WORDS
-    w = rng.words(n * stride).reshape(n, stride)
+    w = rng.words(n * COLLISION_WORDS).reshape(n, COLLISION_WORDS)
     log_gap = np.fromiter(map(math.log1p, (-w[:, 0]).tolist()), float, n)
-    return -log_gap / spec.collision_rate, TWO_PI * w[:, 10], (w[:, 11] if cluster else None)
+    return -log_gap / spec.collision_rate, TWO_PI * w[:, 10], w[:, 11]

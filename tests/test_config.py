@@ -237,6 +237,22 @@ class TestScenarioConfigValidation:
         doc.update(duration_s=10.0, sample_interval_s=1e-6)
         assert parse_config(json.dumps(doc)).sample_interval == 1e-6
 
+    @pytest.mark.parametrize(
+        "update, key",
+        [
+            ({"duration_s": "x", "sample_interval_s": 1e-8}, "duration_s"),
+            ({"sample_interval_s": "x", "duration_s": 1e8}, "sample_interval_s"),
+        ],
+    )
+    def test_rejected_grid_key_is_the_only_problem(self, update, key):
+        # No sample-row count is checked against a value the document did
+        # not give.
+        doc = to_document(preset("tpp"))
+        doc.update(update)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert exc.value.problems == [f"{key} must be a number, got 'x'"]
+
     def test_bad_format(self):
         cfg = preset("tpp")
         with pytest.raises(ConfigError):

@@ -27,6 +27,7 @@ from collapsim import (
     step,
     to_document,
 )
+import collapsim.engine as engine
 from collapsim.engine import _widths_at, aggregate_summaries, damped_sigma, initial_state, regime_for
 from collapsim.constants import HBAR, PHASE_ACCEPTANCE_PROBABILITY
 from collapsim.packets import spread_widths
@@ -89,7 +90,7 @@ class TestStep:
         first = step(s0, cfg)
         assert step(s0, cfg) == first
         assert s0 == before
-        assert first[0].position == s0.position + 11
+        assert first[0].position == s0.position + 12
 
     def test_zero_rate_rejected(self):
         cfg = micro_config(environment=EnvironmentSpec(collision_rate=0.0, env_sigma=1e-10))
@@ -102,6 +103,46 @@ class TestStep:
         for _ in range(2000):
             state, _ = step(state, cfg)
         assert state.n_collapses <= state.n_collisions == 2000
+
+
+class TestWordLayout:
+    """A collision takes 12 words of the stream in either regime; a firing
+    with phase redraw takes one more."""
+
+    @pytest.mark.parametrize(
+        "initial_sigma, regime", [(0.05, Regime.CM_PHASE), (5e-11, Regime.CLUSTER_PHASE)]
+    )
+    def test_collision_takes_12_words_in_either_regime(self, initial_sigma, regime):
+        cfg = replace(preset("sugar_grain"), initial_sigma=initial_sigma)
+        state = initial_state(cfg)
+        new_state, record = step(state, cfg)
+        assert record.last_event is LastEvent.COLLISION_NO_COLLAPSE
+        assert record.regime is regime
+        assert new_state.position == state.position + 12
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    def test_firing_takes_one_more_word_only_for_a_redraw(self, redraw):
+        cfg = replace(generic_document_config(1.0), redraw_alpha_after_collapse=redraw)
+        state = initial_state(cfg)
+        for _ in range(100_000):
+            new_state, record = step(state, cfg)
+            fired = record.last_event is LastEvent.COLLAPSE
+            assert new_state.position == state.position + 12 + (fired and redraw)
+            state = new_state
+            if fired:
+                break
+        else:
+            pytest.fail("no collapse observed")
+
+    def test_blocks_end_only_at_firings_and_the_duration(self, monkeypatch):
+        calls = []
+        evaluate_block = engine._evaluate_block
+        monkeypatch.setattr(
+            engine, "_evaluate_block", lambda *args: calls.append(1) or evaluate_block(*args)
+        )
+        summary, _ = run(replace(preset("tpp"), seed=1, duration=0.05), keep_records=False)
+        bound = summary.n_collisions // engine._BLOCK_SIZE + summary.n_collapses + 1
+        assert len(calls) <= bound
 
 
 class TestRun:
@@ -160,7 +201,9 @@ class TestRun:
                 assert got == pytest.approx(expected, rel=1e-12)
 
     def test_regime_flag_consistent_at_every_record(self):
-        cfg = micro_config(duration=2e-3, sample_interval=1e-4, seed=8)
+        # 2e4 collisions: a firing, which takes the object into the cluster
+        # regime, comes within them on every seed 0-63.
+        cfg = micro_config(duration=2e-2, sample_interval=1e-3, seed=8)
         _, records = run(cfg)
         r_int = cfg.object.internal_radius
         seen = set()
@@ -170,7 +213,9 @@ class TestRun:
         assert seen == {Regime.CM_PHASE, Regime.CLUSTER_PHASE}
 
     def test_collapse_widths_non_increasing_for_heavy_grain(self):
-        cfg = replace(preset("sugar_grain"), duration=5e-3)
+        # 2e4 collisions give about 17 firings, so at least 2 on every seed
+        # 0-63.
+        cfg = replace(preset("sugar_grain"), duration=2e-2)
         _, records = run(cfg)
         collapse_sigmas = [min(r.sigma) for r in records if r.last_event is LastEvent.COLLAPSE]
         assert len(collapse_sigmas) >= 2
@@ -352,7 +397,7 @@ def rebuild_collision(cfg: ScenarioConfig, state):
     alpha = readout.alpha
     if cluster:
         alphas = cfg.object.cluster_alphas
-        alpha = alphas[min(int(rng.uniform() * len(alphas)), len(alphas) - 1)]
+        alpha = alphas[min(int(event.pick * len(alphas)), len(alphas) - 1)]
     # The encounter in the object's frame: the impact offset is drawn
     # relative to the object.
     compared = GaussianPacket(

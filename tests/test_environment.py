@@ -109,7 +109,7 @@ class TestNextCollision:
     def test_fixed_word_consumption(self):
         rng = RngState(3)
         next_collision(rng, SPEC, 0.0)
-        assert rng.position == 11
+        assert rng.position == 12
 
     def test_times_strictly_increasing(self):
         events = collect_events(9, SPEC, 2000)
@@ -162,20 +162,21 @@ class TestNextCollision:
 
 
 class TestDrawCollisionBlock:
-    @pytest.mark.parametrize("cluster", [False, True])
-    def test_equals_sequential_draws(self, cluster):
-        spec = EnvironmentSpec(collision_rate=1e6, env_sigma=1e-10)
+    @pytest.mark.parametrize("spread", [False, True])
+    def test_equals_sequential_draws(self, spread):
+        # the 12-word layout holds whether or not the offset and jitter words are read
+        extra = dict(impact_spread=1e-9, env_sigma_jitter=0.25) if spread else {}
+        spec = EnvironmentSpec(collision_rate=1e6, env_sigma=1e-10, **extra)
         block = RngState(9, 5)
-        gaps, alphas, picks = draw_collision_block(block, spec, 500, cluster)
+        gaps, alphas, picks = draw_collision_block(block, spec, 500)
         rng = RngState(9, 5)
         t = 0.0
         for i in range(500):
             event = next_collision(rng, spec, t)
             assert t + gaps[i] == event.time
             assert event.alpha == alphas[i]
-            if cluster:
-                assert rng.uniform() == picks[i]
+            assert event.pick == picks[i]
             t = event.time
-        assert picks is None or len(picks) == 500
+        assert len(picks) == 500
         assert block == rng
-        assert block.position == 5 + 500 * (12 if cluster else 11)
+        assert block.position == 5 + 500 * 12
