@@ -8,15 +8,7 @@ localization divide because the free spreading rate scales as 1/mass.
 """
 
 from .config import PRESETS, ConfigError, ScenarioConfig, parse_config, preset, to_document
-from .contraction import ContractionResult, apply_collapse, product_gaussian
-from .criterion import (
-    CriterionOutcome,
-    amplitude_criterion,
-    criterion_fires_batch,
-    evaluate_criterion,
-    overlap_integral,
-    phase_criterion,
-)
+from .criterion import overlap_integral
 from .engine import (
     EngineError,
     EnsembleSummary,
@@ -35,13 +27,11 @@ from .environment import (
     EnvironmentSpec,
     RngState,
     draw_phase,
-    draw_phases,
     next_collision,
 )
 from .packets import (
     GaussianPacket,
     ObjectSpec,
-    asymptotic_regime_check,
     de_broglie_wavelength,
     evolve_free,
     spreading_velocity,
@@ -68,8 +58,6 @@ def __getattr__(name: str):
 __all__ = [
     "CollisionEvent",
     "ConfigError",
-    "ContractionResult",
-    "CriterionOutcome",
     "EngineError",
     "EnsembleSummary",
     "EnvironmentSpec",
@@ -87,14 +75,8 @@ __all__ = [
     "SweepAxis",
     "SweepRow",
     "TimeSeriesRecord",
-    "amplitude_criterion",
-    "apply_collapse",
-    "asymptotic_regime_check",
-    "criterion_fires_batch",
     "de_broglie_wavelength",
     "draw_phase",
-    "draw_phases",
-    "evaluate_criterion",
     "evolve_free",
     "initial_state",
     "next_collision",
@@ -102,9 +84,7 @@ __all__ = [
     "overlap_integral",
     "overlap_integral_quadrature",
     "parse_config",
-    "phase_criterion",
     "preset",
-    "product_gaussian",
     "read_records",
     "run",
     "run_ensemble",

@@ -96,6 +96,18 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     return config
 
 
+def _load_config_and_flags(args: argparse.Namespace, problems: list[str]) -> ScenarioConfig:
+    """The config, or a ``ConfigError`` listing its problems and then the
+    command's own flag ``problems``."""
+    try:
+        config = _load_config(args)
+    except ConfigError as exc:
+        problems = exc.problems + problems
+    if problems:
+        raise ConfigError(problems)
+    return config
+
+
 def _open_sink(path: Optional[str]):
     if path is None or path == "-":
         return sys.stdout, False
@@ -122,9 +134,14 @@ def _summary_obj(summary) -> dict:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    problems = []
     if args.replicas < 1:
-        raise ConfigError([f"--replicas must be >= 1, got {args.replicas}"])
+        problems.append(f"--replicas must be >= 1, got {args.replicas}")
+    elif args.replicas > 1 and args.format == "csv":
+        problems.append(
+            f"--format csv: --replicas {args.replicas} writes an ensemble summary, which is JSON"
+        )
+    config = _load_config_and_flags(args, problems)
     sink, close = _open_sink(config.output_path)
     try:
         if args.replicas == 1:
@@ -192,12 +209,7 @@ def _sweep_flags(args: argparse.Namespace) -> tuple[list[float], list[str]]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     values, problems = _sweep_flags(args)
-    try:
-        config = _load_config(args)
-    except ConfigError as exc:
-        problems = exc.problems + problems
-    if problems:
-        raise ConfigError(problems)
+    config = _load_config_and_flags(args, problems)
     sink, close = _open_sink(config.output_path)
     try:
         rows = sweep(config, SweepAxis(args.axis), values, args.replicas)

@@ -4,8 +4,9 @@ The product of two Gaussian moduli is itself Gaussian-shaped; its mean and
 standard deviation define where the product is effectively concentrated.
 Collapse replaces a packet by the normalized Gaussian with exactly that
 mean and width, so the family stays closed and every contraction is
-analytic.  Only the object's contracted packet is built: the environment
-partner is discarded after its encounter.  Per axis:
+analytic.  :func:`product_support` gives that mean and width on plain
+values; the engine builds the object's new waist from them and discards
+the environment partner.  Per axis:
 
     sigma_p^2 = s1^2 s2^2 / (s1^2 + s2^2)
     c_p       = (c1 s2^2 + c2 s1^2) / (s1^2 + s2^2)
@@ -17,20 +18,8 @@ collapses can only narrow a packet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
-from .criterion import CriterionOutcome
-from .packets import GaussianPacket, Vec3
-
-
-@dataclass(frozen=True, slots=True)
-class ContractionResult:
-    """The contracted packet plus the shared overlap geometry."""
-
-    contracted_1: GaussianPacket
-    overlap_center: Vec3
-    overlap_sigma: Vec3
+from .packets import Vec3
 
 
 def product_support(center1: Vec3, sigma1: Vec3, center2: Vec3, sigma2: Vec3) -> tuple[Vec3, Vec3]:
@@ -49,35 +38,3 @@ def product_support(center1: Vec3, sigma1: Vec3, center2: Vec3, sigma2: Vec3) ->
         center.append(cp)
         sigma.append(sp)
     return tuple(center), tuple(sigma)
-
-
-def product_gaussian(p1: GaussianPacket, p2: GaussianPacket) -> tuple[Vec3, Vec3]:
-    """Mean and width of the Gaussian-shaped product |psi_1||psi_2|, per axis."""
-    return product_support(p1.center, p1.sigma, p2.center, p2.sigma)
-
-
-def apply_collapse(
-    p1: GaussianPacket,
-    p2: GaussianPacket,
-    t: float,
-    outcome: Optional[CriterionOutcome] = None,
-) -> ContractionResult:
-    """Contract p1 to the product support of p1 and p2 at time t.
-
-    The output takes the product center and width as a fresh waist at t;
-    mass, velocity and phase constant are inherited from p1.  Callers must
-    only invoke this for a fired criterion; passing the evaluated ``outcome``
-    makes that precondition checked.
-    """
-    if outcome is not None and not outcome.fires:
-        raise ValueError("apply_collapse called for a pair whose criterion did not fire")
-    center, sigma = product_gaussian(p1, p2)
-    contracted = GaussianPacket(
-        center=center,
-        sigma=sigma,
-        velocity=p1.velocity,
-        mass=p1.mass,
-        alpha=p1.alpha,
-        t_ref=t,
-    )
-    return ContractionResult(contracted_1=contracted, overlap_center=center, overlap_sigma=sigma)

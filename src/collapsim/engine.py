@@ -117,10 +117,9 @@ def damped_sigma(sigma_old: Vec3, sigma_p: Vec3, eta: float) -> Vec3:
     """Apply the cluster-regime damping law per axis.
 
     The contracted width becomes sigma_old * (sigma_p / sigma_old)**eta;
-    eta = 1 reproduces the undamped contraction.
+    eta = 1 reproduces the undamped contraction.  ``eta`` is not checked
+    here: :class:`ScenarioConfig` refuses values outside (0, 1].
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
     return tuple(so * (sp / so) ** eta for so, sp in zip(sigma_old, sigma_p))
 
 

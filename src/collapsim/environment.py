@@ -123,14 +123,6 @@ def draw_phase(rng: RngState) -> float:
     return TWO_PI * rng.uniform()
 
 
-def draw_phases(rng: RngState, n: int) -> np.ndarray:
-    """Bulk variant of :func:`draw_phase`: n draws from the same stream.
-
-    Consumes n words and equals n sequential single draws bit-for-bit.
-    """
-    return TWO_PI * rng.words(n)
-
-
 def _standard_normal(u1: float, u2: float) -> float:
     # Box-Muller, first member of the pair; u1, u2 in [0, 1).
     return math.sqrt(-2.0 * math.log1p(-u1)) * math.cos(TWO_PI * u2)

@@ -27,10 +27,6 @@ from .constants import HBAR, PLANCK_H
 
 TWO_PI = 2.0 * math.pi
 
-# Above this value of hbar*dt / (2 m sigma0^2) the width growth is linear in
-# time to better than 1 part in 200; used by asymptotic_regime_check.
-SPREADING_LINEAR_THRESHOLD = 10.0
-
 Vec3 = tuple[float, float, float]
 
 
@@ -221,15 +217,3 @@ def evolve_free(packet: GaussianPacket, t: float) -> GaussianPacket:
         ref_center=packet.ref_center,
         ref_sigma=packet.ref_sigma,
     )
-
-
-def asymptotic_regime_check(packet: GaussianPacket, t: float) -> bool:
-    """True when the linear spreading law is valid on every axis at time t.
-
-    Compares hbar*dt / (2 m sigma0^2) against a fixed threshold of 10.
-    """
-    dt = t - packet.t_ref
-    if dt < 0.0:
-        raise ValueError(f"cannot evaluate before t_ref: t={t} < t_ref={packet.t_ref}")
-    k = HBAR * dt / (2.0 * packet.mass)
-    return all(k / (s0 * s0) > SPREADING_LINEAR_THRESHOLD for s0 in packet.ref_sigma)

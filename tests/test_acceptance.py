@@ -10,20 +10,20 @@ import pytest
 
 from collapsim import (
     GaussianPacket,
-    criterion_fires_batch,
     de_broglie_wavelength,
     evolve_free,
     norm_quadrature,
     overlap_integral,
     overlap_integral_quadrature,
     preset,
-    product_gaussian,
     run_ensemble,
     spreading_velocity,
     spreading_velocity_via_lambda,
 )
 from collapsim.cli import main
 from collapsim.constants import HBAR, PHASE_ACCEPTANCE_PROBABILITY, SECONDS_PER_YEAR
+from collapsim.contraction import product_support
+from collapsim.criterion import phase_clause_batch
 from collapsim.selftest import random_packet_pair
 
 TWO_PI = 2.0 * math.pi
@@ -99,7 +99,7 @@ def test_criterion_6_phase_acceptance_statistics():
     for _ in range(10):
         a1 = TWO_PI * gen.random(n // 10)
         a2 = TWO_PI * gen.random(n // 10)
-        fired += int(np.count_nonzero(criterion_fires_batch(a1, a2, 1.0)))
+        fired += int(np.count_nonzero(phase_clause_batch(a1, a2)))
     p = PHASE_ACCEPTANCE_PROBABILITY
     empirical = fired / n
     band = 4.0 * math.sqrt(p * (1.0 - p) / n)
@@ -117,15 +117,9 @@ def test_criterion_7_monotone_contraction():
     for _ in range(10_000):
         sigma1 = tuple(10.0 ** gen.uniform(-12, -2, 3))
         sigma2 = tuple(10.0 ** gen.uniform(-12, -2, 3))
-        p1 = GaussianPacket(
-            center=tuple(gen.normal(0, 1e-6, 3)), sigma=sigma1,
-            velocity=(0.0, 0.0, 0.0), mass=1.0, alpha=0.0, t_ref=0.0,
-        )
-        p2 = GaussianPacket(
-            center=tuple(gen.normal(0, 1e-6, 3)), sigma=sigma2,
-            velocity=(0.0, 0.0, 0.0), mass=1.0, alpha=0.0, t_ref=0.0,
-        )
-        _, sigma_p = product_gaussian(p1, p2)
+        center1 = tuple(gen.normal(0, 1e-6, 3))
+        center2 = tuple(gen.normal(0, 1e-6, 3))
+        _, sigma_p = product_support(center1, sigma1, center2, sigma2)
         if any(sp > min(s1, s2) for sp, s1, s2 in zip(sigma_p, sigma1, sigma2)):
             violations += 1
     assert violations == 0

@@ -124,6 +124,26 @@ class TestValidationFailures:
         for flag in ("--rate-hz", "--duration-s", "--eta"):
             assert f"error: {flag} " in err
 
+    def test_replicas_listed_with_config_problems(self, capsys):
+        assert run_cli(["run", "--scenario", "tpp", "--seed", "-1", "--replicas", "0"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("error: --seed -1: ")
+        assert lines[1].startswith("error: --replicas must be >= 1")
+
+    def test_csv_format_refused_for_ensemble(self, tmp_path, capsys):
+        # An ensemble summary is JSON; a preset's default csv format is not
+        # refused (test_replicas_emit_ensemble_summary), an explicit one is.
+        out = tmp_path / "ensemble.csv"
+        code = run_cli(
+            ["run", "--scenario", "tpp", "--duration-s", "1e-4", "--replicas", "2",
+             "--format", "csv", "--output", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --format csv: ") and "--replicas 2" in err
+        assert not out.exists()
+
     def test_output_in_missing_directory(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "x.csv"
         assert run_cli(["run", "--scenario", "tpp", "--output", str(target)]) == 2

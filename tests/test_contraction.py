@@ -5,13 +5,51 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from collapsim import (
-    CriterionOutcome,
-    apply_collapse,
-    evaluate_criterion,
+    EnvironmentSpec,
+    GaussianPacket,
+    LastEvent,
+    ObjectSpec,
+    ScenarioConfig,
+    initial_state,
     norm_quadrature,
-    product_gaussian,
+    step,
 )
+from collapsim.contraction import product_support
+from collapsim.engine import damped_sigma
 from conftest import fresh_packet, packets
+
+
+def product(p1: GaussianPacket, p2: GaussianPacket):
+    return product_support(p1.center, p1.sigma, p2.center, p2.sigma)
+
+
+def first_collapse(config: ScenarioConfig):
+    """Step ``config`` from t=0 to its first firing collision; returns the
+    states before and after it."""
+    state = initial_state(config)
+    for _ in range(100_000):
+        new_state, record = step(state, config)
+        if record.last_event is LastEvent.COLLAPSE:
+            return state, new_state
+        state = new_state
+    pytest.fail("no collapse observed")
+
+
+def heavy_object_config(**overrides) -> ScenarioConfig:
+    """A 1 kg object, whose waist does not spread measurably between
+    collisions, in the CM regime, met head-on by packets of its own width."""
+    base = dict(
+        object=ObjectSpec(mass=1.0, internal_radius=1e-12, v0=0.0, cluster_alphas=(0.0,)),
+        initial_sigma=2e-10,
+        initial_alpha=0.0,
+        environment=EnvironmentSpec(collision_rate=1e6, env_sigma=2e-10),
+        duration=1.0,
+        seed=4,
+        sample_interval=0.1,
+        cluster_eta=1.0,
+    )
+    base.update(overrides)
+    return ScenarioConfig(**base)
 
 
 class TestProductGaussian:
@@ -19,7 +57,7 @@ class TestProductGaussian:
         s = 1e-9
         p1 = fresh_packet(center=(0.0, 0.0, 0.0), sigma=s)
         p2 = fresh_packet(center=(2e-9, -4e-9, 6e-9), sigma=s)
-        center, sigma = product_gaussian(p1, p2)
+        center, sigma = product(p1, p2)
         for got, mid in zip(center, (1e-9, -2e-9, 3e-9)):
             assert got == pytest.approx(mid, rel=1e-12)
         for sp in sigma:
@@ -29,80 +67,70 @@ class TestProductGaussian:
         s1 = 1e-9
         p1 = fresh_packet(center=(1e-9, 0.0, 0.0), sigma=s1)
         p2 = fresh_packet(center=(5e-9, 0.0, 0.0), sigma=1e6 * s1)
-        center, sigma = product_gaussian(p1, p2)
+        center, sigma = product(p1, p2)
         assert center[0] == pytest.approx(p1.center[0], rel=1e-6)
         assert sigma[0] == pytest.approx(s1, rel=1e-6)
 
     def test_identical_packets(self):
         p = fresh_packet(center=(3e-9, 0.0, -1e-9), sigma=2e-9)
-        center, sigma = product_gaussian(p, p)
+        center, sigma = product(p, p)
         assert center == p.center
         for sp in sigma:
             assert sp == pytest.approx(2e-9 / math.sqrt(2.0), rel=1e-15)
 
     @given(packets(), packets())
     def test_width_never_exceeds_smaller_input(self, p1, p2):
-        _, sigma = product_gaussian(p1, p2)
+        _, sigma = product(p1, p2)
         for sp, s1, s2 in zip(sigma, p1.sigma, p2.sigma):
             assert sp <= min(s1, s2)
 
     @given(packets(), packets())
     def test_center_betweenness(self, p1, p2):
-        center, _ = product_gaussian(p1, p2)
+        center, _ = product(p1, p2)
         for cp, c1, c2 in zip(center, p1.center, p2.center):
             assert min(c1, c2) <= cp <= max(c1, c2)
 
 
 class TestApplyCollapse:
     def test_identical_packets_contract_by_sqrt2(self):
-        p1 = fresh_packet(sigma=2e-10, alpha=0.001)
-        p2 = fresh_packet(sigma=2e-10, alpha=0.0015, mass=1.0)
-        result = apply_collapse(p1, p2, t=1.0)
-        assert result.overlap_sigma[0] == pytest.approx(1.414e-10, rel=1e-3)
-        assert result.contracted_1.sigma == result.overlap_sigma
-        assert result.contracted_1.t_ref == 1.0
+        before, after = first_collapse(heavy_object_config())
+        waist = after.object_packet
+        for sp in waist.sigma:
+            assert sp == pytest.approx(2e-10 / math.sqrt(2.0), rel=1e-12)
+        assert waist.t_ref == after.t > before.t
+        assert after.n_collapses == before.n_collapses + 1
 
     def test_localizes_to_narrow_partner(self):
-        broad = fresh_packet(sigma=1e-6, alpha=0.0)
-        narrow = fresh_packet(sigma=1e-10, alpha=0.001, mass=1.0)
-        result = apply_collapse(broad, narrow, t=0.0)
-        assert result.overlap_sigma[0] == pytest.approx(1e-10, rel=1e-6)
+        broad = fresh_packet(sigma=1e-6)
+        narrow = fresh_packet(sigma=1e-10)
+        _, sigma = product(broad, narrow)
+        assert sigma[0] == pytest.approx(1e-10, rel=1e-6)
 
     def test_inherits_identity_fields(self):
-        p1 = fresh_packet(sigma=1e-9, alpha=1.0, velocity=(3.0, 0.0, 0.0), mass=2e-20)
-        p2 = fresh_packet(sigma=2e-9, alpha=1.001, velocity=(-1.0, 0.0, 0.0), mass=5.0)
-        result = apply_collapse(p1, p2, t=0.5)
-        c1 = result.contracted_1
-        assert (c1.alpha, c1.mass, c1.velocity) == (p1.alpha, p1.mass, p1.velocity)
-        assert c1.center == result.overlap_center
+        config = heavy_object_config(
+            object=ObjectSpec(mass=2e-20, internal_radius=1e-12, v0=3.0, cluster_alphas=(0.0,)),
+            initial_alpha=0.001,
+            environment=EnvironmentSpec(collision_rate=1e6, env_sigma=2e-9, impact_spread=1e-9),
+        )
+        before, after = first_collapse(config)
+        old, new = before.object_packet, after.object_packet
+        assert (new.alpha, new.mass, new.velocity) == (old.alpha, old.mass, old.velocity)
+        assert new.t_ref == after.t
 
-    def test_guard_rejects_unfired_outcome(self):
-        p1 = fresh_packet(alpha=0.0)
-        p2 = fresh_packet(alpha=math.pi, mass=1.0)
-        outcome = evaluate_criterion(p1, p2)
-        assert not outcome.fires
-        with pytest.raises(ValueError):
-            apply_collapse(p1, p2, 0.0, outcome=outcome)
-
-    def test_accepts_fired_outcome(self):
-        p1 = fresh_packet(alpha=0.001)
-        p2 = fresh_packet(alpha=0.001, mass=1.0)
-        outcome = evaluate_criterion(p1, p2)
-        assert outcome.fires
-        apply_collapse(p1, p2, 0.0, outcome=outcome)
-
-    @given(packets(), packets())
-    def test_monotone_contraction(self, p1, p2):
-        result = apply_collapse(p1, p2, t=0.0)
-        for sp, s1, s2 in zip(result.contracted_1.sigma, p1.sigma, p2.sigma):
-            assert sp <= min(s1, s2)
+    @given(packets(), packets(), st.floats(1e-6, 1.0))
+    def test_monotone_contraction(self, p1, p2, eta):
+        # damped or not, a contraction never widens the object
+        _, sigma_p = product(p1, p2)
+        for sp, s1 in zip(damped_sigma(p1.sigma, sigma_p, eta), p1.sigma):
+            assert sp <= s1
 
     def test_repeated_collapse_strictly_shrinks(self):
-        partner = fresh_packet(sigma=1e-9, alpha=0.0, mass=1.0)
-        packet = fresh_packet(sigma=1e-9, alpha=0.0)
+        partner = fresh_packet(sigma=1e-9)
+        packet = fresh_packet(sigma=1e-9)
         widths = [packet.sigma[0]]
         for _ in range(6):
-            packet = apply_collapse(packet, partner, t=0.0).contracted_1
+            center, sigma = product(packet, partner)
+            packet = fresh_packet(center=center, sigma=sigma)
             widths.append(packet.sigma[0])
         assert all(b < a for a, b in zip(widths, widths[1:]))
         assert widths[1] == pytest.approx(1e-9 / math.sqrt(2.0), rel=1e-12)
@@ -118,5 +146,6 @@ class TestApplyCollapse:
                 sigma=tuple(10.0 ** gen.uniform(-11, -8, 3)),
                 mass=1.0,
             )
-            contracted = apply_collapse(p1, p2, t=0.0).contracted_1
+            center, sigma = product(p1, p2)
+            contracted = fresh_packet(center=center, sigma=sigma)
             assert abs(norm_quadrature(contracted) - 1.0) < 1e-8

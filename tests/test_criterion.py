@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapsim import (
-    amplitude_criterion,
-    criterion_fires_batch,
-    evaluate_criterion,
-    overlap_integral,
-    overlap_integral_quadrature,
-    phase_criterion,
+from collapsim import overlap_integral, overlap_integral_quadrature
+from collapsim.constants import FINE_STRUCTURE, PHASE_ACCEPTANCE_PROBABILITY, PHASE_GAP_LIMIT
+from collapsim.criterion import (
+    criterion_fires,
+    overlap_from_widths,
+    phase_clause_batch,
+    phase_distance,
 )
-from collapsim.constants import FINE_STRUCTURE, PHASE_ACCEPTANCE_PROBABILITY
 from collapsim.selftest import random_packet_pair
 from conftest import TWO_PI, fresh_packet, packets
+import reference
 
 HALF_ALPHA_S = FINE_STRUCTURE / 2.0
 
@@ -97,121 +97,132 @@ class TestQuadratureOracle:
 
 class TestPhaseCriterion:
     def test_identical_phases(self):
-        assert phase_criterion(0.5, 0.5) == (True, 0.0)
+        assert phase_distance(0.5, 0.5) == 0.0
+        assert phase_clause_batch(0.5, np.array([0.5])).tolist() == [True]
 
     def test_wraparound_distance(self):
-        ok, dist = phase_criterion(0.001, TWO_PI - 0.001)
-        assert ok is True
+        dist = phase_distance(0.001, TWO_PI - 0.001)
         assert dist == pytest.approx(0.002, rel=1e-9)
+        assert phase_clause_batch(0.001, np.array([TWO_PI - 0.001])).tolist() == [True]
 
     def test_gap_just_too_large(self):
-        ok, dist = phase_criterion(0.0, 0.01)
-        assert ok is False
-        assert dist == pytest.approx(0.01, rel=1e-12)
+        assert phase_distance(0.0, 0.01) == pytest.approx(0.01, rel=1e-12)
         assert 0.01 > HALF_ALPHA_S
+        assert phase_clause_batch(0.0, np.array([0.01])).tolist() == [False]
+        assert not criterion_fires(0.0, 0.01, (1e-9,) * 3, (1e-9,) * 3, (0.0,) * 3)
 
     def test_boundary_counts_as_pass(self):
-        ok, dist = phase_criterion(0.0, HALF_ALPHA_S)
-        assert ok is True and dist == HALF_ALPHA_S
-
-    @pytest.mark.parametrize("a1,a2", [(-0.1, 0.0), (0.0, TWO_PI), (7.0, 0.0)])
-    def test_domain_errors(self, a1, a2):
-        with pytest.raises(ValueError):
-            phase_criterion(a1, a2)
+        assert phase_distance(0.0, HALF_ALPHA_S) == HALF_ALPHA_S
+        assert phase_clause_batch(0.0, np.array([HALF_ALPHA_S])).tolist() == [True]
+        assert criterion_fires(0.0, HALF_ALPHA_S, (1e-9,) * 3, (1e-9,) * 3, (0.0,) * 3)
 
     @given(
         st.floats(0.0, TWO_PI, exclude_max=True),
         st.floats(0.0, TWO_PI, exclude_max=True),
     )
     def test_distance_is_circular_and_symmetric(self, a1, a2):
-        ok12, d12 = phase_criterion(a1, a2)
-        ok21, d21 = phase_criterion(a2, a1)
-        assert (ok12, d12) == (ok21, d21)
+        d12 = phase_distance(a1, a2)
+        assert d12 == phase_distance(a2, a1)
         assert 0.0 <= d12 <= math.pi
+        batch = phase_clause_batch(np.array([a1, a2]), np.array([a2, a1])).tolist()
+        assert batch == [d12 <= PHASE_GAP_LIMIT] * 2
+
+
+def amplitude_decides(alpha: float, overlap_target: float) -> bool:
+    """``criterion_fires`` for equal phase constants ``alpha`` (the phase
+    clause passes) and equal widths whose separation on one axis gives the
+    overlap ``overlap_target``."""
+    s = 1e-9
+    # exp(-d^2 / (8 s^2)) = overlap_target
+    d = s * math.sqrt(-8.0 * math.log(overlap_target))
+    assert overlap_from_widths((s,) * 3, (s,) * 3, (d, 0.0, 0.0)) == pytest.approx(
+        overlap_target, rel=1e-12
+    )
+    return criterion_fires(alpha, alpha, (s,) * 3, (s,) * 3, (d, 0.0, 0.0))
 
 
 class TestAmplitudeCriterion:
     def test_full_overlap_passes(self):
-        assert amplitude_criterion(1.0, math.pi, math.pi / 2) == (True, math.pi / 2)
+        assert amplitude_decides(math.pi / 2, 1.0)
 
     def test_partial_overlap_fails_large_alpha(self):
-        ok, alpha_min = amplitude_criterion(0.5, math.pi, 3.0)
-        assert ok is False and alpha_min == 3.0
-        assert 0.25 < 3.0 / TWO_PI
+        # 0.5^2 = 0.25 lies between 1/(2 pi) and 3/(2 pi)
+        assert 1.0 / TWO_PI < 0.25 < 3.0 / TWO_PI
+        assert not amplitude_decides(3.0, 0.5)
+        assert amplitude_decides(1.0, 0.5)
 
     def test_zero_boundary_equality_passes(self):
-        assert amplitude_criterion(0.0, 0.0, 1.0) == (True, 0.0)
+        # the overlap underflows to 0 and alpha_min is 0: 0 >= 0 holds
+        s = 1e-9
+        far = (1e3 * s, 0.0, 0.0)
+        assert overlap_from_widths((s,) * 3, (s,) * 3, far) == 0.0
+        assert criterion_fires(0.0, 0.0, (s,) * 3, (s,) * 3, far)
 
-    @pytest.mark.parametrize("overlap", [-0.1, 1.5])
-    def test_overlap_domain(self, overlap):
-        with pytest.raises(ValueError):
-            amplitude_criterion(overlap, 0.0, 0.0)
 
-    def test_alpha_domain(self):
-        with pytest.raises(ValueError):
-            amplitude_criterion(0.5, TWO_PI, 0.0)
+def encounter(p1, p2):
+    """Plain-value arguments of ``criterion_fires`` for two packets."""
+    separation = tuple(c2 - c1 for c1, c2 in zip(p1.center, p2.center))
+    return p1.alpha, p2.alpha, p1.sigma, p2.sigma, separation
 
 
 class TestEvaluateCriterion:
     def test_identical_small_alpha_fires(self):
-        p1 = fresh_packet(alpha=0.001)
-        p2 = fresh_packet(alpha=0.001, mass=1.0)
-        out = evaluate_criterion(p1, p2)
-        assert out.fires and out.phase_ok and out.amplitude_ok
-        assert out.overlap == 1.0
-        assert out.phase_distance == 0.0
+        p = fresh_packet(alpha=0.001)
+        assert criterion_fires(*encounter(p, p))
+        assert overlap_integral(p, p) == 1.0
+        assert phase_distance(p.alpha, p.alpha) == 0.0
 
     def test_opposite_phases_do_not_fire(self):
-        out = evaluate_criterion(fresh_packet(alpha=0.0), fresh_packet(alpha=math.pi))
-        assert out.phase_ok is False
-        assert out.fires is False
+        assert not criterion_fires(*encounter(fresh_packet(alpha=0.0), fresh_packet(alpha=math.pi)))
 
     def test_far_packets_do_not_fire(self):
         s = 1e-6
         p1 = fresh_packet(center=0.0, sigma=s, alpha=1.0)
         p2 = fresh_packet(center=(100 * s, 0.0, 0.0), sigma=s, alpha=1.0)
-        out = evaluate_criterion(p1, p2)
-        assert out.phase_ok is True
-        assert out.amplitude_ok is False
-        assert out.fires is False
+        assert phase_distance(p1.alpha, p2.alpha) <= PHASE_GAP_LIMIT
+        assert not criterion_fires(*encounter(p1, p2))
 
     @given(packets(), packets())
     def test_symmetry(self, p1, p2):
-        assert evaluate_criterion(p1, p2) == evaluate_criterion(p2, p1)
+        assert criterion_fires(*encounter(p1, p2)) == criterion_fires(*encounter(p2, p1))
 
     def test_fires_only_when_both_clauses_hold(self):
         gen = np.random.default_rng(5)
         for _ in range(200):
             p1, p2 = random_packet_pair(gen)
-            out = evaluate_criterion(p1, p2)
-            assert out.fires == (out.phase_ok and out.amplitude_ok)
+            # also the same pair at equal phase constants, where the
+            # amplitude clause decides
+            for alpha2 in (p2.alpha, p1.alpha):
+                a1, a2, s1, s2, separation = encounter(p1, p2)
+                phase_ok = reference.phase_clause(a1, alpha2)
+                amplitude_ok = reference.amplitude_clause(
+                    reference.overlap(s1, s2, separation), a1, alpha2
+                )
+                assert criterion_fires(a1, alpha2, s1, s2, separation) == (
+                    phase_ok and amplitude_ok
+                )
 
 
 class TestBatchEvaluator:
     def test_matches_scalar_path(self):
         gen = np.random.default_rng(99)
         a1 = TWO_PI * gen.random(5000)
-        a2 = TWO_PI * gen.random(5000)
-        ov = gen.random(5000)
-        batch = criterion_fires_batch(a1, a2, ov)
+        # half the pairs within a few gap limits of each other
+        a2 = np.concatenate((TWO_PI * gen.random(2500), a1[2500:] + gen.uniform(-0.02, 0.02, 2500)))
+        a2 = np.where(a2 < 0.0, a2 + TWO_PI, np.where(a2 >= TWO_PI, a2 - TWO_PI, a2))
+        batch = phase_clause_batch(a1, a2)
+        assert 0 < np.count_nonzero(batch) < 5000
         for i in range(0, 5000, 37):
-            phase_ok, _ = phase_criterion(float(a1[i]), float(a2[i]))
-            amp_ok, _ = amplitude_criterion(float(ov[i]), float(a1[i]), float(a2[i]))
-            assert batch[i] == (phase_ok and amp_ok)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            criterion_fires_batch(np.array([7.0]), np.array([0.0]), 1.0)
-        with pytest.raises(ValueError):
-            criterion_fires_batch(np.array([0.0]), np.array([0.0]), 2.0)
+            assert batch[i] == (phase_distance(float(a1[i]), float(a2[i])) <= PHASE_GAP_LIMIT)
 
     def test_statistical_acceptance_smoke(self):
-        # quick version of the pinned-overlap statistics; the full 1e7-pair
-        # run lives in the acceptance suite
+        # quick version of the pinned statistics: at unit overlap the phase
+        # clause alone decides; the full 1e7-pair run lives in the
+        # acceptance suite
         n = 1_000_000
         gen = np.random.default_rng(42)
         a1 = TWO_PI * gen.random(n)
         a2 = TWO_PI * gen.random(n)
-        fraction = np.count_nonzero(criterion_fires_batch(a1, a2, 1.0)) / n
+        fraction = np.count_nonzero(phase_clause_batch(a1, a2)) / n
         p = PHASE_ACCEPTANCE_PROBABILITY
         assert abs(fraction - p) <= 4.0 * math.sqrt(p * (1 - p) / n)

@@ -8,7 +8,6 @@ import pytest
 from collapsim import (
     EngineError,
     EnvironmentSpec,
-    GaussianPacket,
     LastEvent,
     ObjectSpec,
     Regime,
@@ -16,12 +15,10 @@ from collapsim import (
     RunSummary,
     ScenarioConfig,
     TimeSeriesRecord,
-    evaluate_criterion,
     evolve_free,
     next_collision,
     parse_config,
     preset,
-    product_gaussian,
     run,
     run_ensemble,
     step,
@@ -31,6 +28,7 @@ import collapsim.engine as engine
 from collapsim.engine import _widths_at, aggregate_summaries, damped_sigma, initial_state, regime_for
 from collapsim.constants import HBAR, PHASE_ACCEPTANCE_PROBABILITY
 from collapsim.packets import spread_widths
+import reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -289,12 +287,6 @@ class TestClusterRegime:
             if s_p == s_old:
                 assert new == s_old
 
-    def test_eta_domain(self):
-        with pytest.raises(ValueError):
-            damped_sigma((1e-9,) * 3, (1e-10,) * 3, 0.0)
-        with pytest.raises(ValueError):
-            damped_sigma((1e-9,) * 3, (1e-10,) * 3, 1.5)
-
     def test_cluster_regime_damps_contraction(self):
         # start inside the object so the first firing collision is damped
         cfg = micro_config(
@@ -384,36 +376,33 @@ class TestEnsemble:
 
 
 def rebuild_collision(cfg: ScenarioConfig, state):
-    """Resolve the next collision of ``state`` with the packet-level API.
+    """Resolve the next collision of ``state`` with the test reference.
 
-    Replays the draws from ``RngState(seed, position)`` and returns whether
-    the criterion fires, the widths after the collision, the object's phase
-    constant after it, and the stream position after it.
+    Replays the draws from ``RngState(seed, position)`` and applies the laws
+    of ``tests/reference.py``.  Returns whether the criterion fires, the
+    widths after the collision, the object's center and phase constant after
+    it, and the stream position after it.
     """
     rng = RngState(cfg.seed, state.position)
     event = next_collision(rng, cfg.environment, state.t)
-    readout = evolve_free(state.object_packet, event.time)
-    cluster = min(readout.sigma) < cfg.object.internal_radius
-    alpha = readout.alpha
+    waist = state.object_packet
+    dt = event.time - waist.t_ref
+    sigma = reference.spread(waist.ref_sigma, waist.mass, dt)
+    center = reference.drift(waist.ref_center, waist.velocity, dt)
+    cluster = min(sigma) < cfg.object.internal_radius
+    alpha = waist.alpha
     if cluster:
         alphas = cfg.object.cluster_alphas
         alpha = alphas[min(int(event.pick * len(alphas)), len(alphas) - 1)]
-    # The encounter in the object's frame: the impact offset is drawn
-    # relative to the object.
-    compared = GaussianPacket(
-        center=0.0, sigma=readout.sigma, velocity=0.0, mass=readout.mass, alpha=alpha, t_ref=0.0
-    )
-    env = GaussianPacket(
-        center=event.offset, sigma=event.sigma, velocity=0.0, mass=1.0, alpha=event.alpha,
-        t_ref=0.0,
-    )
-    if not evaluate_criterion(compared, env).fires:
-        return False, readout.sigma, readout.alpha, rng.position
-    _, sigma = product_gaussian(compared, env)
+    # The impact offset is drawn relative to the object.
+    if not reference.fires(alpha, event.alpha, sigma, event.sigma, event.offset):
+        return False, sigma, center, waist.alpha, rng.position
+    env_center = tuple(c + o for c, o in zip(center, event.offset))
+    center_p, sigma_p = reference.product(center, sigma, env_center, event.sigma)
     if cluster and cfg.cluster_eta != 1.0:
-        sigma = damped_sigma(readout.sigma, sigma, cfg.cluster_eta)
-    alpha_after = TWO_PI * rng.uniform() if cfg.redraw_alpha_after_collapse else readout.alpha
-    return True, sigma, alpha_after, rng.position
+        sigma_p = reference.damped(sigma, sigma_p, cfg.cluster_eta)
+    alpha_after = TWO_PI * rng.uniform() if cfg.redraw_alpha_after_collapse else waist.alpha
+    return True, sigma_p, center_p, alpha_after, rng.position
 
 
 LEAN_LOOP_CONFIGS = {
@@ -451,7 +440,7 @@ class TestLeanLoopMatchesPacketApi:
             seeded = replace(cfg, seed=seed)
             state = initial_state(seeded)
             for _ in range(4000):
-                fires, sigma, alpha, position = rebuild_collision(seeded, state)
+                fires, sigma, center, alpha, position = rebuild_collision(seeded, state)
                 new_state, record = step(state, seeded)
                 assert (record.last_event is LastEvent.COLLAPSE) == fires
                 assert record.sigma == sigma
@@ -459,6 +448,7 @@ class TestLeanLoopMatchesPacketApi:
                 if fires:
                     fired += 1
                     assert new_state.object_packet.sigma == sigma
+                    assert new_state.object_packet.center == center
                     assert new_state.object_packet.t_ref == record.t
                     assert new_state.object_packet.alpha == alpha
                 else:

@@ -9,7 +9,6 @@ from collapsim import (
     EnvironmentSpec,
     RngState,
     draw_phase,
-    draw_phases,
     next_collision,
 )
 from collapsim.environment import draw_collision_block
@@ -55,7 +54,7 @@ class TestRngState:
 
     def test_block_equals_sequential(self):
         a = RngState(5)
-        block = draw_phases(a, 1000)
+        block = TWO_PI * a.words(1000)
         b = RngState(5)
         singles = [draw_phase(b) for _ in range(1000)]
         assert np.array_equal(block, np.array(singles))
@@ -76,17 +75,17 @@ class TestDrawPhase:
             assert 0.0 <= alpha < TWO_PI
 
     def test_fixed_seed_reproduces_sequence(self):
-        seq1 = draw_phases(RngState(77), 500)
-        seq2 = draw_phases(RngState(77), 500)
+        _, seq1, _ = draw_collision_block(RngState(77), SPEC, 500)
+        _, seq2, _ = draw_collision_block(RngState(77), SPEC, 500)
         assert np.array_equal(seq1, seq2)
 
     def test_uniform_moments(self):
-        phases = draw_phases(RngState(11), 1_000_000)
+        phases = TWO_PI * RngState(11).words(1_000_000)
         assert abs(phases.mean() - math.pi) < 0.01
         assert abs(phases.var() / (math.pi**2 / 3.0) - 1.0) < 0.01
 
     def test_chi_squared_uniformity(self):
-        phases = draw_phases(RngState(13), 1_000_000)
+        phases = TWO_PI * RngState(13).words(1_000_000)
         counts, _ = np.histogram(phases, bins=100, range=(0.0, TWO_PI))
         result = stats.chisquare(counts)
         assert result.pvalue > 1e-3
