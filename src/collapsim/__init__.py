@@ -13,6 +13,7 @@ from .engine import (
     EngineError,
     EnsembleSummary,
     LastEvent,
+    Records,
     Regime,
     RunSummary,
     SimState,
@@ -67,6 +68,7 @@ __all__ = [
     "PRESETS",
     "QuadratureError",
     "RecordWriteError",
+    "Records",
     "Regime",
     "RngState",
     "RunSummary",

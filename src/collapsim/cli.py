@@ -187,7 +187,8 @@ def _write_sweep(rows, sink: IO[str]) -> None:
 
 
 def _sweep_flags(args: argparse.Namespace) -> tuple[list[float], list[str]]:
-    """The ``--values`` list, and every problem with ``--values`` and ``--replicas``."""
+    """The ``--values`` list, and every problem with ``--values``, ``--replicas``
+    and ``--format``."""
     values, problems = [], []
     for text in (v.strip() for v in args.values.split(",")):
         if not text:
@@ -204,6 +205,8 @@ def _sweep_flags(args: argparse.Namespace) -> tuple[list[float], list[str]]:
         problems.append("--values: at least one value is required")
     if args.replicas < 1:
         problems.append(f"--replicas must be >= 1, got {args.replicas}")
+    if args.format == "json":
+        problems.append("--format json: the sweep table is CSV")
     return values, problems
 
 

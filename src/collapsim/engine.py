@@ -45,6 +45,13 @@ the duration, or at ``max_collisions``.  The arithmetic matches the scalar
 path bit for bit: times are a sequential ``np.cumsum`` of ``math.log1p``
 gaps, widths come from :func:`spread_widths` on arrays, and sums are
 accumulated in collision order.
+
+Records.  :func:`run` keeps its rows in one :class:`Records` store of typed
+columns.  The rows of phase-rejected collisions extend the columns by
+slices of the block's per-axis widths and cluster mask; grid rows and the
+rows :func:`step` returns are appended field by field.  So no record object
+is built per row: a row takes 50 bytes, and a :class:`TimeSeriesRecord` is
+built only when a row is read.
 """
 
 from __future__ import annotations
@@ -52,8 +59,9 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -106,6 +114,96 @@ class TimeSeriesRecord:
     n_collapses: int
     regime: Regime
     last_event: LastEvent
+
+
+class Records(Sequence):
+    """The rows of a run, held as eight typed columns.
+
+    ``t``, ``sigma_x``, ``sigma_y`` and ``sigma_z`` are ``array('d')``;
+    ``n_collisions`` and ``n_collapses`` are ``array('q')``; ``regime`` and
+    ``last_event`` are ``array('b')`` codes that index :attr:`REGIMES` and
+    :attr:`EVENTS`.  A row takes 50 bytes and no Python object.
+
+    As a sequence of :class:`TimeSeriesRecord` the store is read-only:
+    indexing builds the row's record, a slice is a new store, and a store
+    compares equal to any sequence of equal rows.  Items are Python floats
+    and ints, never numpy scalars.
+    """
+
+    REGIMES = (Regime.CM_PHASE, Regime.CLUSTER_PHASE)  # indexed by "in the cluster regime"
+    EVENTS = tuple(LastEvent)
+    __slots__ = (
+        "t", "sigma_x", "sigma_y", "sigma_z", "n_collisions", "n_collapses", "regime", "last_event"
+    )
+
+    def __init__(self) -> None:
+        self.t, self.sigma_x, self.sigma_y, self.sigma_z = (array("d") for _ in range(4))
+        self.n_collisions, self.n_collapses = array("q"), array("q")
+        self.regime, self.last_event = array("b"), array("b")
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[TimeSeriesRecord]) -> Records:
+        """A store holding ``rows``, in order."""
+        out = cls()
+        for r in rows:
+            out._append_record(r)
+        return out
+
+    def columns(self) -> tuple[array, ...]:
+        """The eight columns, in CSV column order."""
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _append(self, t, sigma, n_collisions, n_collapses, regime, last_event) -> None:
+        self.t.append(t)
+        self.sigma_x.append(sigma[0])
+        self.sigma_y.append(sigma[1])
+        self.sigma_z.append(sigma[2])
+        self.n_collisions.append(n_collisions)
+        self.n_collapses.append(n_collapses)
+        self.regime.append(regime)
+        self.last_event.append(last_event)
+
+    def _append_record(self, r: TimeSeriesRecord) -> None:
+        self._append(
+            r.t, r.sigma, r.n_collisions, r.n_collapses,
+            _REGIME_CODES[r.regime], _EVENT_CODES[r.last_event],
+        )
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            out = Records.__new__(Records)
+            for name, column in zip(self.__slots__, self.columns()):
+                setattr(out, name, column[i])
+            return out
+        return TimeSeriesRecord(
+            self.t[i], (self.sigma_x[i], self.sigma_y[i], self.sigma_z[i]),
+            self.n_collisions[i], self.n_collapses[i],
+            self.REGIMES[self.regime[i]], self.EVENTS[self.last_event[i]],
+        )
+
+    def __iter__(self):
+        regimes, events = self.REGIMES, self.EVENTS
+        for t, sx, sy, sz, n_collisions, n_collapses, regime, event in zip(*self.columns()):
+            yield TimeSeriesRecord(
+                t, (sx, sy, sz), n_collisions, n_collapses, regimes[regime], events[event]
+            )
+
+    def __eq__(self, other):
+        if isinstance(other, Records):
+            return self.columns() == other.columns()
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+
+_REGIME_CODES = {regime: code for code, regime in enumerate(Records.REGIMES)}
+_EVENT_CODES = {event: code for code, event in enumerate(Records.EVENTS)}
+_NONE, _NO_COLLAPSE = _EVENT_CODES[LastEvent.NONE], _EVENT_CODES[LastEvent.COLLISION_NO_COLLAPSE]
 
 
 def regime_for(sigma: Vec3, internal_radius: float) -> Regime:
@@ -264,9 +362,6 @@ class RunSummary:
 # Collisions drawn per block: the mean gap between phase-clause passes.
 _BLOCK_SIZE = math.ceil(1.0 / PHASE_ACCEPTANCE_PROBABILITY)
 
-_REGIMES = (Regime.CM_PHASE, Regime.CLUSTER_PHASE)  # indexed by "in the cluster regime"
-
-
 @dataclass(frozen=True, slots=True)
 class _Block:
     """The next collisions of a run, evaluated in numpy from the current waist.
@@ -275,8 +370,9 @@ class _Block:
     word ``start + 12 * i``.  ``scalar`` lists the ones that must go through
     :func:`step`: phase-clause passes and non-finite widths.
     ``past_duration`` says that collision ``end`` lies past the duration.
-    ``sigmas`` and ``regimes`` are per-collision record fields, filled only
-    when records are kept.
+    ``columns`` holds the per-collision time, the three widths and the
+    cluster-regime mask as arrays, in the order of their :class:`Records`
+    columns; slices of them are the rows of phase-rejected collisions.
     """
 
     start: int
@@ -285,13 +381,10 @@ class _Block:
     times: list
     sigma_min: np.ndarray
     scalar: list
-    sigmas: list
-    regimes: list
+    columns: tuple[np.ndarray, ...]
 
 
-def _evaluate_block(
-    state: SimState, config: ScenarioConfig, rng: RngState, n: int, with_records: bool
-) -> _Block:
+def _evaluate_block(state: SimState, config: ScenarioConfig, rng: RngState, n: int) -> _Block:
     """Draw the next ``n`` collisions of ``state`` from ``rng``, which stands
     at ``state.position``, and evaluate them."""
     waist = state.object_packet
@@ -316,8 +409,7 @@ def _evaluate_block(
         times=times.tolist(),
         sigma_min=sigma_min,
         scalar=np.flatnonzero(scalar[:end]).tolist(),
-        sigmas=list(zip(sx.tolist(), sy.tolist(), sz.tolist())) if with_records else [],
-        regimes=[_REGIMES[c] for c in cluster.tolist()] if with_records else [],
+        columns=(times, sx, sy, sz, cluster.view(np.int8)),
     )
 
 
@@ -361,56 +453,57 @@ class _Sums:
 
 def run(
     config: ScenarioConfig, keep_records: bool = True, max_collisions: Optional[int] = None
-) -> tuple[RunSummary, list[TimeSeriesRecord]]:
+) -> tuple[RunSummary, Records]:
     """Simulate one scenario from t=0 to t=duration.
 
-    Emits one record per collision plus records on the uniform sampling grid
-    and at t=0 and t=duration.  An event drawn beyond the duration is not
-    processed.  ``max_collisions`` caps the number of processed events.
-    Collisions are scanned in blocks (see the module docstring); records,
-    summary and stream position equal those of a loop over :func:`step`.
+    Emits one row per collision plus rows on the uniform sampling grid and
+    at t=0 and t=duration, into a :class:`Records` store that stays empty
+    when ``keep_records`` is false.  An event drawn beyond the duration is
+    not processed.  ``max_collisions`` caps the number of processed events.
+    Collisions are scanned in blocks (see the module docstring): the rows of
+    phase-rejected collisions extend the columns by slices of the block, and
+    grid rows and the rows :func:`step` returns are appended field by field,
+    so no record object is built per row.  Rows, summary and stream position
+    equal those of a loop over :func:`step`.
     """
     state = initial_state(config)
     internal_radius = config.object.internal_radius
     interval = config.sample_interval
-    records: list[TimeSeriesRecord] = []
+    records = Records()
     next_sample = interval
 
-    def sample_record(t_sample: float, n_collisions: int) -> TimeSeriesRecord:
+    def sample(t_sample: float, n_collisions: int, keep: bool = keep_records) -> Vec3:
+        """The widths at a grid time; ``keep`` appends their row."""
         sigma = _widths_at(state.object_packet, t_sample, n_collisions, state.n_collapses)
-        return TimeSeriesRecord(
-            t=t_sample,
-            sigma=sigma,
-            n_collisions=n_collisions,
-            n_collapses=state.n_collapses,
-            regime=regime_for(sigma, internal_radius),
-            last_event=LastEvent.NONE,
-        )
+        if keep:
+            records._append(
+                t_sample, sigma, n_collisions, state.n_collapses,
+                min(sigma) < internal_radius, _NONE,
+            )
+        return sigma
 
     def emit_samples(t: float, n_collisions: int) -> None:
-        """Grid records before a collision at t; a grid point equal to t is skipped."""
+        """Grid rows before a collision at t; a grid point equal to t is skipped."""
         nonlocal next_sample
         while next_sample < t:
-            record = sample_record(next_sample, n_collisions)
-            if keep_records:
-                records.append(record)
+            sample(next_sample, n_collisions)
             next_sample += interval
         if next_sample == t:
             next_sample += interval
 
     def emit_rejected(block: _Block, lo: int, hi: int) -> None:
-        """Records of block collisions lo..hi-1, which did not fire."""
+        """Rows of block collisions lo..hi-1, which did not fire."""
         if keep_records:
             n0 = state.n_collisions
-            records.extend(map(
-                TimeSeriesRecord, block.times[lo:hi], block.sigmas[lo:hi],
-                range(n0 + lo + 1, n0 + hi + 1), repeat(state.n_collapses),
-                block.regimes[lo:hi], repeat(LastEvent.COLLISION_NO_COLLAPSE),
-            ))
+            t, sx, sy, sz, n_collisions, n_collapses, regime, last_event = records.columns()
+            # Copied as machine values, so the bits are those of the arrays.
+            for column, values in zip((t, sx, sy, sz, regime), block.columns):
+                column.frombytes(values[lo:hi].tobytes())
+            n_collisions.frombytes(np.arange(n0 + lo + 1, n0 + hi + 1, dtype=np.int64).tobytes())
+            n_collapses.extend(array("q", (state.n_collapses,)) * (hi - lo))
+            last_event.extend(array("b", (_NO_COLLAPSE,)) * (hi - lo))
 
-    initial = sample_record(0.0, 0)
-    if keep_records:
-        records.append(initial)
+    sample(0.0, 0)
     sums = _Sums(min_sigma=min(state.object_packet.sigma))
     budget_exhausted = False
     # The stream at state.position, reused while blocks follow each other.
@@ -425,7 +518,7 @@ def run(
                 break
         if rng.position != state.position:
             rng = RngState(config.seed, state.position)
-        block = _evaluate_block(state, config, rng, n, keep_records)
+        block = _evaluate_block(state, config, rng, n)
         times, n0 = block.times, state.n_collisions
         fired = False
         lo = 0
@@ -452,7 +545,7 @@ def run(
             )
             after, record = step(before, config)
             if keep_records:
-                records.append(record)
+                records._append_record(record)
             fired = record.last_event is LastEvent.COLLAPSE
             sums.add_collision(float(block.sigma_min[j]), fired, min(after.object_packet.sigma))
             lo = j + 1
@@ -473,26 +566,27 @@ def run(
             break
 
     emit_samples(config.duration, state.n_collisions)
-    final = sample_record(config.duration, state.n_collisions)
-    if keep_records and records[-1].t < config.duration:
-        records.append(final)
+    # No final row when a collision fell exactly on the duration.
+    final_sigma = sample(
+        config.duration, state.n_collisions, keep_records and records.t[-1] < config.duration
+    )
 
     summary = RunSummary(
         seed=config.seed,
         duration=config.duration,
         n_collisions=state.n_collisions,
         n_collapses=state.n_collapses,
-        final_sigma=final.sigma,
-        final_min_sigma=min(final.sigma),
-        min_sigma=min(sums.min_sigma, min(final.sigma)),
+        final_sigma=final_sigma,
+        final_min_sigma=min(final_sigma),
+        min_sigma=min(sums.min_sigma, min(final_sigma)),
         recovery_ratio_sum=sums.recovery_sum,
         recovery_samples=sums.recovery_samples,
         respread_sum=sums.respread_sum,
         respread_samples=sums.respread_samples,
         collapse_before_sum=sums.collapse_before_sum,
         collapse_after_sum=sums.collapse_after_sum,
-        localized=min(final.sigma) <= internal_radius,
-        final_regime=final.regime,
+        localized=min(final_sigma) <= internal_radius,
+        final_regime=regime_for(final_sigma, internal_radius),
         budget_exhausted=budget_exhausted,
         rng_position=state.position,
     )

@@ -3,61 +3,105 @@
 CSV columns: ``t_s,sigma_x_m,sigma_y_m,sigma_z_m,n_collisions,n_collapses,
 regime,last_event``.  Floats are written in scientific notation with 17
 significant digits, which round-trips every binary64 value exactly, so a
-written file parses back to bit-identical records.
+written file parses back to bit-identical records.  JSON is an array of
+objects with the same keys, as ``json.dump(..., indent=1)`` writes it.
+
+The writer formats the columns of a :class:`~collapsim.engine.Records` store
+``CHUNK_ROWS`` rows at a time with one ``%`` template per format and makes
+one ``sink.write`` per chunk; it builds no object per row.  The reader
+returns a list of :class:`~collapsim.engine.TimeSeriesRecord`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, Sequence
+import math
+from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
 
-from .engine import LastEvent, Regime, TimeSeriesRecord
+from .engine import LastEvent, Records, Regime, TimeSeriesRecord
 
 CSV_HEADER = "t_s,sigma_x_m,sigma_y_m,sigma_z_m,n_collisions,n_collapses,regime,last_event"
 
 FIELD_NAMES = tuple(CSV_HEADER.split(","))
+
+# Rows formatted per ``sink.write``.
+CHUNK_ROWS = 1024
+
+_CSV_ROW = "%.16e,%.16e,%.16e,%.16e,%d,%d,%s,%s\n"
+
+# One element of ``json.dump(rows, sink, indent=1)``, led by the separator
+# from the element before it.  ``%r`` writes a finite float as ``json`` does;
+# a store with a non-finite float is written with ``_JSON_ROW_TEXT``, its
+# floats first turned into ``json``'s tokens by ``_json_number``.
+_JSON_ROW = ",\n {\n%s\n }" % ",\n".join(
+    f'  "{name}": {spec}'
+    for name, spec in zip(FIELD_NAMES, ("%r",) * 4 + ("%d",) * 2 + ('"%s"',) * 2)
+)
+_JSON_ROW_TEXT = _JSON_ROW.replace("%r", "%s")
+
+_REGIME_NAMES = [regime.value for regime in Records.REGIMES]
+_EVENT_NAMES = [event.value for event in Records.EVENTS]
 
 
 class RecordWriteError(IOError):
     """Writing records failed; the sink may hold partial output."""
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".16e")
+def _json_number(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return repr(x)
 
 
-def _record_row(r: TimeSeriesRecord) -> str:
-    return (
-        f"{_fmt(r.t)},{_fmt(r.sigma[0])},{_fmt(r.sigma[1])},{_fmt(r.sigma[2])},"
-        f"{r.n_collisions},{r.n_collapses},{r.regime.value},{r.last_event.value}"
-    )
-
-
-def _record_obj(r: TimeSeriesRecord) -> dict:
-    return {
-        "t_s": r.t,
-        "sigma_x_m": r.sigma[0],
-        "sigma_y_m": r.sigma[1],
-        "sigma_z_m": r.sigma[2],
-        "n_collisions": r.n_collisions,
-        "n_collapses": r.n_collapses,
-        "regime": r.regime.value,
-        "last_event": r.last_event.value,
-    }
+def _chunks(
+    records: Records, row: str, number: Optional[Callable[[float], str]] = None
+) -> Iterator[str]:
+    """The rows of ``records`` formatted with the template ``row``, joined
+    ``CHUNK_ROWS`` at a time; ``number`` maps each float first."""
+    t, sx, sy, sz, n_collisions, n_collapses, regime, event = records.columns()
+    for lo in range(0, len(records), CHUNK_ROWS):
+        part = slice(lo, lo + CHUNK_ROWS)
+        floats = [column[part] for column in (t, sx, sy, sz)]
+        if number is not None:
+            floats = [map(number, column) for column in floats]
+        yield "".join(map(row.__mod__, zip(
+            *floats, n_collisions[part], n_collapses[part],
+            map(_REGIME_NAMES.__getitem__, regime[part]),
+            map(_EVENT_NAMES.__getitem__, event[part]),
+        )))
 
 
 def write_records(records: Sequence[TimeSeriesRecord], format: str, sink: IO[str]) -> None:
-    """Serialize time-ordered records to an open text sink."""
+    """Serialize time-ordered records to an open text sink.
+
+    ``records`` is a :class:`Records` store, or any sequence of records,
+    which is converted once.  Rows are formatted from the columns in chunks
+    of ``CHUNK_ROWS``, one ``sink.write`` each.  CSV floats take
+    ``%.16e``; JSON is byte for byte what ``json.dump(rows, sink, indent=1)``
+    writes for the rows as objects, followed by a newline.
+    """
+    if format not in ("csv", "json"):
+        raise ValueError(f"unknown record format {format!r}")
+    if not isinstance(records, Records):
+        records = Records.from_rows(records)
     try:
         if format == "csv":
             sink.write(CSV_HEADER + "\n")
-            for r in records:
-                sink.write(_record_row(r) + "\n")
-        elif format == "json":
-            json.dump([_record_obj(r) for r in records], sink, indent=1)
-            sink.write("\n")
+            for text in _chunks(records, _CSV_ROW):
+                sink.write(text)
+            return
+        # A finite sum means finite terms; a sum that overflows only takes the
+        # slower path, which writes finite floats the same way.
+        if all(math.isfinite(sum(column)) for column in records.columns()[:4]):
+            chunks = _chunks(records, _JSON_ROW)
         else:
-            raise ValueError(f"unknown record format {format!r}")
+            chunks = _chunks(records, _JSON_ROW_TEXT, _json_number)
+        for i, text in enumerate(chunks):
+            # The first element takes the opening bracket for its separator.
+            sink.write(text if i else "[" + text[1:])
+        sink.write("\n]\n" if records else "[]\n")
     except OSError as exc:
         raise RecordWriteError(
             f"failed while writing records ({exc}); output may be partial"

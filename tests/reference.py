@@ -1,7 +1,9 @@
 """Test reference: the model's closed-form laws, written from the paper.
 
 Each function states one law in plain Python, for the tests to check the
-engine's functions against.  The module imports nothing from ``collapsim``
+engine's functions against.  ``reference_write`` is the record writer in its
+plainest form: one formatted line per CSV row, and ``json.dump`` of the rows
+as objects.  The module imports nothing from ``collapsim``
 but its physical constants, so a fault in an engine formula cannot reach
 the reference (``tests/test_reference.py`` checks the imports).
 
@@ -11,6 +13,7 @@ engine's order of operations: squares as ``q * q``, the product width as
 excursions.
 """
 
+import json
 import math
 
 from collapsim.constants import FINE_STRUCTURE, HBAR
@@ -90,3 +93,28 @@ def spread(sigma0, mass, dt):
 def drift(center0, velocity, dt):
     """Center of a packet a time dt after it was at center0."""
     return tuple(c + v * dt for c, v in zip(center0, velocity))
+
+
+CSV_HEADER = "t_s,sigma_x_m,sigma_y_m,sigma_z_m,n_collisions,n_collapses,regime,last_event"
+
+
+def reference_write(records, fmt, sink):
+    """Write time-series rows as CSV, floats to 17 significant digits, or as
+    ``json.dump`` of a list of objects keyed by the CSV column names."""
+    if fmt == "csv":
+        sink.write(CSV_HEADER + "\n")
+        for r in records:
+            floats = ",".join(format(x, ".16e") for x in (r.t, *r.sigma))
+            sink.write(
+                f"{floats},{r.n_collisions},{r.n_collapses},{r.regime.value},{r.last_event.value}\n"
+            )
+    elif fmt == "json":
+        names = CSV_HEADER.split(",")
+        values = (
+            (r.t, *r.sigma, r.n_collisions, r.n_collapses, r.regime.value, r.last_event.value)
+            for r in records
+        )
+        json.dump([dict(zip(names, v)) for v in values], sink, indent=1)
+        sink.write("\n")
+    else:
+        raise ValueError(f"unknown record format {fmt!r}")

@@ -281,6 +281,40 @@ class TestSweepCommand:
         for problem in ("--values -1:", "--values nan:", "--values inf:", "--replicas "):
             assert any(line.startswith(f"error: {problem}") for line in lines), problem
 
+    def test_json_format_refused(self, capsys):
+        code = run_cli(
+            ["sweep", "--scenario", "tpp", "--axis", "mass", "--values", "1e-20",
+             "--replicas", "1", "--duration-s", "1e-4", "--format", "json"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --format json: the sweep table is CSV\n"
+
+    def test_json_format_listed_with_other_problems(self, capsys):
+        code = run_cli(
+            ["sweep", "--scenario", "tpp", "--axis", "mass", "--values", "-1",
+             "--seed", "-1", "--format", "json"]
+        )
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 3
+        for problem in ("--seed -1:", "--values -1:", "--format json:"):
+            assert any(line.startswith(f"error: {problem}") for line in lines), problem
+
+    def test_document_output_format_does_not_change_the_table(self, tmp_path):
+        doc = to_document(preset("tpp"))
+        doc["output_format"] = "json"
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            ["sweep", "--config", str(cfg_path), "--axis", "mass", "--values", "1e-20",
+             "--replicas", "1", "--duration-s", "1e-4", "--output", str(out)]
+        )
+        assert code == 0
+        assert out.read_text().startswith("value,mean_recovery_ratio,")
+
 
 class TestSelftestCommand:
     def test_fast_selftest_passes(self, capsys):

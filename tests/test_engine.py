@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from collapsim import (
     EnvironmentSpec,
     LastEvent,
     ObjectSpec,
+    Records,
     Regime,
     RngState,
     RunSummary,
@@ -646,3 +648,84 @@ class TestBlockMatchesStep:
                 run(cfg, keep_records=False)
             assert str(got.value) == str(expected.value)
             assert "collisions=0," not in str(got.value)
+
+
+class TestRecords:
+    @pytest.fixture(scope="class")
+    def stored(self):
+        """A run's store and the ``step`` loop's list of the same rows: grid
+        rows, rejects and firings in both regimes."""
+        config = replace(BLOCK_CONFIGS["light_crossing"][0], seed=1)
+        _, records = run(config)
+        _, expected = reference_run(config)
+        assert {r.last_event for r in expected} == set(LastEvent)
+        assert {r.regime for r in expected} == set(Regime)
+        return records, expected
+
+    def test_equals_step_loop_list(self, stored):
+        records, expected = stored
+        assert isinstance(records, Records)
+        assert len(records) == len(expected)
+        assert records == expected
+        assert expected == records
+        assert list(records) == expected
+
+    def test_indexing(self, stored):
+        records, expected = stored
+        n = len(expected)
+        for i in (0, 1, n // 2, n - 1, -1, -2, -n):
+            assert records[i] == expected[i]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                records[i]
+
+    def test_slicing(self, stored):
+        records, expected = stored
+        for part in (slice(2, 40), slice(None, None, -3), slice(-10, None), slice(5, 5)):
+            sliced = records[part]
+            assert isinstance(sliced, Records)
+            assert sliced == expected[part]
+            assert list(sliced) == expected[part]
+
+    def test_from_rows_round_trip(self, stored):
+        records, expected = stored
+        rebuilt = Records.from_rows(expected)
+        assert rebuilt == records
+        assert rebuilt.columns() == records.columns()
+        assert Records.from_rows(records) == records
+        assert Records.from_rows([]) == [] and len(Records()) == 0
+
+    def test_unequal_rows(self, stored):
+        records, expected = stored
+        changed = list(expected)
+        changed[-1] = replace(changed[-1], n_collapses=changed[-1].n_collapses + 1)
+        assert records != changed
+        assert records != expected[:-1]
+        assert records != Records.from_rows(changed)
+        assert records != object()
+
+    def test_fields_are_python_numbers(self):
+        _, records = run(generic_document_config(2e-3))
+        assert records
+        for r in records:
+            assert type(r.t) is float
+            assert all(type(s) is float for s in r.sigma)
+            assert type(r.n_collisions) is int and type(r.n_collapses) is int
+            assert isinstance(r.regime, Regime) and isinstance(r.last_event, LastEvent)
+
+    def test_store_is_empty_without_records(self):
+        _, records = run(replace(preset("tpp"), duration=1e-3), keep_records=False)
+        assert isinstance(records, Records) and len(records) == 0
+
+
+def test_record_memory_per_row():
+    # A row is 50 bytes of typed columns; a record object per row took
+    # about 290 bytes at peak.
+    tracemalloc.start()
+    try:
+        _, records = run(replace(preset("tpp"), seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) > 40_000
+    assert peak / len(records) <= 100.0

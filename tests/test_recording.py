@@ -1,17 +1,27 @@
 import io
+import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapsim import (
     LastEvent,
     RecordWriteError,
+    Records,
     Regime,
     TimeSeriesRecord,
+    preset,
     read_records,
+    run,
     write_records,
 )
-from collapsim.recording import CSV_HEADER
+from collapsim import recording
+from collapsim.recording import CHUNK_ROWS, CSV_HEADER
+from reference import reference_write
 
 
 def random_records(n: int, seed: int = 0) -> list[TimeSeriesRecord]:
@@ -115,3 +125,88 @@ class TestErrors:
 
         with pytest.raises(RecordWriteError, match="partial"):
             write_records(random_records(5), "csv", FailingSink())
+
+
+# Values whose formatting differs most between writers: signed zeros, the
+# smallest subnormal, the largest decades, and the non-finite values.
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0, math.inf, -math.inf, math.nan)
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+counts = st.integers(0, 2**63 - 1)
+rows = st.builds(
+    TimeSeriesRecord,
+    t=floats,
+    sigma=st.tuples(floats, floats, floats),
+    n_collisions=counts,
+    n_collapses=counts,
+    regime=st.sampled_from(Regime),
+    last_event=st.sampled_from(LastEvent),
+)
+
+
+@st.composite
+def record_lists(draw):
+    """Up to 12 rows, drawn from a small pool so that widths and whole rows
+    repeat."""
+    pool = draw(st.lists(rows, min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), max_size=12))
+
+
+def edge_rows(n):
+    """``n`` rows whose floats cycle through the edge values."""
+    e, k = EDGE_FLOATS, len(EDGE_FLOATS)
+    return [
+        TimeSeriesRecord(
+            e[i % k], (e[(i + 1) % k], e[(i + 3) % k], e[(i + 7) % k]),
+            i, i // 3, tuple(Regime)[i % 2], tuple(LastEvent)[i % 3],
+        )
+        for i in range(n)
+    ]
+
+
+def written(write, records, fmt) -> str:
+    sink = io.StringIO()
+    write(records, fmt, sink)
+    return sink.getvalue()
+
+
+class TestMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(records=record_lists(), fmt=st.sampled_from(("csv", "json")),
+           chunk=st.sampled_from((1, 2, 3, 5, CHUNK_ROWS)))
+    def test_bytes_equal_reference_writer(self, records, fmt, chunk):
+        # Small chunks put 0, 1, chunk - 1, chunk and chunk + 1 rows within
+        # reach of short lists.
+        expected = written(reference_write, records, fmt)
+        with mock.patch.object(recording, "CHUNK_ROWS", chunk):
+            assert written(write_records, records, fmt) == expected
+            assert written(write_records, Records.from_rows(records), fmt) == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    def test_chunk_boundaries_equal_reference_writer(self, fmt, n):
+        records = edge_rows(n)
+        expected = written(reference_write, records, fmt)
+        assert written(write_records, records, fmt) == expected
+        assert written(write_records, Records.from_rows(records), fmt) == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_run_store_equals_reference_writer(self, fmt):
+        _, records = run(replace(preset("tpp"), seed=2, duration=3e-3))
+        assert len(records) > 2 * CHUNK_ROWS
+        assert written(write_records, records, fmt) == written(reference_write, records, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 1])
+    def test_one_write_per_chunk(self, fmt, n):
+        class CountingSink(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        sink = CountingSink()
+        write_records(random_records(n), fmt, sink)
+        # CSV: the header, then the chunks.  JSON: the chunks, then the
+        # closing bracket (or the whole empty array).
+        assert sink.writes == 1 + math.ceil(n / CHUNK_ROWS)
