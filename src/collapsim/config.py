@@ -22,8 +22,8 @@ OUTPUT_FORMATS = ("csv", "json")
 RANDOM_ALPHA = "random"
 
 # Largest sampling grid a run may ask for: duration / sample_interval rows.
-# Each row is a record (about 290 bytes when kept) and a width readout, so a
-# larger grid would run for minutes and could exhaust memory.
+# Each row is a width readout and, when kept, about 58 bytes of record
+# columns, so a larger grid would run for minutes and could exhaust memory.
 MAX_SAMPLE_ROWS = 10**7
 
 

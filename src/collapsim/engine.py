@@ -1,13 +1,14 @@
 """Event-driven simulation loop.
 
-The object is held as one packet at its waist, the state of its last
-contraction (or of t=0).  Free spreading is analytic, so stepping jumps from
-collision to collision and reads the widths out from the waist.  Each
-encounter is decided on plain values: the readout widths and the drawn
-offset, width and phase constant of the environment packet.  The offset is
-relative to the object, so its absolute position never enters the decision.
-A collision that does not fire changes only the counters; a firing one
-builds the new waist.
+Between collapses the object is fixed by its waist: the time of its last
+contraction (or t=0), its center and widths there, and its phase constant.
+Free spreading is analytic, so stepping jumps from collision to collision
+and reads the widths out from the waist; mass and velocity are read from
+the config.  Each encounter is decided on plain values: the readout widths
+and the drawn offset, width and phase constant of the environment packet.
+The offset is relative to the object, so its absolute position never enters
+the decision.  A collision that does not fire changes only the counters; a
+firing one sets the new waist.
 
 A state holds plain values: the time, the waist, the counters and the
 position of the seeded stream.  The seed and every other input stay in the
@@ -71,7 +72,7 @@ from .constants import PHASE_ACCEPTANCE_PROBABILITY
 from .contraction import product_support
 from .criterion import criterion_fires, phase_clause_batch
 from .environment import COLLISION_WORDS, RngState, draw_collision_block, draw_phase, next_collision
-from .packets import GaussianPacket, Vec3, evolve_free, spread_widths
+from .packets import Vec3, spread_widths
 
 
 class Regime(enum.Enum):
@@ -93,14 +94,19 @@ class EngineError(RuntimeError):
 class SimState:
     """Simulation state at time ``t`` of the run of one config.
 
-    ``object_packet`` is the object's waist, its packet at the last collapse
-    (or at t=0); ``evolve_free(object_packet, t)`` reads the object out at t.
-    ``position`` counts the words of the seeded stream consumed so far:
+    ``t_ref``, ``center``, ``sigma`` and ``alpha`` are the object's waist:
+    the time of the last collapse (or 0), the center and widths at that
+    time, and the phase constant.  The widths at t are
+    ``spread_widths(sigma, config.object.mass, t - t_ref)``.  ``position``
+    counts the words of the seeded stream consumed so far:
     ``RngState(config.seed, position)`` draws the next collision.
     """
 
     t: float
-    object_packet: GaussianPacket
+    t_ref: float
+    center: Vec3
+    sigma: Vec3
+    alpha: float
     n_collisions: int
     n_collapses: int
     position: int
@@ -227,30 +233,32 @@ def initial_state(config: ScenarioConfig) -> SimState:
         alpha, position = draw_phase(RngState(config.seed)), 1
     else:
         alpha, position = config.initial_alpha, 0
-    packet = GaussianPacket(
-        center=(0.0, 0.0, 0.0),
-        sigma=config.initial_sigma,
-        velocity=(config.object.v0, 0.0, 0.0),
-        mass=config.object.mass,
-        alpha=alpha,
-        t_ref=0.0,
+    return SimState(0.0, 0.0, (0.0, 0.0, 0.0), config.initial_sigma, alpha, 0, 0, position)
+
+
+def _state_error(t: float, n_collisions: int, n_collapses: int, problem) -> EngineError:
+    return EngineError(
+        f"non-finite state at t={t} "
+        f"(collisions={n_collisions}, collapses={n_collapses}): {problem}"
     )
-    return SimState(t=0.0, object_packet=packet, n_collisions=0, n_collapses=0, position=position)
 
 
-def _widths_at(waist: GaussianPacket, t: float, n_collisions: int, n_collapses: int) -> Vec3:
-    """Object widths at time t, read out from the waist; the counters go
-    into the error message."""
+def _checked(sigma: Vec3, t: float, n_collisions: int, n_collapses: int) -> Vec3:
+    """``sigma`` if every width is positive and finite, else EngineError
+    naming t and the counters: the engine's one width check."""
+    if all(0.0 < s < math.inf for s in sigma):
+        return sigma
+    raise _state_error(t, n_collisions, n_collapses, f"widths {sigma} are not positive and finite")
+
+
+def _widths_at(state: SimState, mass: float, t: float, n_collisions: int) -> Vec3:
+    """Object widths at time t, read out from the waist of ``state``;
+    ``n_collisions`` goes into the error message."""
     try:
-        sigma = spread_widths(waist.ref_sigma, waist.mass, t - waist.t_ref)
-        if not all(0.0 < s < math.inf for s in sigma):
-            raise OverflowError(f"widths {sigma} are not positive and finite")
-    except ArithmeticError as exc:
-        raise EngineError(
-            f"non-finite state at t={t} "
-            f"(collisions={n_collisions}, collapses={n_collapses}): {exc}"
-        ) from exc
-    return sigma
+        sigma = spread_widths(state.sigma, mass, t - state.t_ref)
+    except ArithmeticError as exc:  # a width whose square underflows to 0
+        raise _state_error(t, n_collisions, state.n_collapses, exc) from exc
+    return _checked(sigma, t, n_collisions, state.n_collapses)
 
 
 def step(state: SimState, config: ScenarioConfig) -> tuple[SimState, TimeSeriesRecord]:
@@ -267,43 +275,34 @@ def step(state: SimState, config: ScenarioConfig) -> tuple[SimState, TimeSeriesR
     event = next_collision(rng, config.environment, state.t)
     if event is None:
         raise ValueError("step requires a positive collision rate")
-    waist = state.object_packet
     spec = config.object
-    sigma = _widths_at(waist, event.time, state.n_collisions, state.n_collapses)
+    t = event.time
+    sigma = _widths_at(state, spec.mass, t, state.n_collisions)
     cluster = min(sigma) < spec.internal_radius
-    alpha = waist.alpha
+    alpha = state.alpha
     if cluster:
         alphas = spec.cluster_alphas
         alpha = alphas[min(int(event.pick * len(alphas)), len(alphas) - 1)]
-    n_collapses = state.n_collapses
-    last_event = LastEvent.COLLISION_NO_COLLAPSE
-    if criterion_fires(alpha, event.alpha, sigma, event.sigma, event.offset):
-        readout = evolve_free(waist, event.time)
-        env_center = tuple(c + o for c, o in zip(readout.center, event.offset))
-        center, sigma = product_support(readout.center, readout.sigma, env_center, event.sigma)
-        if cluster and config.cluster_eta != 1.0:
-            sigma = damped_sigma(readout.sigma, sigma, config.cluster_eta)
-        alpha = draw_phase(rng) if config.redraw_alpha_after_collapse else waist.alpha
-        waist = GaussianPacket(
-            center=center,
-            sigma=sigma,
-            velocity=waist.velocity,
-            mass=waist.mass,
-            alpha=alpha,
-            t_ref=event.time,
-        )
-        n_collapses += 1
-        last_event = LastEvent.COLLAPSE
-
     n_collisions = state.n_collisions + 1
-    new_state = SimState(event.time, waist, n_collisions, n_collapses, rng.position)
+    if criterion_fires(alpha, event.alpha, sigma, event.sigma, event.offset):
+        # The center drifts at (v0, 0, 0) from the waist.
+        dt = t - state.t_ref
+        center = tuple(c + v * dt for c, v in zip(state.center, (spec.v0, 0.0, 0.0)))
+        env_center = tuple(c + o for c, o in zip(center, event.offset))
+        center, contracted = product_support(center, sigma, env_center, event.sigma)
+        if cluster and config.cluster_eta != 1.0:
+            contracted = damped_sigma(sigma, contracted, config.cluster_eta)
+        n_collapses = state.n_collapses + 1
+        sigma = _checked(contracted, t, n_collisions, n_collapses)
+        alpha = draw_phase(rng) if config.redraw_alpha_after_collapse else state.alpha
+        new_state = SimState(t, t, center, sigma, alpha, n_collisions, n_collapses, rng.position)
+        last_event = LastEvent.COLLAPSE
+    else:
+        new_state = replace(state, t=t, n_collisions=n_collisions, position=rng.position)
+        last_event = LastEvent.COLLISION_NO_COLLAPSE
     record = TimeSeriesRecord(
-        t=event.time,
-        sigma=sigma,
-        n_collisions=n_collisions,
-        n_collapses=n_collapses,
-        regime=regime_for(sigma, spec.internal_radius),
-        last_event=last_event,
+        t, sigma, n_collisions, new_state.n_collapses,
+        regime_for(sigma, spec.internal_radius), last_event,
     )
     return new_state, record
 
@@ -387,18 +386,17 @@ class _Block:
 def _evaluate_block(state: SimState, config: ScenarioConfig, rng: RngState, n: int) -> _Block:
     """Draw the next ``n`` collisions of ``state`` from ``rng``, which stands
     at ``state.position``, and evaluate them."""
-    waist = state.object_packet
     start = rng.position
     gaps, env_alpha, pick = draw_collision_block(rng, config.environment, n)
     times = np.cumsum(np.concatenate(((state.t,), gaps)))[1:]
     with np.errstate(all="ignore"):
-        sx, sy, sz = spread_widths(waist.ref_sigma, waist.mass, times - waist.t_ref)
+        sx, sy, sz = spread_widths(state.sigma, config.object.mass, times - state.t_ref)
     sigma_min = np.minimum(np.minimum(sx, sy), sz)
     finite = (sigma_min > 0.0) & (np.maximum(np.maximum(sx, sy), sz) < math.inf)
     cluster = sigma_min < config.object.internal_radius
     alphas = np.array(config.object.cluster_alphas)
     picked = np.minimum((pick * len(alphas)).astype(np.intp), len(alphas) - 1)
-    alpha = np.where(cluster, alphas[picked], waist.alpha)
+    alpha = np.where(cluster, alphas[picked], state.alpha)
     scalar = phase_clause_batch(alpha, env_alpha) | ~finite
     # The block ends before the first collision past the duration.
     end = int(np.searchsorted(times, config.duration, side="right"))
@@ -467,14 +465,14 @@ def run(
     equal those of a loop over :func:`step`.
     """
     state = initial_state(config)
-    internal_radius = config.object.internal_radius
+    mass, internal_radius = config.object.mass, config.object.internal_radius
     interval = config.sample_interval
     records = Records()
     next_sample = interval
 
     def sample(t_sample: float, n_collisions: int, keep: bool = keep_records) -> Vec3:
         """The widths at a grid time; ``keep`` appends their row."""
-        sigma = _widths_at(state.object_packet, t_sample, n_collisions, state.n_collapses)
+        sigma = _widths_at(state, mass, t_sample, n_collisions)
         if keep:
             records._append(
                 t_sample, sigma, n_collisions, state.n_collapses,
@@ -504,7 +502,7 @@ def run(
             last_event.extend(array("b", (_NO_COLLAPSE,)) * (hi - lo))
 
     sample(0.0, 0)
-    sums = _Sums(min_sigma=min(state.object_packet.sigma))
+    sums = _Sums(min_sigma=min(state.sigma))
     budget_exhausted = False
     # The stream at state.position, reused while blocks follow each other.
     rng = RngState(config.seed, state.position)
@@ -547,7 +545,7 @@ def run(
             if keep_records:
                 records._append_record(record)
             fired = record.last_event is LastEvent.COLLAPSE
-            sums.add_collision(float(block.sigma_min[j]), fired, min(after.object_packet.sigma))
+            sums.add_collision(float(block.sigma_min[j]), fired, min(after.sigma))
             lo = j + 1
             if fired:
                 state = after

@@ -9,16 +9,18 @@ objects with the same keys, as ``json.dump(..., indent=1)`` writes it.
 The writer formats the columns of a :class:`~collapsim.engine.Records` store
 ``CHUNK_ROWS`` rows at a time with one ``%`` template per format and makes
 one ``sink.write`` per chunk; it builds no object per row.  The reader
-returns a list of :class:`~collapsim.engine.TimeSeriesRecord`.
+fills a :class:`~collapsim.engine.Records` store column by column.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import cache
+from itertools import islice
 from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
 
-from .engine import LastEvent, Records, Regime, TimeSeriesRecord
+from .engine import _EVENT_CODES, _REGIME_CODES, LastEvent, Records, Regime, TimeSeriesRecord
 
 CSV_HEADER = "t_s,sigma_x_m,sigma_y_m,sigma_z_m,n_collisions,n_collapses,regime,last_event"
 
@@ -41,6 +43,14 @@ _JSON_ROW_TEXT = _JSON_ROW.replace("%r", "%s")
 
 _REGIME_NAMES = [regime.value for regime in Records.REGIMES]
 _EVENT_NAMES = [event.value for event in Records.EVENTS]
+
+
+# Per column, a text or JSON field to its column item.  ``Regime(name)`` and
+# ``LastEvent(name)`` refuse an unknown name; a known one is looked up once.
+_PARSERS = (float,) * 4 + (int,) * 2 + (
+    cache(lambda name: _REGIME_CODES[Regime(name)]),
+    cache(lambda name: _EVENT_CODES[LastEvent(name)]),
+)
 
 
 class RecordWriteError(IOError):
@@ -108,34 +118,24 @@ def write_records(records: Sequence[TimeSeriesRecord], format: str, sink: IO[str
         ) from exc
 
 
-def _from_fields(t, sx, sy, sz, ncoll, ncolp, regime, last_event) -> TimeSeriesRecord:
-    return TimeSeriesRecord(
-        t=float(t),
-        sigma=(float(sx), float(sy), float(sz)),
-        n_collisions=int(ncoll),
-        n_collapses=int(ncolp),
-        regime=Regime(regime),
-        last_event=LastEvent(last_event),
-    )
-
-
-def read_records(source: IO[str], format: str) -> list[TimeSeriesRecord]:
-    """Parse records previously produced by :func:`write_records`."""
+def read_records(source: IO[str], format: str) -> Records:
+    """Parse records previously produced by :func:`write_records` into a
+    :class:`Records` store, appending each row's fields to the columns."""
     if format == "csv":
         lines: Iterable[str] = (line.rstrip("\n") for line in source)
         header = next(iter(lines), None)
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
-        out = []
-        for line in lines:
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 8:
-                raise ValueError(f"malformed CSV row: {line!r}")
-            out.append(_from_fields(*parts))
-        return out
-    if format == "json":
-        doc = json.load(source)
-        return [_from_fields(*(obj[name] for name in FIELD_NAMES)) for obj in doc]
-    raise ValueError(f"unknown record format {format!r}")
+        rows: Iterable = (line.split(",") for line in lines if line)
+    elif format == "json":
+        rows = ([obj[name] for name in FIELD_NAMES] for obj in json.load(source))
+    else:
+        raise ValueError(f"unknown record format {format!r}")
+    records = Records()
+    for chunk in iter(lambda: list(islice(rows, CHUNK_ROWS)), []):
+        for row in chunk:
+            if len(row) != 8:
+                raise ValueError(f"malformed CSV row: {','.join(row)!r}")
+        for column, values, parse in zip(records.columns(), zip(*chunk), _PARSERS):
+            column.extend(map(parse, values))
+    return records

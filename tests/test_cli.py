@@ -171,6 +171,39 @@ class TestValidationFailures:
         assert "error: --duration-s " in capsys.readouterr().err
 
 
+# The first contraction multiplies two widths near 1e-165 and underflows to 0.
+UNDERFLOW_DOCUMENT = {
+    "mass_kg": 1e300, "internal_radius_m": 1e-100, "v0_m_per_s": 0.0,
+    "cluster_alphas_rad": [0.0], "initial_sigma_m": 1e-160, "initial_alpha_rad": 0.0,
+    "collision_rate_hz": 1e6, "env_sigma_m": 1e-170, "duration_s": 0.01, "seed": 1,
+    "sample_interval_s": 0.001, "cluster_eta": 1.0,
+}
+
+
+class TestEngineFailure:
+    @pytest.fixture
+    def underflow(self, tmp_path):
+        path = tmp_path / "underflow.json"
+        path.write_text(json.dumps(UNDERFLOW_DOCUMENT))
+        return path
+
+    def test_underflowing_contraction_exits_1(self, underflow, tmp_path, capsys):
+        code = run_cli(["run", "--config", str(underflow), "--output", str(tmp_path / "x.csv")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: non-finite state at t=")
+
+    def test_sweep_row_counts_failed_replicas(self, underflow, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            ["sweep", "--config", str(underflow), "--axis", "mass", "--values", "1e300",
+             "--replicas", "2", "--output", str(out)]
+        )
+        assert code == 0
+        row = out.read_text().splitlines()[1]
+        assert ",2,error: 2/2 replicas failed: non-finite state at t=" in row
+
+
 OVERRIDE_FLAGS = ("--seed", "--duration-s", "--rate-hz", "--eta", "--format", "--output")
 FLAG_VALUES = st.one_of(
     st.floats().map(repr),

@@ -94,10 +94,9 @@ class TestProductGaussian:
 class TestApplyCollapse:
     def test_identical_packets_contract_by_sqrt2(self):
         before, after = first_collapse(heavy_object_config())
-        waist = after.object_packet
-        for sp in waist.sigma:
+        for sp in after.sigma:
             assert sp == pytest.approx(2e-10 / math.sqrt(2.0), rel=1e-12)
-        assert waist.t_ref == after.t > before.t
+        assert after.t_ref == after.t > before.t
         assert after.n_collapses == before.n_collapses + 1
 
     def test_localizes_to_narrow_partner(self):
@@ -113,9 +112,8 @@ class TestApplyCollapse:
             environment=EnvironmentSpec(collision_rate=1e6, env_sigma=2e-9, impact_spread=1e-9),
         )
         before, after = first_collapse(config)
-        old, new = before.object_packet, after.object_packet
-        assert (new.alpha, new.mass, new.velocity) == (old.alpha, old.mass, old.velocity)
-        assert new.t_ref == after.t
+        assert after.alpha == before.alpha
+        assert after.t_ref == after.t
 
     @given(packets(), packets(), st.floats(1e-6, 1.0))
     def test_monotone_contraction(self, p1, p2, eta):

@@ -9,6 +9,7 @@ import pytest
 from collapsim import (
     EngineError,
     EnvironmentSpec,
+    GaussianPacket,
     LastEvent,
     ObjectSpec,
     Records,
@@ -17,7 +18,6 @@ from collapsim import (
     RunSummary,
     ScenarioConfig,
     TimeSeriesRecord,
-    evolve_free,
     next_collision,
     parse_config,
     preset,
@@ -33,6 +33,18 @@ from collapsim.packets import spread_widths
 import reference
 
 TWO_PI = 2.0 * math.pi
+
+# The first contraction multiplies two widths near 1e-165 and underflows to 0.
+UNDERFLOW_CONFIG = ScenarioConfig(
+    object=ObjectSpec(mass=1e300, internal_radius=1e-100, v0=0.0, cluster_alphas=(0.0,)),
+    initial_sigma=1e-160,
+    initial_alpha=0.0,
+    environment=EnvironmentSpec(collision_rate=1e6, env_sigma=1e-170),
+    duration=0.01,
+    seed=1,
+    sample_interval=1e-3,
+    cluster_eta=1.0,
+)
 
 
 def micro_config(**overrides) -> ScenarioConfig:
@@ -69,7 +81,7 @@ class TestStep:
             if record.last_event is LastEvent.COLLAPSE:
                 break
         assert record.last_event is LastEvent.COLLAPSE
-        assert state.object_packet.sigma[0] == pytest.approx(1e-10, rel=1e-6)
+        assert state.sigma[0] == pytest.approx(1e-10, rel=1e-6)
 
     def test_firing_never_widens(self):
         cfg = micro_config()
@@ -78,7 +90,9 @@ class TestStep:
             pre_state = state
             state, record = step(state, cfg)
             if record.last_event is LastEvent.COLLAPSE:
-                pre_sigma = evolve_free(pre_state.object_packet, record.t).sigma
+                pre_sigma = reference.spread(
+                    pre_state.sigma, cfg.object.mass, record.t - pre_state.t_ref
+                )
                 assert all(s <= p for s, p in zip(record.sigma, pre_sigma))
                 return
         pytest.fail("no collapse observed")
@@ -185,9 +199,8 @@ class TestRun:
         cfg = micro_config(duration=1e-3, sample_interval=1e-4, seed=6)
         _, records = run(cfg)
         # replay each sampled record from the previous collapse analytically
-        packet = initial_state(cfg).object_packet
         last_collapse_t = 0.0
-        sigma_at_collapse = packet.sigma
+        sigma_at_collapse = initial_state(cfg).sigma
         mass = cfg.object.mass
         for r in records:
             if r.last_event is LastEvent.COLLAPSE:
@@ -260,13 +273,21 @@ class TestRun:
         with pytest.raises(EngineError, match="non-finite state"):
             run(cfg)
 
+    def test_contraction_underflow_reported(self):
+        state = initial_state(UNDERFLOW_CONFIG)
+        with pytest.raises(EngineError, match=r"collapses=1\): widths \(0\.0, 0\.0, 0\.0\)"):
+            for _ in range(100_000):
+                state, _ = step(state, UNDERFLOW_CONFIG)
+        with pytest.raises(EngineError, match="non-finite state at t="):
+            run(UNDERFLOW_CONFIG)
+
     def test_random_initial_alpha_drawn_from_seed(self):
         cfg = micro_config(initial_alpha="random", seed=19, duration=1e-5)
         s1, _ = run(cfg)
         s2, _ = run(cfg)
         assert s1 == s2
         state = initial_state(cfg)
-        assert 0.0 <= state.object_packet.alpha < TWO_PI
+        assert 0.0 <= state.alpha < TWO_PI
         assert state.position == 1
 
 
@@ -299,7 +320,7 @@ class TestClusterRegime:
             seed=23,
         )
         state = initial_state(cfg)
-        assert min(state.object_packet.sigma) < cfg.object.internal_radius  # cluster regime
+        assert min(state.sigma) < cfg.object.internal_radius  # cluster regime
         for _ in range(100_000):
             state, record = step(state, cfg)
             if record.last_event is LastEvent.COLLAPSE:
@@ -308,7 +329,7 @@ class TestClusterRegime:
             pytest.fail("no collapse observed")
         # undamped would give 1e-9/sqrt(2); eta=0.5 gives the geometric mean
         expected = 1e-9 * (1.0 / math.sqrt(2.0)) ** 0.5
-        assert state.object_packet.sigma[0] == pytest.approx(expected, rel=1e-9)
+        assert state.sigma[0] == pytest.approx(expected, rel=1e-9)
 
 
 class TestEnsemble:
@@ -345,6 +366,12 @@ class TestEnsemble:
         ensemble = run_ensemble(replace(cfg, seed=5), 2)
         assert len(ensemble.failures) == 2
         assert {seed for seed, _ in ensemble.failures} == {5, 6}
+
+    def test_contraction_underflow_listed_per_replica(self):
+        ensemble = run_ensemble(UNDERFLOW_CONFIG, 2)
+        assert [seed for seed, _ in ensemble.failures] == [1, 2]
+        assert all("widths (0.0, 0.0, 0.0)" in message for _, message in ensemble.failures)
+        assert ensemble.replicas == ()
 
     def test_replicas_required(self):
         with pytest.raises(ValueError):
@@ -387,23 +414,22 @@ def rebuild_collision(cfg: ScenarioConfig, state):
     """
     rng = RngState(cfg.seed, state.position)
     event = next_collision(rng, cfg.environment, state.t)
-    waist = state.object_packet
-    dt = event.time - waist.t_ref
-    sigma = reference.spread(waist.ref_sigma, waist.mass, dt)
-    center = reference.drift(waist.ref_center, waist.velocity, dt)
+    dt = event.time - state.t_ref
+    sigma = reference.spread(state.sigma, cfg.object.mass, dt)
+    center = reference.drift(state.center, (cfg.object.v0, 0.0, 0.0), dt)
     cluster = min(sigma) < cfg.object.internal_radius
-    alpha = waist.alpha
+    alpha = state.alpha
     if cluster:
         alphas = cfg.object.cluster_alphas
         alpha = alphas[min(int(event.pick * len(alphas)), len(alphas) - 1)]
     # The impact offset is drawn relative to the object.
     if not reference.fires(alpha, event.alpha, sigma, event.sigma, event.offset):
-        return False, sigma, center, waist.alpha, rng.position
+        return False, sigma, center, state.alpha, rng.position
     env_center = tuple(c + o for c, o in zip(center, event.offset))
     center_p, sigma_p = reference.product(center, sigma, env_center, event.sigma)
     if cluster and cfg.cluster_eta != 1.0:
         sigma_p = reference.damped(sigma, sigma_p, cfg.cluster_eta)
-    alpha_after = TWO_PI * rng.uniform() if cfg.redraw_alpha_after_collapse else waist.alpha
+    alpha_after = TWO_PI * rng.uniform() if cfg.redraw_alpha_after_collapse else state.alpha
     return True, sigma_p, center_p, alpha_after, rng.position
 
 
@@ -449,17 +475,48 @@ class TestLeanLoopMatchesPacketApi:
                 assert new_state.position == position
                 if fires:
                     fired += 1
-                    assert new_state.object_packet.sigma == sigma
-                    assert new_state.object_packet.center == center
-                    assert new_state.object_packet.t_ref == record.t
-                    assert new_state.object_packet.alpha == alpha
+                    assert new_state.sigma == sigma
+                    assert new_state.center == center
+                    assert new_state.t_ref == record.t
+                    assert new_state.alpha == alpha
                 else:
-                    assert new_state.object_packet is state.object_packet
+                    # Only the time, the count and the stream position move.
+                    assert replace(
+                        new_state, t=state.t, n_collisions=state.n_collisions,
+                        position=state.position,
+                    ) == state
                 regimes.add(record.regime)
                 state = new_state
         assert fired >= 10
         if name == "light":
             assert regimes == {Regime.CM_PHASE, Regime.CLUSTER_PHASE}
+
+
+class TestNoPacketBuilt:
+    """The engine holds the waist as plain values: neither ``run`` nor
+    ``step`` constructs a :class:`GaussianPacket`."""
+
+    @pytest.fixture
+    def constructed(self, monkeypatch):
+        calls = []
+        post_init = GaussianPacket.__post_init__
+        monkeypatch.setattr(
+            GaussianPacket, "__post_init__", lambda packet: calls.append(1) or post_init(packet)
+        )
+        return calls
+
+    def test_run(self, constructed):
+        summary, records = run(preset("tpp"))
+        assert summary.n_collapses > 0 and len(records) > summary.n_collisions
+        assert len(constructed) == 0
+
+    def test_step(self, constructed):
+        cfg = LEAN_LOOP_CONFIGS["light"]
+        state = initial_state(cfg)
+        for _ in range(1000):
+            state, _ = step(state, cfg)
+        assert state.n_collapses > 0
+        assert len(constructed) == 0
 
 
 def reference_run(config: ScenarioConfig, max_collisions=None):
@@ -475,8 +532,7 @@ def reference_run(config: ScenarioConfig, max_collisions=None):
     records = []
 
     def sample(t):
-        waist = state.object_packet
-        sigma = _widths_at(waist, t, state.n_collisions, state.n_collapses)
+        sigma = _widths_at(state, config.object.mass, t, state.n_collisions)
         return TimeSeriesRecord(
             t, sigma, state.n_collisions, state.n_collapses,
             regime_for(sigma, config.object.internal_radius), LastEvent.NONE,
@@ -492,7 +548,7 @@ def reference_run(config: ScenarioConfig, max_collisions=None):
 
     records.append(sample(0.0))
     next_sample = interval
-    min_sigma = min(state.object_packet.sigma)
+    min_sigma = min(state.sigma)
     recovery = respread = before_sum = after_sum = 0.0
     n_recovery = n_respread = 0
     after_last = None
@@ -503,7 +559,6 @@ def reference_run(config: ScenarioConfig, max_collisions=None):
             exhausted = True
             break
         position = state.position
-        waist = state.object_packet
         try:
             new_state, record = step(state, config)
         except EngineError:
@@ -519,7 +574,7 @@ def reference_run(config: ScenarioConfig, max_collisions=None):
         samples_before(record.t)
         records.append(record)
         fired = record.last_event is LastEvent.COLLAPSE
-        sigma_before = min(spread_widths(waist.ref_sigma, waist.mass, record.t - waist.t_ref))
+        sigma_before = min(spread_widths(state.sigma, config.object.mass, record.t - state.t_ref))
         if after_last is not None:
             recovery += sigma_before / after_last
             n_recovery += 1
@@ -529,7 +584,7 @@ def reference_run(config: ScenarioConfig, max_collisions=None):
         state = new_state
         position = state.position
         if fired:
-            after_last = min(state.object_packet.sigma)
+            after_last = min(state.sigma)
             before_sum += sigma_before
             after_sum += after_last
             min_sigma = min(min_sigma, after_last)

@@ -210,3 +210,26 @@ class TestMatchesReference:
         # CSV: the header, then the chunks.  JSON: the chunks, then the
         # closing bracket (or the whole empty array).
         assert sink.writes == 1 + math.ceil(n / CHUNK_ROWS)
+
+
+class TestReadIntoStore:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reads_columns_of_a_store(self, fmt):
+        # 2,500 rows: more than two chunks of the reader.
+        records = random_records(2500, seed=5)
+        sink = io.StringIO()
+        write_records(records, fmt, sink)
+        parsed = read_records(io.StringIO(sink.getvalue()), fmt)
+        assert isinstance(parsed, Records)
+        assert parsed.columns() == Records.from_rows(records).columns()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("field, name", [("regime", "MIDDLE"), ("last_event", "BOUNCE")])
+    def test_unknown_name_rejected(self, fmt, field, name):
+        records = random_records(3, seed=6)
+        sink = io.StringIO()
+        write_records(records, fmt, sink)
+        known = getattr(records[1], field).value
+        text = sink.getvalue().replace(known, name)
+        with pytest.raises(ValueError, match=name):
+            read_records(io.StringIO(text), fmt)

@@ -25,3 +25,14 @@ def load_script(name: str):
 def test_script_runs(name, argv, capsys):
     assert load_script(name).main(argv) == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_output_digests_names_every_output(capsys):
+    assert load_script("output_digests").main(["--seeds", "1,2", "--scale", "0.02"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    outputs = ("tpp_csv", "grain_ensemble", "generic_json", "mass_sweep")
+    assert [line.split()[0] for line in lines] == [
+        f"{name}/seed{seed}" for seed in (1, 2) for name in outputs
+    ]
+    digests = [line.split()[1] for line in lines]
+    assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests)
