@@ -58,10 +58,10 @@ class ScenarioConfig:
         object.__setattr__(self, "cluster_eta", float(self.cluster_eta))
         object.__setattr__(self, "seed", int(self.seed))
         problems = []
-        for s in self.initial_sigma:
-            if not (s > 0.0 and math.isfinite(s)):
-                problems.append(f"initial_sigma components must be positive, got {self.initial_sigma}")
-                break
+        if not all(s > 0.0 and math.isfinite(s) for s in self.initial_sigma):
+            problems.append(f"initial_sigma components must be positive, got {self.initial_sigma}")
+        elif any(s * s == 0.0 for s in self.initial_sigma):  # the width law divides by it
+            problems.append(f"initial_sigma_m {self.initial_sigma}: a square underflows to 0")
         if self.initial_alpha != RANDOM_ALPHA:
             a = float(self.initial_alpha)
             if not (0.0 <= a < TWO_PI):
@@ -125,23 +125,18 @@ _DEFAULT_INITIAL_ALPHA = 0.0
 def preset(name: str) -> ScenarioConfig:
     """Built-in scenarios for a light molecule and a heavy grain.
 
-    ``tpp``: a 1.7e-23 kg molecule of 5e-9 m diameter moving at 10 m/s,
-    initially spread over a hundred times its own diameter.
-    ``sugar_grain``: a 1e-7 kg grain of 0.5e-3 m diameter at 10 m/s, with the
-    same relative initial spread (an artifact choice for symmetry).
+    ``tpp``: a 1.7e-23 kg molecule of 5e-9 m diameter, initially spread
+    over a hundred times its own diameter.
+    ``sugar_grain``: a 1e-7 kg grain of 0.5e-3 m diameter, with the same
+    relative initial spread (an artifact choice for symmetry).
     """
     if name == "tpp":
         obj = ObjectSpec(
-            mass=1.7e-23,
-            internal_radius=2.5e-9,
-            v0=10.0,
-            cluster_alphas=_preset_cluster_alphas("tpp", 1),
+            mass=1.7e-23, internal_radius=2.5e-9, cluster_alphas=_preset_cluster_alphas("tpp", 1)
         )
     elif name == "sugar_grain":
         obj = ObjectSpec(
-            mass=1e-7,
-            internal_radius=2.5e-4,
-            v0=10.0,
+            mass=1e-7, internal_radius=2.5e-4,
             cluster_alphas=_preset_cluster_alphas("sugar_grain", 64),
         )
     else:
@@ -167,7 +162,6 @@ PRESETS = ("tpp", "sugar_grain")
 _REQUIRED_KEYS = (
     "mass_kg",
     "internal_radius_m",
-    "v0_m_per_s",
     "cluster_alphas_rad",
     "initial_sigma_m",
     "initial_alpha_rad",
@@ -267,7 +261,6 @@ def parse_config(text: str) -> ScenarioConfig:
         # A substituted value does not size a sampling grid: leave one row.
         sample_interval = duration
     cluster_eta = number("cluster_eta", 1.0, "in (0, 1]", lambda x: 0.0 < x <= 1.0)
-    v0 = non_negative("v0_m_per_s")
     rate = non_negative("collision_rate_hz")
     jitter = number("env_sigma_jitter", 0.0, "in [0, 1)", lambda x: 0.0 <= x < 1.0)
     spread = non_negative("impact_spread_m")
@@ -311,9 +304,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     # Every value is in range now, so the specs build; ScenarioConfig adds
     # the problems that involve several keys.
-    obj = ObjectSpec(
-        mass=mass, internal_radius=internal_radius, v0=v0, cluster_alphas=tuple(alphas)
-    )
+    obj = ObjectSpec(mass=mass, internal_radius=internal_radius, cluster_alphas=tuple(alphas))
     env = EnvironmentSpec(
         collision_rate=rate, env_sigma=env_sigma, env_sigma_jitter=jitter, impact_spread=spread
     )
@@ -343,7 +334,6 @@ def to_document(config: ScenarioConfig) -> dict:
     return {
         "mass_kg": config.object.mass,
         "internal_radius_m": config.object.internal_radius,
-        "v0_m_per_s": config.object.v0,
         "n_clusters": config.object.n_clusters,
         "cluster_alphas_rad": list(config.object.cluster_alphas),
         "initial_sigma_m": list(config.initial_sigma),

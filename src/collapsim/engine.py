@@ -1,14 +1,14 @@
 """Event-driven simulation loop.
 
 Between collapses the object is fixed by its waist: the time of its last
-contraction (or t=0), its center and widths there, and its phase constant.
-Free spreading is analytic, so stepping jumps from collision to collision
-and reads the widths out from the waist; mass and velocity are read from
-the config.  Each encounter is decided on plain values: the readout widths
-and the drawn offset, width and phase constant of the environment packet.
-The offset is relative to the object, so its absolute position never enters
-the decision.  A collision that does not fire changes only the counters; a
-firing one sets the new waist.
+contraction (or t=0), its widths there, and its phase constant.  Free
+spreading is analytic, so stepping jumps from collision to collision and
+reads the widths out from the waist; mass is read from the config.  Each
+encounter is decided on plain values: the readout widths and the drawn
+offset, width and phase constant of the environment packet.  The offset is
+relative to the object, so the object's position never enters the model and
+the state does not hold one.  A collision that does not fire changes only
+the counters; a firing one sets the new waist.
 
 A state holds plain values: the time, the waist, the counters and the
 position of the seeded stream.  The seed and every other input stay in the
@@ -69,7 +69,7 @@ import numpy as np
 
 from .config import RANDOM_ALPHA, ScenarioConfig
 from .constants import PHASE_ACCEPTANCE_PROBABILITY
-from .contraction import product_support
+from .contraction import damped_sigma, product_width
 from .criterion import criterion_fires, phase_clause_batch
 from .environment import COLLISION_WORDS, RngState, draw_collision_block, draw_phase, next_collision
 from .packets import Vec3, spread_widths
@@ -94,17 +94,15 @@ class EngineError(RuntimeError):
 class SimState:
     """Simulation state at time ``t`` of the run of one config.
 
-    ``t_ref``, ``center``, ``sigma`` and ``alpha`` are the object's waist:
-    the time of the last collapse (or 0), the center and widths at that
-    time, and the phase constant.  The widths at t are
-    ``spread_widths(sigma, config.object.mass, t - t_ref)``.  ``position``
-    counts the words of the seeded stream consumed so far:
+    ``t_ref``, ``sigma`` and ``alpha`` are the object's waist: the time of
+    the last collapse (or 0), the widths then, and the phase constant.  The
+    widths at t are ``spread_widths(sigma, config.object.mass, t - t_ref)``.
+    ``position`` counts the words of the seeded stream consumed so far:
     ``RngState(config.seed, position)`` draws the next collision.
     """
 
     t: float
     t_ref: float
-    center: Vec3
     sigma: Vec3
     alpha: float
     n_collisions: int
@@ -217,23 +215,13 @@ def regime_for(sigma: Vec3, internal_radius: float) -> Regime:
     return Regime.CLUSTER_PHASE if min(sigma) < internal_radius else Regime.CM_PHASE
 
 
-def damped_sigma(sigma_old: Vec3, sigma_p: Vec3, eta: float) -> Vec3:
-    """Apply the cluster-regime damping law per axis.
-
-    The contracted width becomes sigma_old * (sigma_p / sigma_old)**eta;
-    eta = 1 reproduces the undamped contraction.  ``eta`` is not checked
-    here: :class:`ScenarioConfig` refuses values outside (0, 1].
-    """
-    return tuple(so * (sp / so) ** eta for so, sp in zip(sigma_old, sigma_p))
-
-
 def initial_state(config: ScenarioConfig) -> SimState:
     """Build the t=0 state; draws the object phase constant if configured."""
     if config.initial_alpha == RANDOM_ALPHA:
         alpha, position = draw_phase(RngState(config.seed)), 1
     else:
         alpha, position = config.initial_alpha, 0
-    return SimState(0.0, 0.0, (0.0, 0.0, 0.0), config.initial_sigma, alpha, 0, 0, position)
+    return SimState(0.0, 0.0, config.initial_sigma, alpha, 0, 0, position)
 
 
 def _state_error(t: float, n_collisions: int, n_collapses: int, problem) -> EngineError:
@@ -285,17 +273,13 @@ def step(state: SimState, config: ScenarioConfig) -> tuple[SimState, TimeSeriesR
         alpha = alphas[min(int(event.pick * len(alphas)), len(alphas) - 1)]
     n_collisions = state.n_collisions + 1
     if criterion_fires(alpha, event.alpha, sigma, event.sigma, event.offset):
-        # The center drifts at (v0, 0, 0) from the waist.
-        dt = t - state.t_ref
-        center = tuple(c + v * dt for c, v in zip(state.center, (spec.v0, 0.0, 0.0)))
-        env_center = tuple(c + o for c, o in zip(center, event.offset))
-        center, contracted = product_support(center, sigma, env_center, event.sigma)
+        contracted = product_width(sigma, event.sigma)
         if cluster and config.cluster_eta != 1.0:
             contracted = damped_sigma(sigma, contracted, config.cluster_eta)
         n_collapses = state.n_collapses + 1
         sigma = _checked(contracted, t, n_collisions, n_collapses)
         alpha = draw_phase(rng) if config.redraw_alpha_after_collapse else state.alpha
-        new_state = SimState(t, t, center, sigma, alpha, n_collisions, n_collapses, rng.position)
+        new_state = SimState(t, t, sigma, alpha, n_collisions, n_collapses, rng.position)
         last_event = LastEvent.COLLAPSE
     else:
         new_state = replace(state, t=t, n_collisions=n_collisions, position=rng.position)
@@ -602,7 +586,8 @@ class EnsembleSummary:
     firing_fraction: float
     mean_recovery_ratio: Optional[float]
     recovery_samples: int
-    final_min_sigma_mean: float
+    # None when no replica succeeded.
+    final_min_sigma_mean: Optional[float]
     localized_fraction: float
     replicas: tuple[RunSummary, ...]
     failures: tuple[tuple[int, str], ...]
@@ -629,7 +614,7 @@ def aggregate_summaries(
         firing_fraction=(total_collapses / total_collisions) if total_collisions else 0.0,
         mean_recovery_ratio=(recovery_sum / recovery_samples) if recovery_samples else None,
         recovery_samples=recovery_samples,
-        final_min_sigma_mean=float(np.mean(finals)) if len(finals) else math.nan,
+        final_min_sigma_mean=float(np.mean(finals)) if len(finals) else None,
         localized_fraction=(
             sum(1 for s in ordered if s.localized) / len(ordered) if ordered else 0.0
         ),

@@ -108,13 +108,11 @@ class ObjectSpec:
 
     mass: float
     internal_radius: float
-    v0: float
     cluster_alphas: tuple[float, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mass", float(self.mass))
         object.__setattr__(self, "internal_radius", float(self.internal_radius))
-        object.__setattr__(self, "v0", float(self.v0))
         object.__setattr__(
             self, "cluster_alphas", tuple(reduce_phase(a) for a in self.cluster_alphas)
         )
@@ -122,8 +120,6 @@ class ObjectSpec:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if not (self.internal_radius > 0.0 and math.isfinite(self.internal_radius)):
             raise ValueError(f"internal_radius must be positive, got {self.internal_radius}")
-        if not (self.v0 >= 0.0 and math.isfinite(self.v0)):
-            raise ValueError(f"v0 must be non-negative, got {self.v0}")
         if len(self.cluster_alphas) < 1:
             raise ValueError("at least one cluster phase constant is required")
 

@@ -128,14 +128,22 @@ def read_records(source: IO[str], format: str) -> Records:
             raise ValueError(f"unexpected CSV header: {header!r}")
         rows: Iterable = (line.split(",") for line in lines if line)
     elif format == "json":
-        rows = ([obj[name] for name in FIELD_NAMES] for obj in json.load(source))
+        doc = json.load(source)
+        if not (isinstance(doc, list) and all(isinstance(obj, dict) for obj in doc)):
+            raise ValueError("expected a JSON array of record objects")
+        rows = ([obj[name] for name in FIELD_NAMES] for obj in doc)
     else:
         raise ValueError(f"unknown record format {format!r}")
     records = Records()
-    for chunk in iter(lambda: list(islice(rows, CHUNK_ROWS)), []):
-        for row in chunk:
-            if len(row) != 8:
-                raise ValueError(f"malformed CSV row: {','.join(row)!r}")
-        for column, values, parse in zip(records.columns(), zip(*chunk), _PARSERS):
-            column.extend(map(parse, values))
+    try:
+        for chunk in iter(lambda: list(islice(rows, CHUNK_ROWS)), []):
+            for row in chunk:
+                if len(row) != 8:
+                    raise ValueError(f"malformed CSV row: {','.join(row)!r}")
+            for column, values, parse in zip(records.columns(), zip(*chunk), _PARSERS):
+                column.extend(map(parse, values))
+    except KeyError as exc:  # only a JSON object without a field raises it
+        raise ValueError(f"record object is missing the field {exc.args[0]!r}") from None
+    except TypeError as exc:  # a JSON field that is neither a number nor a string
+        raise ValueError(f"malformed record field: {exc}") from None
     return records

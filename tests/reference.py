@@ -61,18 +61,12 @@ def fires(alpha1, alpha2, sigma1, sigma2, separation):
     )
 
 
-def product(center1, sigma1, center2, sigma2):
-    """Per-axis mean and width of the Gaussian-shaped product |psi_1| |psi_2|:
-    sigma_p^2 = s1^2 s2^2 / (s1^2 + s2^2) and
-    c_p = (c1 s2^2 + c2 s1^2) / (s1^2 + s2^2).  The width is at most the
-    smaller input width and the mean lies between the input centers."""
-    center, sigma = [], []
-    for c1, s1, c2, s2 in zip(center1, sigma1, center2, sigma2):
-        ss = s1 * s1 + s2 * s2
-        sigma.append(min(s1 * s2 / math.sqrt(ss), min(s1, s2)))
-        cp = (c1 * s2 * s2 + c2 * s1 * s1) / ss
-        center.append(min(max(cp, min(c1, c2)), max(c1, c2)))
-    return tuple(center), tuple(sigma)
+def product(sigma1, sigma2):
+    """Per-axis width of the Gaussian-shaped product |psi_1| |psi_2|:
+    sigma_p^2 = s1^2 s2^2 / (s1^2 + s2^2), at most the smaller input width."""
+    return tuple(
+        min(s1 * s2 / math.sqrt(s1 * s1 + s2 * s2), min(s1, s2)) for s1, s2 in zip(sigma1, sigma2)
+    )
 
 
 def damped(sigma_old, sigma_p, eta):
@@ -88,11 +82,6 @@ def spread(sigma0, mass, dt):
         q = HBAR * dt / (2.0 * mass) / (s0 * s0)
         out.append(s0 * math.sqrt(1.0 + q * q))
     return tuple(out)
-
-
-def drift(center0, velocity, dt):
-    """Center of a packet a time dt after it was at center0."""
-    return tuple(c + v * dt for c, v in zip(center0, velocity))
 
 
 CSV_HEADER = "t_s,sigma_x_m,sigma_y_m,sigma_z_m,n_collisions,n_collapses,regime,last_event"

@@ -170,10 +170,25 @@ class TestValidationFailures:
         assert run_cli(["run", "--scenario", "tpp", "--duration-s", "1e5"]) == 2
         assert "error: --duration-s " in capsys.readouterr().err
 
+    def test_velocity_key_refused(self, tmp_path, capsys):
+        # The model holds no object position, so a velocity has nothing to move.
+        cfg = tmp_path / "v0.json"
+        cfg.write_text(json.dumps({**to_document(preset("tpp")), "v0_m_per_s": 10.0}))
+        assert run_cli(["run", "--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: unknown key: 'v0_m_per_s'"]
+
+    def test_initial_width_whose_square_underflows_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({**to_document(preset("tpp")), "initial_sigma_m": 1e-170}))
+        assert run_cli(["run", "--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "initial_sigma_m" in err and "underflows" in err
+        assert "Traceback" not in err and "non-finite state" not in err
+
 
 # The first contraction multiplies two widths near 1e-165 and underflows to 0.
 UNDERFLOW_DOCUMENT = {
-    "mass_kg": 1e300, "internal_radius_m": 1e-100, "v0_m_per_s": 0.0,
+    "mass_kg": 1e300, "internal_radius_m": 1e-100,
     "cluster_alphas_rad": [0.0], "initial_sigma_m": 1e-160, "initial_alpha_rad": 0.0,
     "collision_rate_hz": 1e6, "env_sigma_m": 1e-170, "duration_s": 0.01, "seed": 1,
     "sample_interval_s": 0.001, "cluster_eta": 1.0,
@@ -202,6 +217,20 @@ class TestEngineFailure:
         assert code == 0
         row = out.read_text().splitlines()[1]
         assert ",2,error: 2/2 replicas failed: non-finite state at t=" in row
+
+    def test_failed_ensemble_writes_strict_json(self, underflow, tmp_path):
+        out = tmp_path / "ensemble.json"
+        code = run_cli(
+            ["run", "--config", str(underflow), "--replicas", "2", "--output", str(out)]
+        )
+        assert code == 0
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        doc = json.loads(out.read_text(), parse_constant=refuse)
+        assert len(doc["failures"]) == 2 and doc["replicas"] == []
+        assert doc["final_min_sigma_mean_m"] is None and doc["mean_recovery_ratio"] is None
 
 
 OVERRIDE_FLAGS = ("--seed", "--duration-s", "--rate-hz", "--eta", "--format", "--output")

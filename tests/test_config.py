@@ -14,14 +14,12 @@ class TestPresets:
         cfg = preset("tpp")
         assert cfg.object.mass == 1.7e-23
         assert cfg.object.diameter == 5e-9
-        assert cfg.object.v0 == 10.0
         assert cfg.initial_sigma == (5e-7, 5e-7, 5e-7)  # 100x the diameter
 
     def test_sugar_grain_object(self):
         cfg = preset("sugar_grain")
         assert cfg.object.mass == 1e-7
         assert cfg.object.diameter == 0.5e-3
-        assert cfg.object.v0 == 10.0
 
     def test_shared_environment_defaults(self):
         a, b = preset("tpp"), preset("sugar_grain")
@@ -116,7 +114,7 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "key,value",
         [(key, True) for key in (
-            "mass_kg", "internal_radius_m", "v0_m_per_s", "initial_sigma_m", "initial_alpha_rad",
+            "mass_kg", "internal_radius_m", "seed", "initial_sigma_m", "initial_alpha_rad",
             "collision_rate_hz", "env_sigma_m", "env_sigma_jitter", "impact_spread_m",
             "duration_s", "sample_interval_s", "cluster_eta",
         )]

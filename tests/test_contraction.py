@@ -14,13 +14,12 @@ from collapsim import (
     norm_quadrature,
     step,
 )
-from collapsim.contraction import product_support
-from collapsim.engine import damped_sigma
+from collapsim.contraction import damped_sigma, product_width
 from conftest import fresh_packet, packets
 
 
 def product(p1: GaussianPacket, p2: GaussianPacket):
-    return product_support(p1.center, p1.sigma, p2.center, p2.sigma)
+    return product_width(p1.sigma, p2.sigma)
 
 
 def first_collapse(config: ScenarioConfig):
@@ -39,7 +38,7 @@ def heavy_object_config(**overrides) -> ScenarioConfig:
     """A 1 kg object, whose waist does not spread measurably between
     collisions, in the CM regime, met head-on by packets of its own width."""
     base = dict(
-        object=ObjectSpec(mass=1.0, internal_radius=1e-12, v0=0.0, cluster_alphas=(0.0,)),
+        object=ObjectSpec(mass=1.0, internal_radius=1e-12, cluster_alphas=(0.0,)),
         initial_sigma=2e-10,
         initial_alpha=0.0,
         environment=EnvironmentSpec(collision_rate=1e6, env_sigma=2e-10),
@@ -53,42 +52,20 @@ def heavy_object_config(**overrides) -> ScenarioConfig:
 
 
 class TestProductGaussian:
-    def test_equal_widths_midpoint(self):
-        s = 1e-9
-        p1 = fresh_packet(center=(0.0, 0.0, 0.0), sigma=s)
-        p2 = fresh_packet(center=(2e-9, -4e-9, 6e-9), sigma=s)
-        center, sigma = product(p1, p2)
-        for got, mid in zip(center, (1e-9, -2e-9, 3e-9)):
-            assert got == pytest.approx(mid, rel=1e-12)
-        for sp in sigma:
-            assert sp == pytest.approx(s / math.sqrt(2.0), rel=1e-15)
-
     def test_broad_partner_changes_nothing(self):
         s1 = 1e-9
-        p1 = fresh_packet(center=(1e-9, 0.0, 0.0), sigma=s1)
-        p2 = fresh_packet(center=(5e-9, 0.0, 0.0), sigma=1e6 * s1)
-        center, sigma = product(p1, p2)
-        assert center[0] == pytest.approx(p1.center[0], rel=1e-6)
+        sigma = product(fresh_packet(sigma=s1), fresh_packet(sigma=1e6 * s1))
         assert sigma[0] == pytest.approx(s1, rel=1e-6)
 
     def test_identical_packets(self):
-        p = fresh_packet(center=(3e-9, 0.0, -1e-9), sigma=2e-9)
-        center, sigma = product(p, p)
-        assert center == p.center
-        for sp in sigma:
+        p = fresh_packet(sigma=2e-9)
+        for sp in product(p, p):
             assert sp == pytest.approx(2e-9 / math.sqrt(2.0), rel=1e-15)
 
     @given(packets(), packets())
     def test_width_never_exceeds_smaller_input(self, p1, p2):
-        _, sigma = product(p1, p2)
-        for sp, s1, s2 in zip(sigma, p1.sigma, p2.sigma):
+        for sp, s1, s2 in zip(product(p1, p2), p1.sigma, p2.sigma):
             assert sp <= min(s1, s2)
-
-    @given(packets(), packets())
-    def test_center_betweenness(self, p1, p2):
-        center, _ = product(p1, p2)
-        for cp, c1, c2 in zip(center, p1.center, p2.center):
-            assert min(c1, c2) <= cp <= max(c1, c2)
 
 
 class TestApplyCollapse:
@@ -102,12 +79,11 @@ class TestApplyCollapse:
     def test_localizes_to_narrow_partner(self):
         broad = fresh_packet(sigma=1e-6)
         narrow = fresh_packet(sigma=1e-10)
-        _, sigma = product(broad, narrow)
-        assert sigma[0] == pytest.approx(1e-10, rel=1e-6)
+        assert product(broad, narrow)[0] == pytest.approx(1e-10, rel=1e-6)
 
     def test_inherits_identity_fields(self):
         config = heavy_object_config(
-            object=ObjectSpec(mass=2e-20, internal_radius=1e-12, v0=3.0, cluster_alphas=(0.0,)),
+            object=ObjectSpec(mass=2e-20, internal_radius=1e-12, cluster_alphas=(0.0,)),
             initial_alpha=0.001,
             environment=EnvironmentSpec(collision_rate=1e6, env_sigma=2e-9, impact_spread=1e-9),
         )
@@ -118,8 +94,7 @@ class TestApplyCollapse:
     @given(packets(), packets(), st.floats(1e-6, 1.0))
     def test_monotone_contraction(self, p1, p2, eta):
         # damped or not, a contraction never widens the object
-        _, sigma_p = product(p1, p2)
-        for sp, s1 in zip(damped_sigma(p1.sigma, sigma_p, eta), p1.sigma):
+        for sp, s1 in zip(damped_sigma(p1.sigma, product(p1, p2), eta), p1.sigma):
             assert sp <= s1
 
     def test_repeated_collapse_strictly_shrinks(self):
@@ -127,23 +102,13 @@ class TestApplyCollapse:
         packet = fresh_packet(sigma=1e-9)
         widths = [packet.sigma[0]]
         for _ in range(6):
-            center, sigma = product(packet, partner)
-            packet = fresh_packet(center=center, sigma=sigma)
+            packet = fresh_packet(sigma=product(packet, partner))
             widths.append(packet.sigma[0])
         assert all(b < a for a, b in zip(widths, widths[1:]))
         assert widths[1] == pytest.approx(1e-9 / math.sqrt(2.0), rel=1e-12)
 
     def test_contracted_packets_stay_normalized(self, gen):
         for _ in range(10):
-            p1 = fresh_packet(
-                center=tuple(gen.normal(0, 1e-9, 3)),
-                sigma=tuple(10.0 ** gen.uniform(-11, -8, 3)),
-            )
-            p2 = fresh_packet(
-                center=tuple(gen.normal(0, 1e-9, 3)),
-                sigma=tuple(10.0 ** gen.uniform(-11, -8, 3)),
-                mass=1.0,
-            )
-            center, sigma = product(p1, p2)
-            contracted = fresh_packet(center=center, sigma=sigma)
+            sigma1, sigma2 = (tuple(10.0 ** gen.uniform(-11, -8, 3)) for _ in range(2))
+            contracted = fresh_packet(sigma=product_width(sigma1, sigma2))
             assert abs(norm_quadrature(contracted) - 1.0) < 1e-8

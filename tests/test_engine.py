@@ -27,7 +27,8 @@ from collapsim import (
     to_document,
 )
 import collapsim.engine as engine
-from collapsim.engine import _widths_at, aggregate_summaries, damped_sigma, initial_state, regime_for
+from collapsim.contraction import damped_sigma
+from collapsim.engine import _widths_at, aggregate_summaries, initial_state, regime_for
 from collapsim.constants import HBAR, PHASE_ACCEPTANCE_PROBABILITY
 from collapsim.packets import spread_widths
 import reference
@@ -36,7 +37,7 @@ TWO_PI = 2.0 * math.pi
 
 # The first contraction multiplies two widths near 1e-165 and underflows to 0.
 UNDERFLOW_CONFIG = ScenarioConfig(
-    object=ObjectSpec(mass=1e300, internal_radius=1e-100, v0=0.0, cluster_alphas=(0.0,)),
+    object=ObjectSpec(mass=1e300, internal_radius=1e-100, cluster_alphas=(0.0,)),
     initial_sigma=1e-160,
     initial_alpha=0.0,
     environment=EnvironmentSpec(collision_rate=1e6, env_sigma=1e-170),
@@ -50,7 +51,7 @@ UNDERFLOW_CONFIG = ScenarioConfig(
 def micro_config(**overrides) -> ScenarioConfig:
     """Light object, broad initial packet, narrow environment."""
     base = dict(
-        object=ObjectSpec(mass=1.7e-23, internal_radius=5e-9, v0=0.0, cluster_alphas=(1.0,)),
+        object=ObjectSpec(mass=1.7e-23, internal_radius=5e-9, cluster_alphas=(1.0,)),
         initial_sigma=1e-6,
         initial_alpha=0.0,
         environment=EnvironmentSpec(collision_rate=1e6, env_sigma=1e-10),
@@ -261,7 +262,7 @@ class TestRun:
 
     def test_numerical_blowup_reported(self):
         cfg = ScenarioConfig(
-            object=ObjectSpec(mass=1e-308, internal_radius=1e-16, v0=0.0, cluster_alphas=(0.0,)),
+            object=ObjectSpec(mass=1e-308, internal_radius=1e-16, cluster_alphas=(0.0,)),
             initial_sigma=1e-15,
             initial_alpha=0.0,
             environment=EnvironmentSpec(collision_rate=1e6, env_sigma=1e-15),
@@ -313,7 +314,7 @@ class TestClusterRegime:
     def test_cluster_regime_damps_contraction(self):
         # start inside the object so the first firing collision is damped
         cfg = micro_config(
-            object=ObjectSpec(mass=1e3, internal_radius=1.0, v0=0.0, cluster_alphas=(0.0,)),
+            object=ObjectSpec(mass=1e3, internal_radius=1.0, cluster_alphas=(0.0,)),
             initial_sigma=1e-9,
             environment=EnvironmentSpec(collision_rate=1e6, env_sigma=1e-9),
             cluster_eta=0.5,
@@ -354,7 +355,7 @@ class TestEnsemble:
     def test_replica_failure_reported_without_aborting(self):
         # replica seeds share a config whose numerics blow up immediately
         cfg = ScenarioConfig(
-            object=ObjectSpec(mass=1e-308, internal_radius=1e-16, v0=0.0, cluster_alphas=(0.0,)),
+            object=ObjectSpec(mass=1e-308, internal_radius=1e-16, cluster_alphas=(0.0,)),
             initial_sigma=1e-15,
             initial_alpha=0.0,
             environment=EnvironmentSpec(collision_rate=1e6, env_sigma=1e-15),
@@ -386,7 +387,6 @@ class TestEnsemble:
             object=ObjectSpec(
                 mass=1e3,
                 internal_radius=1.0,
-                v0=0.0,
                 cluster_alphas=tuple(TWO_PI * gen.random(257)),
             ),
             initial_sigma=1e-9,
@@ -409,14 +409,12 @@ def rebuild_collision(cfg: ScenarioConfig, state):
 
     Replays the draws from ``RngState(seed, position)`` and applies the laws
     of ``tests/reference.py``.  Returns whether the criterion fires, the
-    widths after the collision, the object's center and phase constant after
-    it, and the stream position after it.
+    widths after the collision, the object's phase constant after it, and the
+    stream position after it.
     """
     rng = RngState(cfg.seed, state.position)
     event = next_collision(rng, cfg.environment, state.t)
-    dt = event.time - state.t_ref
-    sigma = reference.spread(state.sigma, cfg.object.mass, dt)
-    center = reference.drift(state.center, (cfg.object.v0, 0.0, 0.0), dt)
+    sigma = reference.spread(state.sigma, cfg.object.mass, event.time - state.t_ref)
     cluster = min(sigma) < cfg.object.internal_radius
     alpha = state.alpha
     if cluster:
@@ -424,20 +422,19 @@ def rebuild_collision(cfg: ScenarioConfig, state):
         alpha = alphas[min(int(event.pick * len(alphas)), len(alphas) - 1)]
     # The impact offset is drawn relative to the object.
     if not reference.fires(alpha, event.alpha, sigma, event.sigma, event.offset):
-        return False, sigma, center, state.alpha, rng.position
-    env_center = tuple(c + o for c, o in zip(center, event.offset))
-    center_p, sigma_p = reference.product(center, sigma, env_center, event.sigma)
+        return False, sigma, state.alpha, rng.position
+    sigma_p = reference.product(sigma, event.sigma)
     if cluster and cfg.cluster_eta != 1.0:
         sigma_p = reference.damped(sigma, sigma_p, cfg.cluster_eta)
     alpha_after = TWO_PI * rng.uniform() if cfg.redraw_alpha_after_collapse else state.alpha
-    return True, sigma_p, center_p, alpha_after, rng.position
+    return True, sigma_p, alpha_after, rng.position
 
 
 LEAN_LOOP_CONFIGS = {
     # light object: collapses below the internal radius and re-spreads past it
     "light": micro_config(
         object=ObjectSpec(
-            mass=1.7e-23, internal_radius=5e-9, v0=10.0, cluster_alphas=(0.3, 1.0, 2.0, 4.0, 6.0)
+            mass=1.7e-23, internal_radius=5e-9, cluster_alphas=(0.3, 1.0, 2.0, 4.0, 6.0)
         ),
         environment=EnvironmentSpec(
             collision_rate=1e6, env_sigma=1e-10, env_sigma_jitter=0.3, impact_spread=1e-10
@@ -446,7 +443,7 @@ LEAN_LOOP_CONFIGS = {
     # heavy grain that stays in the cluster regime
     "grain": micro_config(
         object=ObjectSpec(
-            mass=1e-7, internal_radius=2.5e-4, v0=10.0, cluster_alphas=tuple(0.1 * np.arange(60))
+            mass=1e-7, internal_radius=2.5e-4, cluster_alphas=tuple(0.1 * np.arange(60))
         ),
         initial_sigma=5e-11,
         initial_alpha="random",
@@ -468,7 +465,7 @@ class TestLeanLoopMatchesPacketApi:
             seeded = replace(cfg, seed=seed)
             state = initial_state(seeded)
             for _ in range(4000):
-                fires, sigma, center, alpha, position = rebuild_collision(seeded, state)
+                fires, sigma, alpha, position = rebuild_collision(seeded, state)
                 new_state, record = step(state, seeded)
                 assert (record.last_event is LastEvent.COLLAPSE) == fires
                 assert record.sigma == sigma
@@ -476,7 +473,6 @@ class TestLeanLoopMatchesPacketApi:
                 if fires:
                     fired += 1
                     assert new_state.sigma == sigma
-                    assert new_state.center == center
                     assert new_state.t_ref == record.t
                     assert new_state.alpha == alpha
                 else:
@@ -639,7 +635,7 @@ BLOCK_CONFIGS = {
     "light_crossing": (
         micro_config(
             object=ObjectSpec(
-                mass=2e-20, internal_radius=5e-9, v0=10.0, cluster_alphas=(0.3, 1.0, 2.0, 4.0, 6.0)
+                mass=2e-20, internal_radius=5e-9, cluster_alphas=(0.3, 1.0, 2.0, 4.0, 6.0)
             ),
             environment=EnvironmentSpec(collision_rate=1e6, env_sigma=1e-10, env_sigma_jitter=0.2),
             duration=1e-3,
@@ -686,7 +682,7 @@ class TestBlockMatchesStep:
 
     def test_width_overflow_fails_at_the_same_collision(self):
         cfg = ScenarioConfig(
-            object=ObjectSpec(mass=1e-162, internal_radius=1e-16, v0=0.0, cluster_alphas=(0.0,)),
+            object=ObjectSpec(mass=1e-162, internal_radius=1e-16, cluster_alphas=(0.0,)),
             initial_sigma=1e-15,
             initial_alpha=0.0,
             environment=EnvironmentSpec(collision_rate=1e6, env_sigma=1e-15),

@@ -232,21 +232,21 @@ class TestPacketValidation:
 
 class TestObjectSpec:
     def test_basic_fields(self):
-        spec = ObjectSpec(mass=1e-7, internal_radius=2.5e-4, v0=10.0, cluster_alphas=(0.1, 0.2))
+        spec = ObjectSpec(mass=1e-7, internal_radius=2.5e-4, cluster_alphas=(0.1, 0.2))
         assert spec.n_clusters == 2
         assert spec.diameter == 5e-4
 
     def test_cluster_alphas_reduced(self):
-        spec = ObjectSpec(mass=1.0, internal_radius=1.0, v0=0.0, cluster_alphas=(TWO_PI + 0.25,))
+        spec = ObjectSpec(mass=1.0, internal_radius=1.0, cluster_alphas=(TWO_PI + 0.25,))
         assert spec.cluster_alphas[0] == pytest.approx(0.25, abs=1e-12)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(mass=0.0, internal_radius=1.0, v0=1.0, cluster_alphas=(0.0,)),
-            dict(mass=1.0, internal_radius=0.0, v0=1.0, cluster_alphas=(0.0,)),
-            dict(mass=1.0, internal_radius=1.0, v0=-1.0, cluster_alphas=(0.0,)),
-            dict(mass=1.0, internal_radius=1.0, v0=1.0, cluster_alphas=()),
+            dict(mass=0.0, internal_radius=1.0, cluster_alphas=(0.0,)),
+            dict(mass=1.0, internal_radius=0.0, cluster_alphas=(0.0,)),
+            dict(mass=1.0, internal_radius=math.inf, cluster_alphas=(0.0,)),
+            dict(mass=1.0, internal_radius=1.0, cluster_alphas=()),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):

@@ -233,3 +233,19 @@ class TestReadIntoStore:
         text = sink.getvalue().replace(known, name)
         with pytest.raises(ValueError, match=name):
             read_records(io.StringIO(text), fmt)
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ('[{"t_s": 0.0}]', "missing the field 'sigma_x_m'"),
+            ('{"a": 1}', "expected a JSON array of record objects"),
+            ("[1]", "expected a JSON array of record objects"),
+            ('[{"t_s": null, "sigma_x_m": 1.0, "sigma_y_m": 1.0, "sigma_z_m": 1.0, '
+             '"n_collisions": 0, "n_collapses": 0, "regime": "CM_PHASE", "last_event": "NONE"}]',
+             "malformed record field"),
+        ],
+        ids=["missing_field", "object", "non_object_element", "null_field"],
+    )
+    def test_malformed_json_rejected(self, text, problem):
+        with pytest.raises(ValueError, match=problem):
+            read_records(io.StringIO(text), "json")

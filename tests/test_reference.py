@@ -13,14 +13,13 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from collapsim.contraction import product_support
+from collapsim.contraction import damped_sigma, product_width
 from collapsim.criterion import (
     criterion_fires,
     overlap_from_widths,
     phase_clause_batch,
     phase_distance,
 )
-from collapsim.engine import damped_sigma
 from collapsim.packets import spread_widths
 import reference
 
@@ -93,13 +92,9 @@ def test_phase_clause_batch(pairs):
     assert phase_clause_batch(pairs[0][0], a2).tolist() == expected
 
 
-@given(encounters(), st.tuples(*[st.floats(-1e-2, 1e-2)] * 3))
-def test_product_support(encounter, center1):
-    sigma1, sigma2, separation = encounter
-    center2 = tuple(c + d for c, d in zip(center1, separation))
-    assert product_support(center1, sigma1, center2, sigma2) == reference.product(
-        center1, sigma1, center2, sigma2
-    )
+@given(vec3_widths, vec3_widths)
+def test_product_width(sigma1, sigma2):
+    assert product_width(sigma1, sigma2) == reference.product(sigma1, sigma2)
 
 
 @given(vec3_widths, st.tuples(*[st.floats(1e-6, 1.0)] * 3), st.floats(1e-9, 1.0))
