@@ -2,11 +2,13 @@
 
 For each seed the script builds the command lines of the ``tpp_csv``,
 ``grain_ensemble`` and ``generic_json`` workloads with
-``bench/workloads.py::make_plan``, adds a 3-value mass sweep of the ``tpp``
-preset, runs each through ``collapsim.cli.main`` in a temporary directory and
-prints one ``name sha256`` line per output file.  ``collapsim`` is imported
-from ``PYTHONPATH``, so the same script digests any tree's ``src``; two trees
-print the same lines exactly when their outputs are byte-identical:
+``bench/workloads.py::make_plan``, adds the ``sugar_grain`` preset written as
+CSV (the only output here that sends long runs of equal widths through the
+CSV writer) and a 3-value mass sweep of the ``tpp`` preset, runs each through
+``collapsim.cli.main`` in a temporary directory and prints one ``name sha256``
+line per output file.  ``collapsim`` is imported from ``PYTHONPATH``, so the
+same script digests any tree's ``src``; two trees print the same lines exactly
+when their outputs are byte-identical:
 
     PYTHONPATH=src python3 scripts/output_digests.py > new.txt
     PYTHONPATH=../other/src python3 scripts/output_digests.py > old.txt
@@ -52,6 +54,11 @@ def runs(seed: int, scale: float, workdir: Path):
     for workload in WORKLOADS:
         plan = workloads.make_plan(collapsim, workload, seed, scale, workdir)
         yield workload, plan.argv, plan.output
+    output = workdir / "grain.csv"
+    argv = ["run", "--scenario", "sugar_grain", "--seed", str(seed), "--format", "csv",
+            "--duration-s", repr(collapsim.preset("sugar_grain").duration * scale),
+            "--output", str(output)]
+    yield "grain_csv", argv, output
     output = workdir / "sweep.csv"
     argv = ["sweep", "--scenario", "tpp", "--seed", str(seed), "--axis", "mass",
             "--values", SWEEP_MASSES_KG, "--replicas", str(SWEEP_REPLICAS),

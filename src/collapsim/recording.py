@@ -7,18 +7,32 @@ written file parses back to bit-identical records.  JSON is an array of
 objects with the same keys, as ``json.dump(..., indent=1)`` writes it.
 
 The writer formats the columns of a :class:`~collapsim.engine.Records` store
-``CHUNK_ROWS`` rows at a time with one ``%`` template per format and makes
-one ``sink.write`` per chunk; it builds no object per row.  The reader
-fills a :class:`~collapsim.engine.Records` store column by column.
+``CHUNK_ROWS`` rows at a time with one ``%`` template per chunk and makes
+one ``sink.write`` per chunk; it builds no object per row.  Between
+contractions a heavy object's widths do not spread, so its float columns
+come in long runs of one bit pattern.  Within a chunk, a float column in
+which fewer than half the values differ from the one before them is
+formatted once per run, and the run's text fills a ``%s`` slot of the
+template; any other column keeps its numeric slot.  Runs are of bit patterns, not of values, so that
+``0.0`` and ``-0.0`` keep their own text; both slots write the same bytes.
+
+The reader fills a :class:`~collapsim.engine.Records` store column by
+column.  A JSON field must have its column's type: a number (an int or a
+float, never a boolean) for a time or a width, an int for a count, and a
+string for the regime and the last event.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from functools import cache
-from itertools import islice
+from itertools import chain, islice, repeat
+from operator import sub
 from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .engine import _EVENT_CODES, _REGIME_CODES, LastEvent, Records, Regime, TimeSeriesRecord
 
@@ -28,18 +42,6 @@ FIELD_NAMES = tuple(CSV_HEADER.split(","))
 
 # Rows formatted per ``sink.write``.
 CHUNK_ROWS = 1024
-
-_CSV_ROW = "%.16e,%.16e,%.16e,%.16e,%d,%d,%s,%s\n"
-
-# One element of ``json.dump(rows, sink, indent=1)``, led by the separator
-# from the element before it.  ``%r`` writes a finite float as ``json`` does;
-# a store with a non-finite float is written with ``_JSON_ROW_TEXT``, its
-# floats first turned into ``json``'s tokens by ``_json_number``.
-_JSON_ROW = ",\n {\n%s\n }" % ",\n".join(
-    f'  "{name}": {spec}'
-    for name, spec in zip(FIELD_NAMES, ("%r",) * 4 + ("%d",) * 2 + ('"%s"',) * 2)
-)
-_JSON_ROW_TEXT = _JSON_ROW.replace("%r", "%s")
 
 _REGIME_NAMES = [regime.value for regime in Records.REGIMES]
 _EVENT_NAMES = [event.value for event in Records.EVENTS]
@@ -51,6 +53,12 @@ _PARSERS = (float,) * 4 + (int,) * 2 + (
     cache(lambda name: _REGIME_CODES[Regime(name)]),
     cache(lambda name: _EVENT_CODES[LastEvent(name)]),
 )
+
+# Per column, the types of a JSON field and their name in a refusal.  A
+# ``bool`` is an ``int`` to Python but not a number in a record.
+_JSON_TYPES = (({int, float}, "a number"),) * 4 + (({int}, "an integer"),) * 2 + (
+    ({str}, "a string"),
+) * 2
 
 
 class RecordWriteError(IOError):
@@ -65,18 +73,52 @@ def _json_number(x: float) -> str:
     return repr(x)
 
 
+@cache
+def _row(format: str, slots: tuple[str, ...]) -> str:
+    """The row template of ``format`` with the four float ``slots``.
+
+    A JSON row is one element of ``json.dump(rows, sink, indent=1)``, led by
+    the separator from the element before it.
+    """
+    if format == "csv":
+        return ",".join(slots) + ",%d,%d,%s,%s\n"
+    specs = slots + ("%d",) * 2 + ('"%s"',) * 2
+    return ",\n {\n%s\n }" % ",\n".join(
+        f'  "{name}": {spec}' for name, spec in zip(FIELD_NAMES, specs)
+    )
+
+
+def _float_items(
+    values: array, slot: Optional[str], number: Callable[[float], str]
+) -> tuple[str, Iterable]:
+    """One chunk of a float column: its slot in the row template and the
+    items for that slot.
+
+    Runs of equal bit patterns, not of equal values, so that ``0.0`` and
+    ``-0.0`` and NaNs of different payloads each keep their own text.  A
+    column where at least half the values differ from the one before them
+    keeps ``slot``, if it has one; otherwise each run is formatted once by
+    ``number``, and its text is repeated through a ``%s`` slot.
+    """
+    bits = np.frombuffer(values, np.uint64)
+    starts = bits[1:] != bits[:-1]  # row i + 1 starts a run
+    if slot is not None and 2 * np.count_nonzero(starts) >= len(values):
+        return slot, values
+    edges = [0, *(np.flatnonzero(starts) + 1).tolist(), len(values)]
+    texts = map(number, map(values.__getitem__, edges[:-1]))
+    return "%s", chain.from_iterable(map(repeat, texts, map(sub, edges[1:], edges[:-1])))
+
+
 def _chunks(
-    records: Records, row: str, number: Optional[Callable[[float], str]] = None
+    records: Records, format: str, slot: Optional[str], number: Callable[[float], str]
 ) -> Iterator[str]:
-    """The rows of ``records`` formatted with the template ``row``, joined
-    ``CHUNK_ROWS`` at a time; ``number`` maps each float first."""
+    """The rows of ``records`` in ``format``, joined ``CHUNK_ROWS`` at a
+    time; each float takes ``slot``, or the text ``number`` gives its run."""
     t, sx, sy, sz, n_collisions, n_collapses, regime, event = records.columns()
     for lo in range(0, len(records), CHUNK_ROWS):
         part = slice(lo, lo + CHUNK_ROWS)
-        floats = [column[part] for column in (t, sx, sy, sz)]
-        if number is not None:
-            floats = [map(number, column) for column in floats]
-        yield "".join(map(row.__mod__, zip(
+        slots, floats = zip(*(_float_items(c[part], slot, number) for c in (t, sx, sy, sz)))
+        yield "".join(map(_row(format, slots).__mod__, zip(
             *floats, n_collisions[part], n_collapses[part],
             map(_REGIME_NAMES.__getitem__, regime[part]),
             map(_EVENT_NAMES.__getitem__, event[part]),
@@ -99,15 +141,17 @@ def write_records(records: Sequence[TimeSeriesRecord], format: str, sink: IO[str
     try:
         if format == "csv":
             sink.write(CSV_HEADER + "\n")
-            for text in _chunks(records, _CSV_ROW):
+            for text in _chunks(records, format, "%.16e", "%.16e".__mod__):
                 sink.write(text)
             return
-        # A finite sum means finite terms; a sum that overflows only takes the
-        # slower path, which writes finite floats the same way.
+        # ``%r`` writes a finite float as ``json`` does.  A finite sum means
+        # finite terms; a sum that overflows only takes the path for non-finite
+        # floats, whose ``_json_number`` has no slot and so formats every float
+        # per run, and writes finite floats the same way.
         if all(math.isfinite(sum(column)) for column in records.columns()[:4]):
-            chunks = _chunks(records, _JSON_ROW)
+            chunks = _chunks(records, format, "%r", repr)
         else:
-            chunks = _chunks(records, _JSON_ROW_TEXT, _json_number)
+            chunks = _chunks(records, format, None, _json_number)
         for i, text in enumerate(chunks):
             # The first element takes the opening bracket for its separator.
             sink.write(text if i else "[" + text[1:])
@@ -140,10 +184,20 @@ def read_records(source: IO[str], format: str) -> Records:
             for row in chunk:
                 if len(row) != 8:
                     raise ValueError(f"malformed CSV row: {','.join(row)!r}")
-            for column, values, parse in zip(records.columns(), zip(*chunk), _PARSERS):
+            fields = list(zip(*chunk))
+            if format == "json":
+                _check_json_types(fields)
+            for column, values, parse in zip(records.columns(), fields, _PARSERS):
                 column.extend(map(parse, values))
     except KeyError as exc:  # only a JSON object without a field raises it
         raise ValueError(f"record object is missing the field {exc.args[0]!r}") from None
-    except TypeError as exc:  # a JSON field that is neither a number nor a string
-        raise ValueError(f"malformed record field: {exc}") from None
     return records
+
+
+def _check_json_types(fields: list[tuple]) -> None:
+    """Refuse a chunk of JSON fields, given column by column, that holds a
+    value of a type its column does not take."""
+    for name, values, (types, kind) in zip(FIELD_NAMES, fields, _JSON_TYPES):
+        if not set(map(type, values)) <= types:
+            bad = next(v for v in values if type(v) not in types)
+            raise ValueError(f"malformed record field {name!r}: {json.dumps(bad)} is not {kind}")

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 from dataclasses import replace
 from unittest import mock
@@ -14,9 +15,11 @@ from collapsim import (
     Records,
     Regime,
     TimeSeriesRecord,
+    parse_config,
     preset,
     read_records,
     run,
+    to_document,
     write_records,
 )
 from collapsim import recording
@@ -169,6 +172,26 @@ def written(write, records, fmt) -> str:
     return sink.getvalue()
 
 
+def written_with_slots(records, fmt):
+    """What ``write_records`` writes, and the float slots of the row
+    templates it used."""
+    with mock.patch.object(recording, "_row", wraps=recording._row) as row:
+        text = written(write_records, records, fmt)
+    return text, {call.args[1] for call in row.call_args_list}
+
+
+def run_rows(lengths, values):
+    """Rows whose widths come in runs of the given lengths, each run taking
+    the next of ``values``, and whose times never repeat."""
+    widths = [values[k % len(values)] for k, n in enumerate(lengths) for _ in range(n)]
+    return [
+        TimeSeriesRecord(
+            1e-6 * (i + 1), (w, w, w), i, i // 3, tuple(Regime)[i % 2], tuple(LastEvent)[i % 3]
+        )
+        for i, w in enumerate(widths)
+    ]
+
+
 class TestMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(records=record_lists(), fmt=st.sampled_from(("csv", "json")),
@@ -196,6 +219,69 @@ class TestMatchesReference:
         assert written(write_records, records, fmt) == written(reference_write, records, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_grain_run_equals_reference_writer(self, fmt):
+        # A heavy object's widths are bit-constant between collapses.
+        _, records = run(replace(preset("sugar_grain"), seed=2, duration=3e-3))
+        assert len(records) > 2 * CHUNK_ROWS
+        text, slots = written_with_slots(records, fmt)
+        assert text == written(reference_write, records, fmt)
+        assert all(s[1:] == ("%s",) * 3 for s in slots)
+
+    def test_generic_document_equals_reference_writer(self):
+        doc = to_document(preset("sugar_grain"))
+        doc.update(
+            initial_sigma_m=5e-11, initial_alpha_rad="random", env_sigma_jitter=0.5,
+            impact_spread_m=5e-11, redraw_alpha_after_collapse=True, seed=2, duration_s=3e-3,
+        )
+        _, records = run(parse_config(json.dumps(doc)))
+        assert len(records) > 2 * CHUNK_ROWS
+        text, slots = written_with_slots(records, "json")
+        assert text == written(reference_write, records, "json")
+        assert ("%s",) * 3 in {s[1:] for s in slots}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_runs_across_chunks_equal_reference_writer(self, fmt, chunk):
+        records = run_rows([1, 2, 3, 4, 5, 1, 7, 2, 3], EDGE_FLOATS)
+        expected = written(reference_write, records, fmt)
+        with mock.patch.object(recording, "CHUNK_ROWS", chunk):
+            for store in (records, Records.from_rows(records)):
+                text, slots = written_with_slots(store, fmt)
+                assert text == expected
+                assert any("%s" in s for s in slots)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_signed_zero_runs_keep_their_sign(self, fmt):
+        records = run_rows([3, 4, 2, 5, 1, 3], (0.0, -0.0))
+        text, slots = written_with_slots(records, fmt)
+        assert text == written(reference_write, records, fmt)
+        assert {s[1:] for s in slots} == {("%s",) * 3}
+        assert read_records(io.StringIO(text), fmt).columns() == (
+            Records.from_rows(records).columns()
+        )
+
+    def test_non_finite_runs_in_json(self):
+        records = run_rows([4, 1, 3, 2, 5, 1], (math.nan, math.inf, -math.inf, 1.5))
+        text, slots = written_with_slots(records, "json")
+        assert text == written(reference_write, records, "json")
+        assert slots == {("%s",) * 4}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_mixed_slots_in_one_chunk(self, fmt):
+        # t and sigma_y never repeat; sigma_x and sigma_z come in runs of 8.
+        records = [
+            TimeSeriesRecord(
+                1e-6 * (i + 1), (1e-9 * (1 + i // 8), 2e-9 + 1e-12 * i, -3e-9 * (1 + i // 8)),
+                i, i // 8, tuple(Regime)[i % 2], tuple(LastEvent)[i % 3],
+            )
+            for i in range(100)
+        ]
+        text, slots = written_with_slots(records, fmt)
+        assert text == written(reference_write, records, fmt)
+        number = "%.16e" if fmt == "csv" else "%r"
+        assert slots == {(number, "%s", number, "%s")}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 1])
     def test_one_write_per_chunk(self, fmt, n):
         class CountingSink(io.StringIO):
@@ -210,6 +296,15 @@ class TestMatchesReference:
         # CSV: the header, then the chunks.  JSON: the chunks, then the
         # closing bracket (or the whole empty array).
         assert sink.writes == 1 + math.ceil(n / CHUNK_ROWS)
+
+
+def json_row(**fields) -> str:
+    """A one-row JSON record array, ``fields`` replacing a valid row's."""
+    row = {
+        "t_s": 0.0, "sigma_x_m": 1.0, "sigma_y_m": 1.0, "sigma_z_m": 1.0,
+        "n_collisions": 0, "n_collapses": 0, "regime": "CM_PHASE", "last_event": "NONE",
+    }
+    return json.dumps([{**row, **fields}])
 
 
 class TestReadIntoStore:
@@ -243,9 +338,21 @@ class TestReadIntoStore:
             ('[{"t_s": null, "sigma_x_m": 1.0, "sigma_y_m": 1.0, "sigma_z_m": 1.0, '
              '"n_collisions": 0, "n_collapses": 0, "regime": "CM_PHASE", "last_event": "NONE"}]',
              "malformed record field"),
+            (json_row(t_s=True), "malformed record field 't_s': true is not a number"),
+            (json_row(sigma_y_m="1e-3"), """'sigma_y_m': "1e-3" is not a number"""),
+            (json_row(n_collisions=2.7), "'n_collisions': 2.7 is not an integer"),
+            (json_row(n_collapses=False), "'n_collapses': false is not an integer"),
+            (json_row(regime=0), "'regime': 0 is not a string"),
+            (json_row(last_event=None), "'last_event': null is not a string"),
         ],
-        ids=["missing_field", "object", "non_object_element", "null_field"],
+        ids=["missing_field", "object", "non_object_element", "null_field", "bool_float",
+             "string_float", "float_count", "bool_count", "number_regime", "null_event"],
     )
     def test_malformed_json_rejected(self, text, problem):
         with pytest.raises(ValueError, match=problem):
             read_records(io.StringIO(text), "json")
+
+    def test_json_int_is_a_float(self):
+        (record,) = read_records(io.StringIO(json_row(t_s=2, sigma_x_m=-1)), "json")
+        assert record.t == 2.0 and record.sigma[0] == -1.0
+        assert type(record.t) is float and type(record.sigma[0]) is float
