@@ -34,7 +34,6 @@ from .packets import (
     GaussianPacket,
     ObjectSpec,
     de_broglie_wavelength,
-    evolve_free,
     spreading_velocity,
     spreading_velocity_via_lambda,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "TimeSeriesRecord",
     "de_broglie_wavelength",
     "draw_phase",
-    "evolve_free",
     "initial_state",
     "next_collision",
     "norm_quadrature",

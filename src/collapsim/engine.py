@@ -30,29 +30,31 @@ more word for the object's new phase constant.  Collision ``j`` after a
 state at word ``position`` therefore starts at ``position + 12 * j`` until
 the next firing.
 
-Block scan.  :func:`step` resolves one collision at a time; it is the
-reference, and :func:`run` resolves its scalar collisions with it.  Only
-about alpha_s / (2 pi) ~ 1.2e-3 of encounters pass the phase clause, and
-between two firings the waist, and with it the whole trajectory, is fixed.
-So :func:`run` draws the words of a block of collisions at once (about
+Block scan.  :func:`step` draws one collision with :func:`next_collision`
+and decides it with :func:`resolve`; it is the reference.  Only about
+alpha_s / (2 pi) ~ 1.2e-3 of encounters pass the phase clause, and between
+two firings the waist, and with it the whole trajectory, is fixed.  So
+:func:`run` draws the words of a block of collisions at once (about
 2 pi / alpha_s of them) and evaluates their times, readout widths, cluster
 picks and phase clauses in numpy: thinning (Lewis & Shedler 1979) evaluated
 in blocks.  A phase-rejected collision only advances counters, records and
 the recovery sum, so those are taken in bulk.  A phase-passing collision, or
-one whose widths are not finite, goes through :func:`step` from its own
-stream position; an amplitude reject there changes only counters and the
+one whose widths are not finite, is drawn again from its own words and goes
+through :func:`resolve`; an amplitude reject changes only counters and the
 block goes on.  A block ends at a firing, before the first collision past
-the duration, or at ``max_collisions``.  The arithmetic matches the scalar
-path bit for bit: times are a sequential ``np.cumsum`` of ``math.log1p``
-gaps, widths come from :func:`spread_widths` on arrays, and sums are
-accumulated in collision order.
+the duration, or at ``max_collisions``.  A run builds one
+:class:`RngState`: each block and each scalar collision seeks to its word,
+and nothing is seeded again.  The arithmetic matches the scalar path bit
+for bit: times are a sequential ``np.cumsum`` of ``math.log1p`` gaps,
+widths come from :func:`spread_widths` on arrays, and sums are accumulated
+in collision order.
 
 Records.  :func:`run` keeps its rows in one :class:`Records` store of typed
 columns.  The rows of phase-rejected collisions extend the columns by
 slices of the block's per-axis widths and cluster mask; grid rows and the
-rows :func:`step` returns are appended field by field.  So no record object
-is built per row: a row takes 50 bytes, and a :class:`TimeSeriesRecord` is
-built only when a row is read.
+rows :func:`resolve` returns are appended field by field.  So no record
+object is built per row: a row takes 50 bytes, and a
+:class:`TimeSeriesRecord` is built only when a row is read.
 """
 
 from __future__ import annotations
@@ -71,7 +73,9 @@ from .config import RANDOM_ALPHA, ScenarioConfig
 from .constants import PHASE_ACCEPTANCE_PROBABILITY
 from .contraction import damped_sigma, product_width
 from .criterion import criterion_fires, phase_clause_batch
-from .environment import COLLISION_WORDS, RngState, draw_collision_block, draw_phase, next_collision
+from .environment import (
+    COLLISION_WORDS, CollisionEvent, RngState, draw_collision_block, draw_phase, next_collision
+)
 from .packets import Vec3, spread_widths
 
 
@@ -253,16 +257,28 @@ def step(state: SimState, config: ScenarioConfig) -> tuple[SimState, TimeSeriesR
     """Advance ``state``, a state of the run of ``config``, to the next
     collision and resolve it.
 
-    The scalar reference for :func:`run`, which also resolves its
-    phase-passing collisions with it.  It rebuilds the stream from
-    ``RngState(config.seed, state.position)`` and leaves ``state`` as it was.
-    The collision's cluster pick selects the compared cluster in the cluster
-    regime; a firing draws one more word only for a phase redraw.
+    The scalar reference for :func:`run`.  It rebuilds the stream from
+    ``RngState(config.seed, state.position)``, draws the collision with
+    :func:`next_collision` and hands it to :func:`resolve`; ``state`` stays
+    as it was.
     """
     rng = RngState(config.seed, state.position)
     event = next_collision(rng, config.environment, state.t)
     if event is None:
         raise ValueError("step requires a positive collision rate")
+    return resolve(state, event, config, rng)
+
+
+def resolve(
+    state: SimState, event: CollisionEvent, config: ScenarioConfig, rng: RngState
+) -> tuple[SimState, TimeSeriesRecord]:
+    """Resolve ``event``, the next collision of ``state``; ``rng`` stands
+    just past the event's words.
+
+    The collision's cluster pick selects the compared cluster in the cluster
+    regime; a firing reads one more word from ``rng`` only for a phase
+    redraw.  The new state's position is ``rng.position``.
+    """
     spec = config.object
     t = event.time
     sigma = _widths_at(state, spec.mass, t, state.n_collisions)
@@ -350,15 +366,14 @@ class _Block:
     """The next collisions of a run, evaluated in numpy from the current waist.
 
     Collisions ``0 .. end-1`` belong to the block; collision ``i`` starts at
-    word ``start + 12 * i``.  ``scalar`` lists the ones that must go through
-    :func:`step`: phase-clause passes and non-finite widths.
+    word ``state.position + 12 * i``.  ``scalar`` lists the ones that must go
+    through :func:`resolve`: phase-clause passes and non-finite widths.
     ``past_duration`` says that collision ``end`` lies past the duration.
     ``columns`` holds the per-collision time, the three widths and the
     cluster-regime mask as arrays, in the order of their :class:`Records`
     columns; slices of them are the rows of phase-rejected collisions.
     """
 
-    start: int
     end: int
     past_duration: bool
     times: list
@@ -368,9 +383,9 @@ class _Block:
 
 
 def _evaluate_block(state: SimState, config: ScenarioConfig, rng: RngState, n: int) -> _Block:
-    """Draw the next ``n`` collisions of ``state`` from ``rng``, which stands
-    at ``state.position``, and evaluate them."""
-    start = rng.position
+    """Draw the next ``n`` collisions of ``state`` from ``rng``, moved to
+    ``state.position``, and evaluate them."""
+    rng.seek(state.position)
     gaps, env_alpha, pick = draw_collision_block(rng, config.environment, n)
     times = np.cumsum(np.concatenate(((state.t,), gaps)))[1:]
     with np.errstate(all="ignore"):
@@ -385,7 +400,6 @@ def _evaluate_block(state: SimState, config: ScenarioConfig, rng: RngState, n: i
     # The block ends before the first collision past the duration.
     end = int(np.searchsorted(times, config.duration, side="right"))
     return _Block(
-        start=start,
         end=end,
         past_duration=end < n,
         times=times.tolist(),
@@ -418,7 +432,7 @@ class _Sums:
         self.recovery_samples += len(ratios)
 
     def add_collision(self, sigma_before: float, fired: bool, sigma_after: float) -> None:
-        """One collision resolved by :func:`step`."""
+        """One collision resolved by :func:`resolve`."""
         if self.sigma_after_last_collapse is not None:
             self.recovery_sum += sigma_before / self.sigma_after_last_collapse
             self.recovery_samples += 1
@@ -444,7 +458,7 @@ def run(
     not processed.  ``max_collisions`` caps the number of processed events.
     Collisions are scanned in blocks (see the module docstring): the rows of
     phase-rejected collisions extend the columns by slices of the block, and
-    grid rows and the rows :func:`step` returns are appended field by field,
+    grid rows and the rows :func:`resolve` returns are appended field by field,
     so no record object is built per row.  Rows, summary and stream position
     equal those of a loop over :func:`step`.
     """
@@ -488,8 +502,8 @@ def run(
     sample(0.0, 0)
     sums = _Sums(min_sigma=min(state.sigma))
     budget_exhausted = False
-    # The stream at state.position, reused while blocks follow each other.
-    rng = RngState(config.seed, state.position)
+    # The run's one stream: each block and each scalar collision seeks in it.
+    rng = RngState(config.seed)
 
     while config.environment.collision_rate > 0.0:
         n = _BLOCK_SIZE
@@ -498,10 +512,8 @@ def run(
             if n <= 0:
                 budget_exhausted = True
                 break
-        if rng.position != state.position:
-            rng = RngState(config.seed, state.position)
         block = _evaluate_block(state, config, rng, n)
-        times, n0 = block.times, state.n_collisions
+        times, n0, p0 = block.times, state.n_collisions, state.position
         fired = False
         lo = 0
         for j in block.scalar + [block.end]:
@@ -518,14 +530,12 @@ def run(
                 sums.add_rejected(block.sigma_min[lo:j])
             if j == block.end:
                 break
-            # Collision j goes through step from its own words, after the
-            # grid samples before it.
+            # Collision j is drawn again from its own words and resolved,
+            # after the grid samples before it.
             emit_samples(times[j], n0 + j)
-            before = replace(
-                state, t=times[j - 1] if j else state.t, n_collisions=n0 + j,
-                position=block.start + COLLISION_WORDS * j,
-            )
-            after, record = step(before, config)
+            rng.seek(p0 + COLLISION_WORDS * j)
+            event = next_collision(rng, config.environment, times[j - 1] if j else state.t)
+            after, record = resolve(replace(state, n_collisions=n0 + j), event, config, rng)
             if keep_records:
                 records._append_record(record)
             fired = record.last_event is LastEvent.COLLAPSE
@@ -542,7 +552,7 @@ def run(
                 state,
                 t=times[end - 1],
                 n_collisions=n0 + end,
-                position=block.start + COLLISION_WORDS * end,
+                position=p0 + COLLISION_WORDS * end,
             )
         if block.past_duration:
             break

@@ -11,8 +11,10 @@ meets.  No packet object is built per encounter.
 Randomness is fully positional: :class:`RngState` wraps a PCG64 generator
 and counts consumed 64-bit words, so a state can be reconstructed from
 ``(seed, position)`` alone and a stream replayed bit-exactly within one
-build.  Every logical draw consumes a fixed number of words, and a
-collision takes :data:`COLLISION_WORDS` in every regime.
+build.  :meth:`RngState.seek` moves a stream to any position, forward or
+back, by the same jump that construction uses and without seeding again, so
+one stream serves a whole run.  Every logical draw consumes a fixed number
+of words, and a collision takes :data:`COLLISION_WORDS` in every regime.
 """
 
 from __future__ import annotations
@@ -91,11 +93,15 @@ class RngState:
         if position < 0:
             raise ValueError(f"position must be a non-negative integer, got {position}")
         self.seed = int(seed)
-        self.position = int(position)
-        bitgen = PCG64(self.seed)
-        if self.position:
-            bitgen.advance(self.position)
-        self._gen = Generator(bitgen)
+        self.position = 0
+        self._gen = Generator(PCG64(self.seed))
+        self.seek(int(position))
+
+    def seek(self, position: int) -> None:
+        """Move the stream to word ``position``, forward or back, without
+        seeding again: PCG64 jumps any distance in O(log n) steps."""
+        self._gen.bit_generator.advance((position - self.position) % (1 << 128))
+        self.position = position
 
     def words(self, n: int) -> np.ndarray:
         """Consume n words and return them as uniforms on [0, 1)."""

@@ -8,12 +8,12 @@ separable normalized Gaussian
 
 so that the position density |psi|^2 integrates to one by construction.
 
-Free evolution is anchored at ``t_ref``, the time of the packet's creation or
+Free evolution is anchored at a waist, the time of the packet's creation or
 last contraction, where the packet is at its narrowest (a contraction of two
-real Gaussians produces a real Gaussian, i.e. a waist).  ``ref_center`` and
-``ref_sigma`` hold the state at ``t_ref``; ``center`` and ``sigma`` hold the
-state at the time the packet was last read out.  Evolving a packet to any
-``t >= t_ref`` is an exact, composable readout of the same trajectory.
+real Gaussians produces a real Gaussian, i.e. a waist).  :func:`spread_widths`
+reads the widths out a time dt after the waist, so any readout is exact and
+none depends on an earlier one.  ``GaussianPacket`` keeps ``ref_center`` and
+``ref_sigma``, its state at ``t_ref``, beside ``center`` and ``sigma``.
 """
 
 from __future__ import annotations
@@ -188,28 +188,3 @@ def spread_widths(sigma0: Vec3, mass: float, dt):
         s3 * sqrt(1.0 + q3 * q3),
     )
 
-
-def evolve_free(packet: GaussianPacket, t: float) -> GaussianPacket:
-    """Free-Schroedinger readout of the packet at time t >= t_ref.
-
-    The center drifts with the packet velocity and the widths follow
-    :func:`spread_widths` from the waist at ``t_ref``.  Anchoring at ``t_ref``
-    makes repeated readouts compose exactly: evolving to t1 and then to t2
-    equals evolving straight to t2.
-    """
-    dt = t - packet.t_ref
-    if dt < 0.0:
-        raise ValueError(f"cannot evolve backwards: t={t} < t_ref={packet.t_ref}")
-    c1, c2, c3 = packet.ref_center
-    v1, v2, v3 = packet.velocity
-    center_t = (c1 + v1 * dt, c2 + v2 * dt, c3 + v3 * dt)
-    return GaussianPacket(
-        center=center_t,
-        sigma=spread_widths(packet.ref_sigma, packet.mass, dt),
-        velocity=packet.velocity,
-        mass=packet.mass,
-        alpha=packet.alpha,
-        t_ref=packet.t_ref,
-        ref_center=packet.ref_center,
-        ref_sigma=packet.ref_sigma,
-    )

@@ -187,8 +187,11 @@ def read_records(source: IO[str], format: str) -> Records:
             fields = list(zip(*chunk))
             if format == "json":
                 _check_json_types(fields)
-            for column, values, parse in zip(records.columns(), fields, _PARSERS):
-                column.extend(map(parse, values))
+            for name, column, values, parse in zip(FIELD_NAMES, records.columns(), fields, _PARSERS):
+                try:
+                    column.extend(map(parse, values))
+                except OverflowError as exc:  # a count past int64, or an int past a float
+                    raise ValueError(f"malformed record field {name!r}: {exc}") from None
     except KeyError as exc:  # only a JSON object without a field raises it
         raise ValueError(f"record object is missing the field {exc.args[0]!r}") from None
     return records

@@ -84,6 +84,18 @@ def spread(sigma0, mass, dt):
     return tuple(out)
 
 
+def complex_width(a, mass, dt):
+    """Free evolution of one axis's complex width A = sigma0^2 + i hbar t / (2 m)
+    by a further time dt: A + i hbar dt / (2 m).  A real A is a waist of
+    width sqrt(A); composing two hops is adding their imaginary parts."""
+    return a + 1j * (HBAR * dt / (2.0 * mass))
+
+
+def width_of(a):
+    """The width |A| / sqrt(Re A) of a complex width A."""
+    return abs(a) / math.sqrt(a.real)
+
+
 CSV_HEADER = "t_s,sigma_x_m,sigma_y_m,sigma_z_m,n_collisions,n_collapses,regime,last_event"
 
 

@@ -515,6 +515,18 @@ class TestNoPacketBuilt:
         assert len(constructed) == 0
 
 
+def test_run_builds_one_stream(monkeypatch):
+    """``run`` seeks in one :class:`RngState` and never seeds another."""
+    calls = []
+    init = RngState.__init__
+    monkeypatch.setattr(
+        RngState, "__init__", lambda rng, *args: calls.append(1) or init(rng, *args)
+    )
+    summary, _ = run(preset("tpp"))
+    assert summary.n_collapses > 0
+    assert len(calls) == 1
+
+
 def reference_run(config: ScenarioConfig, max_collisions=None):
     """The semantics of ``run`` as a plain loop over ``step``.
 

@@ -60,6 +60,18 @@ class TestRngState:
         assert np.array_equal(block, np.array(singles))
         assert a.position == b.position == 1000
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 2**40 + 3])
+    @pytest.mark.parametrize("p, q", [(100, 0), (100, 37), (100, 100), (5, 1000), (0, 1)])
+    def test_seek_equals_fresh_stream(self, seed, p, q):
+        rng = RngState(seed, p)
+        rng.words(3)  # the stream need not stand at p when it seeks
+        rng.seek(q)
+        fresh = RngState(seed, q)
+        assert rng == fresh
+        assert np.array_equal(rng.words(25), fresh.words(25))
+        assert rng.uniform() == fresh.uniform()
+        assert rng == fresh
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             RngState(-1)

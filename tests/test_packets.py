@@ -9,7 +9,6 @@ from collapsim import (
     GaussianPacket,
     ObjectSpec,
     de_broglie_wavelength,
-    evolve_free,
     norm_quadrature,
     spreading_velocity,
     spreading_velocity_via_lambda,
@@ -17,6 +16,7 @@ from collapsim import (
 from collapsim.constants import FINE_STRUCTURE, HBAR, PLANCK_H
 from collapsim.packets import spread_widths
 from conftest import TWO_PI, fresh_packet, log_uniform, packets
+import reference
 
 
 class TestConstants:
@@ -100,65 +100,55 @@ class TestSpreadingViaWavelength:
 
 
 class TestEvolveFree:
-    def test_zero_dt_is_identity(self):
-        p = fresh_packet(sigma=(1e-9, 2e-9, 3e-9), velocity=(1.0, 0.0, -1.0))
-        assert evolve_free(p, 0.0) == p
+    """Free evolution of the widths, read out from the waist by
+    :func:`spread_widths`."""
 
-    def test_center_drifts(self):
-        p = fresh_packet(center=(1.0, 2.0, 3.0), sigma=1e-3, velocity=(1.0, -2.0, 0.5), mass=1.0)
-        q = evolve_free(p, 2.0)
-        assert q.center == (3.0, -2.0, 4.0)
-        assert q.alpha == p.alpha and q.mass == p.mass and q.velocity == p.velocity
+    def test_zero_dt_is_identity(self):
+        sigma = (1e-9, 2e-9, 3e-9)
+        assert spread_widths(sigma, 1e-20, 0.0) == sigma
 
     def test_width_law(self):
         s0, m, dt = 5e-11, 1.7e-23, 1e-6
-        p = fresh_packet(sigma=s0, mass=m)
-        q = evolve_free(p, dt)
         x = HBAR * dt / (2.0 * m * s0 * s0)
-        assert q.sigma[0] == pytest.approx(s0 * math.sqrt(1.0 + x * x), rel=1e-15)
+        assert spread_widths((s0,) * 3, m, dt)[0] == pytest.approx(
+            s0 * math.sqrt(1.0 + x * x), rel=1e-15
+        )
 
     def test_asymptotic_slope_matches_spreading_velocity(self):
         # finite-difference slope deep in the linear regime
         s0, m = 5e-11, 1.7e-23
-        p = fresh_packet(sigma=s0, mass=m)
+        sigma = (s0,) * 3
         t = 1e4 * 2.0 * m * s0 * s0 / HBAR  # bracket term dominates 1e4x
         h = t * 1e-3
-        slope = (evolve_free(p, t + h).sigma[0] - evolve_free(p, t - h).sigma[0]) / (2 * h)
+        slope = (spread_widths(sigma, m, t + h)[0] - spread_widths(sigma, m, t - h)[0]) / (2 * h)
         assert slope == pytest.approx(spreading_velocity(2.0 * s0, m), rel=1e-6)
 
     def test_heavy_grain_yearly_growth(self):
-        p = fresh_packet(sigma=5e-11, mass=1e-7)
-        q = evolve_free(p, 3.15e7)
-        growth = q.sigma[0] - 5e-11
+        growth = spread_widths((5e-11,) * 3, 1e-7, 3.15e7)[0] - 5e-11
         assert growth <= 3.4e-10
         assert growth >= 2.0e-10
-
-    def test_no_backward_evolution(self):
-        p = fresh_packet(t_ref=1.0)
-        with pytest.raises(ValueError):
-            evolve_free(p, 0.5)
 
     @given(packets(), st.floats(1e-9, 1e6), st.floats(1e-9, 1e6))
     @settings(max_examples=200)
     def test_semigroup_on_widths(self, p, t1, t2):
-        two_hop = evolve_free(evolve_free(p, t1), t1 + t2)
-        one_hop = evolve_free(p, t1 + t2)
-        for a, b in zip(two_hop.sigma, one_hop.sigma):
-            assert abs(a - b) <= 1e-12 * b
-        assert two_hop.center == one_hop.center
+        # One hop of the engine's law against two hops of the complex width.
+        one_hop = spread_widths(p.sigma, p.mass, t1 + t2)
+        for s0, b in zip(p.sigma, one_hop):
+            a = reference.complex_width(reference.complex_width(s0 * s0, p.mass, t1), p.mass, t2)
+            assert abs(reference.width_of(a) - b) <= 1e-12 * b
 
     @given(packets(), st.floats(0.0, 1e6), st.floats(0.0, 1e6))
     def test_width_never_decreases(self, p, ta, tb):
         lo, hi = sorted((ta, tb))
-        early = evolve_free(p, lo)
-        late = evolve_free(p, hi)
-        assert all(b >= a for a, b in zip(early.sigma, late.sigma))
+        early = spread_widths(p.sigma, p.mass, lo)
+        late = spread_widths(p.sigma, p.mass, hi)
+        assert all(b >= a for a, b in zip(early, late))
 
     def test_normalization_preserved(self, gen):
         for _ in range(10):
             sigma = tuple(log_uniform(gen, 1e-12, 1e-2, 3))
-            p = fresh_packet(center=tuple(gen.normal(0, 1e-3, 3)), sigma=sigma, mass=1e-20)
-            q = evolve_free(p, 1e-3)
+            center = tuple(gen.normal(0, 1e-3, 3))
+            q = fresh_packet(center=center, sigma=spread_widths(sigma, 1e-20, 1e-3), mass=1e-20)
             assert abs(norm_quadrature(q) - 1.0) < 1e-8
 
 

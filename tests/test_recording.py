@@ -352,6 +352,19 @@ class TestReadIntoStore:
         with pytest.raises(ValueError, match=problem):
             read_records(io.StringIO(text), "json")
 
+    @pytest.mark.parametrize(
+        "fmt, text, field",
+        [
+            ("csv", f"{CSV_HEADER}\n0.0,1.0,1.0,1.0,{2**63},0,CM_PHASE,NONE\n", "n_collisions"),
+            ("json", json_row(n_collapses=2**63), "n_collapses"),
+            ("json", json_row(t_s=10**400), "t_s"),
+        ],
+        ids=["csv_count", "json_count", "json_float"],
+    )
+    def test_overflowing_field_rejected(self, fmt, text, field):
+        with pytest.raises(ValueError, match=f"malformed record field {field!r}"):
+            read_records(io.StringIO(text), fmt)
+
     def test_json_int_is_a_float(self):
         (record,) = read_records(io.StringIO(json_row(t_s=2, sigma_x_m=-1)), "json")
         assert record.t == 2.0 and record.sigma[0] == -1.0
