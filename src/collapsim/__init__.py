@@ -7,7 +7,16 @@ heavy objects in the same environment end up on opposite sides of a
 localization divide because the free spreading rate scales as 1/mass.
 """
 
-from .config import PRESETS, ConfigError, ScenarioConfig, parse_config, preset, to_document
+from .config import (
+    PRESETS,
+    ConfigError,
+    EnvironmentSpec,
+    ObjectSpec,
+    ScenarioConfig,
+    parse_config,
+    preset,
+    to_document,
+)
 from .criterion import overlap_integral
 from .engine import (
     EngineError,
@@ -25,14 +34,12 @@ from .engine import (
 )
 from .environment import (
     CollisionEvent,
-    EnvironmentSpec,
     RngState,
     draw_phase,
     next_collision,
 )
 from .packets import (
     GaussianPacket,
-    ObjectSpec,
     de_broglie_wavelength,
     spreading_velocity,
     spreading_velocity_via_lambda,

@@ -10,7 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import IO, Optional
 
-from .config import PRESETS, ConfigError, ScenarioConfig, parse_config, preset
+from .config import OUTPUT_FORMATS, PRESETS, ConfigError, ScenarioConfig, parse_config, preset
 from .engine import EngineError, run, run_ensemble
 from .recording import RecordWriteError, write_records
 from .sweep import SweepAxis, sweep
@@ -24,7 +24,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rate-hz", type=float, dest="rate_hz", help="override collision rate")
     p.add_argument("--eta", type=float, help="override cluster-regime damping exponent")
     p.add_argument("--output", type=Path, help="output file (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format")
+    p.add_argument("--format", choices=OUTPUT_FORMATS, help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:

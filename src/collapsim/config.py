@@ -1,21 +1,27 @@
-"""Scenario configuration: presets, document parsing and validation.
+"""Scenario configuration: the input types, presets and document parsing.
 
 Config documents are flat JSON objects with units encoded in the key names
-(``mass_kg``, ``duration_s``, ...).  Unknown keys are rejected and all
-validation problems are reported together rather than one at a time.
+(``mass_kg``, ``duration_s``, ...).  One rule set serves every input: each
+rule is written once, in the constructor of the type that holds the value,
+names the document key, and takes a number as an int or a float, never a
+bool or a string.  A constructor reports all of its problems in one
+:class:`ConfigError`.  :func:`parse_config` checks only the JSON (syntax,
+object shape, unknown and missing keys) and lists together the problems of
+the three types it builds.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from numpy.random import PCG64, Generator
 
-from .environment import EnvironmentSpec
-from .packets import TWO_PI, ObjectSpec, Vec3, as_vec3
+from .packets import TWO_PI, Vec3, reduce_phase
 
 OUTPUT_FORMATS = ("csv", "json")
 
@@ -26,13 +32,139 @@ RANDOM_ALPHA = "random"
 # columns, so a larger grid would run for minutes and could exhaust memory.
 MAX_SAMPLE_ROWS = 10**7
 
+# Problems are listed in this order, whichever constructor finds them: by
+# the key whose rule failed, with the rules that join keys (None) just
+# before the output format.
+_PROBLEM_ORDER = (
+    "mass_kg", "internal_radius_m", "duration_s", "sample_interval_s", "cluster_eta",
+    "collision_rate_hz", "env_sigma_jitter", "impact_spread_m", "initial_sigma_m",
+    "env_sigma_m", "cluster_alphas_rad", "initial_alpha_rad", "seed", "output_path",
+    "redraw_alpha_after_collapse", None, "output_format",
+)
+
 
 class ConfigError(ValueError):
-    """Carries every validation problem found in a config document."""
+    """Carries every validation problem of a config document or of one
+    constructor's inputs; from a constructor, ``keys`` names per problem the
+    document key whose rule failed, or None for a rule that joins keys."""
 
-    def __init__(self, problems: list[str]):
+    def __init__(self, problems: list[str], keys: Sequence[Optional[str]] = ()):
         self.problems = list(problems)
+        self.keys = tuple(keys)
         super().__init__("; ".join(self.problems))
+
+
+def _number(value) -> Optional[float]:
+    """``value`` as a float if it is an int or a float (an int too large for
+    a float gives inf); None for anything else, a bool included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+_POSITIVE = ("a positive finite number", lambda x: 0.0 < x < math.inf)
+_NON_NEGATIVE = ("a non-negative finite number", lambda x: 0.0 <= x < math.inf)
+
+
+class _Check:
+    """The problems of one constructor's inputs, each under its document key."""
+
+    def __init__(self) -> None:
+        self.keys: list[Optional[str]] = []
+        self.problems: list[str] = []
+
+    def problem(self, key: Optional[str], message: str) -> None:
+        self.keys.append(key)
+        self.problems.append(message)
+
+    def rule(self, key: Optional[str], value, ok: bool, what: str) -> bool:
+        """``ok``; when false, lists that ``key`` must be ``what``."""
+        if not ok:
+            self.problem(key, f"{key} must be {what}, got {value!r}")
+        return ok
+
+    def number(self, key: str, value, what: str, ok) -> Optional[float]:
+        """``value`` as a float if it is a number that passes ``ok``."""
+        x = _number(value)
+        if self.rule(key, value, x is not None, "a number") and self.rule(key, value, ok(x), what):
+            return x
+        return None
+
+    def widths(self, key: str, value) -> Optional[Vec3]:
+        """A positive finite number, for every axis, or three of them."""
+        one = not (isinstance(value, (list, tuple)) and len(value) == 3)
+        xs = [_number(x) for x in ([value] if one else value)]
+        if self.rule(
+            key, value, all(x is not None and 0.0 < x < math.inf for x in xs),
+            "a positive number or length-3 list",
+        ):
+            return (xs[0],) * 3 if one else tuple(xs)
+        return None
+
+    def done(self, instance, **values) -> None:
+        """Raise the problems found, or set the checked values on ``instance``."""
+        if self.problems:
+            raise ConfigError(self.problems, self.keys)
+        for name, value in values.items():
+            object.__setattr__(instance, name, value)
+
+
+@dataclass(frozen=True)
+class ObjectSpec:
+    """Physical object: total mass, internal size and cluster phase constants.
+
+    The object's internal structure enters only through ``internal_radius``
+    (half the width of the internal density's effective support) and the list
+    of phase constants of the clusters it is composed of.
+    """
+
+    mass: float
+    internal_radius: float
+    cluster_alphas: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        check = _Check()
+        mass = check.number("mass_kg", self.mass, *_POSITIVE)
+        internal_radius = check.number("internal_radius_m", self.internal_radius, *_POSITIVE)
+        alphas = self.cluster_alphas
+        xs = [_number(a) for a in alphas] if isinstance(alphas, (list, tuple)) else []
+        finite = bool(xs) and all(x is not None and math.isfinite(x) for x in xs)
+        if check.rule("cluster_alphas_rad", alphas, finite, "a non-empty list of finite numbers"):
+            alphas = tuple(map(reduce_phase, xs))
+        check.done(self, mass=mass, internal_radius=internal_radius, cluster_alphas=alphas)
+
+    @property
+    def n_clusters(self) -> int:
+        return len(self.cluster_alphas)
+
+    @property
+    def diameter(self) -> float:
+        return 2.0 * self.internal_radius
+
+
+@dataclass(frozen=True)
+class EnvironmentSpec:
+    """Statistics of the environment packet stream."""
+
+    collision_rate: float
+    env_sigma: Vec3
+    env_sigma_jitter: float = 0.0
+    impact_spread: float = 0.0
+
+    def __post_init__(self) -> None:
+        check = _Check()
+        check.done(
+            self,
+            collision_rate=check.number("collision_rate_hz", self.collision_rate, *_NON_NEGATIVE),
+            env_sigma=check.widths("env_sigma_m", self.env_sigma),
+            env_sigma_jitter=check.number(
+                "env_sigma_jitter", self.env_sigma_jitter, "in [0, 1)", lambda x: 0.0 <= x < 1.0
+            ),
+            impact_spread=check.number("impact_spread_m", self.impact_spread, *_NON_NEGATIVE),
+        )
 
 
 @dataclass(frozen=True)
@@ -52,40 +184,47 @@ class ScenarioConfig:
     redraw_alpha_after_collapse: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "initial_sigma", as_vec3(self.initial_sigma, "initial_sigma"))
-        object.__setattr__(self, "duration", float(self.duration))
-        object.__setattr__(self, "sample_interval", float(self.sample_interval))
-        object.__setattr__(self, "cluster_eta", float(self.cluster_eta))
-        object.__setattr__(self, "seed", int(self.seed))
-        problems = []
-        if not all(s > 0.0 and math.isfinite(s) for s in self.initial_sigma):
-            problems.append(f"initial_sigma components must be positive, got {self.initial_sigma}")
-        elif any(s * s == 0.0 for s in self.initial_sigma):  # the width law divides by it
-            problems.append(f"initial_sigma_m {self.initial_sigma}: a square underflows to 0")
-        if self.initial_alpha != RANDOM_ALPHA:
-            a = float(self.initial_alpha)
-            if not (0.0 <= a < TWO_PI):
-                problems.append(f"initial_alpha must lie in [0, 2*pi) or be '{RANDOM_ALPHA}', got {a}")
-            else:
-                object.__setattr__(self, "initial_alpha", a)
-        if not (self.duration > 0.0 and math.isfinite(self.duration)):
-            problems.append(f"duration must be positive, got {self.duration}")
-        if self.seed < 0:
-            problems.append(f"seed must be a non-negative integer, got {self.seed}")
-        if not (self.sample_interval > 0.0 and math.isfinite(self.sample_interval)):
-            problems.append(f"sample_interval must be positive, got {self.sample_interval}")
-        elif self.duration > 0.0 and self.duration / self.sample_interval > MAX_SAMPLE_ROWS:
-            problems.append(
-                f"duration_s / sample_interval_s = {self.duration:g} / {self.sample_interval:g} "
-                f"asks for {self.duration / self.sample_interval:.3g} sample rows; "
-                f"the limit is {MAX_SAMPLE_ROWS:.0e}"
+        check = _Check()
+        duration = check.number("duration_s", self.duration, *_POSITIVE)
+        sample_interval = check.number("sample_interval_s", self.sample_interval, *_POSITIVE)
+        cluster_eta = check.number(
+            "cluster_eta", self.cluster_eta, "in (0, 1]", lambda x: 0.0 < x <= 1.0
+        )
+        initial_sigma = check.widths("initial_sigma_m", self.initial_sigma)
+        initial_alpha = self.initial_alpha
+        if initial_alpha != RANDOM_ALPHA:
+            initial_alpha = check.number(
+                "initial_alpha_rad", initial_alpha, f"in [0, 2*pi) or '{RANDOM_ALPHA}'",
+                lambda x: 0.0 <= x < TWO_PI,
             )
-        if not (0.0 < self.cluster_eta <= 1.0):
-            problems.append(f"cluster_eta must lie in (0, 1], got {self.cluster_eta}")
-        if self.output_format not in OUTPUT_FORMATS:
-            problems.append(f"output_format must be one of {OUTPUT_FORMATS}, got {self.output_format!r}")
-        if problems:
-            raise ConfigError(problems)
+        seed, path, redraw = self.seed, self.output_path, self.redraw_alpha_after_collapse
+        check.rule(
+            "seed", seed, isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
+            "a non-negative integer",
+        )
+        check.rule("output_path", path, path is None or isinstance(path, str), "a string or null")
+        check.rule("redraw_alpha_after_collapse", redraw, isinstance(redraw, bool), "a boolean")
+        if initial_sigma and any(s * s == 0.0 for s in initial_sigma):  # width law divides by it
+            check.problem(None, f"initial_sigma_m {initial_sigma}: a square underflows to 0")
+        if duration and sample_interval and duration / sample_interval > MAX_SAMPLE_ROWS:
+            check.problem(
+                None,
+                f"duration_s / sample_interval_s = {duration:g} / {sample_interval:g} "
+                f"asks for {duration / sample_interval:.3g} sample rows; "
+                f"the limit is {MAX_SAMPLE_ROWS:.0e}",
+            )
+        check.rule(
+            "output_format", self.output_format, self.output_format in OUTPUT_FORMATS,
+            f"one of {OUTPUT_FORMATS}",
+        )
+        check.done(
+            self,
+            duration=duration,
+            sample_interval=sample_interval,
+            cluster_eta=cluster_eta,
+            initial_sigma=initial_sigma,
+            initial_alpha=initial_alpha,
+        )
 
 
 # Preset housekeeping: cluster phase constants are pseudorandom per object
@@ -159,47 +298,29 @@ def preset(name: str) -> ScenarioConfig:
 PRESETS = ("tpp", "sugar_grain")
 
 
-_REQUIRED_KEYS = (
-    "mass_kg",
-    "internal_radius_m",
-    "cluster_alphas_rad",
-    "initial_sigma_m",
-    "initial_alpha_rad",
-    "collision_rate_hz",
-    "env_sigma_m",
-    "duration_s",
-    "seed",
-    "sample_interval_s",
-    "cluster_eta",
-)
-_OPTIONAL_KEYS = (
-    "n_clusters",
-    "env_sigma_jitter",
-    "impact_spread_m",
-    "output_path",
-    "output_format",
-    "redraw_alpha_after_collapse",
-)
-
-
-def _as_float(v) -> Optional[float]:
-    """A JSON number as a float (an int too large for a float gives inf);
-    None for anything else, booleans included."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return None
-    try:
-        return float(v)
-    except OverflowError:
-        return math.inf
-
-
-def _positive(x: float) -> bool:
-    return 0.0 < x < math.inf
-
-
-def _finite_number(v) -> bool:
-    x = _as_float(v)
-    return x is not None and math.isfinite(x)
+# Every document key, the eleven required ones first, with the value that
+# stands in for it when it is absent: an optional key's default, or, for a
+# required key (listed as missing), a value its rule passes.  A missing grid
+# key does not size a grid: either grid stand-in gives at most one row.
+_STAND_INS = {
+    "mass_kg": 1.0,
+    "internal_radius_m": 1.0,
+    "cluster_alphas_rad": [0.0],
+    "initial_sigma_m": 1.0,
+    "initial_alpha_rad": 0.0,
+    "collision_rate_hz": 0.0,
+    "env_sigma_m": 1.0,
+    "duration_s": 5e-324,  # the smallest positive float
+    "seed": 0,
+    "sample_interval_s": sys.float_info.max,
+    "cluster_eta": 1.0,
+    "env_sigma_jitter": 0.0,
+    "impact_spread_m": 0.0,
+    "output_path": None,
+    "output_format": "csv",
+    "redraw_alpha_after_collapse": False,
+}
+_REQUIRED_KEYS = tuple(_STAND_INS)[:11]
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -217,113 +338,45 @@ def parse_config(text: str) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError(["config document must be a JSON object"])
 
-    problems = []
-    known = set(_REQUIRED_KEYS) | set(_OPTIONAL_KEYS)
-    for key in sorted(set(doc) - known):
-        problems.append(f"unknown key: {key!r}")
-    for key in _REQUIRED_KEYS:
-        if key not in doc:
-            problems.append(f"missing required key: {key!r}")
+    problems = [f"unknown key: {key!r}" for key in sorted(set(doc) - set(_STAND_INS))]
+    problems += [f"missing required key: {key!r}" for key in _REQUIRED_KEYS if key not in doc]
+    v = {key: doc.get(key, stand_in) for key, stand_in in _STAND_INS.items()}
+    found = []
 
-    def number(key: str, default: float, what: str, ok) -> float:
-        """``doc[key]`` as a float, or ``default`` when it is absent or
-        fails ``ok``; a boolean is not a number."""
-        v = doc.get(key, default)
-        x = _as_float(v)
-        if x is None:
-            problems.append(f"{key} must be a number, got {v!r}")
-        elif not ok(x):
-            problems.append(f"{key} must be {what}, got {v!r}")
-        else:
-            return x
-        return default
+    def build(cls, **values):
+        try:
+            return cls(**values)
+        except ConfigError as exc:
+            found.extend(zip(exc.keys, exc.problems))
+            return None
 
-    def positive(key: str) -> float:
-        return number(key, 1.0, "a positive finite number", _positive)
-
-    def non_negative(key: str) -> float:
-        return number(key, 0.0, "a non-negative finite number", lambda x: 0.0 <= x < math.inf)
-
-    def widths(key: str) -> Vec3:
-        v = doc.get(key, 1.0)
-        xs = [_as_float(x) for x in (v if isinstance(v, list) and len(v) == 3 else [v])]
-        if not all(x is not None and _positive(x) for x in xs):
-            problems.append(f"{key} must be a positive number or length-3 list, got {v!r}")
-            return (1.0, 1.0, 1.0)
-        return as_vec3(v, key)
-
-    mass = positive("mass_kg")
-    internal_radius = positive("internal_radius_m")
-    checked = len(problems)
-    duration = positive("duration_s")
-    sample_interval = positive("sample_interval_s")
-    if len(problems) > checked or not {"duration_s", "sample_interval_s"} <= doc.keys():
-        # A substituted value does not size a sampling grid: leave one row.
-        sample_interval = duration
-    cluster_eta = number("cluster_eta", 1.0, "in (0, 1]", lambda x: 0.0 < x <= 1.0)
-    rate = non_negative("collision_rate_hz")
-    jitter = number("env_sigma_jitter", 0.0, "in [0, 1)", lambda x: 0.0 <= x < 1.0)
-    spread = non_negative("impact_spread_m")
-    initial_sigma = widths("initial_sigma_m")
-    env_sigma = widths("env_sigma_m")
-
-    alphas = doc.get("cluster_alphas_rad", [0.0])
-    if not isinstance(alphas, list) or not alphas or not all(map(_finite_number, alphas)):
-        problems.append(
-            f"cluster_alphas_rad must be a non-empty list of finite numbers, got {alphas!r}"
-        )
-        alphas = [0.0]
-    n_clusters = doc.get("n_clusters", len(alphas))
-    if isinstance(n_clusters, bool) or n_clusters != len(alphas):
-        problems.append(
-            f"n_clusters ({n_clusters!r}) does not match "
-            f"len(cluster_alphas_rad) ({len(alphas)})"
-        )
-
-    initial_alpha = doc.get("initial_alpha_rad", 0.0)
-    if initial_alpha != RANDOM_ALPHA:
-        initial_alpha = number(
-            "initial_alpha_rad", 0.0, f"in [0, 2*pi) or '{RANDOM_ALPHA}'",
-            lambda x: 0.0 <= x < TWO_PI,
-        )
-
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        problems.append(f"seed must be a non-negative integer, got {seed!r}")
-        seed = 0
-
-    output_path = doc.get("output_path")
-    if output_path is not None and not isinstance(output_path, str):
-        problems.append(f"output_path must be a string or null, got {output_path!r}")
-        output_path = None
-    output_format = doc.get("output_format", "csv")
-    redraw = doc.get("redraw_alpha_after_collapse", False)
-    if not isinstance(redraw, bool):
-        problems.append(f"redraw_alpha_after_collapse must be a boolean, got {redraw!r}")
-        redraw = False
-
-    # Every value is in range now, so the specs build; ScenarioConfig adds
-    # the problems that involve several keys.
-    obj = ObjectSpec(mass=mass, internal_radius=internal_radius, cluster_alphas=tuple(alphas))
-    env = EnvironmentSpec(
-        collision_rate=rate, env_sigma=env_sigma, env_sigma_jitter=jitter, impact_spread=spread
+    config = build(
+        ScenarioConfig,
+        object=build(
+            ObjectSpec,
+            mass=v["mass_kg"],
+            internal_radius=v["internal_radius_m"],
+            cluster_alphas=v["cluster_alphas_rad"],
+        ),
+        initial_sigma=v["initial_sigma_m"],
+        initial_alpha=v["initial_alpha_rad"],
+        environment=build(
+            EnvironmentSpec,
+            collision_rate=v["collision_rate_hz"],
+            env_sigma=v["env_sigma_m"],
+            env_sigma_jitter=v["env_sigma_jitter"],
+            impact_spread=v["impact_spread_m"],
+        ),
+        duration=v["duration_s"],
+        seed=v["seed"],
+        sample_interval=v["sample_interval_s"],
+        cluster_eta=v["cluster_eta"],
+        output_path=v["output_path"],
+        output_format=v["output_format"],
+        redraw_alpha_after_collapse=v["redraw_alpha_after_collapse"],
     )
-    try:
-        config = ScenarioConfig(
-            object=obj,
-            initial_sigma=initial_sigma,
-            initial_alpha=initial_alpha,
-            environment=env,
-            duration=duration,
-            seed=seed,
-            sample_interval=sample_interval,
-            cluster_eta=cluster_eta,
-            output_path=output_path,
-            output_format=output_format,
-            redraw_alpha_after_collapse=redraw,
-        )
-    except ConfigError as exc:
-        problems.extend(exc.problems)
+    found.sort(key=lambda item: _PROBLEM_ORDER.index(item[0]))
+    problems += [problem for _, problem in found]
     if problems:
         raise ConfigError(problems)
     return config
@@ -334,7 +387,6 @@ def to_document(config: ScenarioConfig) -> dict:
     return {
         "mass_kg": config.object.mass,
         "internal_radius_m": config.object.internal_radius,
-        "n_clusters": config.object.n_clusters,
         "cluster_alphas_rad": list(config.object.cluster_alphas),
         "initial_sigma_m": list(config.initial_sigma),
         "initial_alpha_rad": config.initial_alpha,

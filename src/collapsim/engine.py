@@ -37,12 +37,13 @@ two firings the waist, and with it the whole trajectory, is fixed.  So
 :func:`run` draws the words of a block of collisions at once (about
 2 pi / alpha_s of them) and evaluates their times, readout widths, cluster
 picks and phase clauses in numpy: thinning (Lewis & Shedler 1979) evaluated
-in blocks.  A phase-rejected collision only advances counters, records and
-the recovery sum, so those are taken in bulk.  A phase-passing collision, or
-one whose widths are not finite, is drawn again from its own words and goes
-through :func:`resolve`; an amplitude reject changes only counters and the
-block goes on.  A block ends at a firing, before the first collision past
-the duration, or at ``max_collisions``.  A run builds one
+in blocks.  A collision that does not fire only advances counters, records
+and the recovery sum, so those are taken in bulk.  A phase-passing
+collision, or one whose widths are not finite, is drawn again from its own
+words and goes through :func:`resolve`; an amplitude reject, a pass that
+does not fire, is then a row of the block like a phase reject.  A block
+ends at a firing, before the first collision past the duration, or at
+``max_collisions``.  A run builds one
 :class:`RngState`: each block and each scalar collision seeks to its word,
 and nothing is seeded again.  The arithmetic matches the scalar path bit
 for bit: times are a sequential ``np.cumsum`` of ``math.log1p`` gaps,
@@ -50,9 +51,9 @@ widths come from :func:`spread_widths` on arrays, and sums are accumulated
 in collision order.
 
 Records.  :func:`run` keeps its rows in one :class:`Records` store of typed
-columns.  The rows of phase-rejected collisions extend the columns by
+columns.  The rows of collisions that did not fire extend the columns by
 slices of the block's per-axis widths and cluster mask; grid rows and the
-rows :func:`resolve` returns are appended field by field.  So no record
+row of a firing are appended field by field.  So no record
 object is built per row: a row takes 50 bytes, and a
 :class:`TimeSeriesRecord` is built only when a row is read.
 """
@@ -219,10 +220,11 @@ def regime_for(sigma: Vec3, internal_radius: float) -> Regime:
     return Regime.CLUSTER_PHASE if min(sigma) < internal_radius else Regime.CM_PHASE
 
 
-def initial_state(config: ScenarioConfig) -> SimState:
-    """Build the t=0 state; draws the object phase constant if configured."""
+def initial_state(config: ScenarioConfig, rng: Optional[RngState] = None) -> SimState:
+    """Build the t=0 state.  A random phase constant is the first word of
+    ``rng``, a stream of ``config.seed`` at word 0, or of a new one."""
     if config.initial_alpha == RANDOM_ALPHA:
-        alpha, position = draw_phase(RngState(config.seed)), 1
+        alpha, position = draw_phase(rng or RngState(config.seed)), 1
     else:
         alpha, position = config.initial_alpha, 0
     return SimState(0.0, 0.0, config.initial_sigma, alpha, 0, 0, position)
@@ -371,7 +373,7 @@ class _Block:
     ``past_duration`` says that collision ``end`` lies past the duration.
     ``columns`` holds the per-collision time, the three widths and the
     cluster-regime mask as arrays, in the order of their :class:`Records`
-    columns; slices of them are the rows of phase-rejected collisions.
+    columns; slices of them are the rows of collisions that did not fire.
     """
 
     end: int
@@ -431,20 +433,18 @@ class _Sums:
         self.recovery_sum = float(np.cumsum(np.concatenate(((self.recovery_sum,), ratios)))[-1])
         self.recovery_samples += len(ratios)
 
-    def add_collision(self, sigma_before: float, fired: bool, sigma_after: float) -> None:
-        """One collision resolved by :func:`resolve`."""
+    def add_firing(self, sigma_before: float, sigma_after: float) -> None:
+        """One collision that fired, as :func:`resolve` found it."""
         if self.sigma_after_last_collapse is not None:
             self.recovery_sum += sigma_before / self.sigma_after_last_collapse
             self.recovery_samples += 1
-            if fired:
-                self.respread_sum += sigma_before / self.sigma_after_last_collapse
-                self.respread_samples += 1
-        if fired:
-            self.collapse_before_sum += sigma_before
-            self.collapse_after_sum += sigma_after
-            self.sigma_after_last_collapse = sigma_after
-            if sigma_after < self.min_sigma:
-                self.min_sigma = sigma_after
+            self.respread_sum += sigma_before / self.sigma_after_last_collapse
+            self.respread_samples += 1
+        self.collapse_before_sum += sigma_before
+        self.collapse_after_sum += sigma_after
+        self.sigma_after_last_collapse = sigma_after
+        if sigma_after < self.min_sigma:
+            self.min_sigma = sigma_after
 
 
 def run(
@@ -457,12 +457,14 @@ def run(
     when ``keep_records`` is false.  An event drawn beyond the duration is
     not processed.  ``max_collisions`` caps the number of processed events.
     Collisions are scanned in blocks (see the module docstring): the rows of
-    phase-rejected collisions extend the columns by slices of the block, and
-    grid rows and the rows :func:`resolve` returns are appended field by field,
-    so no record object is built per row.  Rows, summary and stream position
+    collisions that did not fire extend the columns by slices of the block,
+    and grid rows and the row of a firing are appended field by field, so no
+    record object is built per row.  Rows, summary and stream position
     equal those of a loop over :func:`step`.
     """
-    state = initial_state(config)
+    # The run's one stream: each block and each scalar collision seeks in it.
+    rng = RngState(config.seed)
+    state = initial_state(config, rng)
     mass, internal_radius = config.object.mass, config.object.internal_radius
     interval = config.sample_interval
     records = Records()
@@ -502,8 +504,6 @@ def run(
     sample(0.0, 0)
     sums = _Sums(min_sigma=min(state.sigma))
     budget_exhausted = False
-    # The run's one stream: each block and each scalar collision seeks in it.
-    rng = RngState(config.seed)
 
     while config.environment.collision_rate > 0.0:
         n = _BLOCK_SIZE
@@ -514,39 +514,35 @@ def run(
                 break
         block = _evaluate_block(state, config, rng, n)
         times, n0, p0 = block.times, state.n_collisions, state.position
-        fired = False
-        lo = 0
-        for j in block.scalar + [block.end]:
-            # Collisions lo..j-1 failed the phase clause: take them in bulk,
-            # with the grid samples that fall between them.
-            if lo < j:
-                i = lo
-                while next_sample <= times[j - 1]:
-                    k = bisect.bisect_left(times, next_sample, i, j)
-                    emit_rejected(block, i, k)
-                    emit_samples(times[k], n0 + k)
-                    i = k
-                emit_rejected(block, i, j)
-                sums.add_rejected(block.sigma_min[lo:j])
-            if j == block.end:
-                break
-            # Collision j is drawn again from its own words and resolved,
-            # after the grid samples before it.
-            emit_samples(times[j], n0 + j)
+        # Resolve the phase passes in order, up to the first firing; each is
+        # drawn again from its own words.
+        firing = None
+        for j in block.scalar:
             rng.seek(p0 + COLLISION_WORDS * j)
             event = next_collision(rng, config.environment, times[j - 1] if j else state.t)
             after, record = resolve(replace(state, n_collisions=n0 + j), event, config, rng)
+            if record.last_event is LastEvent.COLLAPSE:
+                firing = j
+                break
+        # Collisions before the firing, or the whole block, did not fire: an
+        # amplitude reject has the row and the recovery term of a phase
+        # reject.  Take them in bulk, with the grid samples between them.
+        end = block.end if firing is None else firing
+        i = 0
+        while end and next_sample <= times[end - 1]:
+            k = bisect.bisect_left(times, next_sample, i, end)
+            emit_rejected(block, i, k)
+            emit_samples(times[k], n0 + k)
+            i = k
+        emit_rejected(block, i, end)
+        sums.add_rejected(block.sigma_min[:end])
+        if firing is not None:
+            emit_samples(times[firing], n0 + firing)
             if keep_records:
                 records._append_record(record)
-            fired = record.last_event is LastEvent.COLLAPSE
-            sums.add_collision(float(block.sigma_min[j]), fired, min(after.sigma))
-            lo = j + 1
-            if fired:
-                state = after
-                break
-        if fired:
+            sums.add_firing(float(block.sigma_min[firing]), min(after.sigma))
+            state = after
             continue
-        end = block.end
         if end:
             state = replace(
                 state,

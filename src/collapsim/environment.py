@@ -26,38 +26,14 @@ from typing import Optional
 import numpy as np
 from numpy.random import PCG64, Generator
 
-from .packets import TWO_PI, Vec3, as_vec3
+from .config import EnvironmentSpec
+from .packets import TWO_PI, Vec3
 
 # Fixed word budget of one collision draw: 1 inter-arrival + 3 x 2 offset
 # normals (Box-Muller, first of each pair) + 3 width jitters + 1 phase + 1
 # cluster pick.  The pick is drawn in either regime; only the cluster regime
 # reads it.
 COLLISION_WORDS = 12
-
-
-@dataclass(frozen=True)
-class EnvironmentSpec:
-    """Statistics of the environment packet stream."""
-
-    collision_rate: float
-    env_sigma: Vec3
-    env_sigma_jitter: float = 0.0
-    impact_spread: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "collision_rate", float(self.collision_rate))
-        object.__setattr__(self, "env_sigma", as_vec3(self.env_sigma, "env_sigma"))
-        object.__setattr__(self, "env_sigma_jitter", float(self.env_sigma_jitter))
-        object.__setattr__(self, "impact_spread", float(self.impact_spread))
-        if not (self.collision_rate >= 0.0 and math.isfinite(self.collision_rate)):
-            raise ValueError(f"collision_rate must be >= 0, got {self.collision_rate}")
-        for s in self.env_sigma:
-            if not (s > 0.0 and math.isfinite(s)):
-                raise ValueError(f"env_sigma components must be positive, got {self.env_sigma}")
-        if not (0.0 <= self.env_sigma_jitter < 1.0):
-            raise ValueError(f"env_sigma_jitter must lie in [0, 1), got {self.env_sigma_jitter}")
-        if not (self.impact_spread >= 0.0 and math.isfinite(self.impact_spread)):
-            raise ValueError(f"impact_spread must be >= 0, got {self.impact_spread}")
 
 
 @dataclass(frozen=True, slots=True)

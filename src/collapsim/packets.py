@@ -97,41 +97,6 @@ class GaussianPacket:
             raise ValueError("center, velocity and t_ref must be finite")
 
 
-@dataclass(frozen=True)
-class ObjectSpec:
-    """Physical object: total mass, internal size and cluster phase constants.
-
-    The object's internal structure enters only through ``internal_radius``
-    (half the width of the internal density's effective support) and the list
-    of phase constants of the clusters it is composed of.
-    """
-
-    mass: float
-    internal_radius: float
-    cluster_alphas: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mass", float(self.mass))
-        object.__setattr__(self, "internal_radius", float(self.internal_radius))
-        object.__setattr__(
-            self, "cluster_alphas", tuple(reduce_phase(a) for a in self.cluster_alphas)
-        )
-        if not (self.mass > 0.0 and math.isfinite(self.mass)):
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if not (self.internal_radius > 0.0 and math.isfinite(self.internal_radius)):
-            raise ValueError(f"internal_radius must be positive, got {self.internal_radius}")
-        if len(self.cluster_alphas) < 1:
-            raise ValueError("at least one cluster phase constant is required")
-
-    @property
-    def n_clusters(self) -> int:
-        return len(self.cluster_alphas)
-
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.internal_radius
-
-
 def de_broglie_wavelength(mass: float, v0: float) -> float:
     """Matter wavelength h / (m * v) of an object moving at speed v0."""
     if not mass > 0.0:

@@ -34,6 +34,7 @@ from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .config import OUTPUT_FORMATS
 from .engine import _EVENT_CODES, _REGIME_CODES, LastEvent, Records, Regime, TimeSeriesRecord
 
 CSV_HEADER = "t_s,sigma_x_m,sigma_y_m,sigma_z_m,n_collisions,n_collapses,regime,last_event"
@@ -134,7 +135,7 @@ def write_records(records: Sequence[TimeSeriesRecord], format: str, sink: IO[str
     ``%.16e``; JSON is byte for byte what ``json.dump(rows, sink, indent=1)``
     writes for the rows as objects, followed by a newline.
     """
-    if format not in ("csv", "json"):
+    if format not in OUTPUT_FORMATS:
         raise ValueError(f"unknown record format {format!r}")
     if not isinstance(records, Records):
         records = Records.from_rows(records)

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import EnvironmentSpec
 from .constants import PHASE_ACCEPTANCE_PROBABILITY
 from .criterion import overlap_integral, phase_clause_batch
-from .environment import EnvironmentSpec, RngState, next_collision
+from .environment import RngState, next_collision
 from .packets import GaussianPacket
 from .quadrature import overlap_integral_quadrature
 

@@ -115,6 +115,13 @@ class TestValidationFailures:
         err = capsys.readouterr().err
         assert err.startswith("error: --rate-hz ") and "collision_rate" in err
 
+    def test_bad_flag_names_the_document_key(self, capsys):
+        assert run_cli(["run", "--scenario", "tpp", "--rate-hz", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --rate-hz -1.0: "
+            "collision_rate_hz must be a non-negative finite number, got -1.0\n"
+        )
+
     def test_every_bad_flag_listed(self, capsys):
         code = run_cli(
             ["run", "--scenario", "tpp", "--rate-hz", "-1", "--duration-s", "-2", "--eta", "3"]

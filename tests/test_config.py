@@ -97,11 +97,12 @@ class TestParseConfig:
         assert cfg.initial_alpha == "random"
 
     def test_cluster_count_mismatch(self):
+        # The count is len(cluster_alphas_rad), so a document does not give it.
         doc = to_document(preset("sugar_grain"))
-        doc["n_clusters"] = 3
+        doc["n_clusters"] = 64
         with pytest.raises(ConfigError) as exc:
             parse_config(json.dumps(doc))
-        assert "n_clusters" in str(exc.value)
+        assert exc.value.problems == ["unknown key: 'n_clusters'"]
 
     @pytest.mark.parametrize("key", ["env_sigma_jitter", "impact_spread_m"])
     def test_non_numeric_stream_value_reported_by_name(self, key):

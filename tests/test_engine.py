@@ -516,15 +516,18 @@ class TestNoPacketBuilt:
 
 
 def test_run_builds_one_stream(monkeypatch):
-    """``run`` seeks in one :class:`RngState` and never seeds another."""
+    """``run`` seeks in one :class:`RngState` and never seeds another, also
+    when it draws a random initial phase."""
     calls = []
     init = RngState.__init__
     monkeypatch.setattr(
         RngState, "__init__", lambda rng, *args: calls.append(1) or init(rng, *args)
     )
-    summary, _ = run(preset("tpp"))
-    assert summary.n_collapses > 0
-    assert len(calls) == 1
+    for config in (preset("tpp"), generic_document_config(0.01)):
+        calls.clear()
+        summary, _ = run(config)
+        assert summary.n_collapses > 0
+        assert len(calls) == 1
 
 
 def reference_run(config: ScenarioConfig, max_collisions=None):
