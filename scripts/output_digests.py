@@ -4,7 +4,9 @@ For each seed the script builds the command lines of the ``tpp_csv``,
 ``grain_ensemble`` and ``generic_json`` workloads with
 ``bench/workloads.py::make_plan``, adds the ``sugar_grain`` preset written as
 CSV (the only output here that sends long runs of equal widths through the
-CSV writer) and a 3-value mass sweep of the ``tpp`` preset, runs each through
+CSV writer), a 3-value mass sweep of the ``tpp`` preset and the ``tpp`` preset
+written as JSON (the only output here whose widths are equal across axes and
+never repeat, written through the JSON writer's ``%r`` slots), runs each through
 ``collapsim.cli.main`` in a temporary directory and prints one ``name sha256``
 line per output file.  ``collapsim`` is imported from ``PYTHONPATH``, so the
 same script digests any tree's ``src``; two trees print the same lines exactly
@@ -64,6 +66,11 @@ def runs(seed: int, scale: float, workdir: Path):
             "--values", SWEEP_MASSES_KG, "--replicas", str(SWEEP_REPLICAS),
             "--duration-s", repr(SWEEP_DURATION_S * scale), "--output", str(output)]
     yield "mass_sweep", argv, output
+    output = workdir / "tpp.json"
+    argv = ["run", "--scenario", "tpp", "--seed", str(seed), "--format", "json",
+            "--duration-s", repr(collapsim.preset("tpp").duration * scale),
+            "--output", str(output)]
+    yield "tpp_json", argv, output
 
 
 def digests(seeds: list[int], scale: float):

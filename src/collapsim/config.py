@@ -46,7 +46,8 @@ _PROBLEM_ORDER = (
 class ConfigError(ValueError):
     """Carries every validation problem of a config document or of one
     constructor's inputs; from a constructor, ``keys`` names per problem the
-    document key whose rule failed, or None for a rule that joins keys."""
+    document key whose rule failed (the field name for ``object`` and
+    ``environment``, which have none), or None for a rule that joins keys."""
 
     def __init__(self, problems: list[str], keys: Sequence[Optional[str]] = ()):
         self.problems = list(problems)
@@ -185,6 +186,11 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         check = _Check()
+        check.rule("object", self.object, isinstance(self.object, ObjectSpec), "an ObjectSpec")
+        check.rule(
+            "environment", self.environment, isinstance(self.environment, EnvironmentSpec),
+            "an EnvironmentSpec",
+        )
         duration = check.number("duration_s", self.duration, *_POSITIVE)
         sample_interval = check.number("sample_interval_s", self.sample_interval, *_POSITIVE)
         cluster_eta = check.number(
@@ -375,6 +381,9 @@ def parse_config(text: str) -> ScenarioConfig:
         output_format=v["output_format"],
         redraw_alpha_after_collapse=v["redraw_alpha_after_collapse"],
     )
+    # A spec that failed is passed on as None, and its problems are listed
+    # already; the refusal of the None is not listed again.
+    found = [item for item in found if item[0] not in ("object", "environment")]
     found.sort(key=lambda item: _PROBLEM_ORDER.index(item[0]))
     problems += [problem for _, problem in found]
     if problems:

@@ -13,8 +13,14 @@ contractions a heavy object's widths do not spread, so its float columns
 come in long runs of one bit pattern.  Within a chunk, a float column in
 which fewer than half the values differ from the one before them is
 formatted once per run, and the run's text fills a ``%s`` slot of the
-template; any other column keeps its numeric slot.  Runs are of bit patterns, not of values, so that
-``0.0`` and ``-0.0`` keep their own text; both slots write the same bytes.
+template; any other column keeps its numeric slot.  A packet that is
+isotropic stays isotropic bit for bit when the environment's packets are, so
+the three widths are often equal.  Within a chunk, a width column that is
+bit-equal to an earlier float column shares that column's texts, formatted
+once per run or, where the run rule does not apply, once per row, and every
+column that shares them takes a ``%s`` slot.  Runs and shared columns are of
+bit patterns, not of values, so that ``0.0`` and ``-0.0`` keep their own
+text; both slots write the same bytes.
 
 The reader fills a :class:`~collapsim.engine.Records` store column by
 column.  A JSON field must have its column's type: a number (an int or a
@@ -28,7 +34,7 @@ import json
 import math
 from array import array
 from functools import cache
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, tee
 from operator import sub
 from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -98,13 +104,14 @@ def _float_items(
     Runs of equal bit patterns, not of equal values, so that ``0.0`` and
     ``-0.0`` and NaNs of different payloads each keep their own text.  A
     column where at least half the values differ from the one before them
-    keeps ``slot``, if it has one; otherwise each run is formatted once by
-    ``number``, and its text is repeated through a ``%s`` slot.
+    keeps ``slot``, or, without one, is formatted value by value by
+    ``number`` through a ``%s`` slot; otherwise each run is formatted once,
+    and its text is repeated through a ``%s`` slot.
     """
     bits = np.frombuffer(values, np.uint64)
     starts = bits[1:] != bits[:-1]  # row i + 1 starts a run
-    if slot is not None and 2 * np.count_nonzero(starts) >= len(values):
-        return slot, values
+    if 2 * np.count_nonzero(starts) >= len(values):
+        return (slot, values) if slot else ("%s", map(number, values))
     edges = [0, *(np.flatnonzero(starts) + 1).tolist(), len(values)]
     texts = map(number, map(values.__getitem__, edges[:-1]))
     return "%s", chain.from_iterable(map(repeat, texts, map(sub, edges[1:], edges[:-1])))
@@ -114,11 +121,28 @@ def _chunks(
     records: Records, format: str, slot: Optional[str], number: Callable[[float], str]
 ) -> Iterator[str]:
     """The rows of ``records`` in ``format``, joined ``CHUNK_ROWS`` at a
-    time; each float takes ``slot``, or the text ``number`` gives its run."""
+    time; each float takes ``slot``, or the text ``number`` gives its run.
+
+    Float columns whose chunks are bit-equal share the texts of the first
+    of them through ``%s`` slots; ``tee`` hands each its copy, so that no
+    more than a row's texts are held at once.
+    """
     t, sx, sy, sz, n_collisions, n_collapses, regime, event = records.columns()
     for lo in range(0, len(records), CHUNK_ROWS):
         part = slice(lo, lo + CHUNK_ROWS)
-        slots, floats = zip(*(_float_items(c[part], slot, number) for c in (t, sx, sy, sz)))
+        columns = [c[part] for c in (t, sx, sy, sz)]
+        bits = [np.frombuffer(c, np.uint64) for c in columns]
+        # Per column, the first column bit-equal to it: itself if none before it is.
+        first = [
+            next(j for j in range(i + 1) if np.array_equal(bits[j], b)) for i, b in enumerate(bits)
+        ]
+        items = {}
+        for i in set(first):
+            n = first.count(i)
+            column_slot, texts = _float_items(columns[i], None if n > 1 else slot, number)
+            copies = tee(texts, n) if n > 1 else (texts,)
+            items[i] = [(column_slot, copy) for copy in copies]
+        slots, floats = zip(*(items[i].pop() for i in first))
         yield "".join(map(_row(format, slots).__mod__, zip(
             *floats, n_collisions[part], n_collapses[part],
             map(_REGIME_NAMES.__getitem__, regime[part]),

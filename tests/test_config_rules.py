@@ -64,6 +64,20 @@ def test_value_built_in_code_refused_by_document_key(make, problems):
     assert exc.value.problems == problems
 
 
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("object", None, "object must be an ObjectSpec, got None"),
+        ("environment", "x", "environment must be an EnvironmentSpec, got 'x'"),
+    ],
+)
+def test_spec_field_refuses_other_types(field, value, problem):
+    with pytest.raises(ConfigError) as exc:
+        replace(TPP, **{field: value})
+    assert exc.value.problems == [problem]
+    assert exc.value.keys == (field,)
+
+
 # (preset, keys set, keys deleted, the problem list).  Each list was written
 # by the parser before the rules moved into the constructors, word for word
 # and in order.

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import struct
 from dataclasses import replace
 from unittest import mock
 
@@ -296,6 +297,99 @@ class TestMatchesReference:
         # CSV: the header, then the chunks.  JSON: the chunks, then the
         # closing bracket (or the whole empty array).
         assert sink.writes == 1 + math.ceil(n / CHUNK_ROWS)
+
+
+def width_rows(n, widths):
+    """``n`` rows whose times never repeat and whose widths are
+    ``widths(i)`` at row ``i``."""
+    return [
+        TimeSeriesRecord(
+            1e-6 * (i + 1), widths(i), i, i // 3, tuple(Regime)[i % 2], tuple(LastEvent)[i % 3]
+        )
+        for i in range(n)
+    ]
+
+
+def nan_with_payload(payload: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | payload))[0]
+
+
+def distinct(i):
+    return 1e-9 * (1 + 1e-3 * i)
+
+
+def y_equals_x_in_some_chunks(i):
+    # Equal in whole 1,024-row chunks 0 and 2, and in blocks of 5 rows.
+    x = distinct(i)
+    return x, x if (i // CHUNK_ROWS) % 2 == 0 or (i // 5) % 2 == 0 else 2 * x, 3 * x
+
+
+def z_equals_x(i):
+    x = distinct(i)
+    return x, -x, x
+
+
+def signed_zeros(i):
+    # sigma_x and sigma_y are equal as values on every row, but not as bits.
+    x = distinct(i) if i % 3 else 0.0
+    return x, x if i % 3 else -0.0, x
+
+
+def nan_payloads(i):
+    # sigma_x and sigma_z share a NaN payload; sigma_y's differs.
+    if i % 4:
+        return distinct(i), distinct(i), distinct(i)
+    return nan_with_payload(1), nan_with_payload(2), nan_with_payload(1)
+
+
+class TestSharedWidthColumns:
+    """A width column whose chunk is bit-equal to an earlier column's shares
+    that column's texts; the bytes are the reference writer's."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, CHUNK_ROWS])
+    @pytest.mark.parametrize(
+        "widths", [y_equals_x_in_some_chunks, z_equals_x, signed_zeros, nan_payloads]
+    )
+    def test_bytes_equal_reference_writer(self, widths, chunk, fmt):
+        records = width_rows(2 * CHUNK_ROWS + 52, widths)
+        expected = written(reference_write, records, fmt)
+        with mock.patch.object(recording, "CHUNK_ROWS", chunk):
+            for store in (records, Records.from_rows(records)):
+                assert written(write_records, store, fmt) == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, CHUNK_ROWS])
+    def test_equal_widths_in_runs(self, fmt, chunk):
+        records = run_rows([1, 2, 3, 4, 5, 1, 7, 2, 3] * 40, (1e-9, 2e-9, 1e-9 / 3, 0.0, -0.0))
+        expected = written(reference_write, records, fmt)
+        with mock.patch.object(recording, "CHUNK_ROWS", chunk):
+            text, slots = written_with_slots(records, fmt)
+        assert text == expected
+        assert {s[1:] for s in slots} == {("%s",) * 3}
+
+    @pytest.mark.parametrize(
+        "widths, slots",
+        [
+            (y_equals_x_in_some_chunks, {("N", "%s", "%s", "N"), ("N",) * 4}),
+            (z_equals_x, {("N", "%s", "N", "%s")}),
+            (signed_zeros, {("N", "%s", "N", "%s")}),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_only_bit_equal_columns_share(self, fmt, widths, slots):
+        number = "%.16e" if fmt == "csv" else "%r"
+        records = width_rows(3 * CHUNK_ROWS, widths)
+        assert written_with_slots(records, fmt)[1] == {
+            tuple(number if s == "N" else s for s in row) for row in slots
+        }
+
+    @pytest.mark.parametrize("fmt, number", [("csv", "%.16e"), ("json", "%r")])
+    def test_tpp_widths_formatted_once_per_row(self, fmt, number):
+        # An isotropic packet meeting isotropic packets stays isotropic bit
+        # for bit, and a light object's widths change on every row.
+        _, records = run(replace(preset("tpp"), seed=2, duration=3e-3))
+        assert written_with_slots(records, fmt)[1] == {(number, "%s", "%s", "%s")}
 
 
 def json_row(**fields) -> str:

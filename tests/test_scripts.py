@@ -30,7 +30,9 @@ def test_script_runs(name, argv, capsys):
 def test_output_digests_names_every_output(capsys):
     assert load_script("output_digests").main(["--seeds", "1,2", "--scale", "0.02"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    outputs = ("tpp_csv", "grain_ensemble", "generic_json", "grain_csv", "mass_sweep")
+    outputs = (
+        "tpp_csv", "grain_ensemble", "generic_json", "grain_csv", "mass_sweep", "tpp_json"
+    )
     assert [line.split()[0] for line in lines] == [
         f"{name}/seed{seed}" for seed in (1, 2) for name in outputs
     ]
