@@ -8,9 +8,10 @@ CSV writer), a 3-value mass sweep of the ``tpp`` preset and the ``tpp`` preset
 written as JSON (the only output here whose widths are equal across axes and
 never repeat, written through the JSON writer's ``%r`` slots), runs each through
 ``collapsim.cli.main`` in a temporary directory and prints one ``name sha256``
-line per output file.  ``collapsim`` is imported from ``PYTHONPATH``, so the
-same script digests any tree's ``src``; two trees print the same lines exactly
-when their outputs are byte-identical:
+line per output file.  A last ``selftest_fast`` line digests the stdout of
+``collapsim selftest --fast``.  ``collapsim`` is imported from ``PYTHONPATH``,
+so the same script digests any tree's ``src``; two trees print the same lines
+exactly when their outputs are byte-identical:
 
     PYTHONPATH=src python3 scripts/output_digests.py > new.txt
     PYTHONPATH=../other/src python3 scripts/output_digests.py > old.txt
@@ -23,8 +24,10 @@ is the benchmark's own size.  ``bench/`` is only read.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -86,6 +89,16 @@ def digests(seeds: list[int], scale: float):
                 yield f"{name}/seed{seed}", hashlib.sha256(output.read_bytes()).hexdigest()
 
 
+def selftest_digest() -> str:
+    """sha256 of the stdout of ``collapsim selftest --fast``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = collapsim.cli.main(["selftest", "--fast"])
+    if code != 0:
+        raise SystemExit(f"selftest --fast exited {code}:\n{out.getvalue()}")
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="1,2,3", help="comma-separated seeds (default 1,2,3)")
@@ -95,6 +108,7 @@ def main(argv=None) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     for name, digest in digests(seeds, args.scale):
         print(name, digest, flush=True)
+    print("selftest_fast", selftest_digest(), flush=True)
     return 0
 
 

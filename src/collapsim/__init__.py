@@ -17,7 +17,6 @@ from .config import (
     preset,
     to_document,
 )
-from .criterion import overlap_integral
 from .engine import (
     EngineError,
     EnsembleSummary,
@@ -39,7 +38,6 @@ from .environment import (
     next_collision,
 )
 from .packets import (
-    GaussianPacket,
     de_broglie_wavelength,
     spreading_velocity,
     spreading_velocity_via_lambda,
@@ -68,7 +66,6 @@ __all__ = [
     "EngineError",
     "EnsembleSummary",
     "EnvironmentSpec",
-    "GaussianPacket",
     "LastEvent",
     "ObjectSpec",
     "PRESETS",
@@ -88,7 +85,6 @@ __all__ = [
     "initial_state",
     "next_collision",
     "norm_quadrature",
-    "overlap_integral",
     "overlap_integral_quadrature",
     "parse_config",
     "preset",

@@ -17,8 +17,8 @@ The engine decides a collision on plain values: :func:`criterion_fires`
 applies both clauses to one pair and :func:`phase_clause_batch` applies the
 phase clause to arrays of pairs.  Neither checks its inputs; phase constants
 are reduced into [0, 2*pi) where they enter the program.
-:func:`overlap_integral` takes two packets, for comparison against the
-independent adaptive-quadrature oracle in :mod:`collapsim.quadrature`.
+:func:`overlap_from_widths` is the closed form that the adaptive-quadrature
+oracle in :mod:`collapsim.quadrature` checks, on the same plain values.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from .constants import PHASE_GAP_LIMIT
-from .packets import TWO_PI, GaussianPacket, Vec3
+from .packets import TWO_PI, Vec3
 
 
 def overlap_from_widths(sigma1: Vec3, sigma2: Vec3, separation: Vec3) -> float:
@@ -41,16 +41,6 @@ def overlap_from_widths(sigma1: Vec3, sigma2: Vec3, separation: Vec3) -> float:
         out *= math.sqrt(2.0 * s1 * s2 / ss) * math.exp(-(d * d) / (4.0 * ss))
     # Cauchy-Schwarz bounds the exact value by 1; clip rounding excursions.
     return min(out, 1.0)
-
-
-def overlap_integral(p1: GaussianPacket, p2: GaussianPacket) -> float:
-    """Integral of |psi_1| * |psi_2| over all space, in [0, 1].
-
-    Symmetric in its arguments and equal to 1 exactly when the packets
-    coincide in center and width.
-    """
-    separation = tuple(c1 - c2 for c1, c2 in zip(p1.center, p2.center))
-    return overlap_from_widths(p1.sigma, p2.sigma, separation)
 
 
 def phase_distance(alpha1: float, alpha2: float) -> float:

@@ -66,8 +66,6 @@ class RngState:
     def __init__(self, seed: int, position: int = 0):
         if seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed}")
-        if position < 0:
-            raise ValueError(f"position must be a non-negative integer, got {position}")
         self.seed = int(seed)
         self.position = 0
         self._gen = Generator(PCG64(self.seed))
@@ -76,6 +74,8 @@ class RngState:
     def seek(self, position: int) -> None:
         """Move the stream to word ``position``, forward or back, without
         seeding again: PCG64 jumps any distance in O(log n) steps."""
+        if position < 0:
+            raise ValueError(f"position must be a non-negative integer, got {position}")
         self._gen.bit_generator.advance((position - self.position) % (1 << 128))
         self.position = position
 

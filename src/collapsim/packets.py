@@ -1,25 +1,24 @@
-"""Parametric Gaussian wavepackets and the kinematic formulas built on them.
+"""Gaussian wavepacket widths and the kinematic formulas built on them.
 
-A packet is fully described by its center, per-axis width (standard deviation
-of |psi|^2), drift velocity, mass and phase constant.  The modulus is the
-separable normalized Gaussian
+The object is a separable normalized Gaussian; its modulus is
 
     |psi(r)| = prod_axis (2 pi sigma^2)^(-1/4) exp(-(x - c)^2 / (4 sigma^2))
 
-so that the position density |psi|^2 integrates to one by construction.
+so that the position density |psi|^2 integrates to one by construction.  The
+program carries it as plain values: per-axis widths and a phase constant,
+with centers entering only as the separation of two packets.
 
 Free evolution is anchored at a waist, the time of the packet's creation or
 last contraction, where the packet is at its narrowest (a contraction of two
 real Gaussians produces a real Gaussian, i.e. a waist).  :func:`spread_widths`
 reads the widths out a time dt after the waist, so any readout is exact and
-none depends on an earlier one.  ``GaussianPacket`` keeps ``ref_center`` and
-``ref_sigma``, its state at ``t_ref``, beside ``center`` and ``sigma``.
+none depends on an earlier one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +58,8 @@ def reduce_phase(alpha: float) -> float:
 _INF = math.inf
 
 
+# Kept only for the benchmark's traced mode, which wraps __post_init__ to
+# count constructions; nothing in the package builds one or exports it.
 @dataclass(frozen=True, slots=True)
 class GaussianPacket:
     """Normalized Gaussian wavepacket with an absolute phase constant."""
@@ -69,8 +70,6 @@ class GaussianPacket:
     mass: float
     alpha: float
     t_ref: float
-    ref_center: Vec3 = field(default=None)  # type: ignore[assignment]
-    ref_sigma: Vec3 = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         setattr_ = object.__setattr__
@@ -80,19 +79,11 @@ class GaussianPacket:
         setattr_(self, "mass", float(self.mass))
         setattr_(self, "t_ref", float(self.t_ref))
         setattr_(self, "alpha", reduce_phase(self.alpha))
-        if self.ref_center is None:
-            setattr_(self, "ref_center", self.center)
-        else:
-            setattr_(self, "ref_center", as_vec3(self.ref_center, "ref_center"))
-        if self.ref_sigma is None:
-            setattr_(self, "ref_sigma", self.sigma)
-        else:
-            setattr_(self, "ref_sigma", as_vec3(self.ref_sigma, "ref_sigma"))
-        if not all(0.0 < s < _INF for s in self.sigma + self.ref_sigma):
+        if not all(0.0 < s < _INF for s in self.sigma):
             raise ValueError(f"sigma components must be positive and finite, got {self.sigma}")
         if not 0.0 < self.mass < _INF:
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
-        coordinates = self.center + self.velocity + self.ref_center + (self.t_ref,)
+        coordinates = self.center + self.velocity + (self.t_ref,)
         if not all(-_INF < x < _INF for x in coordinates):
             raise ValueError("center, velocity and t_ref must be finite")
 

@@ -1,11 +1,12 @@
 """Adaptive-quadrature oracles for the Gaussian overlap and normalization.
 
-These integrate the raw packet moduli pointwise and serve as an independent
-check on the closed forms in :mod:`collapsim.criterion`.  Each axis is
-integrated over [min center - 10 sigma_max, max center + 10 sigma_max] after
-an affine rescaling that puts the bulk of the product near the origin with
-unit width; the rescaling only conditions the integrand, it cannot bias the
-result.
+These integrate the Gaussian moduli pointwise, on the closed forms' plain
+values (widths, and the separation center_1 - center_2 with the second center
+at the origin), as an independent check on :mod:`collapsim.criterion`.  Each
+axis is integrated over [min center - 10 sigma_max, max center + 10 sigma_max]
+after an affine rescaling that puts the bulk of the product near the origin
+with unit width; the rescaling only conditions the integrand, it cannot bias
+the result.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import warnings
 
 from scipy.integrate import IntegrationWarning, quad
 
-from .packets import GaussianPacket
+from .packets import Vec3
 
 # Beyond this many product-widths from the product center the integrand is
 # below exp(-450); truncating there changes nothing at 1e-8 tolerance.
@@ -77,30 +78,34 @@ def _axis_quad(c1: float, s1: float, c2: float, s2: float) -> float:
     return value
 
 
-def overlap_integral_quadrature(p1: GaussianPacket, p2: GaussianPacket) -> float:
-    """Numerical integral of |psi_1| * |psi_2| over all space.
-
-    Widths must lie within [1e-15, 1] m so the rescaled integrand stays
-    well conditioned.  Agrees with the analytic overlap to 1e-8 absolute.
-    """
-    for s in p1.sigma + p2.sigma:
+def _check_widths(sigmas) -> None:
+    for s in sigmas:
         if not (_MIN_SIGMA <= s <= _MAX_SIGMA):
             raise ValueError(f"widths must lie within [{_MIN_SIGMA}, {_MAX_SIGMA}] m, got {s}")
+
+
+def overlap_integral_quadrature(sigma1: Vec3, sigma2: Vec3, separation: Vec3) -> float:
+    """Numerical integral of |psi_1| * |psi_2| over all space, for widths
+    sigma1, sigma2 and centers ``separation`` = center_1 - center_2 apart.
+
+    Widths must lie within [1e-15, 1] m so the rescaled integrand stays
+    well conditioned, and the separation must be finite.  Agrees with the
+    analytic overlap to 1e-8 absolute.
+    """
+    _check_widths((*sigma1, *sigma2))
+    if not all(map(math.isfinite, separation)):
+        raise ValueError(f"separation must be finite, got {separation!r}")
     out = 1.0
-    for axis in range(3):
-        out *= _axis_quad(
-            p1.center[axis], p1.sigma[axis], p2.center[axis], p2.sigma[axis]
-        )
+    for d, s1, s2 in zip(separation, sigma1, sigma2, strict=True):
+        out *= _axis_quad(d, s1, 0.0, s2)
     return out
 
 
-def norm_quadrature(p: GaussianPacket) -> float:
-    """Numerical integral of |psi|^2 over all space (should be 1)."""
-    for s in p.sigma:
-        if not (_MIN_SIGMA <= s <= _MAX_SIGMA):
-            raise ValueError(f"widths must lie within [{_MIN_SIGMA}, {_MAX_SIGMA}] m, got {s}")
+def norm_quadrature(sigma: Vec3) -> float:
+    """Numerical integral of |psi|^2 over all space for widths sigma (should be 1)."""
+    _check_widths(sigma)
     out = 1.0
-    for c, s in zip(p.center, p.sigma):
+    for s in sigma:
         norm = (2.0 * math.pi * s * s) ** -0.5
 
         def integrand(u: float) -> float:

@@ -15,9 +15,9 @@ import numpy as np
 
 from .config import EnvironmentSpec
 from .constants import PHASE_ACCEPTANCE_PROBABILITY
-from .criterion import overlap_integral, phase_clause_batch
+from .criterion import overlap_from_widths, phase_clause_batch
 from .environment import RngState, next_collision
-from .packets import GaussianPacket
+from .packets import Vec3
 from .quadrature import overlap_integral_quadrature
 
 
@@ -28,37 +28,19 @@ class CheckResult:
     detail: str
 
 
-def random_packet_pair(gen: np.random.Generator) -> tuple[GaussianPacket, GaussianPacket]:
-    """Seeded random pair with log-uniform widths and nearby centers."""
-
-    def one(center_scale: float) -> GaussianPacket:
-        sigma = tuple(10.0 ** gen.uniform(-12, -2, size=3))
-        center = tuple(gen.normal(0.0, center_scale, size=3))
-        return GaussianPacket(
-            center=center,
-            sigma=sigma,
-            velocity=(0.0, 0.0, 0.0),
-            mass=1.0,
-            alpha=gen.uniform(0.0, 2.0 * math.pi),
-            t_ref=0.0,
-        )
-
-    p1 = one(1e-3)
-    # Second packet centered within a few widths of the first so the overlap
-    # is not always indistinguishable from zero.
-    sigma = tuple(10.0 ** gen.uniform(-12, -2, size=3))
-    center = tuple(
-        c + s * gen.normal(0.0, 2.0) for c, s in zip(p1.center, np.maximum(sigma, p1.sigma))
-    )
-    p2 = GaussianPacket(
-        center=center,
-        sigma=sigma,
-        velocity=(0.0, 0.0, 0.0),
-        mass=1.0,
-        alpha=gen.uniform(0.0, 2.0 * math.pi),
-        t_ref=0.0,
-    )
-    return p1, p2
+def random_packet_pair(gen: np.random.Generator) -> tuple[Vec3, Vec3, Vec3]:
+    """Seeded random ``(sigma1, sigma2, center_1 - center_2)``: log-uniform
+    widths, centers a few widths apart.  The draws are those of two packets
+    with random phases, which are drawn and dropped."""
+    sigma1 = tuple((10.0 ** gen.uniform(-12, -2, size=3)).tolist())
+    center1 = gen.normal(0.0, 1e-3, size=3).tolist()
+    gen.uniform(0.0, 2.0 * math.pi)
+    sigma2 = tuple((10.0 ** gen.uniform(-12, -2, size=3)).tolist())
+    # Centered within a few widths of the first so the overlap is not always
+    # indistinguishable from zero.
+    center2 = [c + max(a, b) * gen.normal(0.0, 2.0) for c, a, b in zip(center1, sigma1, sigma2)]
+    gen.uniform(0.0, 2.0 * math.pi)
+    return sigma1, sigma2, tuple(c1 - c2 for c1, c2 in zip(center1, center2))
 
 
 def check_overlap_quadrature(n_pairs: int = 100, seed: int = 321) -> CheckResult:
@@ -66,8 +48,8 @@ def check_overlap_quadrature(n_pairs: int = 100, seed: int = 321) -> CheckResult
     gen = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_pairs):
-        p1, p2 = random_packet_pair(gen)
-        delta = abs(overlap_integral(p1, p2) - overlap_integral_quadrature(p1, p2))
+        pair = random_packet_pair(gen)
+        delta = abs(overlap_from_widths(*pair) - overlap_integral_quadrature(*pair))
         worst = max(worst, delta)
     return CheckResult(
         name="overlap analytic vs quadrature",

@@ -32,11 +32,8 @@ def _apply_axis(config: ScenarioConfig, axis: SweepAxis, value: float) -> Scenar
         return replace(config, object=replace(config.object, mass=value))
     if axis is SweepAxis.DIAMETER:
         return replace(config, object=replace(config.object, internal_radius=value / 2.0))
-    if axis is SweepAxis.RATE:
-        return replace(
-            config, environment=replace(config.environment, collision_rate=value)
-        )
-    raise ValueError(f"unknown sweep axis {axis!r}")
+    # SweepAxis.RATE: sweep() refuses any other axis before it runs.
+    return replace(config, environment=replace(config.environment, collision_rate=value))
 
 
 def sweep(
@@ -46,6 +43,8 @@ def sweep(
 
     A failure at one value is recorded in its row without stopping the sweep.
     """
+    if not isinstance(axis, SweepAxis):
+        raise ValueError(f"unknown sweep axis {axis!r}")
     if not values:
         raise ValueError("sweep needs at least one value")
     if not all(0.0 < v < math.inf for v in values):

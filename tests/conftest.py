@@ -4,34 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from collapsim import GaussianPacket
-
 TWO_PI = 2.0 * math.pi
-
-
-def fresh_packet(center=0.0, sigma=1e-9, velocity=0.0, mass=1e-20, alpha=0.0, t_ref=0.0):
-    return GaussianPacket(
-        center=center, sigma=sigma, velocity=velocity, mass=mass, alpha=alpha, t_ref=t_ref
-    )
 
 
 def log_uniform(gen: np.random.Generator, lo: float, hi: float, size=None):
     return 10.0 ** gen.uniform(math.log10(lo), math.log10(hi), size=size)
 
 
-@st.composite
-def packets(draw, sigma_min=1e-12, sigma_max=1e-2):
-    """Hypothesis strategy for physically sane packets."""
-    log_sigma = st.floats(math.log10(sigma_min), math.log10(sigma_max))
-    sigma = tuple(10.0 ** draw(log_sigma) for _ in range(3))
-    center = tuple(
-        draw(st.floats(-1e-3, 1e-3, allow_nan=False, allow_infinity=False)) for _ in range(3)
-    )
-    mass = 10.0 ** draw(st.floats(-25, 0))
-    alpha = draw(st.floats(0.0, TWO_PI, exclude_max=True))
-    return GaussianPacket(
-        center=center, sigma=sigma, velocity=(0.0, 0.0, 0.0), mass=mass, alpha=alpha, t_ref=0.0
-    )
+# Hypothesis strategies for the plain values the criterion and the oracles
+# take: three log-uniform widths, the offset of two centers within 1 mm of
+# the origin, a mass and a reduced phase constant.
+_width = st.floats(-12, -2).map(lambda x: 10.0**x)
+widths = st.tuples(_width, _width, _width)
+_coordinate = st.floats(-2e-3, 2e-3)
+separations = st.tuples(_coordinate, _coordinate, _coordinate)
+masses = st.floats(-25, 0).map(lambda x: 10.0**x)
+phases = st.floats(0.0, TWO_PI, exclude_max=True)
 
 
 @pytest.fixture

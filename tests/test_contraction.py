@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from collapsim import (
     EnvironmentSpec,
-    GaussianPacket,
     LastEvent,
     ObjectSpec,
     ScenarioConfig,
@@ -15,11 +14,7 @@ from collapsim import (
     step,
 )
 from collapsim.contraction import damped_sigma, product_width
-from conftest import fresh_packet, packets
-
-
-def product(p1: GaussianPacket, p2: GaussianPacket):
-    return product_width(p1.sigma, p2.sigma)
+from conftest import widths
 
 
 def first_collapse(config: ScenarioConfig):
@@ -54,17 +49,17 @@ def heavy_object_config(**overrides) -> ScenarioConfig:
 class TestProductGaussian:
     def test_broad_partner_changes_nothing(self):
         s1 = 1e-9
-        sigma = product(fresh_packet(sigma=s1), fresh_packet(sigma=1e6 * s1))
+        sigma = product_width((s1,) * 3, (1e6 * s1,) * 3)
         assert sigma[0] == pytest.approx(s1, rel=1e-6)
 
     def test_identical_packets(self):
-        p = fresh_packet(sigma=2e-9)
-        for sp in product(p, p):
+        sigma = (2e-9,) * 3
+        for sp in product_width(sigma, sigma):
             assert sp == pytest.approx(2e-9 / math.sqrt(2.0), rel=1e-15)
 
-    @given(packets(), packets())
-    def test_width_never_exceeds_smaller_input(self, p1, p2):
-        for sp, s1, s2 in zip(product(p1, p2), p1.sigma, p2.sigma):
+    @given(widths, widths)
+    def test_width_never_exceeds_smaller_input(self, sigma1, sigma2):
+        for sp, s1, s2 in zip(product_width(sigma1, sigma2), sigma1, sigma2):
             assert sp <= min(s1, s2)
 
 
@@ -77,9 +72,7 @@ class TestApplyCollapse:
         assert after.n_collapses == before.n_collapses + 1
 
     def test_localizes_to_narrow_partner(self):
-        broad = fresh_packet(sigma=1e-6)
-        narrow = fresh_packet(sigma=1e-10)
-        assert product(broad, narrow)[0] == pytest.approx(1e-10, rel=1e-6)
+        assert product_width((1e-6,) * 3, (1e-10,) * 3)[0] == pytest.approx(1e-10, rel=1e-6)
 
     def test_inherits_identity_fields(self):
         config = heavy_object_config(
@@ -91,24 +84,22 @@ class TestApplyCollapse:
         assert after.alpha == before.alpha
         assert after.t_ref == after.t
 
-    @given(packets(), packets(), st.floats(1e-6, 1.0))
-    def test_monotone_contraction(self, p1, p2, eta):
+    @given(widths, widths, st.floats(1e-6, 1.0))
+    def test_monotone_contraction(self, sigma1, sigma2, eta):
         # damped or not, a contraction never widens the object
-        for sp, s1 in zip(damped_sigma(p1.sigma, product(p1, p2), eta), p1.sigma):
+        for sp, s1 in zip(damped_sigma(sigma1, product_width(sigma1, sigma2), eta), sigma1):
             assert sp <= s1
 
     def test_repeated_collapse_strictly_shrinks(self):
-        partner = fresh_packet(sigma=1e-9)
-        packet = fresh_packet(sigma=1e-9)
-        widths = [packet.sigma[0]]
+        partner = sigma = (1e-9,) * 3
+        history = [sigma[0]]
         for _ in range(6):
-            packet = fresh_packet(sigma=product(packet, partner))
-            widths.append(packet.sigma[0])
-        assert all(b < a for a, b in zip(widths, widths[1:]))
-        assert widths[1] == pytest.approx(1e-9 / math.sqrt(2.0), rel=1e-12)
+            sigma = product_width(sigma, partner)
+            history.append(sigma[0])
+        assert all(b < a for a, b in zip(history, history[1:]))
+        assert history[1] == pytest.approx(1e-9 / math.sqrt(2.0), rel=1e-12)
 
     def test_contracted_packets_stay_normalized(self, gen):
         for _ in range(10):
             sigma1, sigma2 = (tuple(10.0 ** gen.uniform(-11, -8, 3)) for _ in range(2))
-            contracted = fresh_packet(sigma=product_width(sigma1, sigma2))
-            assert abs(norm_quadrature(contracted) - 1.0) < 1e-8
+            assert abs(norm_quadrature(product_width(sigma1, sigma2)) - 1.0) < 1e-8

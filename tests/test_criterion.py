@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapsim import overlap_integral, overlap_integral_quadrature
+from collapsim import overlap_integral_quadrature
 from collapsim.constants import FINE_STRUCTURE, PHASE_ACCEPTANCE_PROBABILITY, PHASE_GAP_LIMIT
 from collapsim.criterion import (
     criterion_fires,
@@ -14,64 +14,61 @@ from collapsim.criterion import (
     phase_distance,
 )
 from collapsim.selftest import random_packet_pair
-from conftest import TWO_PI, fresh_packet, packets
+from conftest import TWO_PI, phases, separations, widths
 import reference
 
 HALF_ALPHA_S = FINE_STRUCTURE / 2.0
+ZERO = (0.0, 0.0, 0.0)
+
+
+def negated(separation):
+    return tuple(-d for d in separation)
 
 
 class TestOverlapIntegral:
     def test_identical_packets_give_one(self):
-        p = fresh_packet(sigma=(1e-9, 2e-9, 5e-10))
-        assert overlap_integral(p, p) == 1.0
+        sigma = (1e-9, 2e-9, 5e-10)
+        assert overlap_from_widths(sigma, sigma, ZERO) == 1.0
 
     def test_width_mismatch_factor(self):
         # one axis with widths 1:2, other axes identical
-        p1 = fresh_packet(sigma=(1e-3, 1e-3, 1e-3))
-        p2 = fresh_packet(sigma=(2e-3, 1e-3, 1e-3))
+        sigma1, sigma2 = (1e-3, 1e-3, 1e-3), (2e-3, 1e-3, 1e-3)
         expected = math.sqrt(2.0 * 1.0 * 2.0 / (1.0 + 4.0))  # 0.8944271909999159
-        got = overlap_integral(p1, p2)
+        got = overlap_from_widths(sigma1, sigma2, ZERO)
         assert got == pytest.approx(expected, abs=1e-15)
-        assert abs(got - overlap_integral_quadrature(p1, p2)) < 1e-8
+        assert abs(got - overlap_integral_quadrature(sigma1, sigma2, ZERO)) < 1e-8
 
     def test_equal_widths_gaussian_in_separation(self):
         s, d = 1e-6, 3e-6
-        p1 = fresh_packet(center=0.0, sigma=s)
-        p2 = fresh_packet(center=(d, 0.0, 0.0), sigma=s)
-        assert overlap_integral(p1, p2) == pytest.approx(
+        assert overlap_from_widths((s,) * 3, (s,) * 3, (d, 0.0, 0.0)) == pytest.approx(
             math.exp(-(d * d) / (8 * s * s)), rel=1e-12
         )
 
     def test_far_separation_vanishes(self):
         s = 1e-6
-        p1 = fresh_packet(center=0.0, sigma=s)
-        p2 = fresh_packet(center=(100.0 * s, 0.0, 0.0), sigma=s)
-        assert overlap_integral(p1, p2) < 1e-100
+        assert overlap_from_widths((s,) * 3, (s,) * 3, (100.0 * s, 0.0, 0.0)) < 1e-100
 
-    @given(packets(), packets())
-    def test_symmetric_and_bounded(self, p1, p2):
-        o12 = overlap_integral(p1, p2)
-        assert o12 == overlap_integral(p2, p1)
+    @given(widths, widths, separations)
+    def test_symmetric_and_bounded(self, sigma1, sigma2, separation):
+        o12 = overlap_from_widths(sigma1, sigma2, separation)
+        assert o12 == overlap_from_widths(sigma2, sigma1, negated(separation))
         assert 0.0 <= o12 <= 1.0
 
-    @given(packets(), st.floats(0.1, 10.0))
-    def test_monotone_in_separation(self, p, factor):
-        s = p.sigma[0]
-        near = fresh_packet(center=(p.center[0] + factor * s, p.center[1], p.center[2]), sigma=p.sigma)
-        far = fresh_packet(center=(p.center[0] + 2 * factor * s, p.center[1], p.center[2]), sigma=p.sigma)
-        assert overlap_integral(p, far) < overlap_integral(p, near)
+    @given(widths, st.floats(0.1, 10.0))
+    def test_monotone_in_separation(self, sigma, factor):
+        d = factor * sigma[0]
+        near = overlap_from_widths(sigma, sigma, (d, 0.0, 0.0))
+        assert overlap_from_widths(sigma, sigma, (2 * d, 0.0, 0.0)) < near
 
-    @given(packets(), packets(), st.floats(-3, 3))
-    def test_scale_invariance(self, p1, p2, log_k):
+    @given(widths, widths, separations, st.floats(-3, 3))
+    def test_scale_invariance(self, sigma1, sigma2, separation, log_k):
         k = 10.0**log_k
-        q1 = fresh_packet(
-            center=tuple(k * c for c in p1.center), sigma=tuple(k * s for s in p1.sigma)
+        a = overlap_from_widths(sigma1, sigma2, separation)
+        b = overlap_from_widths(
+            tuple(k * s for s in sigma1),
+            tuple(k * s for s in sigma2),
+            tuple(k * d for d in separation),
         )
-        q2 = fresh_packet(
-            center=tuple(k * c for c in p2.center), sigma=tuple(k * s for s in p2.sigma)
-        )
-        a = overlap_integral(p1, p2)
-        b = overlap_integral(q1, q2)
         if a > 0.0:
             # exp(-x) turns a relative rounding error e in x into a relative
             # error x * e in the result, and x is about |log a|.
@@ -80,19 +77,33 @@ class TestOverlapIntegral:
 
 class TestQuadratureOracle:
     def test_identical_packets(self):
-        p = fresh_packet(sigma=(1e-9, 2e-9, 5e-10))
-        assert abs(overlap_integral_quadrature(p, p) - 1.0) < 1e-8
+        sigma = (1e-9, 2e-9, 5e-10)
+        assert abs(overlap_integral_quadrature(sigma, sigma, ZERO) - 1.0) < 1e-8
 
     def test_agrees_with_closed_form_on_seeded_pairs(self):
         gen = np.random.default_rng(7)
         for _ in range(25):
-            p1, p2 = random_packet_pair(gen)
-            delta = abs(overlap_integral(p1, p2) - overlap_integral_quadrature(p1, p2))
-            assert delta <= 1e-8
+            pair = random_packet_pair(gen)
+            assert abs(overlap_from_widths(*pair) - overlap_integral_quadrature(*pair)) <= 1e-8
+
+    def test_selftest_pairs_agree_to_1e_12(self):
+        # The oracle integrates at the separation, not at absolute centers
+        # about 1e-3 m out, so widths down to 1e-12 m stay well resolved.
+        gen = np.random.default_rng(321)
+        worst = 0.0
+        for _ in range(100):
+            pair = random_packet_pair(gen)
+            worst = max(worst, abs(overlap_from_widths(*pair) - overlap_integral_quadrature(*pair)))
+        assert worst <= 1e-12
 
     def test_width_domain_enforced(self):
         with pytest.raises(ValueError):
-            overlap_integral_quadrature(fresh_packet(sigma=10.0), fresh_packet(sigma=10.0))
+            overlap_integral_quadrature((10.0,) * 3, (10.0,) * 3, ZERO)
+
+    @pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan])
+    def test_non_finite_separation_refused(self, d):
+        with pytest.raises(ValueError, match="separation must be finite"):
+            overlap_integral_quadrature((1e-9,) * 3, (1e-9,) * 3, (d, 0.0, 0.0))
 
 
 class TestPhaseCriterion:
@@ -116,10 +127,7 @@ class TestPhaseCriterion:
         assert phase_clause_batch(0.0, np.array([HALF_ALPHA_S])).tolist() == [True]
         assert criterion_fires(0.0, HALF_ALPHA_S, (1e-9,) * 3, (1e-9,) * 3, (0.0,) * 3)
 
-    @given(
-        st.floats(0.0, TWO_PI, exclude_max=True),
-        st.floats(0.0, TWO_PI, exclude_max=True),
-    )
+    @given(phases, phases)
     def test_distance_is_circular_and_symmetric(self, a1, a2):
         d12 = phase_distance(a1, a2)
         assert d12 == phase_distance(a2, a1)
@@ -159,41 +167,36 @@ class TestAmplitudeCriterion:
         assert criterion_fires(0.0, 0.0, (s,) * 3, (s,) * 3, far)
 
 
-def encounter(p1, p2):
-    """Plain-value arguments of ``criterion_fires`` for two packets."""
-    separation = tuple(c2 - c1 for c1, c2 in zip(p1.center, p2.center))
-    return p1.alpha, p2.alpha, p1.sigma, p2.sigma, separation
-
-
 class TestEvaluateCriterion:
     def test_identical_small_alpha_fires(self):
-        p = fresh_packet(alpha=0.001)
-        assert criterion_fires(*encounter(p, p))
-        assert overlap_integral(p, p) == 1.0
-        assert phase_distance(p.alpha, p.alpha) == 0.0
+        sigma = (1e-9,) * 3
+        assert criterion_fires(0.001, 0.001, sigma, sigma, ZERO)
+        assert overlap_from_widths(sigma, sigma, ZERO) == 1.0
+        assert phase_distance(0.001, 0.001) == 0.0
 
     def test_opposite_phases_do_not_fire(self):
-        assert not criterion_fires(*encounter(fresh_packet(alpha=0.0), fresh_packet(alpha=math.pi)))
+        assert not criterion_fires(0.0, math.pi, (1e-9,) * 3, (1e-9,) * 3, ZERO)
 
     def test_far_packets_do_not_fire(self):
         s = 1e-6
-        p1 = fresh_packet(center=0.0, sigma=s, alpha=1.0)
-        p2 = fresh_packet(center=(100 * s, 0.0, 0.0), sigma=s, alpha=1.0)
-        assert phase_distance(p1.alpha, p2.alpha) <= PHASE_GAP_LIMIT
-        assert not criterion_fires(*encounter(p1, p2))
+        assert phase_distance(1.0, 1.0) <= PHASE_GAP_LIMIT
+        assert not criterion_fires(1.0, 1.0, (s,) * 3, (s,) * 3, (100 * s, 0.0, 0.0))
 
-    @given(packets(), packets())
-    def test_symmetry(self, p1, p2):
-        assert criterion_fires(*encounter(p1, p2)) == criterion_fires(*encounter(p2, p1))
+    @given(phases, phases, widths, widths, separations)
+    def test_symmetry(self, alpha1, alpha2, sigma1, sigma2, separation):
+        assert criterion_fires(alpha1, alpha2, sigma1, sigma2, separation) == criterion_fires(
+            alpha2, alpha1, sigma2, sigma1, negated(separation)
+        )
 
     def test_fires_only_when_both_clauses_hold(self):
         gen = np.random.default_rng(5)
+        phase_gen = np.random.default_rng(6)
         for _ in range(200):
-            p1, p2 = random_packet_pair(gen)
+            s1, s2, separation = random_packet_pair(gen)
+            a1, a2 = TWO_PI * phase_gen.random(2)
             # also the same pair at equal phase constants, where the
             # amplitude clause decides
-            for alpha2 in (p2.alpha, p1.alpha):
-                a1, a2, s1, s2, separation = encounter(p1, p2)
+            for alpha2 in (a2, a1):
                 phase_ok = reference.phase_clause(a1, alpha2)
                 amplitude_ok = reference.amplitude_clause(
                     reference.overlap(s1, s2, separation), a1, alpha2

@@ -9,7 +9,6 @@ import pytest
 from collapsim import (
     EngineError,
     EnvironmentSpec,
-    GaussianPacket,
     LastEvent,
     ObjectSpec,
     Records,
@@ -30,7 +29,7 @@ import collapsim.engine as engine
 from collapsim.contraction import damped_sigma
 from collapsim.engine import _widths_at, aggregate_summaries, initial_state, regime_for
 from collapsim.constants import HBAR, PHASE_ACCEPTANCE_PROBABILITY
-from collapsim.packets import spread_widths
+from collapsim.packets import GaussianPacket, spread_widths
 import reference
 
 TWO_PI = 2.0 * math.pi

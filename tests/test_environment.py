@@ -78,6 +78,13 @@ class TestRngState:
         with pytest.raises(ValueError):
             RngState(1, -2)
 
+    def test_seek_refuses_negative_position(self):
+        rng = RngState(1)
+        with pytest.raises(ValueError, match="non-negative"):
+            rng.seek(-5)
+        assert rng == RngState(1)
+        assert rng.words(1)[0] == RngState(1).words(1)[0]
+
 
 class TestDrawPhase:
     def test_range(self):

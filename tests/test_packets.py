@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapsim import (
-    GaussianPacket,
     ObjectSpec,
     de_broglie_wavelength,
     norm_quadrature,
@@ -14,8 +13,8 @@ from collapsim import (
     spreading_velocity_via_lambda,
 )
 from collapsim.constants import FINE_STRUCTURE, HBAR, PLANCK_H
-from collapsim.packets import spread_widths
-from conftest import TWO_PI, fresh_packet, log_uniform, packets
+from collapsim.packets import GaussianPacket, spread_widths
+from conftest import TWO_PI, log_uniform, masses, widths
 import reference
 
 
@@ -128,28 +127,26 @@ class TestEvolveFree:
         assert growth <= 3.4e-10
         assert growth >= 2.0e-10
 
-    @given(packets(), st.floats(1e-9, 1e6), st.floats(1e-9, 1e6))
+    @given(widths, masses, st.floats(1e-9, 1e6), st.floats(1e-9, 1e6))
     @settings(max_examples=200)
-    def test_semigroup_on_widths(self, p, t1, t2):
+    def test_semigroup_on_widths(self, sigma, mass, t1, t2):
         # One hop of the engine's law against two hops of the complex width.
-        one_hop = spread_widths(p.sigma, p.mass, t1 + t2)
-        for s0, b in zip(p.sigma, one_hop):
-            a = reference.complex_width(reference.complex_width(s0 * s0, p.mass, t1), p.mass, t2)
+        one_hop = spread_widths(sigma, mass, t1 + t2)
+        for s0, b in zip(sigma, one_hop):
+            a = reference.complex_width(reference.complex_width(s0 * s0, mass, t1), mass, t2)
             assert abs(reference.width_of(a) - b) <= 1e-12 * b
 
-    @given(packets(), st.floats(0.0, 1e6), st.floats(0.0, 1e6))
-    def test_width_never_decreases(self, p, ta, tb):
+    @given(widths, masses, st.floats(0.0, 1e6), st.floats(0.0, 1e6))
+    def test_width_never_decreases(self, sigma, mass, ta, tb):
         lo, hi = sorted((ta, tb))
-        early = spread_widths(p.sigma, p.mass, lo)
-        late = spread_widths(p.sigma, p.mass, hi)
+        early = spread_widths(sigma, mass, lo)
+        late = spread_widths(sigma, mass, hi)
         assert all(b >= a for a, b in zip(early, late))
 
     def test_normalization_preserved(self, gen):
         for _ in range(10):
             sigma = tuple(log_uniform(gen, 1e-12, 1e-2, 3))
-            center = tuple(gen.normal(0, 1e-3, 3))
-            q = fresh_packet(center=center, sigma=spread_widths(sigma, 1e-20, 1e-3), mass=1e-20)
-            assert abs(norm_quadrature(q) - 1.0) < 1e-8
+            assert abs(norm_quadrature(spread_widths(sigma, 1e-20, 1e-3)) - 1.0) < 1e-8
 
 
 class TestSpreadWidths:
@@ -193,31 +190,35 @@ class TestAsymptoticRegimeCheck:
 
 
 class TestPacketValidation:
+    @staticmethod
+    def packet(center=0.0, sigma=1e-9, mass=1e-20, alpha=0.0):
+        return GaussianPacket(
+            center=center, sigma=sigma, velocity=0.0, mass=mass, alpha=alpha, t_ref=0.0
+        )
+
     def test_alpha_stored_reduced(self):
-        p = fresh_packet(alpha=2 * TWO_PI + 1.0)
+        p = self.packet(alpha=2 * TWO_PI + 1.0)
         assert p.alpha == pytest.approx(1.0, abs=1e-12)
-        q = fresh_packet(alpha=-0.5)
+        q = self.packet(alpha=-0.5)
         assert 0.0 <= q.alpha < TWO_PI
 
     @pytest.mark.parametrize("sigma", [0.0, -1e-9, math.inf, math.nan])
     def test_bad_sigma_rejected(self, sigma):
         with pytest.raises(ValueError):
-            fresh_packet(sigma=sigma)
+            self.packet(sigma=sigma)
 
     @pytest.mark.parametrize("mass", [0.0, -1.0, math.inf])
     def test_bad_mass_rejected(self, mass):
         with pytest.raises(ValueError):
-            fresh_packet(mass=mass)
+            self.packet(mass=mass)
 
     def test_vector_length_enforced(self):
         with pytest.raises(ValueError):
-            GaussianPacket(
-                center=(0.0, 0.0), sigma=1e-9, velocity=0.0, mass=1.0, alpha=0.0, t_ref=0.0
-            )
+            self.packet(center=(0.0, 0.0))
 
     @given(st.floats(-100.0, 100.0, allow_nan=False))
     def test_reduced_alpha_in_range(self, alpha):
-        assert 0.0 <= fresh_packet(alpha=alpha).alpha < TWO_PI
+        assert 0.0 <= self.packet(alpha=alpha).alpha < TWO_PI
 
 
 class TestObjectSpec:

@@ -35,6 +35,6 @@ def test_output_digests_names_every_output(capsys):
     )
     assert [line.split()[0] for line in lines] == [
         f"{name}/seed{seed}" for seed in (1, 2) for name in outputs
-    ]
+    ] + ["selftest_fast"]
     digests = [line.split()[1] for line in lines]
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests)

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import pytest
@@ -47,6 +48,16 @@ class TestSweep:
         for values in ([1.0, -2.0], [1e-20, math.nan], [math.inf]):
             with pytest.raises(ValueError, match="positive and finite"):
                 sweep(base, SweepAxis.MASS, values, 1)
+
+    def test_unknown_axis_refused_before_any_run(self, base, monkeypatch):
+        ran = []
+        # ``collapsim.sweep`` names the function; the module is in sys.modules.
+        module = sys.modules["collapsim.sweep"]
+        monkeypatch.setattr(module, "run_ensemble", lambda *args: ran.append(args))
+        for axis in ("mass", None):
+            with pytest.raises(ValueError, match="unknown sweep axis"):
+                sweep(base, axis, [1e-20], 2)
+        assert ran == []
 
     def test_per_value_failure_recorded_without_aborting(self, base):
         # a mass of 1e-308 blows up the spreading law immediately
