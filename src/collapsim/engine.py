@@ -50,10 +50,10 @@ for bit: times are a sequential ``np.cumsum`` of ``math.log1p`` gaps,
 widths come from :func:`spread_widths` on arrays, and sums are accumulated
 in collision order.
 
-Records.  :func:`run` keeps its rows in one :class:`Records` store of typed
-columns.  The rows of collisions that did not fire extend the columns by
-slices of the block's per-axis widths and cluster mask; grid rows and the
-row of a firing are appended field by field.  So no record
+Records.  :func:`run` hands its rows to a sink, a :class:`Records` store of
+typed columns or, without records, a sink that drops them.  ``extend`` takes
+the rows of collisions that did not fire as slices of the block's columns,
+and ``append`` takes a grid row or a firing's row as codes.  So no record
 object is built per row: a row takes 50 bytes, and a
 :class:`TimeSeriesRecord` is built only when a row is read.
 """
@@ -155,14 +155,16 @@ class Records(Sequence):
         """A store holding ``rows``, in order."""
         out = cls()
         for r in rows:
-            out._append_record(r)
+            codes = cls.REGIMES.index(r.regime), cls.EVENTS.index(r.last_event)
+            out.append(r.t, r.sigma, r.n_collisions, r.n_collapses, *codes)
         return out
 
     def columns(self) -> tuple[array, ...]:
         """The eight columns, in CSV column order."""
         return tuple(getattr(self, name) for name in self.__slots__)
 
-    def _append(self, t, sigma, n_collisions, n_collapses, regime, last_event) -> None:
+    def append(self, t, sigma, n_collisions, n_collapses, regime, last_event) -> None:
+        """Add one row; ``regime`` and ``last_event`` are codes."""
         self.t.append(t)
         self.sigma_x.append(sigma[0])
         self.sigma_y.append(sigma[1])
@@ -172,11 +174,16 @@ class Records(Sequence):
         self.regime.append(regime)
         self.last_event.append(last_event)
 
-    def _append_record(self, r: TimeSeriesRecord) -> None:
-        self._append(
-            r.t, r.sigma, r.n_collisions, r.n_collapses,
-            _REGIME_CODES[r.regime], _EVENT_CODES[r.last_event],
-        )
+    def extend(self, columns, lo: int, hi: int, n_first: int, n_collapses: int) -> None:
+        """Add rows ``lo .. hi-1`` of a block's time, width and regime
+        ``columns``: collisions that did not fire, counted from ``n_first``."""
+        # Copied as machine values, so the bits are those of the arrays.
+        copied = (self.t, self.sigma_x, self.sigma_y, self.sigma_z, self.regime)
+        for column, values in zip(copied, columns):
+            column.frombytes(values[lo:hi].tobytes())
+        self.n_collisions.frombytes(np.arange(n_first, n_first + hi - lo, dtype=np.int64).tobytes())
+        self.n_collapses.extend(array("q", (n_collapses,)) * (hi - lo))
+        self.last_event.extend(array("b", (_NO_COLLAPSE,)) * (hi - lo))
 
     def __len__(self) -> int:
         return len(self.t)
@@ -210,9 +217,16 @@ class Records(Sequence):
     __hash__ = None
 
 
-_REGIME_CODES = {regime: code for code, regime in enumerate(Records.REGIMES)}
-_EVENT_CODES = {event: code for code, event in enumerate(Records.EVENTS)}
-_NONE, _NO_COLLAPSE = _EVENT_CODES[LastEvent.NONE], _EVENT_CODES[LastEvent.COLLISION_NO_COLLAPSE]
+_NONE, _NO_COLLAPSE, _COLLAPSE = (Records.EVENTS.index(event) for event in LastEvent)
+
+
+class _Discard:
+    """The sink of a run without records: rows go nowhere."""
+
+    def append(self, *row) -> None:
+        pass
+
+    extend = append
 
 
 def regime_for(sigma: Vec3, internal_radius: float) -> Regime:
@@ -453,14 +467,14 @@ def run(
     """Simulate one scenario from t=0 to t=duration.
 
     Emits one row per collision plus rows on the uniform sampling grid and
-    at t=0 and t=duration, into a :class:`Records` store that stays empty
-    when ``keep_records`` is false.  An event drawn beyond the duration is
-    not processed.  ``max_collisions`` caps the number of processed events.
-    Collisions are scanned in blocks (see the module docstring): the rows of
-    collisions that did not fire extend the columns by slices of the block,
-    and grid rows and the row of a firing are appended field by field, so no
-    record object is built per row.  Rows, summary and stream position
-    equal those of a loop over :func:`step`.
+    at t=0 and t=duration to a sink: the returned :class:`Records` store,
+    or, when ``keep_records`` is false, a sink that drops them and leaves
+    the store empty.  An event drawn beyond the duration is not processed.
+    ``max_collisions`` caps the number of processed events.  Collisions are
+    scanned in blocks (see the module docstring): the rows of collisions
+    that did not fire go to the sink's ``extend`` as slices of the block,
+    grid rows and firings to its ``append``.  Rows, summary and stream
+    position equal those of a loop over :func:`step`.
     """
     # The run's one stream: each block and each scalar collision seeks in it.
     rng = RngState(config.seed)
@@ -468,16 +482,15 @@ def run(
     mass, internal_radius = config.object.mass, config.object.internal_radius
     interval = config.sample_interval
     records = Records()
+    sink = records if keep_records else _Discard()
     next_sample = interval
 
-    def sample(t_sample: float, n_collisions: int, keep: bool = keep_records) -> Vec3:
-        """The widths at a grid time; ``keep`` appends their row."""
+    def sample(t_sample: float, n_collisions: int, to=sink) -> Vec3:
+        """The widths at a grid time; their row goes to the sink ``to``."""
         sigma = _widths_at(state, mass, t_sample, n_collisions)
-        if keep:
-            records._append(
-                t_sample, sigma, n_collisions, state.n_collapses,
-                min(sigma) < internal_radius, _NONE,
-            )
+        to.append(
+            t_sample, sigma, n_collisions, state.n_collapses, min(sigma) < internal_radius, _NONE
+        )
         return sigma
 
     def emit_samples(t: float, n_collisions: int) -> None:
@@ -488,18 +501,6 @@ def run(
             next_sample += interval
         if next_sample == t:
             next_sample += interval
-
-    def emit_rejected(block: _Block, lo: int, hi: int) -> None:
-        """Rows of block collisions lo..hi-1, which did not fire."""
-        if keep_records:
-            n0 = state.n_collisions
-            t, sx, sy, sz, n_collisions, n_collapses, regime, last_event = records.columns()
-            # Copied as machine values, so the bits are those of the arrays.
-            for column, values in zip((t, sx, sy, sz, regime), block.columns):
-                column.frombytes(values[lo:hi].tobytes())
-            n_collisions.frombytes(np.arange(n0 + lo + 1, n0 + hi + 1, dtype=np.int64).tobytes())
-            n_collapses.extend(array("q", (state.n_collapses,)) * (hi - lo))
-            last_event.extend(array("b", (_NO_COLLAPSE,)) * (hi - lo))
 
     sample(0.0, 0)
     sums = _Sums(min_sigma=min(state.sigma))
@@ -531,15 +532,17 @@ def run(
         i = 0
         while end and next_sample <= times[end - 1]:
             k = bisect.bisect_left(times, next_sample, i, end)
-            emit_rejected(block, i, k)
+            sink.extend(block.columns, i, k, n0 + i + 1, state.n_collapses)
             emit_samples(times[k], n0 + k)
             i = k
-        emit_rejected(block, i, end)
+        sink.extend(block.columns, i, end, n0 + i + 1, state.n_collapses)
         sums.add_rejected(block.sigma_min[:end])
         if firing is not None:
             emit_samples(times[firing], n0 + firing)
-            if keep_records:
-                records._append_record(record)
+            sink.append(
+                record.t, record.sigma, record.n_collisions, record.n_collapses,
+                min(record.sigma) < internal_radius, _COLLAPSE,
+            )
             sums.add_firing(float(block.sigma_min[firing]), min(after.sigma))
             state = after
             continue
@@ -556,7 +559,7 @@ def run(
     emit_samples(config.duration, state.n_collisions)
     # No final row when a collision fell exactly on the duration.
     final_sigma = sample(
-        config.duration, state.n_collisions, keep_records and records.t[-1] < config.duration
+        config.duration, state.n_collisions, sink if state.t < config.duration else _Discard()
     )
 
     summary = RunSummary(

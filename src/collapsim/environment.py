@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -64,18 +65,19 @@ class RngState:
     __slots__ = ("seed", "position", "_gen")
 
     def __init__(self, seed: int, position: int = 0):
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        if not isinstance(seed, Integral) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
         self.position = 0
         self._gen = Generator(PCG64(self.seed))
-        self.seek(int(position))
+        self.seek(position)
 
     def seek(self, position: int) -> None:
         """Move the stream to word ``position``, forward or back, without
         seeding again: PCG64 jumps any distance in O(log n) steps."""
-        if position < 0:
-            raise ValueError(f"position must be a non-negative integer, got {position}")
+        if not isinstance(position, Integral) or position < 0:
+            raise ValueError(f"position must be a non-negative integer, got {position!r}")
+        position = int(position)
         self._gen.bit_generator.advance((position - self.position) % (1 << 128))
         self.position = position
 

@@ -41,7 +41,7 @@ from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .config import OUTPUT_FORMATS
-from .engine import _EVENT_CODES, _REGIME_CODES, LastEvent, Records, Regime, TimeSeriesRecord
+from .engine import LastEvent, Records, Regime, TimeSeriesRecord
 
 CSV_HEADER = "t_s,sigma_x_m,sigma_y_m,sigma_z_m,n_collisions,n_collapses,regime,last_event"
 
@@ -57,8 +57,8 @@ _EVENT_NAMES = [event.value for event in Records.EVENTS]
 # Per column, a text or JSON field to its column item.  ``Regime(name)`` and
 # ``LastEvent(name)`` refuse an unknown name; a known one is looked up once.
 _PARSERS = (float,) * 4 + (int,) * 2 + (
-    cache(lambda name: _REGIME_CODES[Regime(name)]),
-    cache(lambda name: _EVENT_CODES[LastEvent(name)]),
+    cache(lambda name: Records.REGIMES.index(Regime(name))),
+    cache(lambda name: Records.EVENTS.index(LastEvent(name))),
 )
 
 # Per column, the types of a JSON field and their name in a refusal.  A

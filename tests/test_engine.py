@@ -454,9 +454,12 @@ LEAN_LOOP_CONFIGS = {
 }
 
 
-class TestLeanLoopMatchesPacketApi:
+class TestStepMatchesReference:
+    """Every ``step`` matches ``rebuild_collision``, which redraws the
+    collision and decides it with the laws of ``tests/reference.py``."""
+
     @pytest.mark.parametrize("name", sorted(LEAN_LOOP_CONFIGS))
-    def test_every_step_matches_packet_level_rebuild(self, name):
+    def test_every_step_matches_reference_rebuild(self, name):
         cfg = LEAN_LOOP_CONFIGS[name]
         fired = 0
         regimes = set()
@@ -794,3 +797,42 @@ def test_record_memory_per_row():
         tracemalloc.stop()
     assert len(records) > 40_000
     assert peak / len(records) <= 100.0
+
+
+# Collisions of ``tpp`` at seed 1: the first firing, and a later collision
+# that does not fire.
+DURATION_COLLISIONS = {
+    "firing": (0.00026408747048057175, LastEvent.COLLAPSE),
+    "no_firing": (0.0004971239138790481, LastEvent.COLLISION_NO_COLLAPSE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DURATION_COLLISIONS))
+def test_collision_exactly_at_the_duration(name):
+    """A collision at t = duration has the last row: no final grid row
+    follows it."""
+    t, event = DURATION_COLLISIONS[name]
+    config = replace(preset("tpp"), duration=t, seed=1)
+    summary, records = run(config)
+    last = records[-1]
+    assert last.t == t and last.last_event is event
+    assert last.n_collisions == summary.n_collisions
+    assert records[-2].t < t
+    expected_summary, expected_records = reference_run(config)
+    assert records == expected_records
+    assert summary == expected_summary
+    assert run(config, keep_records=False)[0] == summary
+
+
+@pytest.mark.parametrize("duration", [0.05, 0.5])
+def test_memory_without_records_is_bounded(duration):
+    # Kept rows would take about 25 MB at 0.5 s.
+    config = replace(preset("tpp"), duration=duration, seed=1)
+    tracemalloc.start()
+    try:
+        summary, records = run(config, keep_records=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.n_collisions > 40_000 * duration / 0.05 and len(records) == 0
+    assert peak < 1_000_000

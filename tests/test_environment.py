@@ -78,6 +78,23 @@ class TestRngState:
         with pytest.raises(ValueError):
             RngState(1, -2)
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: RngState(1.9), lambda: RngState(1, 2.7), lambda: RngState(1).seek(2.5)],
+        ids=["seed", "position", "seek"],
+    )
+    def test_non_integer_refused(self, make):
+        # Refused, not truncated to RngState(1) or RngState(1, 2).
+        with pytest.raises(ValueError, match="non-negative integer"):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        rng = RngState(np.int64(7), np.uint32(5))
+        assert rng == RngState(7, 5) and type(rng.seed) is int and type(rng.position) is int
+        rng.seek(np.int64(9))
+        assert rng == RngState(7, 9)
+        assert rng.words(1)[0] == RngState(7, 9).words(1)[0]
+
     def test_seek_refuses_negative_position(self):
         rng = RngState(1)
         with pytest.raises(ValueError, match="non-negative"):

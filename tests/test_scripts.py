@@ -1,11 +1,15 @@
-"""Smoke tests: the example scripts in ``scripts/`` still run end to end."""
+"""Smoke tests: the example scripts in ``scripts/`` still run end to end, and
+``output_digests.py`` prints the pinned digests of every output."""
 
 import importlib.util
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+DIGESTS = Path(__file__).with_name("output_digests.txt")
 
 
 def load_script(name: str):
@@ -38,3 +42,22 @@ def test_output_digests_names_every_output(capsys):
     ] + ["selftest_fast"]
     digests = [line.split()[1] for line in lines]
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests)
+
+
+def test_output_bytes_match_pinned_digests(capsys):
+    """Every output at seeds 1, 2 and 3 has the bytes pinned in
+    ``output_digests.txt``.  The digests hold for the build its header
+    names; the message tells a changed program from a different build."""
+    lines = DIGESTS.read_text().splitlines()
+    pinned_build = next(line.split(":", 1)[1].strip() for line in lines if line.startswith("# build:"))
+    expected = [line for line in lines if not line.startswith("#")]
+    assert load_script("output_digests").main(["--seeds", "1,2,3"]) == 0
+    got = capsys.readouterr().out.splitlines()
+    build = f"Python {platform.python_version()}, numpy {np.__version__}"
+    cause = "same build, so the program changed" if build == pinned_build else "another build"
+    assert [line.split()[0] for line in got] == [line.split()[0] for line in expected]
+    for want, have in zip(expected, got):
+        assert have == want, (
+            f"{want.split()[0]}: digest differs from {DIGESTS.name}, pinned on {pinned_build}; "
+            f"running {build} ({cause})"
+        )
