@@ -2,7 +2,9 @@ import io
 import json
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -174,11 +176,23 @@ def written(write, records, fmt) -> str:
 
 
 def written_with_slots(records, fmt):
-    """What ``write_records`` writes, and the float slots of the row
-    templates it used."""
-    with mock.patch.object(recording, "_row", wraps=recording._row) as row:
+    """What ``write_records`` writes, and the float slots it used: per JSON
+    chunk, those of its row template; per CSV chunk, as in JSON, ``%s`` for
+    the columns that share the bytes of one bit-equal column, formatted
+    once, and ``%.16e`` for a column formatted for itself alone."""
+    if fmt == "json":
+        with mock.patch.object(recording, "_row", wraps=recording._row) as row:
+            text = written(write_records, records, fmt)
+        return text, {call.args[0] for call in row.call_args_list}
+    firsts = []
+
+    def first_equal(bits, first_equal=recording._first_equal):
+        firsts.append(first_equal(bits))
+        return firsts[-1]
+
+    with mock.patch.object(recording, "_first_equal", first_equal):
         text = written(write_records, records, fmt)
-    return text, {call.args[1] for call in row.call_args_list}
+    return text, {tuple("%s" if f.count(j) > 1 else "%.16e" for j in f) for f in firsts}
 
 
 def run_rows(lengths, values):
@@ -279,8 +293,8 @@ class TestMatchesReference:
         ]
         text, slots = written_with_slots(records, fmt)
         assert text == written(reference_write, records, fmt)
-        number = "%.16e" if fmt == "csv" else "%r"
-        assert slots == {(number, "%s", number, "%s")}
+        # Runs are formatted once only in JSON; the CSV kernel formats every row.
+        assert slots == {("%.16e",) * 4 if fmt == "csv" else ("%r", "%s", "%r", "%s")}
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 1])
@@ -392,6 +406,124 @@ class TestSharedWidthColumns:
         assert written_with_slots(records, fmt)[1] == {(number, "%s", "%s", "%s")}
 
 
+def float_bits(x: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+def kernel_texts(bits) -> list[str]:
+    """The CSV float kernel's text of each float64 with these bits."""
+    rows = recording._sci(np.array(bits, np.uint64))
+    return [row[row != 0].tobytes().decode("ascii") for row in rows]
+
+
+def printf_texts(bits) -> list[str]:
+    return ["%.16e" % x for x in np.array(bits, np.uint64).view(np.float64).tolist()]
+
+
+def power_of_ten_bits() -> list[int]:
+    """The double nearest 10**k and its two neighbours, for every decade k of
+    the kernel's domain, 1e-16 <= x < 1e16, and one beyond each edge."""
+    powers = [float(f"1e{k}") for k in range(-17, 18)]
+    neighbours = [(math.nextafter(p, 0), p, math.nextafter(p, 2 * p)) for p in powers]
+    return [float_bits(y) for trio in neighbours for y in trio]
+
+
+def tie_bits() -> list[int]:
+    """Per decade k of the domain, doubles x for which x 10**(16 - k) lies
+    exactly halfway between two integers of 17 digits.
+
+    x = a / 2**(s + 1) with s = 16 - k and a odd, so x 10**s is
+    a 5**s / 2; a 53-bit a is exact.
+    """
+    out = []
+    for s in range(1, 33):
+        lo, hi = -(-2 * 10**16 // 5**s), min(2 * 10**17 // 5**s, 2**53)
+        for a in (lo, (lo + hi) // 2, hi - 2):
+            x = math.ldexp(a | 1, -(s + 1))
+            assert (Fraction(x) * 10**s).denominator == 2
+            out.append(float_bits(x))
+    return out
+
+
+# Bit patterns the kernel leaves to ``%``: signed zeros, the smallest and
+# largest subnormals, the smallest normal, infinities, NaNs with payloads
+# of either sign, and the largest finite value.
+EDGE_BITS = [
+    0, 2**63, 1, 2**52 - 1, 2**52, 0x7FF0000000000000, 0xFFF0000000000000,
+    0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000002, 0x7FEFFFFFFFFFFFFF,
+]
+any_bits = st.one_of(
+    st.floats(1e-16, 1e16).map(float_bits),  # the kernel's domain
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(EDGE_BITS),
+)
+
+
+class TestCsvKernel:
+    """The CSV writer's float and count texts equal ``%``'s, value by
+    value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.lists(any_bits, max_size=CHUNK_ROWS))
+    def test_floats_equal_printf_on_any_bits(self, bits):
+        assert kernel_texts(bits) == printf_texts(bits)
+
+    def test_floats_equal_printf_at_powers_of_ten_and_ties(self):
+        bits = power_of_ten_bits() + tie_bits()
+        assert kernel_texts(bits) == printf_texts(bits)
+
+    def test_floats_equal_printf_across_the_domain(self):
+        # Random mantissas in every decade: rounding that reads only part of
+        # the product fails here.
+        x = 10.0 ** np.random.default_rng(17).uniform(-16, 16, 100_000)
+        bits = x.view(np.uint64).tolist()
+        assert kernel_texts(bits) == printf_texts(bits)
+
+    def test_quotient_chooses_the_decade(self):
+        # The double nearest 1e-07 lies below 10**-7.
+        assert kernel_texts([float_bits(1e-07)]) == ["9.9999999999999995e-08"]
+
+    def test_carry_bumps_the_exponent(self):
+        # The double nearest 1e-14 lies below 10**-14 but rounds up to it.
+        assert Fraction(1e-14) < Fraction(1, 10**14)
+        assert kernel_texts([float_bits(1e-14)]) == ["1.0000000000000000e-14"]
+
+    def test_counts_equal_printf(self):
+        counts = [0, 1, -1, 9, -10, 9999, 10_000, -10_001, 10**8, 2**63 - 1, -(2**63)]
+        counts += [sign * (10**k + d) for k in range(1, 19) for d in (-1, 0) for sign in (1, -1)]
+        rows = recording._integers(np.array(counts, np.int64))
+        assert [row[row != 0].tobytes().decode("ascii") for row in rows] == [
+            "%d" % n for n in counts
+        ]
+
+    def test_csv_write_memory_is_bounded(self):
+        # Per chunk, a byte matrix of CHUNK_ROWS rows and the kernel's
+        # arrays; the tables are built once, at import.
+        class Discard:
+            def write(self, text):
+                pass
+
+        _, records = run(replace(preset("tpp"), seed=1))
+        assert len(records) > 40_000
+        tracemalloc.start()
+        try:
+            write_records(records, "csv", Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("field", ["n_collisions", "n_collapses"])
+    def test_count_outside_int64_refused(self, field):
+        row = random_records(1)[0]
+        for count in (2**63, -(2**63) - 1):
+            with pytest.raises(ValueError, match=f"malformed record field {field!r}: {count}"):
+                write_records([replace(row, **{field: count})], "csv", io.StringIO())
+        for count in (2**63 - 1, -(2**63)):
+            rows = [replace(row, **{field: count})]
+            assert written(write_records, rows, "csv") == written(reference_write, rows, "csv")
+
+
 def json_row(**fields) -> str:
     """A one-row JSON record array, ``fields`` replacing a valid row's."""
     row = {
@@ -420,7 +552,7 @@ class TestReadIntoStore:
         write_records(records, fmt, sink)
         known = getattr(records[1], field).value
         text = sink.getvalue().replace(known, name)
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ValueError, match=f"malformed record field {field!r}: .*{name}"):
             read_records(io.StringIO(text), fmt)
 
     @pytest.mark.parametrize(
@@ -452,10 +584,16 @@ class TestReadIntoStore:
             ("csv", f"{CSV_HEADER}\n0.0,1.0,1.0,1.0,{2**63},0,CM_PHASE,NONE\n", "n_collisions"),
             ("json", json_row(n_collapses=2**63), "n_collapses"),
             ("json", json_row(t_s=10**400), "t_s"),
+            ("csv", f"{CSV_HEADER}\n0.0,abc,1.0,1.0,0,0,CM_PHASE,NONE\n", "sigma_x_m"),
+            ("csv", f"{CSV_HEADER}\n0.0,1.0,1.0,1.0,0,True,CM_PHASE,NONE\n", "n_collapses"),
+            ("csv", f"{CSV_HEADER}\n0.0,1.0,1.0,1.0,0,0,CM_PHASE,NONE \n", "last_event"),
+            ("json", json_row(regime="cm_phase"), "regime"),
         ],
-        ids=["csv_count", "json_count", "json_float"],
+        ids=["csv_count", "json_count", "json_float", "csv_float_text", "csv_count_text",
+             "csv_padded_event", "json_lower_case_regime"],
     )
     def test_overflowing_field_rejected(self, fmt, text, field):
+        # A value its column cannot hold or parse is refused by name.
         with pytest.raises(ValueError, match=f"malformed record field {field!r}"):
             read_records(io.StringIO(text), fmt)
 
