@@ -4,56 +4,61 @@ CSV columns: ``t_s,sigma_x_m,sigma_y_m,sigma_z_m,n_collisions,n_collapses,
 regime,last_event``.  Floats are written as ``'%.16e' % x`` writes them, 17
 significant digits, which round-trips every binary64 value exactly, so a
 written file parses back to bit-identical records.  JSON is an array of
-objects with the same keys, as ``json.dump(..., indent=1)`` writes it.
+objects with the same keys, as ``json.dump(..., indent=1)`` writes it: a
+float as ``repr`` writes it, the shortest text that reads back as it.
 
 Both writers take a :class:`~collapsim.engine.Records` store ``CHUNK_ROWS``
 rows at a time and make one ``sink.write`` per chunk; neither builds an
-object per row.
+object per row.  Both lay a chunk out as a NUL-padded byte matrix, a row
+per record and a fixed span of bytes per field, ``_TEXT_ROWS`` rows at a
+time, and drop the NULs to get the chunk's text.  A format's layout gives
+the constant bytes of a row (CSV's separators, JSON's keys and
+punctuation), the spans, the name tables and the float kernel.  The regime
+and the event are rows of code-indexed name tables, quoted in JSON, and a
+count is its decimal digits with the leading zeros blanked.  A float is
+formatted by an exact integer kernel on its bits x = M 2**E, for x of the
+decade k, with s = 16 - k and the products held in two 64-bit limbs
+(Steele & White 1990):
 
-The CSV writer lays a chunk out as one NUL-padded byte matrix, a row per
-record and a fixed span of bytes per field, and drops the NULs to get the
-chunk's text.  The separators are constant columns, the regime and the
-event are rows of code-indexed name tables, and a count is its decimal
-digits with the leading zeros blanked.  A float is formatted by an exact
-integer kernel (Steele & White 1990): for x = M 2**E in [1e-16, 1e16) and
-its decade k, the 17 digits are round-half-even(M 5**s 2**(s+E)) with
-s = 16 - k, the product held in two 64-bit limbs.  This is the correctly
-rounded conversion that ``%.16e`` makes (Gay 1990).  Every other value
-(zero, a negative, a subnormal, an infinity, a NaN, or one out of that
-range) is formatted by ``'%.16e' % x``, for that value alone.  Within a
-chunk, a width column that is bit-equal to an earlier float column copies
-that column's bytes.
+- CSV, for 1e-16 <= x < 1e16: the 17 digits are round-half-even(M 5**s
+  2**(s+E)), the correctly rounded conversion that ``%.16e`` makes (Gay
+  1990).
+- JSON, for 1e-15 <= x < 1e16 with M not a power of two: x's rounding
+  interval, x -+ 1/2 ulp scaled by 10**s and closed when M is even, holds
+  a multiple of 10**j for a largest j; x rounded to 10**j, half to even,
+  has the digits of ``repr`` (Adams 2018).  They are laid out as ``repr``
+  lays them out, in fixed notation from 1e-4 up and in scientific notation
+  below, from one row per decade.
 
-The JSON writer formats floats with ``%r``, which the kernel does not
-write, through one ``%`` template per chunk.  Between contractions a heavy
-object's widths do not spread, so its float columns come in long runs of
-one bit pattern.  Within a chunk, a float column in which fewer than half
-the values differ from the one before them is formatted once per run, and
-the run's text fills a ``%s`` slot of the template; any other column keeps
-its numeric slot.  A packet that is isotropic stays isotropic bit for bit
-when the environment's packets are, so the three widths are often equal.
-Within a chunk, a width column that is bit-equal to an earlier float column
-shares that column's texts, formatted once per run or, where the run rule
-does not apply, once per row, and every column that shares them takes a
-``%s`` slot.  Runs and shared columns are of bit patterns, not of values,
-so that ``0.0`` and ``-0.0`` keep their own text; both slots write the same
-bytes.
+Every other value (zero, a negative, a subnormal, an infinity, a NaN, one
+out of range, and for JSON a power of two, whose interval is not
+symmetric) is formatted by ``'%.16e' % x``, or as ``json.dump`` writes it,
+for that value alone.  The kernels' tables are built on the first write.
+
+Between contractions a heavy object's widths do not spread, so its float
+columns come in long runs of one bit pattern, and a packet that is
+isotropic stays isotropic bit for bit when the environment's packets are,
+so the three widths are often equal.  Within a chunk, a width column that
+is bit-equal to an earlier float column copies that column's rows, and a
+float column is formatted once per run: by the kernel, in one call for all
+columns with many runs, or else one run at a time.  Runs and shared
+columns are of bit patterns, not of values, so that ``0.0`` and ``-0.0``
+keep their own text.
 
 The reader fills a :class:`~collapsim.engine.Records` store column by
 column.  A JSON field must have its column's type: a number (an int or a
 float, never a boolean) for a time or a width, an int for a count, and a
 string for the regime and the last event.  A refusal of a field's value
-names the field.
+names the field, in either direction.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from array import array
 from functools import cache
-from itertools import chain, islice, repeat, tee
-from operator import sub
+from itertools import islice
+from types import SimpleNamespace
 from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -94,43 +99,91 @@ def _first_equal(bits: Sequence[np.ndarray]) -> list[int]:
     """Per float column of a chunk, given as its bits, the first column
     bit-equal to it: itself if none before it is."""
     return [
-        next(j for j in range(i + 1) if np.array_equal(bits[j], b)) for i, b in enumerate(bits)
+        next((j for j in range(i) if bits[j][0] == b[0] and (bits[j] == b).all()), i)
+        for i, b in enumerate(bits)
     ]
 
 
-# The CSV kernel.  Integer arrays stay uint64, with uint64 scalars: numpy
-# 1.x promotes uint64 with int64 to float64.
+# The kernels.  Integer arrays stay uint64, with uint64 scalars: numpy 1.x
+# promotes uint64 with int64 to float64.
 _U64 = np.uint64
 _LOW32 = _U64(2**32 - 1)
+_MANTISSA = _U64(2**52 - 1)
 _TEN4 = _U64(10_000)
 _TEN16, _TEN17 = _U64(10**16), _U64(10**17)
 
 # 5**s for s = 0 .. 32, shifted left by c to 75 bits.  Its product P with
 # a 53-bit mantissa M tops out in bit 126 or 127 of two 64-bit limbs, and
 # x 10**s = M 2**E 10**s = P 2**(s + E - c): twice that, with the bit that
-# decides the rounding, is the high limb shifted right by _POW5_SHIFT[s] - E.
+# decides the rounding, is the high limb shifted right by shift = c - s -
+# 65 - E.  For s <= 31, c >= 3, and (M +- 1/2) 5**s 2**c, the ends of x's
+# rounding interval, are the integers P +- 5**s 2**(c - 1).
 _POW5 = [5**s << (75 - (5**s).bit_length()) for s in range(33)]
-_POW5_LO = np.array([p % 2**64 for p in _POW5], np.uint64)
-_POW5_HI = np.array([p >> 64 for p in _POW5], np.uint64)
-_POW5_SHIFT = np.array([75 - (5**s).bit_length() - s - 65 for s in range(33)], np.int64)
 
-# Four ASCII digits per ``uint32``: rows 0 .. 9999 zero-padded, rows
-# 10000 .. 19999 the same with their leading zeros as NULs (all four for 0),
-# and a last row for the last four digits of a zero.  The exponent texts of
-# the decades -16 .. 16.
-_QUADS = np.zeros((20_001, 4), np.uint8)
-_QUADS[:10_000] = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")
-_QUADS[10_000:20_000] = np.where(
-    np.logical_and.accumulate(_QUADS[:10_000] == ord("0"), axis=1), 0, _QUADS[:10_000]
-)
-_QUADS[-1, -1] = ord("0")
-_QUADS = _QUADS.view(np.uint32).ravel()
-_EXPONENTS = np.frombuffer(b"".join(b"e%+03d" % k for k in range(-16, 17)), np.uint32)
+
+@cache
+def _tables() -> SimpleNamespace:
+    """The kernels' tables, built on first use."""
+    t = SimpleNamespace()
+    t.pow5_lo = np.array([p % 2**64 for p in _POW5], np.uint64)
+    t.pow5_hi = np.array([p >> 64 for p in _POW5], np.uint64)
+    t.half_lo = np.array([(p >> 1) % 2**64 for p in _POW5], np.uint64)
+    t.half_hi = np.array([p >> 65 for p in _POW5], np.uint64)
+    t.shift = np.array([75 - (5**s).bit_length() - s - 65 for s in range(33)], np.int64)
+    t.pow10 = np.array([10**j for j in range(18)], np.uint64)
+    # Four ASCII digits per ``uint32``: rows 0 .. 9999 zero-padded, rows
+    # 10000 .. 19999 the same with their leading zeros as NULs (all four
+    # for 0), and a last row for the last four digits of a zero.
+    pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint8).reshape(100, 2)
+    quads = np.zeros((20_001, 4), np.uint8)
+    padded = quads[:10_000].reshape(100, 100, 4)  # row 100 a + b: a's digits, then b's
+    padded[:, :, :2] = pairs[:, None]
+    padded[:, :, 2:] = pairs
+    quads[10_000:20_000] = quads[:10_000]
+    for place, below in enumerate((1000, 100, 10, 1)):  # the numbers with this leading zero
+        quads[10_000 : 10_000 + below, place] = 0
+    quads[-1, -1] = ord("0")
+    t.quads = quads.view(np.uint32).ravel()
+    # ``%.16e``'s exponent texts of the decades -16 .. 16.
+    t.exponents = np.frombuffer(b"".join(b"e%+03d" % k for k in range(-16, 17)), np.uint32)
+    # Per count L, the 20 digits of ``_digits`` as quads, with the bytes from
+    # the L-th on cleared.
+    masks = b"".join(b"\xff" * n + b"\0" * (20 - n) for n in range(21))
+    t.keep_masks = np.frombuffer(masks, np.uint32).reshape(21, 5)
+    return t
+
+
+@cache
+def _repr_layout(decade: int) -> tuple[np.ndarray, list[tuple[slice, slice]]]:
+    """``repr``'s row for a decade, at most 24 bytes: its constant bytes, and
+    per run of digit places, the slices of the places and of the 17 digits."""
+    if -4 <= decade < 0:  # 0.000ddd...: the digits after a constant prefix
+        text = "0." + "0" * (-decade - 1)
+        copies = [(slice(len(text), len(text) + 17), slice(0, 17))]
+    else:  # ddd.ddd, or d.ddde-05: the digits around a point
+        point = decade + 1 if decade >= 0 else 1
+        text = "\0" * point + "." + "\0" * (17 - point) + ("e-%02d" % -decade if decade < 0 else "")
+        copies = [(slice(0, point), slice(0, point)), (slice(point + 1, 18), slice(point, 17))]
+    return np.frombuffer(text.ljust(24, "\0").encode("ascii"), np.uint8), copies
+
+
+@cache
+def _layout(format: str) -> _Layout:
+    """The row layout of a record format, built on first use."""
+    names = [_REGIME_NAMES, _EVENT_NAMES]
+    if format == "csv":
+        texts = ("",) + (",",) * 7 + ("\n",)
+        return _Layout(texts, [_name_table(n) for n in names], _sci, "%.16e".__mod__)
+    keys = [f'\n  "{name}": ' for name in FIELD_NAMES]
+    texts = [",\n {" + keys[0]] + ["," + key for key in keys[1:]] + ["\n }"]
+    quoted = [_name_table([f'"{name}"' for name in n]) for n in names]
+    return _Layout(texts, quoted, _shortest, _json_number, opening="[")
 
 
 def _digits(u: np.ndarray, blank: bool = False) -> np.ndarray:
     """The 20 ASCII digits of each ``uint64`` in ``u``, one row each:
     zero-padded, or with ``blank`` its leading zeros as NULs."""
+    quads = _tables().quads
     out = np.empty((len(u), 5), np.uint32)
     zero = (u == 0) * _TEN4 if blank else _U64(0)  # a zero keeps its last digit
     for i in range(4, -1, -1):
@@ -139,28 +192,49 @@ def _digits(u: np.ndarray, blank: bool = False) -> np.ndarray:
         if blank:
             index += (q == 0) * _TEN4 + zero
             zero = _U64(0)
-        out[:, i] = _QUADS[index]
+        out[:, i] = quads[index]
         u = q
     return out.view(np.uint8)
 
 
-def _decimal(m: np.ndarray, e: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For x = m 2**e and a decade k, floor(x 10**(16 - k)) and that
-    quotient rounded half to even, for x in the kernel's domain and k within
-    one of x's decade."""
+def _product(m: np.ndarray, e: np.ndarray, k: np.ndarray):
+    """For x = m 2**e and a decade k, x 10**(16 - k) as the two limbs of
+    P (see ``_POW5``) and the shift that takes twice it from the high limb."""
+    t = _tables()
     s = 16 - k
-    b_lo, b_hi = _POW5_LO[s], _POW5_HI[s]
+    b_lo, b_hi = t.pow5_lo[s], t.pow5_hi[s]
     # m b, 53 by 75 bits, in 32-bit pieces: m b_lo, then m b_hi into the high limb.
     m0, m1, b0, b1 = m & _LOW32, m >> _U64(32), b_lo & _LOW32, b_lo >> _U64(32)
     p00, p01, p10 = m0 * b0, m0 * b1, m1 * b0
     mid = (p00 >> _U64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
     lo = (p00 & _LOW32) | (mid << _U64(32))
     hi = m1 * b1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32)) + m * b_hi
-    shift = (_POW5_SHIFT[s] - e).astype(np.uint64)  # 1 .. 14
-    twice = hi >> shift  # the quotient and the bit below it
-    sticky = ((hi << (_U64(64) - shift)) | lo) != 0  # any bit below that one
-    quotient = twice >> _U64(1)
-    return quotient, quotient + (twice & (sticky | quotient) & _U64(1))
+    return hi, lo, (t.shift[s] - e).astype(np.uint64)  # shift: 1 .. 14
+
+
+def _decade(y: np.ndarray, lowest: int):
+    """For positive normal doubles ``y`` of the decades ``lowest`` .. 15:
+    their decades k, and y 10**(16 - k) as ``_product`` gives it."""
+    bits = y.view(np.uint64)
+    m = (bits & _MANTISSA) | _U64(2**52)
+    e = (bits >> _U64(52)).astype(np.int64) - 1075
+    # log10 is within one of the decade; the truncated quotient settles it.
+    # Choosing by the rounded one would print 1e-07 as 1.0e-07 in place of
+    # 9.9999999999999995e-08.
+    k = np.minimum(np.maximum(np.floor(np.log10(y)).astype(np.int64), lowest), 15)
+    hi, lo, shift = _product(m, e, k)
+    quotient = hi >> (shift + _U64(1))
+    off = np.flatnonzero((quotient < _TEN16) | (quotient >= _TEN17))
+    if off.size:
+        k[off] += np.where(quotient[off] < _TEN16, -1, 1)
+        hi[off], lo[off], shift[off] = _product(m[off], e[off], k[off])
+    return k, hi, lo, shift
+
+
+def _text_rows(texts: Iterable[str]) -> np.ndarray:
+    """Texts of at most 24 ASCII bytes, one NUL-padded row each."""
+    data = "".join(text.ljust(24, "\0") for text in texts).encode("ascii")
+    return np.frombuffer(data, np.uint8).reshape(-1, 24)
 
 
 def _sci(bits: np.ndarray) -> np.ndarray:
@@ -168,18 +242,11 @@ def _sci(bits: np.ndarray) -> np.ndarray:
     row of 24 NUL-padded bytes each."""
     x = bits.view(np.float64)
     exact = (x > 1e-16) & (x < 1e16)  # as doubles, x > 1e-16 is x >= 10**-16
-    y = np.where(exact, x, 1.0)
-    m = (y.view(np.uint64) & _U64(2**52 - 1)) | _U64(2**52)
-    e = (y.view(np.uint64) >> _U64(52)).astype(np.int64) - 1075
-    # log10 is within one of the decade; the truncated quotient settles it.
-    # Choosing by the rounded one would print 1e-07 as 1.0e-07 in place of
-    # 9.9999999999999995e-08.
-    k = np.minimum(np.maximum(np.floor(np.log10(y)).astype(np.int64), -16), 15)
-    quotient, d = _decimal(m, e, k)
-    off = np.flatnonzero((quotient < _TEN16) | (quotient >= _TEN17))
-    if off.size:
-        k[off] += np.where(quotient[off] < _TEN16, -1, 1)
-        _, d[off] = _decimal(m[off], e[off], k[off])
+    k, hi, lo, shift = _decade(np.where(exact, x, 1.0), -16)
+    twice = hi >> shift  # the quotient and the bit below it
+    sticky = ((hi << (_U64(64) - shift)) | lo) != 0  # any bit below that one
+    quotient = twice >> _U64(1)
+    d = quotient + (twice & (sticky | quotient) & _U64(1))  # rounded half to even
     carry = d == _TEN17  # rounded up to the next decade
     d[carry] = _TEN16
     k += carry
@@ -188,11 +255,90 @@ def _sci(bits: np.ndarray) -> np.ndarray:
     out[:, 0] = g[:, 3]
     out[:, 1] = ord(".")
     out[:, 2:18] = g[:, 4:]
-    out[:, 18:22] = _EXPONENTS[k + 16].view(np.uint8).reshape(-1, 4)
-    for i in np.flatnonzero(~exact):
-        text = b"%.16e" % float(x[i])
-        out[i] = 0
-        out[i, : len(text)] = np.frombuffer(text, np.uint8)
+    out[:, 18:22] = _tables().exponents[k + 16].view(np.uint8).reshape(-1, 4)
+    return _fill(out, x, ~exact, "%.16e".__mod__)
+
+
+def _shortest(bits: np.ndarray) -> np.ndarray:
+    """``repr(x)`` for the float64 values with these ``uint64`` bits, one row
+    of 24 NUL-padded bytes each; a non-finite value as ``_json_number``
+    writes it."""
+    t = _tables()
+    x = bits.view(np.float64)
+    # A mantissa of zero bits has a rounding interval twice as wide above
+    # as below; as doubles, x >= 1e-15 is x >= 10**-15.
+    exact = (x >= 1e-15) & (x < 1e16) & ((bits & _MANTISSA) != 0)
+    k, hi, lo, shift = _decade(np.where(exact, x, 1.5), -15)
+    # The shortest text rounds x 10**s to the multiple of 10**j nearest it,
+    # of two the one with an even quotient.  The interval is symmetric, so
+    # the nearest multiple lies in it when any does.
+    j = _shortest_power(k, hi, lo, shift)
+    power = t.pow10[j]
+    twice = hi >> shift
+    sticky = ((hi << (_U64(64) - shift)) | lo) != 0
+    q = twice // (power + power)
+    rest = twice - q * (power + power)  # floor(2 (x 10**s mod 10**j))
+    q += (rest > power) | ((rest == power) & (sticky | (q & _U64(1)).astype(bool)))
+    d = q * power
+    carry = d == _TEN17  # rounded up to the next decade
+    d[carry] = _TEN16
+    k += carry
+    # q has no trailing zero, or a multiple of 10**(j + 1) would be in the
+    # interval: the 17 digits have 17 - j significant ones (one after a
+    # carry).  The zeros after them are NULs, but for those of an integral
+    # part and the first after the point.
+    kept = np.maximum(17 - j + carry, np.where(k >= 0, k + 2, 1))
+    quads = _digits(d).view(np.uint32)
+    quads &= np.take(t.keep_masks, 3 + kept, axis=0)
+    g = quads.view(np.uint8)[:, 3:]
+    out = np.empty((len(x), 24), np.uint8)
+    low, high = (int(k.min()), int(k.max())) if len(k) else (0, -1)
+    for decade in range(low, high + 1):
+        rows = np.flatnonzero(k == decade) if low < high else slice(None)
+        row, copies = _repr_layout(decade)
+        out[rows] = row
+        for place, digits in copies:
+            out[rows, place] = g[rows, digits]
+        if decade < -4:  # a single digit takes no point: 1e-05
+            out[rows, 1] = np.where(g[rows, 1], ord("."), 0)
+    return _fill(out, x, ~exact, _json_number)
+
+
+def _shortest_power(k: np.ndarray, hi: np.ndarray, lo: np.ndarray, shift: np.ndarray):
+    """For x of the decade k, with x 10**s as ``_decade`` gives it, the
+    largest j such that a multiple of 10**j lies in x's rounding interval,
+    x 10**s -+ 5**s 2**(c - 1) over 2**F with F = 65 + shift.
+
+    An end of the interval, (2M -+ 1) 5**s 2**(s + E - 1), is an integer
+    only if s + E >= 1.  In the JSON kernel's domain that holds only from
+    2**52 up, where s = 1: an end is an odd multiple of 5, or from 2**53 up
+    10 times an odd number, while x itself is then a multiple of 10.  So an
+    end is never the only multiple of 10**j, j >= 1, in the interval, and
+    whether the ends are open or closed (closed when M is even) changes no
+    text.
+    """
+    t = _tables()
+    s = 16 - k
+    half_lo, half_hi = t.half_lo[s], t.half_hi[s]
+    point = shift + _U64(1)
+    # The largest integers at or below the ends.
+    top = (hi + half_hi + (lo + half_lo < lo)) >> point
+    width = top - ((hi - half_hi - (lo < half_lo)) >> point)
+    # A multiple of 10**j lies in the interval when top mod 10**j < width.
+    j = np.zeros(len(k), np.int64)
+    for power in t.pow10[1:]:
+        more = top - top // power * power < width
+        if not more.any():
+            break
+        j += more
+    return j
+
+
+def _fill(out: np.ndarray, x: np.ndarray, other: np.ndarray, number: Callable[[float], str]):
+    """``out`` with the rows where ``other`` is true written by ``number``."""
+    rows = np.flatnonzero(other)
+    if rows.size:
+        out[rows] = _text_rows(map(number, x[rows].tolist()))
     return out
 
 
@@ -213,42 +359,6 @@ def _name_table(names: Sequence[str]) -> np.ndarray:
     return np.array([list(name.encode("ascii").ljust(width, b"\0")) for name in names], np.uint8)
 
 
-_NAME_TABLES = _name_table(_REGIME_NAMES), _name_table(_EVENT_NAMES)
-
-# A CSV row of the matrix: each field's span, then a comma or the newline.
-_WIDTHS = (24,) * 4 + (21,) * 2 + tuple(table.shape[1] for table in _NAME_TABLES)
-_STARTS = np.cumsum((0,) + tuple(w + 1 for w in _WIDTHS))
-_SPANS = [slice(a, a + w) for a, w in zip(_STARTS.tolist(), _WIDTHS)]
-_CSV_ROW = np.zeros(_STARTS[-1], np.uint8)
-_CSV_ROW[_STARTS[1:] - 1] = ord(",")
-_CSV_ROW[-1] = ord("\n")
-
-
-def _csv_chunk(part: list[np.ndarray]) -> str:
-    """The CSV rows of one chunk, given as its eight column arrays."""
-    n = len(part[0])
-    first = _first_equal(part[:4])
-    formatted = sorted(set(first))
-    floats = _sci(np.concatenate([part[i] for i in formatted])).reshape(-1, n, 24)
-    m = np.empty((n, _CSV_ROW.size), np.uint8)
-    m[:] = _CSV_ROW
-    for i, j in enumerate(first):
-        m[:, _SPANS[i]] = floats[formatted.index(j)]
-    m[:, _SPANS[4]], m[:, _SPANS[5]] = _integers(np.concatenate(part[4:6])).reshape(2, n, 21)
-    for i, table in zip((6, 7), _NAME_TABLES):
-        m[:, _SPANS[i]] = np.take(table, part[i], axis=0)
-    return m[m != 0].tobytes().decode("ascii")
-
-
-def _csv_parts(records: Records) -> Iterator[list[np.ndarray]]:
-    """The eight columns of ``records`` as arrays, ``CHUNK_ROWS`` rows at a
-    time."""
-    dtypes = (np.uint64,) * 4 + (np.int64,) * 2 + (np.int8,) * 2
-    columns = [np.frombuffer(c, dtype) for c, dtype in zip(records.columns(), dtypes)]
-    for lo in range(0, len(records), CHUNK_ROWS):
-        yield [c[lo : lo + CHUNK_ROWS] for c in columns]
-
-
 def _json_number(x: float) -> str:
     if x != x:
         return "NaN"
@@ -257,90 +367,154 @@ def _json_number(x: float) -> str:
     return repr(x)
 
 
-@cache
-def _row(slots: tuple[str, ...]) -> str:
-    """The JSON row template with the four float ``slots``: one element of
-    ``json.dump(rows, sink, indent=1)``, led by the separator from the
-    element before it."""
-    specs = slots + ("%d",) * 2 + ('"%s"',) * 2
-    return ",\n {\n%s\n }" % ",\n".join(
-        f'  "{name}": {spec}' for name, spec in zip(FIELD_NAMES, specs)
-    )
+class _Layout:
+    """A record row as a byte matrix row: the constant bytes, NUL in each
+    field's span, the spans, the name tables, and the float kernel and the
+    text of one float, both as the format writes them."""
+
+    def __init__(self, texts, names, floats, number, opening=""):
+        # texts: the bytes before each field and after the last; opening:
+        # the first row's first byte, if it differs from the others'.
+        widths = (24,) * 4 + (21,) * 2 + tuple(table.shape[1] for table in names)
+        starts = np.cumsum([len(texts[0])] + [w + len(s) for w, s in zip(widths, texts[1:])])
+        self.spans = [slice(a, a + w) for a, w in zip(starts.tolist(), widths)]
+        self.row = np.zeros(starts[-1], np.uint8)
+        for text, end in zip(texts, [0] + [span.stop for span in self.spans]):
+            self.row[end : end + len(text)] = np.frombuffer(text.encode("ascii"), np.uint8)
+        self.names, self.floats, self.number, self.opening = names, floats, number, opening
 
 
-def _float_items(
-    values: array, slot: Optional[str], number: Callable[[float], str]
-) -> tuple[str, Iterable]:
-    """One chunk of a float column: its slot in the row template and the
-    items for that slot.
+# A float column of a chunk with fewer run starts than this is formatted
+# one start at a time: below it, a kernel call costs more than the starts.
+_FEW_STARTS = 64
 
-    Runs of equal bit patterns, not of equal values, so that ``0.0`` and
-    ``-0.0`` and NaNs of different payloads each keep their own text.  A
-    column where at least half the values differ from the one before them
-    keeps ``slot``, or, without one, is formatted value by value by
-    ``number`` through a ``%s`` slot; otherwise each run is formatted once,
-    and its text is repeated through a ``%s`` slot.
+
+def _run_starts(bits: np.ndarray) -> Optional[np.ndarray]:
+    """The rows of a float column, given as its bits, that start a run of
+    one bit pattern, or None if every row does."""
+    new = bits[1:] != bits[:-1]
+    return None if new.all() else np.flatnonzero(np.concatenate(([True], new)))
+
+
+def _float_rows(columns: Sequence[np.ndarray], layout: _Layout) -> list[np.ndarray]:
+    """Per float column of a chunk, given as its bits, its texts as rows of
+    24 NUL-padded bytes.
+
+    Runs and shared columns are of bit patterns, not of values, so that
+    ``0.0`` and ``-0.0`` and NaNs of different payloads each keep their own
+    text.  A column bit-equal to an earlier one takes that column's rows.
+    A column is formatted once per run: by the kernel, in one call for all
+    columns with at least ``_FEW_STARTS`` runs, or else run by run.
     """
-    bits = np.frombuffer(values, np.uint64)
-    starts = bits[1:] != bits[:-1]  # row i + 1 starts a run
-    if 2 * np.count_nonzero(starts) >= len(values):
-        return (slot, values) if slot else ("%s", map(number, values))
-    edges = [0, *(np.flatnonzero(starts) + 1).tolist(), len(values)]
-    texts = map(number, map(values.__getitem__, edges[:-1]))
-    return "%s", chain.from_iterable(map(repeat, texts, map(sub, edges[1:], edges[:-1])))
+    first = _first_equal(columns)
+    formatted = sorted(set(first))
+    starts = [_run_starts(columns[i]) for i in formatted]
+    heads = [columns[i] if s is None else columns[i][s] for i, s in zip(formatted, starts)]
+    many = [h for h in heads if len(h) >= _FEW_STARTS]
+    texts = layout.floats(np.concatenate(many)) if many else None
+    rows, used = {}, 0
+    for i, h, s in zip(formatted, heads, starts):
+        if len(h) >= _FEW_STARTS:
+            r, used = texts[used : used + len(h)], used + len(h)
+        else:
+            r = _text_rows(map(layout.number, h.view(np.float64).tolist()))
+        rows[i] = r if s is None else np.repeat(r, np.diff(s, append=len(columns[i])), axis=0)
+    return [rows[j] for j in first]
 
 
-def _json_chunks(
-    records: Records, slot: Optional[str], number: Callable[[float], str]
-) -> Iterator[str]:
-    """The JSON rows of ``records``, joined ``CHUNK_ROWS`` at a time; each
-    float takes ``slot``, or the text ``number`` gives its run.
+# Rows of the byte matrix laid out at a time.  A chunk's fields are
+# formatted at once, but a matrix and its NUL mask for the whole chunk take
+# more memory than the chunk's text, and drop their NULs more slowly.
+_TEXT_ROWS = 512
 
-    Float columns whose chunks are bit-equal share the texts of the first
-    of them through ``%s`` slots; ``tee`` hands each its copy, so that no
-    more than a row's texts are held at once.
-    """
-    t, sx, sy, sz, n_collisions, n_collapses, regime, event = records.columns()
+
+def _chunk(layout: _Layout, part: list[np.ndarray], first: bool) -> str:
+    """The text of one chunk's rows, given as its eight column arrays; the
+    first chunk opens with ``layout.opening`` in place of its first byte."""
+    n = len(part[0])
+    fields = _float_rows(part[:4], layout) + list(
+        _integers(np.concatenate(part[4:6])).reshape(2, n, 21)
+    ) + [np.take(table, codes, axis=0) for table, codes in zip(layout.names, part[6:])]
+    m = np.empty((min(n, _TEXT_ROWS), layout.row.size), np.uint8)
+    texts = []
+    for lo in range(0, n, _TEXT_ROWS):
+        block = m[: n - lo]
+        block[:] = layout.row
+        for span, rows in zip(layout.spans, fields):
+            block[:, span] = rows[lo : lo + _TEXT_ROWS]
+        if first and lo == 0 and layout.opening:
+            block[0, 0] = ord(layout.opening)
+        texts.append(_text(block))
+    del fields, m, block  # before the texts are joined
+    return "".join(texts)
+
+
+def _text(m: np.ndarray) -> str:
+    """A byte matrix's text: its bytes without the NULs."""
+    return str(m[m != 0].data, "ascii")
+
+
+def _parts(records: Records) -> Iterator[list[np.ndarray]]:
+    """The eight columns of ``records`` as arrays, ``CHUNK_ROWS`` rows at a
+    time."""
+    dtypes = (np.uint64,) * 4 + (np.int64,) * 2 + (np.int8,) * 2
+    columns = [np.frombuffer(c, dtype) for c, dtype in zip(records.columns(), dtypes)]
     for lo in range(0, len(records), CHUNK_ROWS):
-        part = slice(lo, lo + CHUNK_ROWS)
-        columns = [c[part] for c in (t, sx, sy, sz)]
-        first = _first_equal([np.frombuffer(c, np.uint64) for c in columns])
-        items = {}
-        for i in set(first):
-            n = first.count(i)
-            column_slot, texts = _float_items(columns[i], None if n > 1 else slot, number)
-            copies = tee(texts, n) if n > 1 else (texts,)
-            items[i] = [(column_slot, copy) for copy in copies]
-        slots, floats = zip(*(items[i].pop() for i in first))
-        yield "".join(map(_row(slots).__mod__, zip(
-            *floats, n_collisions[part], n_collapses[part],
-            map(_REGIME_NAMES.__getitem__, regime[part]),
-            map(_EVENT_NAMES.__getitem__, event[part]),
-        )))
+        yield [c[lo : lo + CHUNK_ROWS] for c in columns]
 
 
-def _store(rows: Sequence[TimeSeriesRecord]) -> Records:
-    """``rows`` as a store.  A count outside int64, the domain of the store
-    and of the CSV kernel, is refused by name."""
-    try:
-        return Records.from_rows(rows)
-    except OverflowError:
-        for r in rows:
-            for name, n in zip(FIELD_NAMES[4:6], (r.n_collisions, r.n_collapses)):
-                if not -(2**63) <= n < 2**63:
-                    raise ValueError(
-                        f"malformed record field {name!r}: {n} is outside the 64-bit integers"
-                    ) from None
-        raise
+def _refusal(r: TimeSeriesRecord) -> Optional[str]:
+    """Why a store cannot hold the record ``r``, naming the first field it
+    cannot hold, or None if it finds none."""
+    numbers = (r.t, *r.sigma, r.n_collisions, r.n_collapses)
+    for name, column, value in zip(FIELD_NAMES, Records().columns(), numbers):
+        count = column.typecode == "q"
+        if count and type(value) is bool:
+            problem = f"{value} is not an integer"
+        else:
+            try:
+                column.append(value)
+                continue
+            except OverflowError as exc:
+                problem = f"{value} is outside the 64-bit integers" if count else str(exc)
+            except TypeError as exc:
+                problem = str(exc)
+        return f"malformed record field {name!r}: {problem}"
+    names = zip(FIELD_NAMES[6:], (Records.REGIMES, Records.EVENTS), (r.regime, r.last_event))
+    for name, known, value in names:
+        if value not in known:
+            known_names = [v.value for v in known]
+            return f"malformed record field {name!r}: {value!r} is not one of {known_names}"
+    return None
 
 
-def write_records(records: Sequence[TimeSeriesRecord], format: str, sink: IO[str]) -> None:
+def _store(rows: Iterable[TimeSeriesRecord]) -> Records:
+    """``rows``, read once, as a store.  A field its column cannot hold (a
+    time or a width past the float range, a count that is no integer, a
+    boolean or outside int64, an unknown regime or event) is refused by
+    name."""
+    store, regimes, events = Records(), Records.REGIMES, Records.EVENTS
+    for r in rows:
+        try:
+            if bool in (type(r.n_collisions), type(r.n_collapses)):
+                raise TypeError
+            codes = regimes.index(r.regime), events.index(r.last_event)
+            store.append(r.t, r.sigma, r.n_collisions, r.n_collapses, *codes)
+        except (OverflowError, TypeError, ValueError):
+            problem = _refusal(r)
+            if problem is None:
+                raise
+            raise ValueError(problem) from None
+    return store
+
+
+def write_records(records: Iterable[TimeSeriesRecord], format: str, sink: IO[str]) -> None:
     """Serialize time-ordered records to an open text sink.
 
-    ``records`` is a :class:`Records` store, or any sequence of records,
-    which is converted once; a count must be a 64-bit integer.  Rows are
-    formatted from the columns in chunks of ``CHUNK_ROWS``, one
-    ``sink.write`` each.  CSV floats are written as ``%.16e`` writes them;
+    ``records`` is a :class:`Records` store, or any iterable of records,
+    which is read once into a store; a field the store cannot hold is
+    refused by name with a ``ValueError``.  Rows are formatted from the
+    columns in chunks of ``CHUNK_ROWS``, one ``sink.write`` each.  CSV floats are written as ``%.16e`` writes them;
     JSON is byte for byte what ``json.dump(rows, sink, indent=1)`` writes
     for the rows as objects, followed by a newline.
     """
@@ -348,24 +522,14 @@ def write_records(records: Sequence[TimeSeriesRecord], format: str, sink: IO[str
         raise ValueError(f"unknown record format {format!r}")
     if not isinstance(records, Records):
         records = _store(records)
+    layout = _layout(format)
     try:
         if format == "csv":
             sink.write(CSV_HEADER + "\n")
-            for part in _csv_parts(records):
-                sink.write(_csv_chunk(part))
-            return
-        # ``%r`` writes a finite float as ``json`` does.  A finite sum means
-        # finite terms; a sum that overflows only takes the path for non-finite
-        # floats, whose ``_json_number`` has no slot and so formats every float
-        # per run, and writes finite floats the same way.
-        if all(math.isfinite(sum(column)) for column in records.columns()[:4]):
-            chunks = _json_chunks(records, "%r", repr)
-        else:
-            chunks = _json_chunks(records, None, _json_number)
-        for i, text in enumerate(chunks):
-            # The first element takes the opening bracket for its separator.
-            sink.write(text if i else "[" + text[1:])
-        sink.write("\n]\n" if records else "[]\n")
+        for i, part in enumerate(_parts(records)):
+            sink.write(_chunk(layout, part, i == 0))
+        if format == "json":
+            sink.write("\n]\n" if records else "[]\n")
     except OSError as exc:
         raise RecordWriteError(
             f"failed while writing records ({exc}); output may be partial"

@@ -176,23 +176,52 @@ def written(write, records, fmt) -> str:
 
 
 def written_with_slots(records, fmt):
-    """What ``write_records`` writes, and the float slots it used: per JSON
-    chunk, those of its row template; per CSV chunk, as in JSON, ``%s`` for
-    the columns that share the bytes of one bit-equal column, formatted
-    once, and ``%.16e`` for a column formatted for itself alone."""
-    if fmt == "json":
-        with mock.patch.object(recording, "_row", wraps=recording._row) as row:
-            text = written(write_records, records, fmt)
-        return text, {call.args[0] for call in row.call_args_list}
-    firsts = []
+    """What ``write_records`` writes, and the float slots it used: per chunk,
+    per float column, ``%s`` for a column formatted once per run or sharing
+    the texts of a bit-equal column, and the format's number (``%.16e`` or
+    ``%r``) for a column formatted row by row for itself alone.
+
+    Each chunk must format one text per run of each column that is not
+    bit-equal to an earlier one, and no other.
+    """
+    layout = recording._layout(fmt)
+    chunks = []  # per chunk: its rows, first equal columns, runs and formatted texts
 
     def first_equal(bits, first_equal=recording._first_equal):
-        firsts.append(first_equal(bits))
-        return firsts[-1]
+        first = first_equal(bits)
+        chunks.append({"rows": len(bits[0]), "first": first, "runs": [], "texts": 0})
+        return first
 
-    with mock.patch.object(recording, "_first_equal", first_equal):
+    def run_starts(bits, run_starts=recording._run_starts):
+        starts = run_starts(bits)
+        chunks[-1]["runs"].append(len(bits) if starts is None else len(starts))
+        return starts
+
+    def floats(bits, floats=layout.floats):
+        chunks[-1]["texts"] += len(bits)
+        return floats(bits)
+
+    def number(x, number=layout.number):
+        chunks[-1]["texts"] += 1
+        return number(x)
+
+    with (
+        mock.patch.object(recording, "_first_equal", first_equal),
+        mock.patch.object(recording, "_run_starts", run_starts),
+        mock.patch.object(layout, "floats", floats),
+        mock.patch.object(layout, "number", number),
+    ):
         text = written(write_records, records, fmt)
-    return text, {tuple("%s" if f.count(j) > 1 else "%.16e" for j in f) for f in firsts}
+    spec = "%.16e" if fmt == "csv" else "%r"
+    slots = set()
+    for chunk in chunks:
+        first, formatted = chunk["first"], sorted(set(chunk["first"]))
+        runs = dict(zip(formatted, chunk["runs"]))
+        assert chunk["texts"] == sum(runs.values())
+        slots.add(tuple(
+            "%s" if first.count(j) > 1 or runs[j] < chunk["rows"] else spec for j in first
+        ))
+    return text, slots
 
 
 def run_rows(lengths, values):
@@ -279,7 +308,8 @@ class TestMatchesReference:
         records = run_rows([4, 1, 3, 2, 5, 1], (math.nan, math.inf, -math.inf, 1.5))
         text, slots = written_with_slots(records, "json")
         assert text == written(reference_write, records, "json")
-        assert slots == {("%s",) * 4}
+        # The times never repeat; the widths are shared and come in runs.
+        assert slots == {("%r", "%s", "%s", "%s")}
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_mixed_slots_in_one_chunk(self, fmt):
@@ -293,8 +323,8 @@ class TestMatchesReference:
         ]
         text, slots = written_with_slots(records, fmt)
         assert text == written(reference_write, records, fmt)
-        # Runs are formatted once only in JSON; the CSV kernel formats every row.
-        assert slots == {("%.16e",) * 4 if fmt == "csv" else ("%r", "%s", "%r", "%s")}
+        number = "%.16e" if fmt == "csv" else "%r"
+        assert slots == {(number, "%s", number, "%s")}
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 1])
@@ -522,6 +552,146 @@ class TestCsvKernel:
         for count in (2**63 - 1, -(2**63)):
             rows = [replace(row, **{field: count})]
             assert written(write_records, rows, "csv") == written(reference_write, rows, "csv")
+
+
+def shortest_texts(bits) -> list[str]:
+    """The JSON float kernel's text of each float64 with these bits."""
+    rows = recording._shortest(np.array(bits, np.uint64))
+    return [row[row != 0].tobytes().decode("ascii") for row in rows]
+
+
+def json_texts(bits) -> list[str]:
+    return [json.dumps(x) for x in np.array(bits, np.uint64).view(np.float64).tolist()]
+
+
+def neighbour_bits(values) -> list[int]:
+    """Each value and the doubles on either side of it."""
+    return [
+        float_bits(y) for x in values
+        for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+    ]
+
+
+json_bits = st.one_of(
+    st.floats(1e-15, 1e16).map(float_bits),  # the kernel's domain
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(EDGE_BITS),
+)
+
+
+class TestJsonKernel:
+    """The JSON writer's float texts equal ``json.dumps``'s, that is
+    ``repr``'s for a finite value, value by value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.lists(json_bits, max_size=CHUNK_ROWS))
+    def test_floats_equal_repr_on_any_bits(self, bits):
+        assert shortest_texts(bits) == json_texts(bits)
+
+    def test_floats_equal_repr_across_the_domain(self):
+        # Random mantissas in every decade, mostly of 16 or 17 digits, and
+        # decimals of 1 to 17 digits, whose texts are shorter.
+        gen = np.random.default_rng(18)
+        x = 10.0 ** gen.uniform(-15, 16, 100_000)
+        digits = gen.integers(1, 18, 50_000)
+        mantissas = gen.integers(10 ** (digits - 1), 10**digits, dtype=np.int64)
+        exponents = gen.integers(-15, 16, 50_000) - digits + 1
+        decimals = [float(f"{m}e{e}") for m, e in zip(mantissas.tolist(), exponents.tolist())]
+        bits = x.view(np.uint64).tolist() + [float_bits(d) for d in decimals]
+        assert shortest_texts(bits) == json_texts(bits)
+
+    def test_floats_equal_repr_at_edges(self):
+        powers_of_ten = [float(f"1e{k}") for k in range(-20, 21)]
+        powers_of_two = [2.0**k for k in range(-60, 60)]
+        # Where the notation switches, and the edges of the domain.
+        switches = [1e-4, 1e16, 1e-15]
+        bits = neighbour_bits(powers_of_ten + powers_of_two + switches) + EDGE_BITS + [
+            float_bits(x) for x in (1234.0, 0.1 + 0.2, 5e-324, -5e-324, -1.5, math.nan)
+        ]
+        assert shortest_texts(bits) == json_texts(bits)
+
+    @pytest.mark.parametrize(
+        "x, text",
+        [
+            (864880213240886.25, "864880213240886.2"),  # a tie at the last digit: even
+            (695072117572482.75, "695072117572482.8"),
+            (1234.0, "1234.0"),
+            (1e15, "1000000000000000.0"),
+            (0.1 + 0.2, "0.30000000000000004"),
+            (0.0009938450935434026, "0.0009938450935434026"),
+            (1e-4, "0.0001"),
+            (math.nextafter(1e-4, 0), "9.999999999999999e-05"),
+            (1e-05, "1e-05"),
+            (1.5e-11, "1.5e-11"),
+            (0.0, "0.0"),
+            (-0.0, "-0.0"),
+            (math.inf, "Infinity"),
+            (-math.inf, "-Infinity"),
+            (nan_with_payload(3), "NaN"),
+        ],
+    )
+    def test_known_texts(self, x, text):
+        assert shortest_texts([float_bits(x)]) == [text]
+
+    def test_json_write_memory_is_bounded(self):
+        # Per chunk, a byte matrix of CHUNK_ROWS rows, the kernel's arrays
+        # and the chunk's text.
+        class Discard:
+            def write(self, text):
+                pass
+
+        _, records = run(replace(preset("tpp"), seed=1))
+        assert len(records) > 40_000
+        write_records(records[:1], "json", Discard())  # builds the tables
+        tracemalloc.start()
+        try:
+            write_records(records, "json", Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_250_000
+
+
+class TestStoreRefusals:
+    """Rows given to ``write_records`` as a plain sequence or any iterable are
+    read once into a store, and refused, by field, where a field cannot be
+    stored."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_from_a_generator(self, fmt):
+        rows = random_records(50)
+        expected, written = io.StringIO(), io.StringIO()
+        write_records(rows, fmt, expected)
+        write_records((r for r in rows), fmt, written)
+        assert written.getvalue() == expected.getvalue()
+        assert len(expected.getvalue().splitlines()) > 50
+
+    def test_field_refused_by_name_from_a_generator(self):
+        rows = random_records(3)
+        rows[2] = replace(rows[2], n_collapses=2**63)
+        with pytest.raises(ValueError, match=f"malformed record field 'n_collapses': {2**63} is outside"):
+            write_records(iter(rows), "csv", io.StringIO())
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "fields, name, problem",
+        [
+            ({"t": 10**400}, "t_s", "int too large to convert to float"),
+            ({"sigma": (1.0, 10**400, 1.0)}, "sigma_y_m", "int too large to convert to float"),
+            ({"n_collisions": 2.5}, "n_collisions", "'float' object cannot be interpreted"),
+            ({"n_collisions": True}, "n_collisions", "True is not an integer"),
+            ({"n_collapses": False}, "n_collapses", "False is not an integer"),
+            ({"regime": "CM_PHASE"}, "regime", "'CM_PHASE' is not one of"),
+            ({"last_event": None}, "last_event", "None is not one of"),
+        ],
+        ids=["huge_time", "huge_width", "float_count", "true_count", "false_count",
+             "string_regime", "no_event"],
+    )
+    def test_field_refused_by_name(self, fields, name, problem, fmt):
+        rows = random_records(3)
+        rows[1] = replace(rows[1], **fields)
+        with pytest.raises(ValueError, match=f"malformed record field {name!r}: {problem}"):
+            write_records(rows, fmt, io.StringIO())
 
 
 def json_row(**fields) -> str:
