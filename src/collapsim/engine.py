@@ -39,16 +39,28 @@ two firings the waist, and with it the whole trajectory, is fixed.  So
 picks and phase clauses in numpy: thinning (Lewis & Shedler 1979) evaluated
 in blocks.  A collision that does not fire only advances counters, records
 and the recovery sum, so those are taken in bulk.  A phase-passing
-collision, or one whose widths are not finite, is drawn again from its own
+collision, or one whose widths are not finite, is built again from its own
 words and goes through :func:`resolve`; an amplitude reject, a pass that
 does not fire, is then a row of the block like a phase reject.  A block
 ends at a firing, before the first collision past the duration, or at
-``max_collisions``.  A run builds one
-:class:`RngState`: each block and each scalar collision seeks to its word,
-and nothing is seeded again.  The arithmetic matches the scalar path bit
-for bit: times are a sequential ``np.cumsum`` of ``math.log1p`` gaps,
-widths come from :func:`spread_widths` on arrays, and sums are accumulated
-in collision order.
+``max_collisions``.
+
+Each collision's words are drawn once.  A run builds one
+:class:`RngState` and holds the words it has drawn but no collision has used
+yet, in a flat buffer that starts at a known stream word.  A block takes its
+words from the buffer at the state's position and draws only those it
+lacks, at most a block's worth.
+After a firing at collision j the words past j stay held for the next
+block, whose times, widths and clauses are evaluated from the new waist; a
+phase redraw shifts them by one word, which a flat buffer absorbs.  The
+stream seeks only to top the buffer up and to stand past a phase pass,
+where a redraw reads its word; nothing is seeded again.
+
+The arithmetic matches the scalar path bit for bit: gaps are the C
+library's ``log1p``, which ``math.log1p`` calls and which numpy calls on a
+strided operand (see :func:`draw_collision_block`), times are a sequential
+``np.cumsum`` of them, widths come from :func:`spread_widths` on arrays,
+and sums are accumulated in collision order.
 
 Records.  :func:`run` hands its rows to a sink, a :class:`Records` store of
 typed columns or, without records, a sink that drops them.  ``extend`` takes
@@ -75,7 +87,8 @@ from .constants import PHASE_ACCEPTANCE_PROBABILITY
 from .contraction import damped_sigma, product_width
 from .criterion import criterion_fires, phase_clause_batch
 from .environment import (
-    COLLISION_WORDS, CollisionEvent, RngState, draw_collision_block, draw_phase, next_collision
+    COLLISION_WORDS, CollisionEvent, RngState, collision_from_words, draw_collision_block,
+    draw_phase, next_collision,
 )
 from .packets import Vec3, spread_widths
 
@@ -398,11 +411,11 @@ class _Block:
     columns: tuple[np.ndarray, ...]
 
 
-def _evaluate_block(state: SimState, config: ScenarioConfig, rng: RngState, n: int) -> _Block:
-    """Draw the next ``n`` collisions of ``state`` from ``rng``, moved to
-    ``state.position``, and evaluate them."""
-    rng.seek(state.position)
-    gaps, env_alpha, pick = draw_collision_block(rng, config.environment, n)
+def _evaluate_block(state: SimState, config: ScenarioConfig, words: np.ndarray) -> _Block:
+    """Evaluate the next collisions of ``state``, whose words are ``words``
+    from ``state.position`` on, 12 per collision."""
+    gaps, env_alpha, pick = draw_collision_block(words, config.environment)
+    n = len(gaps)
     times = np.cumsum(np.concatenate(((state.t,), gaps)))[1:]
     with np.errstate(all="ignore"):
         sx, sy, sz = spread_widths(state.sigma, config.object.mass, times - state.t_ref)
@@ -476,9 +489,12 @@ def run(
     grid rows and firings to its ``append``.  Rows, summary and stream
     position equal those of a loop over :func:`step`.
     """
-    # The run's one stream: each block and each scalar collision seeks in it.
+    # The run's one stream, and one buffer for the words drawn from it:
+    # ``buf[:held]`` holds the stream's words from word ``held_at`` on.
     rng = RngState(config.seed)
     state = initial_state(config, rng)
+    buf = np.empty(COLLISION_WORDS * _BLOCK_SIZE)
+    held, held_at = 0, state.position
     mass, internal_radius = config.object.mass, config.object.internal_radius
     interval = config.sample_interval
     records = Records()
@@ -513,14 +529,29 @@ def run(
             if n <= 0:
                 budget_exhausted = True
                 break
-        block = _evaluate_block(state, config, rng, n)
+        # The block's words: those held from the state's word on, moved to
+        # the front, topped up from the stream.  A firing leaves the words
+        # past it held; a redraw at a block's last collision leaves none.
+        used = min(state.position - held_at, held)
+        held -= used
+        if used and held:
+            buf[:held] = buf[used : used + held]
+        if held < COLLISION_WORDS * n:
+            rng.seek(state.position + held)
+            buf[held : COLLISION_WORDS * n] = rng.words(COLLISION_WORDS * n - held)
+            held = COLLISION_WORDS * n
+        held_at = state.position
+        words = buf[: COLLISION_WORDS * n]
+        block = _evaluate_block(state, config, words)
         times, n0, p0 = block.times, state.n_collisions, state.position
         # Resolve the phase passes in order, up to the first firing; each is
-        # drawn again from its own words.
+        # built again from its own words.  ``rng`` stands past them, where a
+        # phase redraw reads its word.
         firing = None
         for j in block.scalar:
-            rng.seek(p0 + COLLISION_WORDS * j)
-            event = next_collision(rng, config.environment, times[j - 1] if j else state.t)
+            w = words[COLLISION_WORDS * j : COLLISION_WORDS * (j + 1)].tolist()
+            event = collision_from_words(w, config.environment, times[j - 1] if j else state.t)
+            rng.seek(p0 + COLLISION_WORDS * (j + 1))
             after, record = resolve(replace(state, n_collisions=n0 + j), event, config, rng)
             if record.last_event is LastEvent.COLLAPSE:
                 firing = j

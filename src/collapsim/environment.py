@@ -122,7 +122,12 @@ def next_collision(rng: RngState, spec: EnvironmentSpec, t_now: float) -> Option
     """
     if spec.collision_rate == 0.0:
         return None
-    w = rng.words(COLLISION_WORDS).tolist()
+    return collision_from_words(rng.words(COLLISION_WORDS).tolist(), spec, t_now)
+
+
+def collision_from_words(w: list, spec: EnvironmentSpec, t_now: float) -> CollisionEvent:
+    """The encounter after ``t_now`` whose 12 words are ``w``, as
+    :func:`next_collision` builds it; the rate must be positive."""
     dt = -math.log1p(-w[0]) / spec.collision_rate
     spread = spec.impact_spread
     if spread != 0.0:
@@ -147,17 +152,24 @@ def next_collision(rng: RngState, spec: EnvironmentSpec, t_now: float) -> Option
 
 
 def draw_collision_block(
-    rng: RngState, spec: EnvironmentSpec, n: int
+    words: np.ndarray, spec: EnvironmentSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bulk draw of the next ``n`` collisions at a positive collision rate.
+    """The collisions whose words are ``words``, at a positive collision rate.
 
-    Returns the inter-arrival times, the environment phase constants and the
-    cluster-pick uniforms.  Collision ``i`` occupies words ``i * 12`` to
-    ``i * 12 + 11``, the layout of :func:`next_collision`, so element ``i``
-    equals what the ``i``-th sequential draw would give.  Consumes ``n * 12``
-    words.  The inter-arrival logarithm is taken with ``math.log1p`` per
-    element: ``np.log1p`` is not bit-identical to it.
+    ``words`` holds 12 words per collision, ``n * 12`` in all: collision
+    ``i`` occupies words ``i * 12`` to ``i * 12 + 11``, the layout of
+    :func:`next_collision`.  Returns the inter-arrival times, the
+    environment phase constants and the cluster-pick uniforms, so element
+    ``i`` equals what :func:`next_collision` builds from the same words.
+
+    The inter-arrival logarithm is ``np.log1p`` over a view with a negative
+    stride.  On a contiguous operand numpy takes its own SIMD ``log1p``,
+    which is not bit-identical to ``math.log1p``; on a strided one it takes
+    its scalar loop, which calls the C library's ``log1p``, the function
+    ``math.log1p`` calls.  So the gaps equal ``-math.log1p(-u) / rate``
+    bit for bit, at the speed of a C loop.
     """
-    w = rng.words(n * COLLISION_WORDS).reshape(n, COLLISION_WORDS)
-    log_gap = np.fromiter(map(math.log1p, (-w[:, 0]).tolist()), float, n)
+    w = words.reshape(-1, COLLISION_WORDS)
+    x = -w[:, 0]
+    log_gap = np.log1p(x[::-1])[::-1]
     return -log_gap / spec.collision_rate, TWO_PI * w[:, 10], w[:, 11]

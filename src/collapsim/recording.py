@@ -466,6 +466,12 @@ def _parts(records: Records) -> Iterator[list[np.ndarray]]:
 def _refusal(r: TimeSeriesRecord) -> Optional[str]:
     """Why a store cannot hold the record ``r``, naming the first field it
     cannot hold, or None if it finds none."""
+    try:
+        widths = len(r.sigma)
+    except TypeError:
+        widths = None
+    if widths != 3:
+        return f"malformed record field 'sigma': {r.sigma!r} is not three widths"
     numbers = (r.t, *r.sigma, r.n_collisions, r.n_collapses)
     for name, column, value in zip(FIELD_NAMES, Records().columns(), numbers):
         count = column.typecode == "q"
@@ -490,13 +496,13 @@ def _refusal(r: TimeSeriesRecord) -> Optional[str]:
 
 def _store(rows: Iterable[TimeSeriesRecord]) -> Records:
     """``rows``, read once, as a store.  A field its column cannot hold (a
-    time or a width past the float range, a count that is no integer, a
-    boolean or outside int64, an unknown regime or event) is refused by
-    name."""
+    ``sigma`` that is not three widths, a time or a width past the float
+    range, a count that is no integer, a boolean or outside int64, an
+    unknown regime or event) is refused by name."""
     store, regimes, events = Records(), Records.REGIMES, Records.EVENTS
     for r in rows:
         try:
-            if bool in (type(r.n_collisions), type(r.n_collapses)):
+            if bool in (type(r.n_collisions), type(r.n_collapses)) or len(r.sigma) != 3:
                 raise TypeError
             codes = regimes.index(r.regime), events.index(r.last_event)
             store.append(r.t, r.sigma, r.n_collisions, r.n_collapses, *codes)

@@ -532,6 +532,21 @@ def test_run_builds_one_stream(monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ["tpp", "sugar_grain", "generic"])
+def test_each_collision_is_drawn_once(monkeypatch, name):
+    """The words ``run`` draws for its blocks are at most 12 per collision
+    used and one block more, plus one word per firing for a phase redraw:
+    the words past a firing are carried into the next block."""
+    drawn = []
+    words = RngState.words
+    monkeypatch.setattr(RngState, "words", lambda rng, n: drawn.append(n) or words(rng, n))
+    config = generic_document_config(0.05) if name == "generic" else preset(name)
+    summary, _ = run(replace(config, duration=0.05), keep_records=False)
+    assert summary.n_collapses > 0
+    bound = 12 * (summary.n_collisions + engine._BLOCK_SIZE) + summary.n_collapses
+    assert sum(drawn) <= bound
+
+
 def reference_run(config: ScenarioConfig, max_collisions=None):
     """The semantics of ``run`` as a plain loop over ``step``.
 
@@ -664,6 +679,22 @@ BLOCK_CONFIGS = {
     # 1000 = 862 + 138: the budget ends the second block part way.
     "budget_cut": (replace(preset("tpp"), duration=1.0), 1000),
 }
+
+
+@pytest.mark.parametrize("block_size", [1, 2])
+def test_words_carried_past_firings_match_step_loop(monkeypatch, block_size):
+    """With blocks of one or two collisions, a firing with a phase redraw
+    often ends its block: the next block then starts past the held words,
+    or takes the words left after the redraw word."""
+    monkeypatch.setattr(engine, "_BLOCK_SIZE", block_size)
+    config = replace(preset("tpp"), duration=1e-3, redraw_alpha_after_collapse=True)
+    collapses = 0
+    for seed in range(16):
+        cfg = replace(config, seed=seed)
+        summary, records = run(cfg)
+        assert (summary, records) == reference_run(cfg)
+        collapses += summary.n_collapses
+    assert collapses >= 8
 
 
 class TestBlockMatchesStep:

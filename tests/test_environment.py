@@ -11,7 +11,7 @@ from collapsim import (
     draw_phase,
     next_collision,
 )
-from collapsim.environment import draw_collision_block
+from collapsim.environment import COLLISION_WORDS, draw_collision_block
 from conftest import TWO_PI
 
 SPEC = EnvironmentSpec(collision_rate=1e3, env_sigma=(1e-9, 1e-9, 1e-9))
@@ -111,8 +111,8 @@ class TestDrawPhase:
             assert 0.0 <= alpha < TWO_PI
 
     def test_fixed_seed_reproduces_sequence(self):
-        _, seq1, _ = draw_collision_block(RngState(77), SPEC, 500)
-        _, seq2, _ = draw_collision_block(RngState(77), SPEC, 500)
+        _, seq1, _ = draw_collision_block(RngState(77).words(500 * 12), SPEC)
+        _, seq2, _ = draw_collision_block(RngState(77).words(500 * 12), SPEC)
         assert np.array_equal(seq1, seq2)
 
     def test_uniform_moments(self):
@@ -203,7 +203,7 @@ class TestDrawCollisionBlock:
         extra = dict(impact_spread=1e-9, env_sigma_jitter=0.25) if spread else {}
         spec = EnvironmentSpec(collision_rate=1e6, env_sigma=1e-10, **extra)
         block = RngState(9, 5)
-        gaps, alphas, picks = draw_collision_block(block, spec, 500)
+        gaps, alphas, picks = draw_collision_block(block.words(500 * 12), spec)
         rng = RngState(9, 5)
         t = 0.0
         for i in range(500):
@@ -215,3 +215,47 @@ class TestDrawCollisionBlock:
         assert len(picks) == 500
         assert block == rng
         assert block.position == 5 + 500 * 12
+
+
+def assert_gaps_match_libm(u: np.ndarray) -> None:
+    """The gaps of collisions whose first words are ``u`` equal
+    ``-math.log1p(-u) / rate`` bit for bit."""
+    words = np.full((len(u), COLLISION_WORDS), 0.5)
+    words[:, 0] = u
+    gaps, _, _ = draw_collision_block(words.ravel(), SPEC)
+    want = np.array([-math.log1p(-x) / SPEC.collision_rate for x in u.tolist()])
+    bad = np.flatnonzero(gaps.view(np.uint64) != want.view(np.uint64))
+    assert not len(bad), (
+        f"{len(bad)} of {len(u)} gaps differ from math.log1p, the first at u={float(u[bad[0]])!r}: "
+        f"numpy {np.__version__} changed its choice of log1p loop for a strided operand"
+    )
+
+
+class TestGapsTakeLibmLog1p:
+    """``draw_collision_block`` takes the gap logarithm in numpy's scalar
+    loop, which calls the C library's ``log1p`` as ``math.log1p`` does; on a
+    contiguous operand numpy's SIMD loop differs in a few percent of words."""
+
+    def test_a_million_words(self):
+        for seed in (1, 2, 3, 4):
+            u = RngState(seed).words(250_000)
+            for lo in range(0, len(u), 125_000):
+                assert_gaps_match_libm(u[lo : lo + 125_000])
+
+    def test_edge_words(self):
+        branches = (2.0**-54, 2.0**-29, 1.0 - math.sqrt(0.5), math.sqrt(2.0) - 1.0, 0.5)
+        near = [np.nextafter(x, (0.0, 1.0)) for x in branches]
+        u = np.concatenate(
+            ([0.0, 5e-324, 2.0**-60, 2.0**-53, 1.0 - 2.0**-53], branches, *near)
+        )
+        assert_gaps_match_libm(u)
+
+    def test_every_block_length(self):
+        # Words where numpy's SIMD log1p differs from math.log1p, so a length
+        # that took the SIMD loop would show at once.
+        u = RngState(5).words(100_000)
+        libm = np.array([math.log1p(-x) for x in u.tolist()])
+        telling = u[np.log1p(-u) != libm]
+        pool = telling if len(telling) >= 64 else u
+        for n in range(1, 65):
+            assert_gaps_match_libm(pool[:n])

@@ -678,14 +678,17 @@ class TestStoreRefusals:
         [
             ({"t": 10**400}, "t_s", "int too large to convert to float"),
             ({"sigma": (1.0, 10**400, 1.0)}, "sigma_y_m", "int too large to convert to float"),
+            ({"sigma": (1.0, 2.0)}, "sigma", r"\(1.0, 2.0\) is not three widths"),
+            ({"sigma": (1.0, 2.0, 3.0, 4.0)}, "sigma", r"\(1.0, 2.0, 3.0, 4.0\) is not three"),
+            ({"sigma": 1.0}, "sigma", "1.0 is not three widths"),
             ({"n_collisions": 2.5}, "n_collisions", "'float' object cannot be interpreted"),
             ({"n_collisions": True}, "n_collisions", "True is not an integer"),
             ({"n_collapses": False}, "n_collapses", "False is not an integer"),
             ({"regime": "CM_PHASE"}, "regime", "'CM_PHASE' is not one of"),
             ({"last_event": None}, "last_event", "None is not one of"),
         ],
-        ids=["huge_time", "huge_width", "float_count", "true_count", "false_count",
-             "string_regime", "no_event"],
+        ids=["huge_time", "huge_width", "two_widths", "four_widths", "one_number", "float_count",
+             "true_count", "false_count", "string_regime", "no_event"],
     )
     def test_field_refused_by_name(self, fields, name, problem, fmt):
         rows = random_records(3)

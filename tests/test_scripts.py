@@ -47,13 +47,17 @@ def test_output_digests_names_every_output(capsys):
 def test_output_bytes_match_pinned_digests(capsys):
     """Every output at seeds 1, 2 and 3 has the bytes pinned in
     ``output_digests.txt``.  The digests hold for the build its header
-    names; the message tells a changed program from a different build."""
+    names: Python, numpy, the C library, whose ``log1p`` picks a variant per
+    CPU, and whether the CPU has fused multiply-adds.  The message tells a
+    changed program from a different build."""
     lines = DIGESTS.read_text().splitlines()
     pinned_build = next(line.split(":", 1)[1].strip() for line in lines if line.startswith("# build:"))
     expected = [line for line in lines if not line.startswith("#")]
     assert load_script("output_digests").main(["--seeds", "1,2,3"]) == 0
     got = capsys.readouterr().out.splitlines()
-    build = f"Python {platform.python_version()}, numpy {np.__version__}"
+    libc = " ".join(platform.libc_ver())
+    fma = "yes" if np._core._multiarray_umath.__cpu_features__.get("FMA3") else "no"
+    build = f"Python {platform.python_version()}, numpy {np.__version__}, {libc}, FMA3 {fma}"
     cause = "same build, so the program changed" if build == pinned_build else "another build"
     assert [line.split()[0] for line in got] == [line.split()[0] for line in expected]
     for want, have in zip(expected, got):
