@@ -30,41 +30,56 @@ more word for the object's new phase constant.  Collision ``j`` after a
 state at word ``position`` therefore starts at ``position + 12 * j`` until
 the next firing.
 
-Block scan.  :func:`step` draws one collision with :func:`next_collision`
-and decides it with :func:`resolve`; it is the reference.  Only about
-alpha_s / (2 pi) ~ 1.2e-3 of encounters pass the phase clause, and between
-two firings the waist, and with it the whole trajectory, is fixed.  So
-:func:`run` draws the words of a block of collisions at once (about
-2 pi / alpha_s of them) and evaluates their times, readout widths, cluster
-picks and phase clauses in numpy: thinning (Lewis & Shedler 1979) evaluated
-in blocks.  A collision that does not fire only advances counters, records
-and the recovery sum, so those are taken in bulk.  A phase-passing
-collision, or one whose widths are not finite, is built again from its own
-words and goes through :func:`resolve`; an amplitude reject, a pass that
-does not fire, is then a row of the block like a phase reject.  A block
-ends at a firing, before the first collision past the duration, or at
-``max_collisions``.
+Decide, then fill.  :func:`step` draws one collision with
+:func:`next_collision` and decides it with :func:`resolve`; it is the
+reference.  Only about alpha_s / (2 pi) ~ 1.2e-3 of encounters pass the
+phase clause, and a collision that does not fire only advances counters,
+records and the recovery sum.  So :func:`run` takes a window of collisions
+at a time (thinning, Lewis & Shedler 1979) in two passes:
+
+- Decide.  The words give each collision's time (a sequential
+  ``np.cumsum`` of the gaps), its environment phase and its cluster pick,
+  in numpy and without widths.  A *candidate* is a collision whose phase
+  passes the clause against the object's constant or against its picked
+  cluster's.  Any other collision fails the clause in either regime, so
+  it is a reject whatever the widths, and needs none.  The candidates are
+  swept in order: each reads its widths from the waist in effect, as a
+  float, to learn its regime.  If the clause of that regime fails it is a
+  reject; otherwise it is built from its own words and goes through
+  :func:`resolve`, and a firing sets the waist for the candidates after it.
+- Fill.  With the firings known, every collision's widths are read out
+  from the waist in effect before it, one numpy pass per segment of the
+  window between firings, into arrays allocated once per run.  The rows of
+  the collisions that did not fire, the grid rows between them and the
+  firings' rows go to the sink in order, and the recovery ratios are added
+  in one sequential ``np.cumsum``.
+
+A window is ``_WINDOW_BLOCKS`` blocks of ``_BLOCK_SIZE`` collisions (about
+2 pi / alpha_s, the mean gap between phase passes).  It ends at the
+duration, at ``max_collisions``, or at a firing that redraws the phase
+constant: that takes one more word, so the collisions after it start one
+word later.  The first failure in time order raises as in :func:`step`: a
+width that is not finite at a grid row or a collision, found in numpy and
+raised by the float readout, or a firing's contraction.
 
 Each collision's words are drawn once.  A run builds one
 :class:`RngState` and holds the words it has drawn but no collision has used
-yet, in a flat buffer that starts at a known stream word.  A block takes its
-words from the buffer at the state's position and draws only those it
-lacks, at most a block's worth.
-After a firing at collision j the words past j stay held for the next
-block, whose times, widths and clauses are evaluated from the new waist; a
-phase redraw shifts them by one word, which a flat buffer absorbs.  The
-stream seeks only to top the buffer up and to stand past a phase pass,
-where a redraw reads its word; nothing is seeded again.
+yet, in a flat buffer of one block that starts at a known stream word.  A
+block takes its words from the buffer and draws only those it lacks, and is
+swept before the next is drawn.  After a redraw the words past it stay
+held, shifted by one word, which a flat buffer absorbs.  The stream seeks
+only to top the buffer up and to stand past a candidate, where a redraw
+reads its word; nothing is seeded again.
 
 The arithmetic matches the scalar path bit for bit: gaps are the C
 library's ``log1p``, which ``math.log1p`` calls and which numpy calls on a
 strided operand (see :func:`draw_collision_block`), times are a sequential
-``np.cumsum`` of them, widths come from :func:`spread_widths` on arrays,
-and sums are accumulated in collision order.
+``np.cumsum`` of them, widths come from :func:`spread_into`, the array
+form of :func:`spread_widths`, and sums are accumulated in collision order.
 
 Records.  :func:`run` hands its rows to a sink, a :class:`Records` store of
 typed columns or, without records, a sink that drops them.  ``extend`` takes
-the rows of collisions that did not fire as slices of the block's columns,
+the rows of collisions that did not fire as slices of the window's columns,
 and ``append`` takes a grid row or a firing's row as codes.  So no record
 object is built per row: a row takes 50 bytes, and a
 :class:`TimeSeriesRecord` is built only when a row is read.
@@ -72,12 +87,12 @@ object is built per row: a row takes 50 bytes, and a
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -90,7 +105,7 @@ from .environment import (
     COLLISION_WORDS, CollisionEvent, RngState, collision_from_words, draw_collision_block,
     draw_phase, next_collision,
 )
-from .packets import Vec3, spread_widths
+from .packets import Vec3, spread_into, spread_widths
 
 
 class Regime(enum.Enum):
@@ -188,7 +203,7 @@ class Records(Sequence):
         self.last_event.append(last_event)
 
     def extend(self, columns, lo: int, hi: int, n_first: int, n_collapses: int) -> None:
-        """Add rows ``lo .. hi-1`` of a block's time, width and regime
+        """Add rows ``lo .. hi-1`` of a window's time, width and regime
         ``columns``: collisions that did not fire, counted from ``n_first``."""
         # Copied as machine values, so the bits are those of the arrays.
         copied = (self.t, self.sigma_x, self.sigma_y, self.sigma_z, self.regime)
@@ -387,55 +402,11 @@ class RunSummary:
         return self.collapse_after_sum / self.n_collapses
 
 
-# Collisions drawn per block: the mean gap between phase-clause passes.
+# Collisions drawn and swept at a time: the mean gap between phase-clause
+# passes.  A window of _WINDOW_BLOCKS blocks has its rows and sums filled
+# at once.
 _BLOCK_SIZE = math.ceil(1.0 / PHASE_ACCEPTANCE_PROBABILITY)
-
-@dataclass(frozen=True, slots=True)
-class _Block:
-    """The next collisions of a run, evaluated in numpy from the current waist.
-
-    Collisions ``0 .. end-1`` belong to the block; collision ``i`` starts at
-    word ``state.position + 12 * i``.  ``scalar`` lists the ones that must go
-    through :func:`resolve`: phase-clause passes and non-finite widths.
-    ``past_duration`` says that collision ``end`` lies past the duration.
-    ``columns`` holds the per-collision time, the three widths and the
-    cluster-regime mask as arrays, in the order of their :class:`Records`
-    columns; slices of them are the rows of collisions that did not fire.
-    """
-
-    end: int
-    past_duration: bool
-    times: list
-    sigma_min: np.ndarray
-    scalar: list
-    columns: tuple[np.ndarray, ...]
-
-
-def _evaluate_block(state: SimState, config: ScenarioConfig, words: np.ndarray) -> _Block:
-    """Evaluate the next collisions of ``state``, whose words are ``words``
-    from ``state.position`` on, 12 per collision."""
-    gaps, env_alpha, pick = draw_collision_block(words, config.environment)
-    n = len(gaps)
-    times = np.cumsum(np.concatenate(((state.t,), gaps)))[1:]
-    with np.errstate(all="ignore"):
-        sx, sy, sz = spread_widths(state.sigma, config.object.mass, times - state.t_ref)
-    sigma_min = np.minimum(np.minimum(sx, sy), sz)
-    finite = (sigma_min > 0.0) & (np.maximum(np.maximum(sx, sy), sz) < math.inf)
-    cluster = sigma_min < config.object.internal_radius
-    alphas = np.array(config.object.cluster_alphas)
-    picked = np.minimum((pick * len(alphas)).astype(np.intp), len(alphas) - 1)
-    alpha = np.where(cluster, alphas[picked], state.alpha)
-    scalar = phase_clause_batch(alpha, env_alpha) | ~finite
-    # The block ends before the first collision past the duration.
-    end = int(np.searchsorted(times, config.duration, side="right"))
-    return _Block(
-        end=end,
-        past_duration=end < n,
-        times=times.tolist(),
-        sigma_min=sigma_min,
-        scalar=np.flatnonzero(scalar[:end]).tolist(),
-        columns=(times, sx, sy, sz, cluster.view(np.int8)),
-    )
+_WINDOW_BLOCKS = 2
 
 
 @dataclass
@@ -451,20 +422,20 @@ class _Sums:
     collapse_after_sum: float = 0.0
     sigma_after_last_collapse: Optional[float] = None
 
-    def add_rejected(self, sigma_before: np.ndarray) -> None:
-        """Collisions that did not fire; only the recovery sum moves."""
-        if self.sigma_after_last_collapse is None or not len(sigma_before):
-            return
-        ratios = sigma_before / self.sigma_after_last_collapse
-        # A sequential sum, as the scalar loop adds; np.sum adds pairwise.
-        self.recovery_sum = float(np.cumsum(np.concatenate(((self.recovery_sum,), ratios)))[-1])
-        self.recovery_samples += len(ratios)
+    def add_recovery(self, ratios: np.ndarray) -> None:
+        """Add a window's recovery ratios, firings' included, in collision
+        order; ``ratios`` is overwritten with the running sums."""
+        if len(ratios):
+            # A sequential sum, as the scalar loop adds; np.sum adds pairwise.
+            ratios[0] += self.recovery_sum
+            np.cumsum(ratios, out=ratios)
+            self.recovery_sum = ratios.item(-1)
+            self.recovery_samples += len(ratios)
 
     def add_firing(self, sigma_before: float, sigma_after: float) -> None:
-        """One collision that fired, as :func:`resolve` found it."""
+        """One collision that fired, as :func:`resolve` found it; its
+        recovery ratio is among the window's."""
         if self.sigma_after_last_collapse is not None:
-            self.recovery_sum += sigma_before / self.sigma_after_last_collapse
-            self.recovery_samples += 1
             self.respread_sum += sigma_before / self.sigma_after_last_collapse
             self.respread_samples += 1
         self.collapse_before_sum += sigma_before
@@ -472,6 +443,19 @@ class _Sums:
         self.sigma_after_last_collapse = sigma_after
         if sigma_after < self.min_sigma:
             self.min_sigma = sigma_after
+
+
+def _check_budget(max_collisions) -> None:
+    """Refuse a ``max_collisions`` that is neither None nor a non-negative
+    integer; a bool is refused."""
+    if max_collisions is not None and (
+        isinstance(max_collisions, bool)
+        or not isinstance(max_collisions, Integral)
+        or max_collisions < 0
+    ):
+        raise ValueError(
+            f"max_collisions must be a non-negative integer or None, got {max_collisions!r}"
+        )
 
 
 def run(
@@ -483,23 +467,51 @@ def run(
     at t=0 and t=duration to a sink: the returned :class:`Records` store,
     or, when ``keep_records`` is false, a sink that drops them and leaves
     the store empty.  An event drawn beyond the duration is not processed.
-    ``max_collisions`` caps the number of processed events.  Collisions are
-    scanned in blocks (see the module docstring): the rows of collisions
-    that did not fire go to the sink's ``extend`` as slices of the block,
-    grid rows and firings to its ``append``.  Rows, summary and stream
-    position equal those of a loop over :func:`step`.
+    ``max_collisions``, a non-negative integer, caps the number of processed
+    events.  Collisions are decided, then filled, a window at a time (see
+    the module docstring): the rows of collisions that did not fire go to
+    the sink's ``extend`` as slices of the window's columns, grid rows and
+    firings to its ``append``.  Rows, summary and stream position equal
+    those of a loop over :func:`step`.
     """
+    _check_budget(max_collisions)
+    env = config.environment
+    mass, internal_radius = config.object.mass, config.object.internal_radius
+    alphas = np.array(config.object.cluster_alphas)
     # The run's one stream, and one buffer for the words drawn from it:
     # ``buf[:held]`` holds the stream's words from word ``held_at`` on.
     rng = RngState(config.seed)
     state = initial_state(config, rng)
     buf = np.empty(COLLISION_WORDS * _BLOCK_SIZE)
     held, held_at = 0, state.position
-    mass, internal_radius = config.object.mass, config.object.internal_radius
+    # A window's columns, reused by every window: the times, three rows of
+    # widths, a scratch row that ends as the recovery ratios, and the
+    # regime mask.
+    window = _WINDOW_BLOCKS * _BLOCK_SIZE
+    times = np.empty(window)
+    widths = np.empty((4, window))
+    cluster = np.empty(window, dtype=bool)
     interval = config.sample_interval
     records = Records()
     sink = records if keep_records else _Discard()
     next_sample = interval
+    sums = _Sums(min_sigma=min(state.sigma))
+    budget_exhausted = False
+
+    def take(position: int, n: int) -> np.ndarray:
+        """The words of the n collisions from stream word ``position`` on:
+        those held, moved to the front, and the rest drawn."""
+        nonlocal held, held_at
+        used = min(position - held_at, held)
+        held -= used
+        if used and held:
+            buf[:held] = buf[used : used + held]
+        if held < COLLISION_WORDS * n:
+            rng.seek(position + held)
+            buf[held : COLLISION_WORDS * n] = rng.words(COLLISION_WORDS * n - held)
+            held = COLLISION_WORDS * n
+        held_at = position
+        return buf[: COLLISION_WORDS * n]
 
     def sample(t_sample: float, n_collisions: int, to=sink) -> Vec3:
         """The widths at a grid time; their row goes to the sink ``to``."""
@@ -518,74 +530,138 @@ def run(
         if next_sample == t:
             next_sample += interval
 
-    sample(0.0, 0)
-    sums = _Sums(min_sigma=min(state.sigma))
-    budget_exhausted = False
+    def read_widths(lo: int, hi: int):
+        """Widths, regimes and recovery ratios of window collisions
+        lo..hi-1, read out from the waist of ``state``.  Returns their row
+        columns, the narrowest width of the last of them, and the first of
+        them whose widths are not finite, or hi.  The ratios, once the run
+        has fired, go to ``widths[3, lo:hi]``."""
+        scratch = widths[3, lo:hi]
+        np.subtract(times[lo:hi], state.t_ref, out=scratch)
+        x, y, z = spread_into(state.sigma, mass, scratch, widths[:3, lo:hi])
+        # An isotropic waist spreads one axis.
+        narrowest = x if y is x else np.minimum(np.minimum(x, y, out=scratch), z, out=scratch)
+        in_cluster = np.less(narrowest, internal_radius, out=cluster[lo:hi])
+        sigma_before, bad = None, hi
+        if lo < hi:
+            sigma_before = narrowest.item(-1)
+            # Widths grow with time: if the last are finite, so are the others.
+            if not (x[-1] < math.inf and y[-1] < math.inf and z[-1] < math.inf):
+                bad = lo + int(np.argmin((x < math.inf) & (y < math.inf) & (z < math.inf)))
+        if sums.sigma_after_last_collapse is not None:
+            np.divide(narrowest, sums.sigma_after_last_collapse, out=scratch)
+        return (times[lo:hi], x, y, z, in_cluster.view(np.int8)), sigma_before, bad
 
-    while config.environment.collision_rate > 0.0:
-        n = _BLOCK_SIZE
-        if max_collisions is not None:
-            n = min(n, max_collisions - state.n_collisions)
-            if n <= 0:
-                budget_exhausted = True
-                break
-        # The block's words: those held from the state's word on, moved to
-        # the front, topped up from the stream.  A firing leaves the words
-        # past it held; a redraw at a block's last collision leaves none.
-        used = min(state.position - held_at, held)
-        held -= used
-        if used and held:
-            buf[:held] = buf[used : used + held]
-        if held < COLLISION_WORDS * n:
-            rng.seek(state.position + held)
-            buf[held : COLLISION_WORDS * n] = rng.words(COLLISION_WORDS * n - held)
-            held = COLLISION_WORDS * n
-        held_at = state.position
-        words = buf[: COLLISION_WORDS * n]
-        block = _evaluate_block(state, config, words)
-        times, n0, p0 = block.times, state.n_collisions, state.position
-        # Resolve the phase passes in order, up to the first firing; each is
-        # built again from its own words.  ``rng`` stands past them, where a
-        # phase redraw reads its word.
-        firing = None
-        for j in block.scalar:
-            w = words[COLLISION_WORDS * j : COLLISION_WORDS * (j + 1)].tolist()
-            event = collision_from_words(w, config.environment, times[j - 1] if j else state.t)
-            rng.seek(p0 + COLLISION_WORDS * (j + 1))
-            after, record = resolve(replace(state, n_collisions=n0 + j), event, config, rng)
-            if record.last_event is LastEvent.COLLAPSE:
-                firing = j
-                break
-        # Collisions before the firing, or the whole block, did not fire: an
-        # amplitude reject has the row and the recovery term of a phase
-        # reject.  Take them in bulk, with the grid samples between them.
-        end = block.end if firing is None else firing
-        i = 0
-        while end and next_sample <= times[end - 1]:
-            k = bisect.bisect_left(times, next_sample, i, end)
-            sink.extend(block.columns, i, k, n0 + i + 1, state.n_collapses)
-            emit_samples(times[k], n0 + k)
+    def rows(columns: tuple, lo: int, hi: int) -> None:
+        """The rows of window collisions lo..hi-1, which did not fire, with
+        the grid rows before each; ``columns`` start at collision lo."""
+        i = lo
+        while i < hi and next_sample <= times[hi - 1]:
+            k = i + int(np.searchsorted(times[i:hi], next_sample))
+            sink.extend(columns, i - lo, k - lo, n0 + i + 1, state.n_collapses)
+            emit_samples(times.item(k), n0 + k)
             i = k
-        sink.extend(block.columns, i, end, n0 + i + 1, state.n_collapses)
-        sums.add_rejected(block.sigma_min[:end])
-        if firing is not None:
-            emit_samples(times[firing], n0 + firing)
-            sink.append(
-                record.t, record.sigma, record.n_collisions, record.n_collapses,
-                min(record.sigma) < internal_radius, _COLLAPSE,
-            )
-            sums.add_firing(float(block.sigma_min[firing]), min(after.sigma))
-            state = after
-            continue
-        if end:
-            state = replace(
-                state,
-                t=times[end - 1],
-                n_collisions=n0 + end,
-                position=p0 + COLLISION_WORDS * end,
-            )
-        if block.past_duration:
-            break
+        sink.extend(columns, i - lo, hi - lo, n0 + i + 1, state.n_collapses)
+
+    sample(0.0, 0)
+
+    # A width that is not finite is found in numpy and raised in scalar.
+    with np.errstate(all="ignore"):
+        while env.collision_rate > 0.0:
+            limit = window
+            if max_collisions is not None:
+                limit = min(limit, max_collisions - state.n_collisions)
+                if limit <= 0:
+                    budget_exhausted = True
+                    break
+            n0, p0 = state.n_collisions, state.position
+            # Decide: sweep each block's candidates in order, from the waist
+            # in effect.  Collision i of the window starts at word
+            # p0 + 12 * i; a firing with a phase redraw ends the window,
+            # since the words past it shift by one.
+            waist, firings, error = state, [], None
+            end, past_duration, stop = 0, False, False
+            while not stop and end < limit:
+                n = min(_BLOCK_SIZE, limit - end)
+                words = take(p0 + COLLISION_WORDS * end, n)
+                gaps, env_alpha, pick = draw_collision_block(words, env)
+                gaps[0] += times.item(end - 1) if end else state.t
+                np.cumsum(gaps, out=times[end : end + n])
+                # The window ends before the first collision past the duration.
+                n_in = int(np.searchsorted(times[end : end + n], config.duration, side="right"))
+                past_duration = stop = n_in < n
+                # The candidates: collisions whose phase passes the clause in
+                # either regime.  Any other collision is a reject, whatever
+                # its widths.
+                env_alpha = env_alpha[:n_in]
+                picked = alphas.take((pick[:n_in] * len(alphas)).astype(np.intp), mode="clip")
+                cm_pass = phase_clause_batch(waist.alpha, env_alpha)
+                cluster_pass = phase_clause_batch(picked, env_alpha)
+                for j in np.flatnonzero(cm_pass | cluster_pass).tolist():
+                    i = end + j
+                    try:
+                        sigma = _widths_at(waist, mass, times.item(i), n0 + i)
+                        if not (cluster_pass if min(sigma) < internal_radius else cm_pass)[j]:
+                            continue  # the clause of its regime fails: a reject
+                        w = words[COLLISION_WORDS * j : COLLISION_WORDS * (j + 1)].tolist()
+                        event = collision_from_words(w, env, times.item(i - 1) if i else state.t)
+                        rng.seek(p0 + COLLISION_WORDS * (i + 1))
+                        after, record = resolve(
+                            replace(waist, n_collisions=n0 + i), event, config, rng
+                        )
+                    except EngineError as exc:
+                        error, n_in, stop = exc, j, True
+                        break
+                    if record.last_event is LastEvent.COLLAPSE:
+                        firings.append((i + 1, after, record))
+                        waist = after
+                        if config.redraw_alpha_after_collapse:
+                            n_in, stop, past_duration = j + 1, True, False
+                            break
+                end += n_in
+
+            # Fill: each collision reads its widths from the waist in effect
+            # before it, one segment of the window per waist; a firing is
+            # the last collision of its segment.  The recovery ratios, the
+            # firings' among them, start after the run's first firing and
+            # are summed once for the window.
+            if sums.sigma_after_last_collapse is not None:
+                first = 0
+            else:
+                first = firings[0][0] if firings else end
+            a = 0
+            for b, after, record in firings:
+                columns, sigma_before, _ = read_widths(a, b)
+                rows(columns, a, b - 1)
+                emit_samples(record.t, n0 + b - 1)
+                sink.append(
+                    record.t, record.sigma, record.n_collisions, record.n_collapses,
+                    min(record.sigma) < internal_radius, _COLLAPSE,
+                )
+                sums.add_firing(sigma_before, min(after.sigma))
+                state, a = after, b
+            columns, _, bad = read_widths(a, end)
+            if bad < end or error is not None:
+                # Only the last segment can fail: a firing's widths are
+                # finite, and so are the earlier ones of its segment.  The
+                # first failure in time order raises: a grid row, the
+                # widths of collision ``bad`` (``_widths_at`` raises), or
+                # the candidate's contraction (``error``).
+                rows(columns, a, bad)
+                emit_samples(times.item(bad), n0 + bad)
+                _widths_at(state, mass, times.item(bad), n0 + bad)
+                raise error
+            rows(columns, a, end)
+            sums.add_recovery(widths[3, first:end])
+            if a < end:
+                state = replace(
+                    state,
+                    t=times.item(end - 1),
+                    n_collisions=n0 + end,
+                    position=p0 + COLLISION_WORDS * end,
+                )
+            if past_duration:
+                break
 
     emit_samples(config.duration, state.n_collisions)
     # No final row when a collision fell exactly on the duration.
@@ -672,6 +748,7 @@ def run_ensemble(
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
+    _check_budget(max_collisions)
     summaries: list[RunSummary] = []
     failures: list[tuple[int, str]] = []
     for seed in range(config.seed, config.seed + n_replicas):

@@ -129,18 +129,39 @@ def spread_widths(sigma0: Vec3, mass: float, dt):
         sigma(dt) = sigma0 * sqrt(1 + q^2),  q = hbar * dt / (2 m sigma0^2)
 
     ``dt`` is a float or a numpy array of times; an array gives one array per
-    axis whose elements equal the float results bit for bit.  Both forms
-    square as ``q * q`` (``q ** 2`` on a float calls the C ``pow``, which is
-    not correctly rounded) and take a correctly rounded square root.  A
-    square that overflows gives ``inf``; it does not raise.
+    axis (see :func:`spread_into`) whose elements equal the float results bit
+    for bit.  Both forms square as ``q * q`` (``q ** 2`` on a float calls the
+    C ``pow``, which is not correctly rounded) and take a correctly rounded
+    square root.  A square that overflows gives ``inf``; it does not raise.
     """
-    sqrt = np.sqrt if isinstance(dt, np.ndarray) else math.sqrt
+    if isinstance(dt, np.ndarray):
+        return spread_into(sigma0, mass, dt.astype(float), np.empty((3, *dt.shape)))
     k = HBAR * dt / (2.0 * mass)
     s1, s2, s3 = sigma0
     q1, q2, q3 = k / (s1 * s1), k / (s2 * s2), k / (s3 * s3)
     return (
-        s1 * sqrt(1.0 + q1 * q1),
-        s2 * sqrt(1.0 + q2 * q2),
-        s3 * sqrt(1.0 + q3 * q3),
+        s1 * math.sqrt(1.0 + q1 * q1),
+        s2 * math.sqrt(1.0 + q2 * q2),
+        s3 * math.sqrt(1.0 + q3 * q3),
     )
 
+
+def spread_into(sigma0: Vec3, mass: float, dt: np.ndarray, out: np.ndarray) -> tuple:
+    """:func:`spread_widths` of an array ``dt``, computed in place.
+
+    The widths go into the rows of ``out``, each shaped like ``dt``, and
+    ``dt`` is overwritten; nothing else is allocated.  An isotropic waist,
+    three bit-equal widths, spreads one axis into ``out[0]``, which then
+    stands for all three.  Returns the three width arrays.
+    """
+    k = np.multiply(dt, HBAR, out=dt)
+    np.divide(k, 2.0 * mass, out=k)
+    s1, s2, s3 = sigma0
+    axes = (s1,) if s1 == s2 == s3 else sigma0
+    for s, q in zip(axes, out):
+        np.divide(k, s * s, out=q)
+        np.multiply(q, q, out=q)
+        np.add(q, 1.0, out=q)
+        np.sqrt(q, out=q)
+        np.multiply(q, s, out=q)
+    return (out[0],) * 3 if len(axes) == 1 else tuple(out[:3])

@@ -148,15 +148,22 @@ class TestWordLayout:
         else:
             pytest.fail("no collapse observed")
 
-    def test_blocks_end_only_at_firings_and_the_duration(self, monkeypatch):
-        calls = []
-        evaluate_block = engine._evaluate_block
+    @pytest.mark.parametrize("name", ["tpp", "generic"])
+    def test_windows_end_only_at_redraws_and_the_duration(self, monkeypatch, name):
+        """A firing ends its window only when it redraws the phase: each
+        window sums its recovery ratios once."""
+        windows = []
+        add_recovery = engine._Sums.add_recovery
         monkeypatch.setattr(
-            engine, "_evaluate_block", lambda *args: calls.append(1) or evaluate_block(*args)
+            engine._Sums, "add_recovery",
+            lambda sums, ratios: windows.append(1) or add_recovery(sums, ratios),
         )
-        summary, _ = run(replace(preset("tpp"), seed=1, duration=0.05), keep_records=False)
-        bound = summary.n_collisions // engine._BLOCK_SIZE + summary.n_collapses + 1
-        assert len(calls) <= bound
+        config = generic_document_config(0.05) if name == "generic" else preset("tpp")
+        summary, _ = run(replace(config, seed=1, duration=0.05), keep_records=False)
+        assert summary.n_collapses > 0
+        window = engine._WINDOW_BLOCKS * engine._BLOCK_SIZE
+        redraws = summary.n_collapses if config.redraw_alpha_after_collapse else 0
+        assert len(windows) <= summary.n_collisions // window + redraws + 1
 
 
 class TestRun:
@@ -258,6 +265,20 @@ class TestRun:
         summary, _ = run(cfg, keep_records=False, max_collisions=500)
         assert summary.n_collisions == 500
         assert summary.budget_exhausted
+
+    @pytest.mark.parametrize("budget", [-5, 2.5, True, "10"])
+    def test_max_collisions_must_be_a_non_negative_integer(self, budget):
+        cfg = replace(preset("tpp"), duration=1e-3)
+        with pytest.raises(ValueError, match="max_collisions"):
+            run(cfg, max_collisions=budget)
+        with pytest.raises(ValueError, match="max_collisions"):
+            run_ensemble(cfg, 2, max_collisions=budget)
+
+    def test_max_collisions_takes_any_integer_type(self):
+        cfg = replace(preset("tpp"), duration=1e-3)
+        summary, _ = run(cfg, keep_records=False, max_collisions=np.int64(7))
+        assert summary.n_collisions == 7 and summary.budget_exhausted
+        assert run(cfg, keep_records=False, max_collisions=0)[0].n_collisions == 0
 
     def test_numerical_blowup_reported(self):
         cfg = ScenarioConfig(
@@ -697,6 +718,49 @@ def test_words_carried_past_firings_match_step_loop(monkeypatch, block_size):
     assert collapses >= 8
 
 
+@pytest.mark.parametrize("name", ["tpp", "sugar_grain", "generic"])
+def test_resolve_sees_only_phase_passes(monkeypatch, name):
+    """``run`` hands ``resolve`` only the collisions whose phase passes the
+    clause against the constant of their own regime: every other one is a
+    reject without an event."""
+    config = generic_document_config(0.01) if name == "generic" else preset(name)
+    config = replace(config, duration=0.01)
+    obj = config.object
+    seen = []
+    resolve = engine.resolve
+
+    def checked(state, event, cfg, rng):
+        sigma = reference.spread(state.sigma, obj.mass, event.time - state.t_ref)
+        alpha = state.alpha
+        if min(sigma) < obj.internal_radius:
+            alphas = obj.cluster_alphas
+            alpha = alphas[min(int(event.pick * len(alphas)), len(alphas) - 1)]
+        seen.append(reference.phase_clause(alpha, event.alpha))
+        return resolve(state, event, cfg, rng)
+
+    monkeypatch.setattr(engine, "resolve", checked)
+    summary, _ = run(config, keep_records=False)
+    assert summary.n_collapses > 0
+    assert len(seen) >= summary.n_collapses and all(seen)
+
+
+def test_firings_inside_windows_match_step_loop(monkeypatch):
+    """Windows of blocks of 1, 2 and 5 collisions put firings, regime
+    crossings and phase redraws at every place in a window, its last
+    collision included."""
+    collapses = 0
+    for config in (BLOCK_CONFIGS["light_crossing"][0], BLOCK_CONFIGS["tpp"][0]):
+        for redraw in (False, True):
+            for seed in range(16):
+                cfg = replace(config, seed=seed, redraw_alpha_after_collapse=redraw)
+                expected = reference_run(cfg)
+                for block_size in (1, 2, 5):
+                    monkeypatch.setattr(engine, "_BLOCK_SIZE", block_size)
+                    assert run(cfg) == expected
+                collapses += expected[0].n_collapses
+    assert collapses >= 30
+
+
 class TestBlockMatchesStep:
     @pytest.mark.parametrize("name", sorted(BLOCK_CONFIGS))
     def test_run_equals_step_loop(self, name):
@@ -747,6 +811,32 @@ class TestBlockMatchesStep:
                 run(cfg, keep_records=False)
             assert str(got.value) == str(expected.value)
             assert "collisions=0," not in str(got.value)
+
+    def test_width_overflow_fails_first_at_a_grid_row(self):
+        """With grid rows ten times denser than collisions, the widths
+        overflow at a grid row between two collisions: that row raises."""
+        cfg = ScenarioConfig(
+            object=ObjectSpec(mass=1e-162, internal_radius=1e-16, cluster_alphas=(0.0,)),
+            initial_sigma=1e-15,
+            initial_alpha=0.0,
+            environment=EnvironmentSpec(collision_rate=1e5, env_sigma=1e-15),
+            duration=1e-3,
+            seed=0,
+            sample_interval=1e-6,
+            cluster_eta=1.0,
+        )
+        grid_rows = 0
+        for seed in range(8):
+            cfg = replace(cfg, seed=seed)
+            with pytest.raises(EngineError) as expected:
+                reference_run(cfg)
+            with pytest.raises(EngineError) as got:
+                run(cfg, keep_records=False)
+            assert str(got.value) == str(expected.value)
+            assert "collisions=0," not in str(got.value)
+            t = float(str(got.value).split("t=")[1].split(" ")[0])
+            grid_rows += math.isclose(t / cfg.sample_interval, round(t / cfg.sample_interval))
+        assert grid_rows >= 6
 
 
 class TestRecords:

@@ -13,7 +13,7 @@ from collapsim import (
     spreading_velocity_via_lambda,
 )
 from collapsim.constants import FINE_STRUCTURE, HBAR, PLANCK_H
-from collapsim.packets import GaussianPacket, spread_widths
+from collapsim.packets import GaussianPacket, spread_into, spread_widths
 from conftest import TWO_PI, log_uniform, masses, widths
 import reference
 
@@ -158,6 +158,16 @@ class TestSpreadWidths:
             arrays = spread_widths(sigma0, mass, dt)
             for i, d in enumerate(dt.tolist()):
                 assert tuple(a[i] for a in arrays) == spread_widths(sigma0, mass, d)
+
+    def test_isotropic_waist_spreads_one_axis(self, gen):
+        sigma0, mass = (2e-9,) * 3, 1e-20
+        dt = log_uniform(gen, 1e-12, 1e2, 100)
+        out = np.full((3, 100), np.nan)
+        x, y, z = spread_into(sigma0, mass, dt.copy(), out)
+        assert x is y is z and np.shares_memory(x, out[0])
+        assert np.isnan(out[1:]).all()
+        for i, d in enumerate(dt.tolist()):
+            assert (x[i],) * 3 == spread_widths(sigma0, mass, d)
 
     def test_overflow_gives_inf(self):
         assert spread_widths((1e-15,) * 3, 1e-300, 1.0) == (math.inf,) * 3
