@@ -78,20 +78,22 @@ strided operand (see :func:`draw_collision_block`), times are a sequential
 form of :func:`spread_widths`, and sums are accumulated in collision order.
 
 Records.  :func:`run` hands its rows to a sink, a :class:`Records` store of
-typed columns or, without records, a sink that drops them.  ``extend`` takes
-the rows of collisions that did not fire as slices of the window's columns,
-and ``append`` takes a grid row or a firing's row as codes.  So no record
-object is built per row: a row takes 50 bytes, and a
-:class:`TimeSeriesRecord` is built only when a row is read.
+preallocated chunks or, without records, a sink that drops them.  ``extend``
+copies the rows of collisions that did not fire from the window's columns,
+a slice per column (one for an isotropic waist's widths) and a fill per
+constant; ``append`` writes a grid or firing row.  A row takes 50 bytes, a
+:class:`TimeSeriesRecord` is built only to read a row, and the writers
+format the chunks in place.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from array import array
-from collections.abc import Iterable, Sequence
+import operator
+from collections.abc import Iterable, Iterator, Sequence, Sized
 from dataclasses import dataclass, replace
+from itertools import islice
 from numbers import Integral
 from typing import Optional
 
@@ -153,13 +155,24 @@ class TimeSeriesRecord:
     last_event: LastEvent
 
 
-class Records(Sequence):
-    """The rows of a run, held as eight typed columns.
+# Rows per chunk of a :class:`Records` store, and per write of the writers.
+CHUNK_ROWS = 1024
+_OFFSETS = np.arange(CHUNK_ROWS, dtype=np.int64)  # offsets of the collision counts in a chunk
 
-    ``t``, ``sigma_x``, ``sigma_y`` and ``sigma_z`` are ``array('d')``;
-    ``n_collisions`` and ``n_collapses`` are ``array('q')``; ``regime`` and
-    ``last_event`` are ``array('b')`` codes that index :attr:`REGIMES` and
-    :attr:`EVENTS`.  A row takes 50 bytes and no Python object.
+
+def _new_chunk(size: int) -> tuple[np.ndarray, ...]:
+    return np.empty((4, size)), np.empty((2, size), np.int64), np.empty((2, size), np.int8)
+
+
+class Records(Sequence):
+    """The rows of a run, in chunks of ``CHUNK_ROWS`` rows.
+
+    A chunk is three arrays, one contiguous row per column: float64
+    ``(4, CHUNK_ROWS)`` for the time and the widths, int64 ``(2,
+    CHUNK_ROWS)`` for the counts, and int8 ``(2, CHUNK_ROWS)`` for the
+    regime and the last event, codes that index :attr:`REGIMES` and
+    :attr:`EVENTS`.  Every chunk but the last is full.  A row takes 50
+    bytes; :meth:`chunks` hands the chunks out as views.
 
     As a sequence of :class:`TimeSeriesRecord` the store is read-only:
     indexing builds the row's record, a slice is a new store, and a store
@@ -169,75 +182,122 @@ class Records(Sequence):
 
     REGIMES = (Regime.CM_PHASE, Regime.CLUSTER_PHASE)  # indexed by "in the cluster regime"
     EVENTS = tuple(LastEvent)
-    __slots__ = (
-        "t", "sigma_x", "sigma_y", "sigma_z", "n_collisions", "n_collapses", "regime", "last_event"
-    )
+    # The columns' names, as the record formats write them, and dtypes.
+    FIELDS = ("t_s", "sigma_x_m", "sigma_y_m", "sigma_z_m", "n_collisions", "n_collapses",
+              "regime", "last_event")
+    DTYPES = (np.float64,) * 4 + (np.int64,) * 2 + (np.int8,) * 2
+    __slots__ = ("_chunks", "_size", "_at")
 
     def __init__(self) -> None:
-        self.t, self.sigma_x, self.sigma_y, self.sigma_z = (array("d") for _ in range(4))
-        self.n_collisions, self.n_collapses = array("q"), array("q")
-        self.regime, self.last_event = array("b"), array("b")
+        self._chunks: list[tuple[np.ndarray, ...]] = []
+        self._size = CHUNK_ROWS
+        self._at = self._size  # rows used in the last chunk; full when there is none
 
     @classmethod
     def from_rows(cls, rows: Iterable[TimeSeriesRecord]) -> Records:
-        """A store holding ``rows``, in order."""
-        out = cls()
-        for r in rows:
-            codes = cls.REGIMES.index(r.regime), cls.EVENTS.index(r.last_event)
-            out.append(r.t, r.sigma, r.n_collisions, r.n_collapses, *codes)
+        """A store of ``rows``, read once; a ``ValueError`` names a field it cannot hold."""
+        out, rows = cls(), iter(rows)
+        for batch in iter(lambda: list(islice(rows, CHUNK_ROWS)), []):
+            for r in batch:
+                if (problem := _refusal(r)) is not None:
+                    raise ValueError(problem)
+            values = [(r.t, *r.sigma, r.n_collisions, r.n_collapses, cls.REGIMES.index(r.regime),
+                       cls.EVENTS.index(r.last_event)) for r in batch]
+            out.add_columns([np.array(c, dtype) for c, dtype in zip(zip(*values), cls.DTYPES)])
         return out
 
-    def columns(self) -> tuple[array, ...]:
-        """The eight columns, in CSV column order."""
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def _room(self) -> tuple[tuple[np.ndarray, ...], int]:
+        """The last chunk and its first free row, once a chunk has room."""
+        if self._at == self._size:
+            self._chunks.append(_new_chunk(self._size))
+            self._at = 0
+        return self._chunks[-1], self._at
 
     def append(self, t, sigma, n_collisions, n_collapses, regime, last_event) -> None:
         """Add one row; ``regime`` and ``last_event`` are codes."""
-        self.t.append(t)
-        self.sigma_x.append(sigma[0])
-        self.sigma_y.append(sigma[1])
-        self.sigma_z.append(sigma[2])
-        self.n_collisions.append(n_collisions)
-        self.n_collapses.append(n_collapses)
-        self.regime.append(regime)
-        self.last_event.append(last_event)
+        (floats, counts, codes), a = self._room()
+        floats[:, a] = t, *sigma
+        counts[:, a] = n_collisions, n_collapses
+        codes[:, a] = regime, last_event
+        self._at = a + 1
 
     def extend(self, columns, lo: int, hi: int, n_first: int, n_collapses: int) -> None:
         """Add rows ``lo .. hi-1`` of a window's time, width and regime
-        ``columns``: collisions that did not fire, counted from ``n_first``."""
-        # Copied as machine values, so the bits are those of the arrays.
-        copied = (self.t, self.sigma_x, self.sigma_y, self.sigma_z, self.regime)
-        for column, values in zip(copied, columns):
-            column.frombytes(values[lo:hi].tobytes())
-        self.n_collisions.frombytes(np.arange(n_first, n_first + hi - lo, dtype=np.int64).tobytes())
-        self.n_collapses.extend(array("q", (n_collapses,)) * (hi - lo))
-        self.last_event.extend(array("b", (_NO_COLLAPSE,)) * (hi - lo))
+        ``columns``: collisions that did not fire, counted from ``n_first``.
+        The width columns of an isotropic waist are one array."""
+        t, x, y, z, regime = columns
+        while lo < hi:
+            (floats, counts, codes), a = self._room()
+            m = min(hi - lo, self._size - a)
+            rows, b = slice(lo, lo + m), a + m
+            floats[0, a:b] = t[rows]
+            if x is y is z:
+                floats[1:, a:b] = x[rows]
+            else:
+                floats[1, a:b], floats[2, a:b], floats[3, a:b] = x[rows], y[rows], z[rows]
+            np.add(_OFFSETS[:m], n_first, out=counts[0, a:b])
+            counts[1, a:b] = n_collapses
+            codes[0, a:b] = regime[rows]
+            codes[1, a:b] = _NO_COLLAPSE
+            self._at, lo, n_first = b, lo + m, n_first + m
+
+    def add_columns(self, columns: Sequence) -> None:
+        """Add rows given as eight columns, in :attr:`FIELDS` order."""
+        lo, n = 0, len(columns[0])
+        while lo < n:
+            chunk, a = self._room()
+            m = min(n - lo, self._size - a)
+            for row, values in zip((row for array in chunk for row in array), columns):
+                row[a : a + m] = values[lo : lo + m]
+            self._at, lo = a + m, lo + m
+
+    def _rows(self, lo: int, hi: int) -> Sequence[np.ndarray]:
+        """Rows ``lo .. hi-1`` as arrays laid out as a chunk's: views of
+        their chunk, or a copy if they span chunks."""
+        size = self._size
+        pieces = [
+            [array[:, max(lo - q * size, 0) : hi - q * size] for array in self._chunks[q]]
+            for q in range(lo // size, -(-hi // size))
+        ]
+        if len(pieces) == 1:
+            return pieces[0]
+        return [np.concatenate(arrays, axis=1) for arrays in zip(*pieces)] or _new_chunk(0)
+
+    def chunks(self, size: int) -> Iterator[Sequence[np.ndarray]]:
+        """The rows, ``size`` at a time, as a chunk's arrays: views, or copies across chunks."""
+        n = len(self)
+        return (self._rows(lo, min(lo + size, n)) for lo in range(0, n, size))
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The eight columns in :attr:`FIELDS` order: views of one chunk, else copies."""
+        return tuple(row for array in self._rows(0, len(self)) for row in array)
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self._chunks) * self._size - (self._size - self._at)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            out = Records.__new__(Records)
-            for name, column in zip(self.__slots__, self.columns()):
-                setattr(out, name, column[i])
+            out = Records()
+            out.add_columns([column[i] for column in self.columns()])
             return out
+        i = range(len(self))[i]  # refuses an index out of range, or no integer
+        floats, counts, codes = (array[:, 0].tolist() for array in self._rows(i, i + 1))
         return TimeSeriesRecord(
-            self.t[i], (self.sigma_x[i], self.sigma_y[i], self.sigma_z[i]),
-            self.n_collisions[i], self.n_collapses[i],
-            self.REGIMES[self.regime[i]], self.EVENTS[self.last_event[i]],
+            floats[0], tuple(floats[1:]), *counts, self.REGIMES[codes[0]], self.EVENTS[codes[1]]
         )
 
     def __iter__(self):
         regimes, events = self.REGIMES, self.EVENTS
-        for t, sx, sy, sz, n_collisions, n_collapses, regime, event in zip(*self.columns()):
-            yield TimeSeriesRecord(
-                t, (sx, sy, sz), n_collisions, n_collapses, regimes[regime], events[event]
-            )
+        for floats, counts, codes in self.chunks(self._size):
+            rows = zip(*floats.tolist(), *counts.tolist(), *codes.tolist())
+            for t, sx, sy, sz, n_collisions, n_collapses, regime, event in rows:
+                yield TimeSeriesRecord(
+                    t, (sx, sy, sz), n_collisions, n_collapses, regimes[regime], events[event]
+                )
 
     def __eq__(self, other):
         if isinstance(other, Records):
-            return self.columns() == other.columns()
+            return all(map(np.array_equal, self.columns(), other.columns()))
         if isinstance(other, Sequence):
             return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
@@ -245,7 +305,33 @@ class Records(Sequence):
     __hash__ = None
 
 
+def _refusal(r: TimeSeriesRecord) -> Optional[str]:
+    """Why a store cannot hold the record ``r``, naming the first field its
+    column cannot hold (a ``sigma`` that is not three widths, a time or a
+    width that is no real number or past the float range, a count that is
+    no integer, a boolean or outside int64, an unknown regime or event)."""
+    if not isinstance(r.sigma, Sized) or len(r.sigma) != 3:
+        return f"malformed record field 'sigma': {r.sigma!r} is not three widths"
+    values = (r.t, *r.sigma, r.n_collisions, r.n_collapses)
+    for name, dtype, value in zip(Records.FIELDS, Records.DTYPES, values):
+        try:
+            if dtype is np.float64:
+                math.isfinite(value)  # takes what a C double can hold, never a string
+            elif type(value) is bool:
+                raise TypeError(f"{value} is not an integer")
+            elif operator.index(value) not in _INT64:
+                raise OverflowError(f"{value} is outside the 64-bit integers")
+        except (OverflowError, TypeError) as exc:
+            return f"malformed record field {name!r}: {exc}"
+    names = zip(Records.FIELDS[6:], (Records.REGIMES, Records.EVENTS), (r.regime, r.last_event))
+    for name, known, value in names:
+        if value not in known:
+            known_names = [v.value for v in known]
+            return f"malformed record field {name!r}: {value!r} is not one of {known_names}"
+
+
 _NONE, _NO_COLLAPSE, _COLLAPSE = (Records.EVENTS.index(event) for event in LastEvent)
+_INT64 = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)  # what a count column holds
 
 
 class _Discard:

@@ -7,18 +7,17 @@ written file parses back to bit-identical records.  JSON is an array of
 objects with the same keys, as ``json.dump(..., indent=1)`` writes it: a
 float as ``repr`` writes it, the shortest text that reads back as it.
 
-Both writers take a :class:`~collapsim.engine.Records` store ``CHUNK_ROWS``
-rows at a time and make one ``sink.write`` per chunk; neither builds an
-object per row.  Both lay a chunk out as a NUL-padded byte matrix, a row
-per record and a fixed span of bytes per field, ``_TEXT_ROWS`` rows at a
-time, and drop the NULs to get the chunk's text.  A format's layout gives
-the constant bytes of a row (CSV's separators, JSON's keys and
-punctuation), the spans, the name tables and the float kernel.  The regime
-and the event are rows of code-indexed name tables, quoted in JSON, and a
-count is its decimal digits with the leading zeros blanked.  A float is
-formatted by an exact integer kernel on its bits x = M 2**E, for x of the
-decade k, with s = 16 - k and the products held in two 64-bit limbs
-(Steele & White 1990):
+Both writers format the chunks of a :class:`~collapsim.engine.Records`
+store as views, ``CHUNK_ROWS`` rows per ``sink.write``, and build no object
+per row.  Both lay a chunk out as a NUL-padded byte matrix, a row per record
+and a fixed span of bytes per field, ``_TEXT_ROWS`` rows at a time, and drop
+the NULs to get the text.  A format's layout gives the constant bytes of a
+row (CSV's separators, JSON's keys and punctuation), the spans, the name
+tables and the float kernel.  The regime and the event are rows of
+code-indexed name tables, quoted in JSON, and a count is its decimal digits
+with the leading zeros blanked.  A float is formatted by an exact integer
+kernel on its bits x = M 2**E, for x of the decade k, with s = 16 - k and
+the products held in two 64-bit limbs (Steele & White 1990):
 
 - CSV, for 1e-16 <= x < 1e16: the 17 digits are round-half-even(M 5**s
   2**(s+E)), the correctly rounded conversion that ``%.16e`` makes (Gay
@@ -45,11 +44,11 @@ columns with many runs, or else one run at a time.  Runs and shared
 columns are of bit patterns, not of values, so that ``0.0`` and ``-0.0``
 keep their own text.
 
-The reader fills a :class:`~collapsim.engine.Records` store column by
-column.  A JSON field must have its column's type: a number (an int or a
-float, never a boolean) for a time or a width, an int for a count, and a
-string for the regime and the last event.  A refusal of a field's value
-names the field, in either direction.
+The reader parses ``CHUNK_ROWS`` rows at a time into a chunk of a
+:class:`~collapsim.engine.Records` store.  A JSON field must have its
+column's type: a number (an int or a float, never a boolean) for a time or
+a width, an int for a count, and a string for the regime and the last
+event.  A refusal of a field's value names the field, in either direction.
 """
 
 from __future__ import annotations
@@ -59,19 +58,14 @@ import math
 from functools import cache
 from itertools import islice
 from types import SimpleNamespace
-from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
+from typing import IO, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .config import OUTPUT_FORMATS
-from .engine import LastEvent, Records, Regime, TimeSeriesRecord
+from .engine import CHUNK_ROWS, LastEvent, Records, Regime, TimeSeriesRecord
 
-CSV_HEADER = "t_s,sigma_x_m,sigma_y_m,sigma_z_m,n_collisions,n_collapses,regime,last_event"
-
-FIELD_NAMES = tuple(CSV_HEADER.split(","))
-
-# Rows formatted per ``sink.write``.
-CHUNK_ROWS = 1024
+CSV_HEADER = ",".join(Records.FIELDS)
 
 _REGIME_NAMES = [regime.value for regime in Records.REGIMES]
 _EVENT_NAMES = [event.value for event in Records.EVENTS]
@@ -174,7 +168,7 @@ def _layout(format: str) -> _Layout:
     if format == "csv":
         texts = ("",) + (",",) * 7 + ("\n",)
         return _Layout(texts, [_name_table(n) for n in names], _sci, "%.16e".__mod__)
-    keys = [f'\n  "{name}": ' for name in FIELD_NAMES]
+    keys = [f'\n  "{name}": ' for name in Records.FIELDS]
     texts = [",\n {" + keys[0]] + ["," + key for key in keys[1:]] + ["\n }"]
     quoted = [_name_table([f'"{name}"' for name in n]) for n in names]
     return _Layout(texts, quoted, _shortest, _json_number, opening="[")
@@ -428,13 +422,14 @@ def _float_rows(columns: Sequence[np.ndarray], layout: _Layout) -> list[np.ndarr
 _TEXT_ROWS = 512
 
 
-def _chunk(layout: _Layout, part: list[np.ndarray], first: bool) -> str:
-    """The text of one chunk's rows, given as its eight column arrays; the
-    first chunk opens with ``layout.opening`` in place of its first byte."""
-    n = len(part[0])
-    fields = _float_rows(part[:4], layout) + list(
-        _integers(np.concatenate(part[4:6])).reshape(2, n, 21)
-    ) + [np.take(table, codes, axis=0) for table, codes in zip(layout.names, part[6:])]
+def _chunk(layout: _Layout, part: Sequence[np.ndarray], first: bool) -> str:
+    """The text of a chunk's rows, given as its float, count and code arrays;
+    the first chunk opens with ``layout.opening`` in place of its first byte."""
+    floats, counts, codes = part
+    n = floats.shape[1]
+    fields = _float_rows(list(floats.view(np.uint64)), layout) + list(
+        _integers(counts.reshape(-1)).reshape(2, n, 21)
+    ) + [np.take(table, row, axis=0) for table, row in zip(layout.names, codes)]
     m = np.empty((min(n, _TEXT_ROWS), layout.row.size), np.uint8)
     texts = []
     for lo in range(0, n, _TEXT_ROWS):
@@ -454,86 +449,30 @@ def _text(m: np.ndarray) -> str:
     return str(m[m != 0].data, "ascii")
 
 
-def _parts(records: Records) -> Iterator[list[np.ndarray]]:
-    """The eight columns of ``records`` as arrays, ``CHUNK_ROWS`` rows at a
-    time."""
-    dtypes = (np.uint64,) * 4 + (np.int64,) * 2 + (np.int8,) * 2
-    columns = [np.frombuffer(c, dtype) for c, dtype in zip(records.columns(), dtypes)]
-    for lo in range(0, len(records), CHUNK_ROWS):
-        yield [c[lo : lo + CHUNK_ROWS] for c in columns]
-
-
-def _refusal(r: TimeSeriesRecord) -> Optional[str]:
-    """Why a store cannot hold the record ``r``, naming the first field it
-    cannot hold, or None if it finds none."""
-    try:
-        widths = len(r.sigma)
-    except TypeError:
-        widths = None
-    if widths != 3:
-        return f"malformed record field 'sigma': {r.sigma!r} is not three widths"
-    numbers = (r.t, *r.sigma, r.n_collisions, r.n_collapses)
-    for name, column, value in zip(FIELD_NAMES, Records().columns(), numbers):
-        count = column.typecode == "q"
-        if count and type(value) is bool:
-            problem = f"{value} is not an integer"
-        else:
-            try:
-                column.append(value)
-                continue
-            except OverflowError as exc:
-                problem = f"{value} is outside the 64-bit integers" if count else str(exc)
-            except TypeError as exc:
-                problem = str(exc)
-        return f"malformed record field {name!r}: {problem}"
-    names = zip(FIELD_NAMES[6:], (Records.REGIMES, Records.EVENTS), (r.regime, r.last_event))
-    for name, known, value in names:
-        if value not in known:
-            known_names = [v.value for v in known]
-            return f"malformed record field {name!r}: {value!r} is not one of {known_names}"
-    return None
-
-
-def _store(rows: Iterable[TimeSeriesRecord]) -> Records:
-    """``rows``, read once, as a store.  A field its column cannot hold (a
-    ``sigma`` that is not three widths, a time or a width past the float
-    range, a count that is no integer, a boolean or outside int64, an
-    unknown regime or event) is refused by name."""
-    store, regimes, events = Records(), Records.REGIMES, Records.EVENTS
-    for r in rows:
-        try:
-            if bool in (type(r.n_collisions), type(r.n_collapses)) or len(r.sigma) != 3:
-                raise TypeError
-            codes = regimes.index(r.regime), events.index(r.last_event)
-            store.append(r.t, r.sigma, r.n_collisions, r.n_collapses, *codes)
-        except (OverflowError, TypeError, ValueError):
-            problem = _refusal(r)
-            if problem is None:
-                raise
-            raise ValueError(problem) from None
-    return store
-
-
 def write_records(records: Iterable[TimeSeriesRecord], format: str, sink: IO[str]) -> None:
     """Serialize time-ordered records to an open text sink.
 
     ``records`` is a :class:`Records` store, or any iterable of records,
-    which is read once into a store; a field the store cannot hold is
-    refused by name with a ``ValueError``.  Rows are formatted from the
-    columns in chunks of ``CHUNK_ROWS``, one ``sink.write`` each.  CSV floats are written as ``%.16e`` writes them;
-    JSON is byte for byte what ``json.dump(rows, sink, indent=1)`` writes
-    for the rows as objects, followed by a newline.
+    which :meth:`Records.from_rows` reads once into a store (a
+    ``ValueError`` names a field it cannot hold).  Rows are formatted from the
+    store's chunks, ``CHUNK_ROWS`` rows per ``sink.write``.  CSV floats are
+    written as ``%.16e`` writes them; JSON is byte for byte what
+    ``json.dump(rows, sink, indent=1)`` writes for the rows as objects,
+    followed by a newline.
     """
     if format not in OUTPUT_FORMATS:
         raise ValueError(f"unknown record format {format!r}")
     if not isinstance(records, Records):
-        records = _store(records)
+        records = Records.from_rows(records)
     layout = _layout(format)
     try:
         if format == "csv":
             sink.write(CSV_HEADER + "\n")
-        for i, part in enumerate(_parts(records)):
-            sink.write(_chunk(layout, part, i == 0))
+        for i, part in enumerate(records.chunks(CHUNK_ROWS)):
+            # Held until the next chunk is formatted, so that the allocator
+            # reuses the memory below it, not trims it and faults it in again.
+            text = _chunk(layout, part, i == 0)
+            sink.write(text)
         if format == "json":
             sink.write("\n]\n" if records else "[]\n")
     except OSError as exc:
@@ -544,7 +483,7 @@ def write_records(records: Iterable[TimeSeriesRecord], format: str, sink: IO[str
 
 def read_records(source: IO[str], format: str) -> Records:
     """Parse records previously produced by :func:`write_records` into a
-    :class:`Records` store, appending each row's fields to the columns."""
+    :class:`Records` store, ``CHUNK_ROWS`` rows at a time."""
     if format == "csv":
         lines: Iterable[str] = (line.rstrip("\n") for line in source)
         header = next(iter(lines), None)
@@ -555,7 +494,7 @@ def read_records(source: IO[str], format: str) -> Records:
         doc = json.load(source)
         if not (isinstance(doc, list) and all(isinstance(obj, dict) for obj in doc)):
             raise ValueError("expected a JSON array of record objects")
-        rows = ([obj[name] for name in FIELD_NAMES] for obj in doc)
+        rows = ([obj[name] for name in Records.FIELDS] for obj in doc)
     else:
         raise ValueError(f"unknown record format {format!r}")
     records = Records()
@@ -567,13 +506,15 @@ def read_records(source: IO[str], format: str) -> Records:
             fields = list(zip(*chunk))
             if format == "json":
                 _check_json_types(fields)
-            for name, column, values, parse in zip(FIELD_NAMES, records.columns(), fields, _PARSERS):
+            columns = []
+            for name, values, parse, dtype in zip(Records.FIELDS, fields, _PARSERS, Records.DTYPES):
                 try:
-                    column.extend(map(parse, values))
+                    columns.append(np.array(list(map(parse, values)), dtype))
                 # A text that is no number or no known name, a count past
                 # int64, or an int past a float.
                 except (ValueError, OverflowError) as exc:
                     raise ValueError(f"malformed record field {name!r}: {exc}") from None
+            records.add_columns(columns)
     except KeyError as exc:  # only a JSON object without a field raises it
         raise ValueError(f"record object is missing the field {exc.args[0]!r}") from None
     return records
@@ -582,7 +523,7 @@ def read_records(source: IO[str], format: str) -> Records:
 def _check_json_types(fields: list[tuple]) -> None:
     """Refuse a chunk of JSON fields, given column by column, that holds a
     value of a type its column does not take."""
-    for name, values, (types, kind) in zip(FIELD_NAMES, fields, _JSON_TYPES):
+    for name, values, (types, kind) in zip(Records.FIELDS, fields, _JSON_TYPES):
         if not set(map(type, values)) <= types:
             bad = next(v for v in values if type(v) not in types)
             raise ValueError(f"malformed record field {name!r}: {json.dumps(bad)} is not {kind}")

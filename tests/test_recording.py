@@ -25,9 +25,14 @@ from collapsim import (
     to_document,
     write_records,
 )
-from collapsim import recording
+from collapsim import engine, recording
 from collapsim.recording import CHUNK_ROWS, CSV_HEADER
 from reference import reference_write
+
+
+def column_bits(records: Records) -> list[bytes]:
+    """A store's columns as bytes: equal only if every value is bit-equal."""
+    return [column.tobytes() for column in records.columns()]
 
 
 def random_records(n: int, seed: int = 0) -> list[TimeSeriesRecord]:
@@ -300,8 +305,8 @@ class TestMatchesReference:
         text, slots = written_with_slots(records, fmt)
         assert text == written(reference_write, records, fmt)
         assert {s[1:] for s in slots} == {("%s",) * 3}
-        assert read_records(io.StringIO(text), fmt).columns() == (
-            Records.from_rows(records).columns()
+        assert column_bits(read_records(io.StringIO(text), fmt)) == column_bits(
+            Records.from_rows(records)
         )
 
     def test_non_finite_runs_in_json(self):
@@ -697,6 +702,55 @@ class TestStoreRefusals:
             write_records(rows, fmt, io.StringIO())
 
 
+    @pytest.mark.parametrize(
+        "fields, name, problem",
+        [
+            ({"t": 10**400}, "t_s", "int too large to convert to float"),
+            ({"t": "0.5"}, "t_s", "must be real number, not str"),
+            ({"sigma": (1.0, 10**400, 1.0)}, "sigma_y_m", "int too large to convert to float"),
+            ({"sigma": (1.0, 2.0)}, "sigma", r"\(1.0, 2.0\) is not three widths"),
+            ({"sigma": (1.0, 2.0, 3.0, 4.0)}, "sigma", r"\(1.0, 2.0, 3.0, 4.0\) is not three"),
+            ({"sigma": 1.0}, "sigma", "1.0 is not three widths"),
+            ({"n_collisions": 2.5}, "n_collisions", "'float' object cannot be interpreted"),
+            ({"n_collisions": True}, "n_collisions", "True is not an integer"),
+            ({"n_collapses": False}, "n_collapses", "False is not an integer"),
+            ({"n_collapses": 2**63}, "n_collapses", f"{2**63} is outside the 64-bit integers"),
+            ({"regime": "CM_PHASE"}, "regime", "'CM_PHASE' is not one of"),
+            ({"last_event": None}, "last_event", "None is not one of"),
+        ],
+        ids=["huge_time", "string_time", "huge_width", "two_widths", "four_widths",
+             "one_number", "float_count", "true_count", "false_count", "huge_count",
+             "string_regime", "no_event"],
+    )
+    def test_from_rows_refuses_as_the_writer_does(self, fields, name, problem):
+        rows = random_records(3)
+        rows[1] = replace(rows[1], **fields)
+        message = f"malformed record field {name!r}: {problem}"
+        with pytest.raises(ValueError, match=message):
+            Records.from_rows(rows)
+        with pytest.raises(ValueError, match=message):
+            write_records(rows, "csv", io.StringIO())
+
+
+class TestStoreChunksInWriter:
+    """The writers format a store's chunks; where the writer's chunk differs
+    from the store's, its rows span store chunks."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "store_rows, writer_rows", [(1, 5), (2, 3), (3, 2), (5, 1), (5, 3), (3, CHUNK_ROWS)]
+    )
+    def test_bytes_equal_reference_writer(self, store_rows, writer_rows, fmt):
+        with mock.patch.object(engine, "CHUNK_ROWS", store_rows):
+            _, records = run(replace(preset("tpp"), seed=2, duration=1e-3))
+            stored = Records.from_rows(run_rows([1, 2, 3, 4, 5, 1, 7, 2, 3], EDGE_FLOATS))
+        for store in (records, stored):
+            assert len(store._chunks) == -(-len(store) // store_rows)
+            expected = written(reference_write, store, fmt)
+            with mock.patch.object(recording, "CHUNK_ROWS", writer_rows):
+                assert written(write_records, store, fmt) == expected
+
+
 def json_row(**fields) -> str:
     """A one-row JSON record array, ``fields`` replacing a valid row's."""
     row = {
@@ -715,7 +769,7 @@ class TestReadIntoStore:
         write_records(records, fmt, sink)
         parsed = read_records(io.StringIO(sink.getvalue()), fmt)
         assert isinstance(parsed, Records)
-        assert parsed.columns() == Records.from_rows(records).columns()
+        assert column_bits(parsed) == column_bits(Records.from_rows(records))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("field, name", [("regime", "MIDDLE"), ("last_event", "BOUNCE")])
