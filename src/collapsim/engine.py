@@ -93,7 +93,7 @@ import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence, Sized
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import chain, islice
 from numbers import Integral
 from typing import Optional
 
@@ -198,12 +198,16 @@ class Records(Sequence):
         """A store of ``rows``, read once; a ``ValueError`` names a field it cannot hold."""
         out, rows = cls(), iter(rows)
         for batch in iter(lambda: list(islice(rows, CHUNK_ROWS)), []):
-            for r in batch:
-                if (problem := _refusal(r)) is not None:
-                    raise ValueError(problem)
-            values = [(r.t, *r.sigma, r.n_collisions, r.n_collapses, cls.REGIMES.index(r.regime),
-                       cls.EVENTS.index(r.last_event)) for r in batch]
-            out.add_columns([np.array(c, dtype) for c, dtype in zip(zip(*values), cls.DTYPES)])
+            columns = _plain_columns(batch)
+            if columns is None:
+                for r in batch:
+                    if (problem := _refusal(r)) is not None:
+                        raise ValueError(problem)
+                values = [(r.t, *r.sigma, r.n_collisions, r.n_collapses,
+                           cls.REGIMES.index(r.regime), cls.EVENTS.index(r.last_event))
+                          for r in batch]
+                columns = [np.array(c, dtype) for c, dtype in zip(zip(*values), cls.DTYPES)]
+            out.add_columns(columns)
         return out
 
     def _room(self) -> tuple[tuple[np.ndarray, ...], int]:
@@ -328,6 +332,34 @@ def _refusal(r: TimeSeriesRecord) -> Optional[str]:
         if value not in known:
             known_names = [v.value for v in known]
             return f"malformed record field {name!r}: {value!r} is not one of {known_names}"
+
+
+# Per name column, each member's code by its id: hashing an enum member runs Python.
+_CODES = [{id(member): code for code, member in enumerate(known)}
+          for known in (Records.REGIMES, Records.EVENTS)]
+
+
+def _plain_columns(batch: list[TimeSeriesRecord]) -> Optional[list[np.ndarray]]:
+    """The eight columns of a batch whose times and widths are all ``float``,
+    ``numpy.float64`` or ``int``, counts ``int``, widths tuples of three and
+    names known, checked at once; else None, for :func:`_refusal` to check."""
+    sigma = [r.sigma for r in batch]
+    if set(map(type, sigma)) != {tuple} or set(map(len, sigma)) != {3}:
+        return None
+    t = [r.t for r in batch]
+    counts = [r.n_collisions for r in batch], [r.n_collapses for r in batch]
+    if not (set(map(type, chain(t, *sigma))) <= {float, int, np.float64}
+            and set(map(type, chain(*counts))) <= {int}):
+        return None
+    names = [r.regime for r in batch], [r.last_event for r in batch]
+    codes = [list(map(known.get, map(id, values))) for known, values in zip(_CODES, names)]
+    if None in codes[0] or None in codes[1]:
+        return None
+    try:
+        columns = (t, *zip(*sigma), *counts, *codes)
+        return [np.array(c, dtype) for c, dtype in zip(columns, Records.DTYPES)]
+    except OverflowError:  # an int past the float range or past int64
+        return None
 
 
 _NONE, _NO_COLLAPSE, _COLLAPSE = (Records.EVENTS.index(event) for event in LastEvent)

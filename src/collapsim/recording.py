@@ -10,14 +10,17 @@ float as ``repr`` writes it, the shortest text that reads back as it.
 Both writers format the chunks of a :class:`~collapsim.engine.Records`
 store as views, ``CHUNK_ROWS`` rows per ``sink.write``, and build no object
 per row.  Both lay a chunk out as a NUL-padded byte matrix, a row per record
-and a fixed span of bytes per field, ``_TEXT_ROWS`` rows at a time, and drop
-the NULs to get the text.  A format's layout gives the constant bytes of a
-row (CSV's separators, JSON's keys and punctuation), the spans, the name
-tables and the float kernel.  The regime and the event are rows of
-code-indexed name tables, quoted in JSON, and a count is its decimal digits
-with the leading zeros blanked.  A float is formatted by an exact integer
-kernel on its bits x = M 2**E, for x of the decade k, with s = 16 - k and
-the products held in two 64-bit limbs (Steele & White 1990):
+and a span per field only as wide as the chunk's widest text of it,
+``_TEXT_ROWS`` rows at a time, and drop the NULs to get the text, one by
+one where they are sparse and else by a mask.  A format's layout gives the
+constant bytes of a row (CSV's separators, JSON's keys and punctuation),
+the name tables and the float kernel.  The regime and the event are rows
+of code-indexed name tables, quoted in JSON.  A count is its decimal
+digits with the leading zeros blanked, as many as the chunk's largest
+magnitude has, after a sign byte only if one count is negative; a count
+constant over the chunk is formatted once.  A float is formatted by an
+exact integer kernel on its bits x = M 2**E, for x of the decade k, with
+s = 16 - k and the products held in two 64-bit limbs (Steele & White 1990):
 
 - CSV, for 1e-16 <= x < 1e16: the 17 digits are round-half-even(M 5**s
   2**(s+E)), the correctly rounded conversion that ``%.16e`` makes (Gay
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cache
+from functools import cache, lru_cache
 from itertools import islice
 from types import SimpleNamespace
 from typing import IO, Callable, Iterable, Optional, Sequence
@@ -162,31 +165,37 @@ def _repr_layout(decade: int) -> tuple[np.ndarray, list[tuple[slice, slice]]]:
 
 
 @cache
-def _layout(format: str) -> _Layout:
-    """The row layout of a record format, built on first use."""
+def _layout(format: str) -> SimpleNamespace:
+    """The row layout of a record format, built on first use: the constant
+    bytes before each field and after the last, the name tables as rows of
+    24 NUL-padded bytes, the float kernel and the text of one float, both as
+    the format writes them, and the first row's first byte, if it differs
+    from the others'."""
     names = [_REGIME_NAMES, _EVENT_NAMES]
     if format == "csv":
-        texts = ("",) + (",",) * 7 + ("\n",)
-        return _Layout(texts, [_name_table(n) for n in names], _sci, "%.16e".__mod__)
-    keys = [f'\n  "{name}": ' for name in Records.FIELDS]
-    texts = [",\n {" + keys[0]] + ["," + key for key in keys[1:]] + ["\n }"]
-    quoted = [_name_table([f'"{name}"' for name in n]) for n in names]
-    return _Layout(texts, quoted, _shortest, _json_number, opening="[")
+        texts, floats, number, opening = ("",) + (",",) * 7 + ("\n",), _sci, "%.16e".__mod__, ""
+    else:
+        keys = [f'\n  "{name}": ' for name in Records.FIELDS]
+        texts = (",\n {" + keys[0],) + tuple("," + key for key in keys[1:]) + ("\n }",)
+        names = [[f'"{name}"' for name in n] for n in names]
+        floats, number, opening = _shortest, _json_number, "["
+    names = [_text_rows(n) for n in names]
+    return SimpleNamespace(texts=texts, names=names, floats=floats, number=number, opening=opening)
 
 
-def _digits(u: np.ndarray, blank: bool = False) -> np.ndarray:
-    """The 20 ASCII digits of each ``uint64`` in ``u``, one row each:
-    zero-padded, or with ``blank`` its leading zeros as NULs."""
+def _digits(u: np.ndarray, groups: int = 5, blank: bool = False) -> np.ndarray:
+    """The last ``4 groups`` ASCII digits of each ``uint64`` in ``u``, one
+    row each: zero-padded, or with ``blank`` its leading zeros as NULs."""
     quads = _tables().quads
-    out = np.empty((len(u), 5), np.uint32)
+    out = np.empty((len(u), groups), np.uint32)
     zero = (u == 0) * _TEN4 if blank else _U64(0)  # a zero keeps its last digit
-    for i in range(4, -1, -1):
+    for i in range(groups - 1, -1, -1):
         q = u // _TEN4
         index = u - q * _TEN4
         if blank:
             index += (q == 0) * _TEN4 + zero
             zero = _U64(0)
-        out[:, i] = quads[index]
+        out[:, i] = quads[index.view(np.intp)]  # an intp index gathers fastest
         u = q
     return out.view(np.uint8)
 
@@ -337,20 +346,32 @@ def _fill(out: np.ndarray, x: np.ndarray, other: np.ndarray, number: Callable[[f
 
 
 def _integers(n: np.ndarray) -> np.ndarray:
-    """``'%d' % i`` for each ``int64`` in ``n``, one row of a sign byte and 20
-    digits each, NUL where a row has no sign or a leading zero."""
+    """``'%d' % i`` for each ``int64`` in ``n``, one row each: a sign byte if
+    one is negative, and as many digits as the largest magnitude has, NUL
+    where a row has no sign or a leading zero.  A constant is formatted once."""
+    low, high = int(n.min()), int(n.max())
+    if low == high:
+        row = np.frombuffer(b"%d" % low, np.uint8)
+        return np.broadcast_to(row, (len(n), row.size))
+    width = len(str(max(high, -low)))
+    groups, u = -(-width // 4), n.view(np.uint64)
+    if low >= 0:  # no leading zero to blank when every text is as wide
+        return _digits(u, groups, blank=len(str(low)) < width)[:, -width:]
     negative = n < 0
-    u = n.view(np.uint64)
-    out = np.empty((len(n), 21), np.uint8)
+    out = np.empty((len(n), width + 1), np.uint8)
     out[:, 0] = negative * np.uint8(ord("-"))
-    out[:, 1:] = _digits(np.where(negative, _U64(0) - u, u), blank=True)
+    out[:, 1:] = _digits(np.where(negative, _U64(0) - u, u), groups, blank=True)[:, -width:]
     return out
 
 
-def _name_table(names: Sequence[str]) -> np.ndarray:
-    """Per code, its name in NUL-padded bytes."""
-    width = max(map(len, names))
-    return np.array([list(name.encode("ascii").ljust(width, b"\0")) for name in names], np.uint8)
+def _width(rows: np.ndarray) -> int:
+    """The widest of texts given as rows of 24 NUL-padded bytes."""
+    words = rows.view("<u8")  # byte b of a row is in bits 8 (b mod 8) up of word b // 8
+    for i in (2, 1, 0):
+        top = int(words[:, i].max())
+        if top:
+            return 8 * i + (top.bit_length() + 7) // 8
+    return 0
 
 
 def _json_number(x: float) -> str:
@@ -361,21 +382,16 @@ def _json_number(x: float) -> str:
     return repr(x)
 
 
-class _Layout:
-    """A record row as a byte matrix row: the constant bytes, NUL in each
-    field's span, the spans, the name tables, and the float kernel and the
-    text of one float, both as the format writes them."""
-
-    def __init__(self, texts, names, floats, number, opening=""):
-        # texts: the bytes before each field and after the last; opening:
-        # the first row's first byte, if it differs from the others'.
-        widths = (24,) * 4 + (21,) * 2 + tuple(table.shape[1] for table in names)
-        starts = np.cumsum([len(texts[0])] + [w + len(s) for w, s in zip(widths, texts[1:])])
-        self.spans = [slice(a, a + w) for a, w in zip(starts.tolist(), widths)]
-        self.row = np.zeros(starts[-1], np.uint8)
-        for text, end in zip(texts, [0] + [span.stop for span in self.spans]):
-            self.row[end : end + len(text)] = np.frombuffer(text.encode("ascii"), np.uint8)
-        self.names, self.floats, self.number, self.opening = names, floats, number, opening
+@lru_cache(maxsize=256)
+def _geometry(texts: tuple[str, ...], widths: tuple[int, ...]) -> tuple[np.ndarray, list[slice]]:
+    """A byte matrix row for fields of these widths between these texts:
+    the texts' bytes with NUL in each field's span, and the spans."""
+    starts = np.cumsum([len(texts[0])] + [w + len(s) for w, s in zip(widths, texts[1:])])
+    spans = [slice(a, a + w) for a, w in zip(starts.tolist(), widths)]
+    row = np.zeros(starts[-1], np.uint8)
+    for text, end in zip(texts, [0] + [span.stop for span in spans]):
+        row[end : end + len(text)] = np.frombuffer(text.encode("ascii"), np.uint8)
+    return row, spans
 
 
 # A float column of a chunk with fewer run starts than this is formatted
@@ -390,7 +406,7 @@ def _run_starts(bits: np.ndarray) -> Optional[np.ndarray]:
     return None if new.all() else np.flatnonzero(np.concatenate(([True], new)))
 
 
-def _float_rows(columns: Sequence[np.ndarray], layout: _Layout) -> list[np.ndarray]:
+def _float_rows(columns: Sequence[np.ndarray], layout: SimpleNamespace) -> list[np.ndarray]:
     """Per float column of a chunk, given as its bits, its texts as rows of
     24 NUL-padded bytes.
 
@@ -422,30 +438,42 @@ def _float_rows(columns: Sequence[np.ndarray], layout: _Layout) -> list[np.ndarr
 _TEXT_ROWS = 512
 
 
-def _chunk(layout: _Layout, part: Sequence[np.ndarray], first: bool) -> str:
+def _chunk(layout: SimpleNamespace, part: Sequence[np.ndarray], first: bool) -> str:
     """The text of a chunk's rows, given as its float, count and code arrays;
-    the first chunk opens with ``layout.opening`` in place of its first byte."""
+    the first chunk opens with ``layout.opening`` in place of its first byte.
+    Each field's span is as wide as the chunk's widest text of it."""
     floats, counts, codes = part
     n = floats.shape[1]
-    fields = _float_rows(list(floats.view(np.uint64)), layout) + list(
-        _integers(counts.reshape(-1)).reshape(2, n, 21)
-    ) + [np.take(table, row, axis=0) for table, row in zip(layout.names, codes)]
-    m = np.empty((min(n, _TEXT_ROWS), layout.row.size), np.uint8)
+    padded = _float_rows(list(floats.view(np.uint64)), layout) + [
+        np.take(table, row.astype(np.intp), axis=0) for table, row in zip(layout.names, codes)
+    ]
+    fields = [rows[:, : _width(rows)] for rows in padded]
+    fields[4:4] = map(_integers, counts)
+    row, spans = _geometry(layout.texts, tuple(rows.shape[1] for rows in fields))
+    m = np.empty((min(n, _TEXT_ROWS), row.size), np.uint8)
     texts = []
     for lo in range(0, n, _TEXT_ROWS):
         block = m[: n - lo]
-        block[:] = layout.row
-        for span, rows in zip(layout.spans, fields):
+        block[:] = row
+        for span, rows in zip(spans, fields):
             block[:, span] = rows[lo : lo + _TEXT_ROWS]
         if first and lo == 0 and layout.opening:
             block[0, 0] = ord(layout.opening)
         texts.append(_text(block))
-    del fields, m, block  # before the texts are joined
+    del padded, fields, m, block  # before the texts are joined
     return "".join(texts)
+
+
+# A matrix with at most one NUL in this many bytes drops them one by one, at
+# a cost that follows their count; a denser one by a mask, at a cost that
+# follows its size.
+_SPARSE = 32
 
 
 def _text(m: np.ndarray) -> str:
     """A byte matrix's text: its bytes without the NULs."""
+    if (m.size - np.count_nonzero(m)) * _SPARSE <= m.size:
+        return str(m.tobytes().replace(b"\0", b""), "ascii")
     return str(m[m != 0].data, "ascii")
 
 

@@ -751,6 +751,105 @@ class TestStoreChunksInWriter:
                 assert written(write_records, store, fmt) == expected
 
 
+def fitted_rows(case: str) -> list[TimeSeriesRecord]:
+    """Rows whose texts make a chunk's spans differ in width from row to row
+    or from chunk to chunk."""
+    regimes, events = tuple(Regime), tuple(LastEvent)
+    if case.startswith("crossing"):  # a count gains a digit, and a 4-digit group
+        top = 10**4 if case == "crossing_4" else 10**8
+        counts = [(top - 5 + i, 3) for i in range(10)]
+    elif case == "constant":
+        counts = [(7 + i, 12) for i in range(10)]
+    elif case == "signs":
+        counts = [(0, 5), (-1, 5), (5, -12345), (-12345, 0), (0, 3), (3, -1), (7, 7)]
+    elif case == "extremes":
+        counts = [(2**63 - 1, -(2**63)), (-(2**63), 0), (0, 2**63 - 1), (1, -(2**63) + 1), (-9, 9)]
+    elif case == "one_name":
+        return [TimeSeriesRecord(1e-6 * (i + 1), (2e-11,) * 3, i, 0, regimes[0], events[1])
+                for i in range(7)]
+    elif case == "all_names":
+        counts = [(i, i // 3) for i in range(7)]
+    else:  # "floats": out of the kernels' domains next to inside them
+        outside = [-1.5e-3, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf, math.nan,
+                   1e16, 1e-300, 0.0, -0.0]
+        inside = [1e-6, 0.0009938450935434026, 2.5e-11, 1234.0]
+        values = [x for pair in zip(outside, inside * 3) for x in pair]
+        return [TimeSeriesRecord(x, (values[-i], x, 3e-11), i, 0, regimes[i % 2], events[i % 3])
+                for i, x in enumerate(values)]
+    return [
+        TimeSeriesRecord(
+            1e-6 * (i + 1), (1e-11, 2e-11, 1e-11), a, b, regimes[i // 2 % 2], events[i % 3]
+        )
+        for i, (a, b) in enumerate(counts)
+    ]
+
+
+class TestFittedLayout:
+    """A chunk's spans are only as wide as its widest texts, so the bytes must
+    not depend on which rows share a chunk."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, CHUNK_ROWS])
+    @pytest.mark.parametrize(
+        "case",
+        ["crossing_4", "crossing_8", "constant", "signs", "extremes", "one_name", "all_names",
+         "floats"],
+    )
+    def test_bytes_equal_reference_writer(self, case, chunk, fmt):
+        rows = fitted_rows(case)
+        expected = written(reference_write, rows, fmt)
+        with mock.patch.object(recording, "CHUNK_ROWS", chunk):
+            assert written(write_records, rows, fmt) == expected
+            assert written(write_records, Records.from_rows(rows), fmt) == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_matrix_is_mostly_text(self, fmt):
+        # At 21 bytes per count and 24 per float or name, about 27% of the
+        # tpp CSV matrix and 16% of the generic JSON one were NULs.
+        if fmt == "csv":
+            config = replace(preset("tpp"), seed=1)
+        else:
+            doc = to_document(preset("sugar_grain"))
+            doc.update(
+                initial_sigma_m=5e-11, initial_alpha_rad="random", env_sigma_jitter=0.5,
+                impact_spread_m=5e-11, redraw_alpha_after_collapse=True, seed=1,
+            )
+            config = parse_config(json.dumps(doc))
+        _, records = run(config)
+        assert len(records) > 40_000
+        sizes = []
+
+        def text(m, text=recording._text):
+            sizes.append((m.size, m.size - np.count_nonzero(m)))
+            return text(m)
+
+        with mock.patch.object(recording, "_text", text):
+            written(write_records, records, fmt)
+        total, nuls = map(sum, zip(*sizes))
+        assert nuls <= 0.05 * total
+
+
+class TestFromRowsChecksBatches:
+    """``Records.from_rows`` checks a batch of plain rows at once, and only a
+    batch that is not plain row by row."""
+
+    def test_plain_rows_are_not_checked_one_by_one(self):
+        rows = random_records(5000)
+        with mock.patch.object(engine, "_refusal", wraps=engine._refusal) as refusal:
+            store = Records.from_rows(rows)
+        assert refusal.call_count == 0
+        with mock.patch.object(engine, "_plain_columns", return_value=None):
+            assert column_bits(store) == column_bits(Records.from_rows(rows))
+
+    def test_other_rows_are_stored_as_before(self):
+        # Not plain, yet storable: numpy scalars, a list of widths, an int time.
+        rows = random_records(5)
+        rows[1] = replace(rows[1], t=np.float64(0.5), n_collisions=np.int64(3))
+        rows[2] = replace(rows[2], sigma=[1.0, 2.0, 3.0])
+        rows[3] = replace(rows[3], t=2, n_collapses=-(2**63))
+        assert Records.from_rows(rows) == [replace(r, sigma=tuple(r.sigma)) for r in rows]
+
+
 def json_row(**fields) -> str:
     """A one-row JSON record array, ``fields`` replacing a valid row's."""
     row = {
