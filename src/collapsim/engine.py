@@ -54,22 +54,25 @@ at a time (thinning, Lewis & Shedler 1979) in two passes:
   firings' rows go to the sink in order, and the recovery ratios are added
   in one sequential ``np.cumsum``.
 
-A window is ``_WINDOW_BLOCKS`` blocks of ``_BLOCK_SIZE`` collisions (about
-2 pi / alpha_s, the mean gap between phase passes).  It ends at the
-duration, at ``max_collisions``, or at a firing that redraws the phase
-constant: that takes one more word, so the collisions after it start one
-word later.  The first failure in time order raises as in :func:`step`: a
-width that is not finite at a grid row or a collision, found in numpy and
-raised by the float readout, or a firing's contraction.
+A window is ``_WINDOW_BLOCKS`` blocks of up to ``_BLOCK_SIZE`` collisions
+(about 4 pi / alpha_s, twice the mean gap between phase passes).  Near the
+duration a block is sized to the collisions due before it, lambda (T - t)
+plus six standard deviations and 16; one that falls short is followed by
+another.  A window ends at the duration, at ``max_collisions``, or at a
+firing that redraws the phase constant: that takes one more word, so the
+collisions after it start one word later.  The first failure in time order
+raises as in :func:`step`: a width that is not finite at a grid row or a
+collision, found in numpy and raised by the float readout, or a firing's
+contraction.
 
-Each collision's words are drawn once.  A run builds one
-:class:`RngState` and holds the words it has drawn but no collision has used
-yet, in a flat buffer of one block that starts at a known stream word.  A
-block takes its words from the buffer and draws only those it lacks, and is
-swept before the next is drawn.  After a redraw the words past it stay
-held, shifted by one word, which a flat buffer absorbs.  The stream seeks
-only to top the buffer up and to stand past a candidate, where a redraw
-reads its word; nothing is seeded again.
+Each collision's words are drawn once.  A run's :class:`_WordBuffer` owns
+its one :class:`RngState` and the words drawn but not yet used, in a flat
+buffer of one block that starts at a known stream word.  A block takes its
+words from the buffer, the rest are drawn into it, and it is swept before
+the next is drawn.  After a redraw the words past it stay held, shifted by
+one word, which a flat buffer absorbs.  The stream seeks only to top the
+buffer up and to stand past a candidate, where a redraw reads its word;
+nothing is seeded again.
 
 The arithmetic matches the scalar path bit for bit: gaps are the C
 library's ``log1p``, which ``math.log1p`` calls and which numpy calls on a
@@ -520,11 +523,47 @@ class RunSummary:
         return self.collapse_after_sum / self.n_collapses
 
 
-# Collisions drawn and swept at a time: the mean gap between phase-clause
-# passes.  A window of _WINDOW_BLOCKS blocks has its rows and sums filled
-# at once.
-_BLOCK_SIZE = math.ceil(1.0 / PHASE_ACCEPTANCE_PROBABILITY)
+# Collisions drawn and swept at a time: twice the mean gap between
+# phase-clause passes.  A window of _WINDOW_BLOCKS blocks has its rows and
+# sums filled at once.
+_BLOCK_SIZE = 2 * math.ceil(1.0 / PHASE_ACCEPTANCE_PROBABILITY)
 _WINDOW_BLOCKS = 2
+
+
+def _block_for(expected: float) -> int:
+    """Collisions to draw with ``expected`` due before the duration, which may
+    be infinite: a block, or the count plus six standard deviations and 16."""
+    if expected >= _BLOCK_SIZE:
+        return _BLOCK_SIZE
+    return min(_BLOCK_SIZE, math.ceil(expected + 6.0 * math.sqrt(expected)) + 16)
+
+
+class _WordBuffer:
+    """A run's one stream and the words drawn from it that no collision has
+    used yet: ``buf[:held]`` holds the stream's words from word ``held_at``
+    on, in one flat buffer of a block's words."""
+
+    __slots__ = ("rng", "buf", "held", "held_at")
+
+    def __init__(self, rng: RngState):
+        self.rng = rng
+        self.buf = np.empty(COLLISION_WORDS * _BLOCK_SIZE)
+        self.held, self.held_at = 0, rng.position
+
+    def take(self, position: int, n: int) -> np.ndarray:
+        """The words of the n collisions from stream word ``position`` on:
+        those held, moved to the front, and the rest drawn into the buffer."""
+        buf, need = self.buf, COLLISION_WORDS * n
+        used = min(position - self.held_at, self.held)
+        held = self.held - used
+        if used and held:
+            buf[:held] = buf[used : used + held]
+        if held < need:
+            self.rng.seek(position + held)
+            self.rng.words(need - held, out=buf[held:need])
+            held = need
+        self.held, self.held_at = held, position
+        return buf[:need]
 
 
 @dataclass
@@ -563,17 +602,10 @@ class _Sums:
             self.min_sigma = sigma_after
 
 
-def _check_budget(max_collisions) -> None:
-    """Refuse a ``max_collisions`` that is neither None nor a non-negative
-    integer; a bool is refused."""
-    if max_collisions is not None and (
-        isinstance(max_collisions, bool)
-        or not isinstance(max_collisions, Integral)
-        or max_collisions < 0
-    ):
-        raise ValueError(
-            f"max_collisions must be a non-negative integer or None, got {max_collisions!r}"
-        )
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a ``value`` that is no integer of at least ``least``; a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def run(
@@ -592,16 +624,14 @@ def run(
     firings to its ``append``.  Rows, summary and stream position equal
     those of a loop over :func:`step`.
     """
-    _check_budget(max_collisions)
+    if max_collisions is not None:
+        _check_count("max_collisions", max_collisions, 0)
     env = config.environment
     mass, internal_radius = config.object.mass, config.object.internal_radius
     alphas = np.array(config.object.cluster_alphas)
-    # The run's one stream, and one buffer for the words drawn from it:
-    # ``buf[:held]`` holds the stream's words from word ``held_at`` on.
     rng = RngState(config.seed)
     state = initial_state(config, rng)
-    buf = np.empty(COLLISION_WORDS * _BLOCK_SIZE)
-    held, held_at = 0, state.position
+    buffer = _WordBuffer(rng)
     # A window's columns, reused by every window: the times, three rows of
     # widths, a scratch row that ends as the recovery ratios, and the
     # regime mask.
@@ -615,21 +645,6 @@ def run(
     next_sample = interval
     sums = _Sums(min_sigma=min(state.sigma))
     budget_exhausted = False
-
-    def take(position: int, n: int) -> np.ndarray:
-        """The words of the n collisions from stream word ``position`` on:
-        those held, moved to the front, and the rest drawn."""
-        nonlocal held, held_at
-        used = min(position - held_at, held)
-        held -= used
-        if used and held:
-            buf[:held] = buf[used : used + held]
-        if held < COLLISION_WORDS * n:
-            rng.seek(position + held)
-            buf[held : COLLISION_WORDS * n] = rng.words(COLLISION_WORDS * n - held)
-            held = COLLISION_WORDS * n
-        held_at = position
-        return buf[: COLLISION_WORDS * n]
 
     def sample(t_sample: float, n_collisions: int, to=sink) -> Vec3:
         """The widths at a grid time; their row goes to the sink ``to``."""
@@ -700,10 +715,12 @@ def run(
             waist, firings, error = state, [], None
             end, past_duration, stop = 0, False, False
             while not stop and end < limit:
-                n = min(_BLOCK_SIZE, limit - end)
-                words = take(p0 + COLLISION_WORDS * end, n)
+                # A block sized to the collisions due after the last one drawn.
+                t_last = times.item(end - 1) if end else state.t
+                n = min(limit - end, _block_for(env.collision_rate * (config.duration - t_last)))
+                words = buffer.take(p0 + COLLISION_WORDS * end, n)
                 gaps, env_alpha, pick = draw_collision_block(words, env)
-                gaps[0] += times.item(end - 1) if end else state.t
+                gaps[0] += t_last
                 np.cumsum(gaps, out=times[end : end + n])
                 # The window ends before the first collision past the duration.
                 n_in = int(np.searchsorted(times[end : end + n], config.duration, side="right"))
@@ -864,9 +881,9 @@ def run_ensemble(
 
     A failing replica is reported in ``failures`` without aborting the rest.
     """
-    if n_replicas < 1:
-        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-    _check_budget(max_collisions)
+    _check_count("n_replicas", n_replicas, 1)
+    if max_collisions is not None:
+        _check_count("max_collisions", max_collisions, 0)
     summaries: list[RunSummary] = []
     failures: list[tuple[int, str]] = []
     for seed in range(config.seed, config.seed + n_replicas):

@@ -81,10 +81,11 @@ class RngState:
         self._gen.bit_generator.advance((position - self.position) % (1 << 128))
         self.position = position
 
-    def words(self, n: int) -> np.ndarray:
-        """Consume n words and return them as uniforms on [0, 1)."""
+    def words(self, n: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Consume n words as uniforms on [0, 1), drawn into ``out`` if given."""
+        words = self._gen.random(n, out=out)
         self.position += n
-        return self._gen.random(n)
+        return words
 
     def uniform(self) -> float:
         """One uniform draw on [0, 1); consumes one word."""
@@ -172,4 +173,5 @@ def draw_collision_block(
     w = words.reshape(-1, COLLISION_WORDS)
     x = -w[:, 0]
     log_gap = np.log1p(x[::-1])[::-1]
-    return -log_gap / spec.collision_rate, TWO_PI * w[:, 10], w[:, 11]
+    # ``-log_gap / rate`` into ``x``: rounding to nearest is symmetric in sign.
+    return np.divide(log_gap, -spec.collision_rate, out=x), TWO_PI * w[:, 10], w[:, 11]

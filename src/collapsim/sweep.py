@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .config import ScenarioConfig
-from .engine import run_ensemble
+from .engine import _check_count, run_ensemble
 
 
 class SweepAxis(enum.Enum):
@@ -49,6 +49,7 @@ def sweep(
         raise ValueError("sweep needs at least one value")
     if not all(0.0 < v < math.inf for v in values):
         raise ValueError(f"sweep values must be positive and finite, got {values}")
+    _check_count("n_replicas", n_replicas, 1)
     rows = []
     for value in sorted(values):
         try:

@@ -398,6 +398,19 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             run_ensemble(preset("tpp"), 0)
 
+    @pytest.mark.parametrize("n_replicas", [0, -1, True, False, 2.0, "2", None])
+    def test_replicas_must_be_a_positive_integer(self, monkeypatch, n_replicas):
+        """Refused by name before any replica runs."""
+        ran = []
+        monkeypatch.setattr(engine, "run", lambda *args, **kwargs: ran.append(args))
+        with pytest.raises(ValueError, match=f"n_replicas .* got {n_replicas!r}"):
+            run_ensemble(replace(preset("tpp"), duration=1e-3), n_replicas)
+        assert ran == []
+
+    def test_replicas_take_any_integer_type(self):
+        cfg = replace(preset("tpp"), duration=1e-4)
+        assert run_ensemble(cfg, np.int64(2)) == run_ensemble(cfg, 2)
+
     def test_firing_fraction_matches_phase_acceptance(self):
         # overlap pinned at ~1: frozen heavy object, environment width equal
         # to the object width, no offset or jitter, near-zero damping so the
@@ -560,7 +573,9 @@ def test_each_collision_is_drawn_once(monkeypatch, name):
     the words past a firing are carried into the next block."""
     drawn = []
     words = RngState.words
-    monkeypatch.setattr(RngState, "words", lambda rng, n: drawn.append(n) or words(rng, n))
+    monkeypatch.setattr(
+        RngState, "words", lambda rng, n, out=None: drawn.append(n) or words(rng, n, out)
+    )
     config = generic_document_config(0.05) if name == "generic" else preset(name)
     summary, _ = run(replace(config, duration=0.05), keep_records=False)
     assert summary.n_collapses > 0
@@ -697,9 +712,46 @@ BLOCK_CONFIGS = {
         ),
         None,
     ),
-    # 1000 = 862 + 138: the budget ends the second block part way.
+    # 1000 is less than a block: the budget ends the first block part way.
     "budget_cut": (replace(preset("tpp"), duration=1.0), 1000),
+    # The budget ends the second block part way.
+    "budget_cut_second_block": (replace(preset("tpp"), duration=1.0), engine._BLOCK_SIZE + 138),
 }
+
+
+@pytest.mark.parametrize(
+    "name, duration", [("sugar_grain", 1e-4), ("sugar_grain", 1e-3), ("tpp", 1e-3)]
+)
+def test_runs_shorter_than_a_block_match_step_loop(name, duration):
+    """A run whose collisions fit in one block draws a block sized to the
+    duration: it ends short of the duration or past it, and where it falls
+    short the run draws another."""
+    config = replace(preset(name), duration=duration)
+    assert config.environment.collision_rate * duration < engine._BLOCK_SIZE
+    for seed in range(16):
+        cfg = replace(config, seed=seed)
+        assert run(cfg) == reference_run(cfg)
+
+
+def test_short_runs_draw_little_past_their_collisions(monkeypatch):
+    """A 0.01 s ``sugar_grain`` run draws at most its used collisions plus
+    the sizing margin at the run's start, 6 sqrt(rate * duration) + 16, plus
+    one word per firing for a phase redraw: well under a block more."""
+    drawn = []
+    words = RngState.words
+    monkeypatch.setattr(
+        RngState, "words", lambda rng, n, out=None: drawn.append(n) or words(rng, n, out)
+    )
+    config = replace(preset("sugar_grain"), duration=0.01, redraw_alpha_after_collapse=True)
+    margin = 6.0 * math.sqrt(config.environment.collision_rate * config.duration) + 16
+    assert margin < engine._BLOCK_SIZE / 2
+    collapses = 0
+    for seed in range(16):
+        drawn.clear()
+        summary, _ = run(replace(config, seed=seed), keep_records=False)
+        assert sum(drawn) <= 12 * (summary.n_collisions + margin) + summary.n_collapses
+        collapses += summary.n_collapses
+    assert collapses > 0
 
 
 @pytest.mark.parametrize("block_size", [1, 2])

@@ -60,6 +60,18 @@ class TestRngState:
         assert np.array_equal(block, np.array(singles))
         assert a.position == b.position == 1000
 
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    @pytest.mark.parametrize("n", [0, 1, 13, 20_688])
+    def test_words_drawn_into_an_array(self, seed, n):
+        """``words(n, out=a)`` fills ``a`` with the words ``words(n)``
+        returns and advances the position as far."""
+        a, b = RngState(seed, 5), RngState(seed, 5)
+        out = np.full(n + 2, -1.0)
+        assert a.words(n, out=out[1 : n + 1]).base is out
+        assert np.array_equal(out[1 : n + 1], b.words(n)) and out[0] == out[-1] == -1.0
+        assert a.position == b.position == 5 + n
+        assert np.array_equal(a.words(7, out=np.empty(7)), b.words(7)) and a == b
+
     @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 2**40 + 3])
     @pytest.mark.parametrize("p, q", [(100, 0), (100, 37), (100, 100), (5, 1000), (0, 1)])
     def test_seek_equals_fresh_stream(self, seed, p, q):

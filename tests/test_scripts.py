@@ -65,3 +65,41 @@ def test_output_bytes_match_pinned_digests(capsys):
             f"{want.split()[0]}: digest differs from {DIGESTS.name}, pinned on {pinned_build}; "
             f"running {build} ({cause})"
         )
+
+
+def test_paired_bench_summary():
+    """``paired_bench.py`` summarises canned pairs: quartiles and medians as
+    ``run_bench.py`` takes them, the ratio of the medians, and the pairs in
+    which the change was better in each metric's own direction."""
+    paired = load_script("paired_bench")
+    parent = [{"wall_s": w, "events_per_s": e} for w, e in [(4.0, 10.0), (2.0, 30.0), (3.0, 20.0),
+                                                          (5.0, 40.0), (1.0, 50.0)]]
+    change = [{"wall_s": w, "events_per_s": e} for w, e in [(3.0, 10.0), (1.0, 35.0), (2.0, 30.0),
+                                                          (6.0, 45.0), (0.5, 55.0)]]
+    better = {"wall_s": "lower", "events_per_s": "higher"}
+    rows = paired.summarize(list(zip(parent, change)), better)
+    wall, events = rows
+    assert wall["metric"] == "wall_s" and wall["pairs"] == 5
+    assert wall["parent"] == (1.5, 3.0, 4.5) and wall["change"] == (0.75, 2.0, 4.5)
+    assert wall["ratio"] == 2.0 / 3.0 and wall["wins"] == 4  # lower is better; pair 4 lost
+    assert events["parent"][1] == 30.0 and events["change"][1] == 35.0
+    assert events["wins"] == 4  # higher is better; pair 1 is a tie, not a win
+    lines = paired.table("w", rows)
+    assert lines[2] == "| w | wall_s | 3 (1.5–4.5) | 2 (0.75–4.5) | 0.667 | 4/5 |"
+    one = paired.summarize([(parent[0], change[0])], {"wall_s": "lower"})
+    assert one[0]["parent"] == (4.0,) * 3
+
+
+def test_paired_bench_stops_on_a_failed_run(tmp_path):
+    paired = load_script("paired_bench")
+    metrics = {"wall_s": {"value": 0.5, "unit": "s"}}
+    assert paired.checked({"correct": True, "failed": 0, "metrics": metrics}, tmp_path) == {
+        "wall_s": 0.5
+    }
+    for bad in ({"correct": True, "failed": 1}, {"correct": False, "failed": 0}):
+        with pytest.raises(RuntimeError, match="operations failed"):
+            paired.checked({**bad, "attempted": 8, "metrics": metrics}, tmp_path)
+    (tmp_path / "ab").mkdir()
+    (tmp_path / "abc").mkdir()
+    assert paired.path_warning(tmp_path / "ab", tmp_path / "ab") is None
+    assert "peak_rss_mb" in paired.path_warning(tmp_path / "ab", tmp_path / "abc")

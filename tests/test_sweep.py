@@ -59,6 +59,16 @@ class TestSweep:
                 sweep(base, axis, [1e-20], 2)
         assert ran == []
 
+    @pytest.mark.parametrize("n_replicas", [0, -2, True, 2.0, "2", None])
+    def test_replicas_must_be_a_positive_integer(self, base, monkeypatch, n_replicas):
+        """Refused once, by name, before any value runs: not an error per row."""
+        ran = []
+        module = sys.modules["collapsim.sweep"]
+        monkeypatch.setattr(module, "run_ensemble", lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match=f"n_replicas .* got {n_replicas!r}"):
+            sweep(base, SweepAxis.MASS, [1e-20, 1e-18], n_replicas)
+        assert ran == []
+
     def test_per_value_failure_recorded_without_aborting(self, base):
         # a mass of 1e-308 blows up the spreading law immediately
         small = replace(base, initial_sigma=1e-15)
