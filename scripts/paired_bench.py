@@ -1,4 +1,4 @@
-"""Compare two trees on one benchmark workload in alternating pairs of runs.
+"""Compare two trees on benchmark workloads in alternating pairs of runs.
 
 Each run is the tree's own ``bench/run_bench.py --trace 0``, started in that
 tree, so each side measures its own ``src``.  Pair ``i`` runs the parent
@@ -9,13 +9,15 @@ It warns when the two trees' paths differ in length: ``peak_rss_mb`` moves
 with the length of the path a run works in.
 
     python3 scripts/paired_bench.py --parent ../parent --change . \\
-        --workload grain_ensemble --pairs 10 --seed 7171 --seconds 8
+        --workload grain_ensemble --workload tpp_csv --pairs 10 --seed 7171 --seconds 8
 
-It prints one table row per end-to-end metric: the parent's and the
-change's median with their quartiles, the ratio of the medians (change over
-parent), and in how many pairs the change was better.  Whether lower or
-higher is better comes from the change tree's ``BENCHMARK.json``.  Neither
-tree's ``bench/`` nor ``BENCHMARK.json`` is written.
+``--workload`` may be repeated; each workload's pairs run before the next
+workload's.  It prints one table with a row per workload and end-to-end
+metric: the parent's and the change's median with their quartiles, the
+ratio of the medians (change over parent), and in how many pairs the change
+was better.  Whether lower or higher is better comes from the change tree's
+``BENCHMARK.json``.  Neither tree's ``bench/`` nor ``BENCHMARK.json`` is
+written.
 """
 
 from __future__ import annotations
@@ -57,16 +59,17 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[di
     return rows
 
 
-def table(workload: str, rows: list[dict]) -> list[str]:
-    """The summary as Markdown table lines."""
+def table(summaries: dict[str, list[dict]]) -> list[str]:
+    """The summaries of each workload, in order, as the lines of one Markdown table."""
     def cell(q):
         return f"{q[1]:.6g} ({q[0]:.6g}–{q[2]:.6g})"
 
     lines = ["| workload | metric | parent | change | ratio | change better |",
              "|---|---|---|---|---|---|"]
-    for r in rows:
-        lines.append(f"| {workload} | {r['metric']} | {cell(r['parent'])} | {cell(r['change'])} "
-                     f"| {r['ratio']:.3f} | {r['wins']}/{r['pairs']} |")
+    for workload, rows in summaries.items():
+        for r in rows:
+            lines.append(f"| {workload} | {r['metric']} | {cell(r['parent'])} "
+                         f"| {cell(r['change'])} | {r['ratio']:.3f} | {r['wins']}/{r['pairs']} |")
     return lines
 
 
@@ -90,10 +93,10 @@ def checked(result: dict, tree: Path) -> dict[str, float]:
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
-def bench(tree: Path, args) -> dict[str, float]:
-    """One ``run_bench.py --trace 0`` run of ``tree``, in ``tree``."""
-    command = [sys.executable, str(tree / "bench" / "run_bench.py"),
-               "--workload", args.workload, "--seed", str(args.seed),
+def bench(tree: Path, workload: str, args) -> dict[str, float]:
+    """One ``run_bench.py --trace 0`` run of ``workload`` in ``tree``."""
+    command = [sys.executable, str(Path("bench", "run_bench.py")),
+               "--workload", workload, "--seed", str(args.seed),
                "--seconds", str(args.seconds), "--trace", "0"]
     proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -105,7 +108,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="the tree compared against")
     parser.add_argument("--change", type=Path, required=True, help="the tree under test")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="a workload to run; may be repeated")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
@@ -117,21 +121,24 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
 
-    pairs = []
-    for i in range(args.pairs):
-        sides = [("parent", args.parent), ("change", args.change)]
-        values = {}
-        for side, tree in sides[:: -1 if i % 2 else 1]:
-            try:
-                values[side] = bench(tree, args)
-            except RuntimeError as exc:
-                print(f"error: pair {i + 1}, {side}: {exc}", file=sys.stderr)
-                return 1
-        pairs.append((values["parent"], values["change"]))
-        print(f"pair {i + 1}: " + "  ".join(
-            f"{name} {values['parent'][name]:.6g} -> {values['change'][name]:.6g}"
-            for name in better), flush=True)
-    print("\n".join(table(args.workload, summarize(pairs, better))))
+    summaries = {}
+    for workload in dict.fromkeys(args.workload):
+        pairs = []
+        for i in range(args.pairs):
+            sides = [("parent", args.parent), ("change", args.change)]
+            values = {}
+            for side, tree in sides[:: -1 if i % 2 else 1]:
+                try:
+                    values[side] = bench(tree, workload, args)
+                except RuntimeError as exc:
+                    print(f"error: {workload}, pair {i + 1}, {side}: {exc}", file=sys.stderr)
+                    return 1
+            pairs.append((values["parent"], values["change"]))
+            print(f"{workload} pair {i + 1}: " + "  ".join(
+                f"{name} {values['parent'][name]:.6g} -> {values['change'][name]:.6g}"
+                for name in better), flush=True)
+        summaries[workload] = summarize(pairs, better)
+    print("\n".join(table(summaries)))
     return 0
 
 

@@ -37,22 +37,18 @@ phase clause, and a collision that does not fire only advances counters,
 records and the recovery sum.  So :func:`run` takes a window of collisions
 at a time (thinning, Lewis & Shedler 1979) in two passes:
 
-- Decide.  The words give each collision's time (a sequential
-  ``np.cumsum`` of the gaps), its environment phase and its cluster pick,
-  in numpy and without widths.  A *candidate* is a collision whose phase
-  passes the clause against the object's constant or against its picked
-  cluster's.  Any other collision fails the clause in either regime, so
-  it is a reject whatever the widths, and needs none.  The candidates are
-  swept in order: each reads its widths from the waist in effect, as a
-  float, to learn its regime.  If the clause of that regime fails it is a
-  reject; otherwise it is built from its own words and goes through
-  :func:`resolve`, and a firing sets the waist for the candidates after it.
-- Fill.  With the firings known, every collision's widths are read out
-  from the waist in effect before it, one numpy pass per segment of the
-  window between firings, into arrays allocated once per run.  The rows of
-  the collisions that did not fire, the grid rows between them and the
-  firings' rows go to the sink in order, and the recovery ratios are added
-  in one sequential ``np.cumsum``.
+- Decide (:func:`_decide`).  The words give each collision's time (a
+  sequential ``np.cumsum`` of the gaps), phase and cluster pick in numpy.  A
+  *candidate* passes the phase clause against the object's constant or its
+  picked cluster's; any other collision is a reject whatever its widths.
+  Each candidate in order reads its widths from the waist in effect, as
+  floats, to learn its regime, and one that passes that regime's clause is
+  decided by :func:`_collide`, the plain-value decision :func:`resolve` also
+  makes.  Only a firing builds a state, which sets the waist for the rest.
+- Fill.  Every collision's widths are read out from the waist in effect
+  before it, one numpy pass per segment between firings, into arrays
+  allocated once per run.  Rows go to the sink in order, and the recovery
+  ratios are added in one sequential ``np.cumsum``.
 
 A window is ``_WINDOW_BLOCKS`` blocks of up to ``_BLOCK_SIZE`` collisions
 (about 4 pi / alpha_s, twice the mean gap between phase passes).  Near the
@@ -65,28 +61,16 @@ raises as in :func:`step`: a width that is not finite at a grid row or a
 collision, found in numpy and raised by the float readout, or a firing's
 contraction.
 
-Each collision's words are drawn once.  A run's :class:`_WordBuffer` owns
-its one :class:`RngState` and the words drawn but not yet used, in a flat
-buffer of one block that starts at a known stream word.  A block takes its
-words from the buffer, the rest are drawn into it, and it is swept before
-the next is drawn.  After a redraw the words past it stay held, shifted by
-one word, which a flat buffer absorbs.  The stream seeks only to top the
-buffer up and to stand past a candidate, where a redraw reads its word;
-nothing is seeded again.
+Each collision's words are drawn once, into the flat buffer of a run's
+:class:`_WordBuffer`, which owns its one :class:`RngState`.  The words past a
+redraw stay held, shifted by one word.  The stream seeks only to top the
+buffer up and to draw a redrawn phase; nothing is seeded again.
 
 The arithmetic matches the scalar path bit for bit: gaps are the C
 library's ``log1p``, which ``math.log1p`` calls and which numpy calls on a
 strided operand (see :func:`draw_collision_block`), times are a sequential
 ``np.cumsum`` of them, widths come from :func:`spread_into`, the array
 form of :func:`spread_widths`, and sums are accumulated in collision order.
-
-Records.  :func:`run` hands its rows to a sink, a :class:`Records` store of
-preallocated chunks or, without records, a sink that drops them.  ``extend``
-copies the rows of collisions that did not fire from the window's columns,
-a slice per column (one for an isotropic waist's widths) and a fill per
-constant; ``append`` writes a grid or firing row.  A row takes 50 bytes, a
-:class:`TimeSeriesRecord` is built only to read a row, and the writers
-format the chunks in place.
 """
 
 from __future__ import annotations
@@ -107,8 +91,8 @@ from .constants import PHASE_ACCEPTANCE_PROBABILITY
 from .contraction import damped_sigma, product_width
 from .criterion import criterion_fires, phase_clause_batch
 from .environment import (
-    COLLISION_WORDS, CollisionEvent, RngState, collision_from_words, draw_collision_block,
-    draw_phase, next_collision,
+    COLLISION_WORDS, CollisionEvent, RngState, draw_collision_block, draw_phase, next_collision,
+    packet_from_words,
 )
 from .packets import Vec3, spread_into, spread_widths
 
@@ -420,13 +404,9 @@ def _widths_at(state: SimState, mass: float, t: float, n_collisions: int) -> Vec
 
 def step(state: SimState, config: ScenarioConfig) -> tuple[SimState, TimeSeriesRecord]:
     """Advance ``state``, a state of the run of ``config``, to the next
-    collision and resolve it.
-
-    The scalar reference for :func:`run`.  It rebuilds the stream from
-    ``RngState(config.seed, state.position)``, draws the collision with
-    :func:`next_collision` and hands it to :func:`resolve`; ``state`` stays
-    as it was.
-    """
+    collision and resolve it: the scalar reference for :func:`run`.  The
+    stream is rebuilt from ``RngState(config.seed, state.position)``, so
+    ``state`` stays as it was."""
     rng = RngState(config.seed, state.position)
     event = next_collision(rng, config.environment, state.t)
     if event is None:
@@ -437,39 +417,54 @@ def step(state: SimState, config: ScenarioConfig) -> tuple[SimState, TimeSeriesR
 def resolve(
     state: SimState, event: CollisionEvent, config: ScenarioConfig, rng: RngState
 ) -> tuple[SimState, TimeSeriesRecord]:
-    """Resolve ``event``, the next collision of ``state``; ``rng`` stands
-    just past the event's words.
-
-    The collision's cluster pick selects the compared cluster in the cluster
-    regime; a firing reads one more word from ``rng`` only for a phase
-    redraw.  The new state's position is ``rng.position``.
-    """
-    spec = config.object
-    t = event.time
-    sigma = _widths_at(state, spec.mass, t, state.n_collisions)
-    cluster = min(sigma) < spec.internal_radius
-    alpha = state.alpha
-    if cluster:
-        alphas = spec.cluster_alphas
-        alpha = alphas[min(int(event.pick * len(alphas)), len(alphas) - 1)]
-    n_collisions = state.n_collisions + 1
-    if criterion_fires(alpha, event.alpha, sigma, event.sigma, event.offset):
-        contracted = product_width(sigma, event.sigma)
-        if cluster and config.cluster_eta != 1.0:
-            contracted = damped_sigma(sigma, contracted, config.cluster_eta)
-        n_collapses = state.n_collapses + 1
-        sigma = _checked(contracted, t, n_collisions, n_collapses)
-        alpha = draw_phase(rng) if config.redraw_alpha_after_collapse else state.alpha
-        new_state = SimState(t, t, sigma, alpha, n_collisions, n_collapses, rng.position)
-        last_event = LastEvent.COLLAPSE
-    else:
+    """Resolve ``event``, the next collision of ``state``, with :func:`_collide`.
+    ``rng`` stands just past its words; a firing reads one more only for a
+    phase redraw, and the new state's position is ``rng.position``."""
+    t, n_collisions = event.time, state.n_collisions + 1
+    sigma = _widths_at(state, config.object.mass, t, state.n_collisions)
+    after = _collide(
+        config, sigma, state.alpha, event.alpha, event.sigma, event.offset, event.pick,
+        t, n_collisions, state.n_collapses,
+    )
+    if after is None:
         new_state = replace(state, t=t, n_collisions=n_collisions, position=rng.position)
         last_event = LastEvent.COLLISION_NO_COLLAPSE
+    else:
+        sigma = after
+        alpha = draw_phase(rng) if config.redraw_alpha_after_collapse else state.alpha
+        new_state = SimState(t, t, sigma, alpha, n_collisions, state.n_collapses + 1, rng.position)
+        last_event = LastEvent.COLLAPSE
     record = TimeSeriesRecord(
         t, sigma, n_collisions, new_state.n_collapses,
-        regime_for(sigma, spec.internal_radius), last_event,
+        regime_for(sigma, config.object.internal_radius), last_event,
     )
     return new_state, record
+
+
+def _collide(
+    config: ScenarioConfig, sigma: Vec3, alpha: float, env_alpha: float, env_sigma: Vec3,
+    offset: Vec3, pick: float, t: float, n_collisions: int, n_collapses: int,
+) -> Optional[Vec3]:
+    """Decide a collision at ``t`` on plain values: the object's widths
+    after it if it fires, else None.
+
+    The object has widths ``sigma`` and phase constant ``alpha``, the
+    environment packet ``env_alpha``, ``env_sigma`` and ``offset``; in the
+    cluster regime ``pick`` selects the compared cluster and the contraction
+    is damped.  The counts, this collision's included, go into the message
+    of a contraction that is not finite.
+    """
+    spec = config.object
+    cluster = min(sigma) < spec.internal_radius
+    if cluster:
+        alphas = spec.cluster_alphas
+        alpha = alphas[min(int(pick * len(alphas)), len(alphas) - 1)]
+    if not criterion_fires(alpha, env_alpha, sigma, env_sigma, offset):
+        return None
+    contracted = product_width(sigma, env_sigma)
+    if cluster and config.cluster_eta != 1.0:
+        contracted = damped_sigma(sigma, contracted, config.cluster_eta)
+    return _checked(contracted, t, n_collisions, n_collapses + 1)
 
 
 @dataclass(frozen=True)
@@ -608,6 +603,63 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
+def _decide(
+    config: ScenarioConfig, state: SimState, buffer: _WordBuffer, alphas: np.ndarray,
+    times: np.ndarray, limit: int,
+) -> tuple[int, list[tuple[int, SimState]], Optional[EngineError], bool]:
+    """Decide the window of at most ``limit`` collisions after ``state``;
+    their times go to ``times``, and ``alphas`` are the cluster constants.
+
+    Returns the window's end, its firings, each as the collisions up to and
+    including it and the state after it, the first failure or None, and
+    whether the window ended at the duration.
+    """
+    env = config.environment
+    mass, internal_radius = config.object.mass, config.object.internal_radius
+    n0, p0 = state.n_collisions, state.position
+    waist, firings, end = state, [], 0
+    while end < limit:
+        t_last = times.item(end - 1) if end else state.t
+        n = min(limit - end, _block_for(env.collision_rate * (config.duration - t_last)))
+        words = buffer.take(p0 + COLLISION_WORDS * end, n)
+        gaps, env_alpha, pick = draw_collision_block(words, env)
+        gaps[0] += t_last
+        np.cumsum(gaps, out=times[end : end + n])
+        # The window ends before the first collision past the duration.
+        n_in = int(np.searchsorted(times[end : end + n], config.duration, side="right"))
+        env_alpha = env_alpha[:n_in]
+        picked = alphas.take((pick[:n_in] * len(alphas)).astype(np.intp), mode="clip")
+        cm_pass = phase_clause_batch(waist.alpha, env_alpha)
+        cluster_pass = phase_clause_batch(picked, env_alpha)
+        for j in np.flatnonzero(cm_pass | cluster_pass).tolist():
+            i, t = end + j, times.item(end + j)
+            try:
+                sigma = _widths_at(waist, mass, t, n0 + i)
+                if not (cluster_pass if min(sigma) < internal_radius else cm_pass)[j]:
+                    continue
+                w = words[COLLISION_WORDS * j : COLLISION_WORDS * (j + 1)].tolist()
+                offset, env_sigma = packet_from_words(w, env)
+                after = _collide(
+                    config, sigma, waist.alpha, env_alpha.item(j), env_sigma, offset, w[11],
+                    t, n0 + i + 1, waist.n_collapses,
+                )
+            except EngineError as exc:
+                return i, firings, exc, False
+            if after is not None:
+                alpha, position = waist.alpha, p0 + COLLISION_WORDS * (i + 1)
+                if config.redraw_alpha_after_collapse:
+                    buffer.rng.seek(position)
+                    alpha, position = draw_phase(buffer.rng), position + 1
+                waist = SimState(t, t, after, alpha, n0 + i + 1, waist.n_collapses + 1, position)
+                firings.append((i + 1, waist))
+                if config.redraw_alpha_after_collapse:
+                    return i + 1, firings, None, False
+        end += n_in
+        if n_in < n:
+            return end, firings, None, True
+    return end, firings, None, False
+
+
 def run(
     config: ScenarioConfig, keep_records: bool = True, max_collisions: Optional[int] = None
 ) -> tuple[RunSummary, Records]:
@@ -619,19 +671,16 @@ def run(
     the store empty.  An event drawn beyond the duration is not processed.
     ``max_collisions``, a non-negative integer, caps the number of processed
     events.  Collisions are decided, then filled, a window at a time (see
-    the module docstring): the rows of collisions that did not fire go to
-    the sink's ``extend`` as slices of the window's columns, grid rows and
-    firings to its ``append``.  Rows, summary and stream position equal
-    those of a loop over :func:`step`.
+    the module docstring).  Rows, summary and stream position equal those of
+    a loop over :func:`step`.
     """
     if max_collisions is not None:
         _check_count("max_collisions", max_collisions, 0)
     env = config.environment
     mass, internal_radius = config.object.mass, config.object.internal_radius
     alphas = np.array(config.object.cluster_alphas)
-    rng = RngState(config.seed)
-    state = initial_state(config, rng)
-    buffer = _WordBuffer(rng)
+    buffer = _WordBuffer(RngState(config.seed))
+    state = initial_state(config, buffer.rng)
     # A window's columns, reused by every window: the times, three rows of
     # widths, a scratch row that ends as the recovery ratios, and the
     # regime mask.
@@ -708,70 +757,22 @@ def run(
                     budget_exhausted = True
                     break
             n0, p0 = state.n_collisions, state.position
-            # Decide: sweep each block's candidates in order, from the waist
-            # in effect.  Collision i of the window starts at word
-            # p0 + 12 * i; a firing with a phase redraw ends the window,
-            # since the words past it shift by one.
-            waist, firings, error = state, [], None
-            end, past_duration, stop = 0, False, False
-            while not stop and end < limit:
-                # A block sized to the collisions due after the last one drawn.
-                t_last = times.item(end - 1) if end else state.t
-                n = min(limit - end, _block_for(env.collision_rate * (config.duration - t_last)))
-                words = buffer.take(p0 + COLLISION_WORDS * end, n)
-                gaps, env_alpha, pick = draw_collision_block(words, env)
-                gaps[0] += t_last
-                np.cumsum(gaps, out=times[end : end + n])
-                # The window ends before the first collision past the duration.
-                n_in = int(np.searchsorted(times[end : end + n], config.duration, side="right"))
-                past_duration = stop = n_in < n
-                # The candidates: collisions whose phase passes the clause in
-                # either regime.  Any other collision is a reject, whatever
-                # its widths.
-                env_alpha = env_alpha[:n_in]
-                picked = alphas.take((pick[:n_in] * len(alphas)).astype(np.intp), mode="clip")
-                cm_pass = phase_clause_batch(waist.alpha, env_alpha)
-                cluster_pass = phase_clause_batch(picked, env_alpha)
-                for j in np.flatnonzero(cm_pass | cluster_pass).tolist():
-                    i = end + j
-                    try:
-                        sigma = _widths_at(waist, mass, times.item(i), n0 + i)
-                        if not (cluster_pass if min(sigma) < internal_radius else cm_pass)[j]:
-                            continue  # the clause of its regime fails: a reject
-                        w = words[COLLISION_WORDS * j : COLLISION_WORDS * (j + 1)].tolist()
-                        event = collision_from_words(w, env, times.item(i - 1) if i else state.t)
-                        rng.seek(p0 + COLLISION_WORDS * (i + 1))
-                        after, record = resolve(
-                            replace(waist, n_collisions=n0 + i), event, config, rng
-                        )
-                    except EngineError as exc:
-                        error, n_in, stop = exc, j, True
-                        break
-                    if record.last_event is LastEvent.COLLAPSE:
-                        firings.append((i + 1, after, record))
-                        waist = after
-                        if config.redraw_alpha_after_collapse:
-                            n_in, stop, past_duration = j + 1, True, False
-                            break
-                end += n_in
+            end, firings, error, done = _decide(config, state, buffer, alphas, times, limit)
 
-            # Fill: each collision reads its widths from the waist in effect
-            # before it, one segment of the window per waist; a firing is
-            # the last collision of its segment.  The recovery ratios, the
-            # firings' among them, start after the run's first firing and
-            # are summed once for the window.
+            # Fill.  A firing ends its segment.  The recovery ratios, the
+            # firings' among them, start after the run's first firing.
             if sums.sigma_after_last_collapse is not None:
                 first = 0
             else:
                 first = firings[0][0] if firings else end
             a = 0
-            for b, after, record in firings:
+            for b, after in firings:
                 columns, sigma_before, _ = read_widths(a, b)
                 rows(columns, a, b - 1)
-                emit_samples(record.t, n0 + b - 1)
+                emit_samples(after.t, n0 + b - 1)
                 sink.append(
-                    record.t, record.sigma, record.n_collisions, record.n_collapses,
-                    min(record.sigma) < internal_radius, _COLLAPSE,
+                    after.t, after.sigma, after.n_collisions, after.n_collapses,
+                    min(after.sigma) < internal_radius, _COLLAPSE,
                 )
                 sums.add_firing(sigma_before, min(after.sigma))
                 state, a = after, b
@@ -789,13 +790,9 @@ def run(
             rows(columns, a, end)
             sums.add_recovery(widths[3, first:end])
             if a < end:
-                state = replace(
-                    state,
-                    t=times.item(end - 1),
-                    n_collisions=n0 + end,
-                    position=p0 + COLLISION_WORDS * end,
-                )
-            if past_duration:
+                t, position = times.item(end - 1), p0 + COLLISION_WORDS * end
+                state = replace(state, t=t, n_collisions=n0 + end, position=position)
+            if done:  # the window ended at the duration
                 break
 
     emit_samples(config.duration, state.n_collisions)

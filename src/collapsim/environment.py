@@ -123,13 +123,15 @@ def next_collision(rng: RngState, spec: EnvironmentSpec, t_now: float) -> Option
     """
     if spec.collision_rate == 0.0:
         return None
-    return collision_from_words(rng.words(COLLISION_WORDS).tolist(), spec, t_now)
-
-
-def collision_from_words(w: list, spec: EnvironmentSpec, t_now: float) -> CollisionEvent:
-    """The encounter after ``t_now`` whose 12 words are ``w``, as
-    :func:`next_collision` builds it; the rate must be positive."""
+    w = rng.words(COLLISION_WORDS).tolist()
     dt = -math.log1p(-w[0]) / spec.collision_rate
+    offset, sigma = packet_from_words(w, spec)
+    return CollisionEvent(t_now + dt, offset, sigma, TWO_PI * w[10], w[11])
+
+
+def packet_from_words(w: list, spec: EnvironmentSpec) -> tuple[Vec3, Vec3]:
+    """The environment packet's offset and widths in a collision whose 12
+    words are ``w``, as plain floats."""
     spread = spec.impact_spread
     if spread != 0.0:
         offset = (
@@ -140,16 +142,14 @@ def collision_from_words(w: list, spec: EnvironmentSpec, t_now: float) -> Collis
     else:
         offset = (0.0, 0.0, 0.0)
     j = spec.env_sigma_jitter
+    if j == 0.0:
+        return offset, spec.env_sigma
     t1, t2, t3 = spec.env_sigma
-    if j != 0.0:
-        sigma = (
-            t1 * (1.0 + j * (2.0 * w[7] - 1.0)),
-            t2 * (1.0 + j * (2.0 * w[8] - 1.0)),
-            t3 * (1.0 + j * (2.0 * w[9] - 1.0)),
-        )
-    else:
-        sigma = spec.env_sigma
-    return CollisionEvent(t_now + dt, offset, sigma, TWO_PI * w[10], w[11])
+    return offset, (
+        t1 * (1.0 + j * (2.0 * w[7] - 1.0)),
+        t2 * (1.0 + j * (2.0 * w[8] - 1.0)),
+        t3 * (1.0 + j * (2.0 * w[9] - 1.0)),
+    )
 
 
 def draw_collision_block(

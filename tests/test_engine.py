@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from collapsim import (
+    CollisionEvent,
     EngineError,
     EnvironmentSpec,
     LastEvent,
@@ -302,6 +303,19 @@ class TestRun:
         with pytest.raises(EngineError, match="non-finite state at t="):
             run(UNDERFLOW_CONFIG)
 
+    def test_contraction_underflow_reported_as_by_step_loop(self):
+        """The decide pass raises a firing's contraction that is not finite
+        with the message of the loop over ``step``, with records or without."""
+        for seed in range(8):
+            cfg = replace(UNDERFLOW_CONFIG, seed=seed)
+            with pytest.raises(EngineError) as expected:
+                reference_run(cfg)
+            assert "collapses=1): widths (0.0, 0.0, 0.0)" in str(expected.value)
+            for keep_records in (True, False):
+                with pytest.raises(EngineError) as got:
+                    run(cfg, keep_records=keep_records)
+                assert str(got.value) == str(expected.value)
+
     def test_random_initial_alpha_drawn_from_seed(self):
         cfg = micro_config(initial_alpha="random", seed=19, duration=1e-5)
         s1, _ = run(cfg)
@@ -551,6 +565,34 @@ class TestNoPacketBuilt:
         assert len(constructed) == 0
 
 
+@pytest.mark.parametrize("name", ["tpp", "sugar_grain", "generic"])
+def test_phase_passes_build_no_objects(monkeypatch, name):
+    """``run`` decides its phase passes on plain values: it builds no
+    :class:`CollisionEvent`, and a :class:`SimState` only for the initial
+    state, for each firing and for the end of each window."""
+    built = []
+
+    def counted(cls):
+        init = cls.__init__
+
+        def counting(obj, *args, **kwargs):
+            built.append(cls)
+            init(obj, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    windows = []
+    decide = engine._decide
+    monkeypatch.setattr(engine, "_decide", lambda *args: windows.append(1) or decide(*args))
+    counted(CollisionEvent)
+    counted(engine.SimState)
+    config = generic_document_config(0.05) if name == "generic" else preset(name)
+    summary, records = run(replace(config, duration=0.05))
+    assert summary.n_collapses > 0 and len(records) > summary.n_collisions
+    assert CollisionEvent not in built
+    assert built.count(engine.SimState) <= 1 + summary.n_collapses + len(windows)
+
+
 def test_run_builds_one_stream(monkeypatch):
     """``run`` seeks in one :class:`RngState` and never seeds another, also
     when it draws a random initial phase."""
@@ -772,25 +814,25 @@ def test_words_carried_past_firings_match_step_loop(monkeypatch, block_size):
 
 @pytest.mark.parametrize("name", ["tpp", "sugar_grain", "generic"])
 def test_resolve_sees_only_phase_passes(monkeypatch, name):
-    """``run`` hands ``resolve`` only the collisions whose phase passes the
-    clause against the constant of their own regime: every other one is a
-    reject without an event."""
+    """``run`` hands the plain-value decision of ``resolve``,
+    ``engine._collide``, only the collisions whose phase passes the clause
+    against the constant of their own regime: every other one is a reject
+    decided in numpy."""
     config = generic_document_config(0.01) if name == "generic" else preset(name)
     config = replace(config, duration=0.01)
     obj = config.object
     seen = []
-    resolve = engine.resolve
+    collide = engine._collide
 
-    def checked(state, event, cfg, rng):
-        sigma = reference.spread(state.sigma, obj.mass, event.time - state.t_ref)
-        alpha = state.alpha
+    def checked(cfg, sigma, alpha, env_alpha, env_sigma, offset, pick, *rest):
+        compared = alpha
         if min(sigma) < obj.internal_radius:
             alphas = obj.cluster_alphas
-            alpha = alphas[min(int(event.pick * len(alphas)), len(alphas) - 1)]
-        seen.append(reference.phase_clause(alpha, event.alpha))
-        return resolve(state, event, cfg, rng)
+            compared = alphas[min(int(pick * len(alphas)), len(alphas) - 1)]
+        seen.append(reference.phase_clause(compared, env_alpha))
+        return collide(cfg, sigma, alpha, env_alpha, env_sigma, offset, pick, *rest)
 
-    monkeypatch.setattr(engine, "resolve", checked)
+    monkeypatch.setattr(engine, "_collide", checked)
     summary, _ = run(config, keep_records=False)
     assert summary.n_collapses > 0
     assert len(seen) >= summary.n_collapses and all(seen)

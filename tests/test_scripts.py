@@ -2,6 +2,7 @@
 ``output_digests.py`` prints the pinned digests of every output."""
 
 import importlib.util
+import json
 import platform
 from pathlib import Path
 
@@ -84,10 +85,48 @@ def test_paired_bench_summary():
     assert wall["ratio"] == 2.0 / 3.0 and wall["wins"] == 4  # lower is better; pair 4 lost
     assert events["parent"][1] == 30.0 and events["change"][1] == 35.0
     assert events["wins"] == 4  # higher is better; pair 1 is a tie, not a win
-    lines = paired.table("w", rows)
+    lines = paired.table({"w": rows})
     assert lines[2] == "| w | wall_s | 3 (1.5–4.5) | 2 (0.75–4.5) | 0.667 | 4/5 |"
     one = paired.summarize([(parent[0], change[0])], {"wall_s": "lower"})
     assert one[0]["parent"] == (4.0,) * 3
+
+
+def test_paired_bench_table_of_repeated_workloads(tmp_path, monkeypatch, capsys):
+    """``--workload`` repeated: each workload's pairs run in turn, parent
+    first in even pairs, and one table holds every workload's rows."""
+    paired = load_script("paired_bench")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    metrics = [{"name": "wall_s", "better": "lower"}, {"name": "events_per_s", "better": "higher"}]
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": metrics}))
+    # Canned results: the change is twice as fast on "a" and no faster on "b".
+    canned = {("a", parent): [4.0, 3.0, 5.0], ("a", change): [2.0, 1.5, 2.5],
+              ("b", parent): [1.0, 1.0, 1.0], ("b", change): [1.0, 1.0, 1.0]}
+    runs = []
+
+    def bench(tree, workload, args):
+        wall = canned[workload, tree][sum(run == (workload, tree) for run in runs)]
+        runs.append((workload, tree))
+        return {"wall_s": wall, "events_per_s": 12.0 / wall}
+
+    monkeypatch.setattr(paired, "bench", bench)
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "a",
+            "--workload", "b", "--pairs", "3", "--seed", "1", "--seconds", "1"]
+    assert paired.main(argv) == 0
+    assert runs == [("a", parent), ("a", change), ("a", change), ("a", parent),
+                    ("a", parent), ("a", change),
+                    ("b", parent), ("b", change), ("b", change), ("b", parent),
+                    ("b", parent), ("b", change)]
+    out = capsys.readouterr().out.splitlines()
+    assert out[-6:] == [
+        "| workload | metric | parent | change | ratio | change better |",
+        "|---|---|---|---|---|---|",
+        "| a | wall_s | 4 (3–5) | 2 (1.5–2.5) | 0.500 | 3/3 |",
+        "| a | events_per_s | 3 (2.4–4) | 6 (4.8–8) | 2.000 | 3/3 |",
+        "| b | wall_s | 1 (1–1) | 1 (1–1) | 1.000 | 0/3 |",
+        "| b | events_per_s | 12 (12–12) | 12 (12–12) | 1.000 | 0/3 |",
+    ]
 
 
 def test_paired_bench_stops_on_a_failed_run(tmp_path):
