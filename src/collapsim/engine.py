@@ -22,13 +22,12 @@ environment packet meets only one of the object's clusters, so a uniformly
 chosen cluster constant is compared instead and the contraction is damped
 (``CLUSTER_PHASE``).
 
-Word layout.  One collision takes 12 words of the seeded stream in either
-regime: the inter-arrival time, six offset uniforms, three width jitters, the
-environment phase and the cluster pick (see :mod:`collapsim.environment`).
-When ``redraw_alpha_after_collapse`` is set, a firing collision takes one
-more word for the object's new phase constant.  Collision ``j`` after a
-state at word ``position`` therefore starts at ``position + 12 * j`` until
-the next firing.
+Word layout.  Collision ``i`` takes words ``3i`` to ``3i + 2`` of the seeded
+stream in either regime: the inter-arrival time, the environment phase and
+the cluster pick.  Its offset and width jitters, and a phase constant drawn
+at the start or after a firing, are keyed words addressed by the collision
+count (see :mod:`collapsim.environment`): a state's position is always
+``3 * n_collisions``.
 
 Decide, then fill.  :func:`step` draws one collision with
 :func:`next_collision` and decides it with :func:`resolve`; it is the
@@ -38,13 +37,16 @@ records and the recovery sum.  So :func:`run` takes a window of collisions
 at a time (thinning, Lewis & Shedler 1979) in two passes:
 
 - Decide (:func:`_decide`).  The words give each collision's time (a
-  sequential ``np.cumsum`` of the gaps), phase and cluster pick in numpy.  A
-  *candidate* passes the phase clause against the object's constant or its
-  picked cluster's; any other collision is a reject whatever its widths.
+  sequential ``np.cumsum`` of the gaps), phase and cluster pick in numpy.
+  Widths grow between firings, so the regimes at a segment's ends tell
+  which phase clause it needs: the object's constant (CM), the picked
+  cluster's, or both where the regime crosses.  A *candidate* passes a
+  needed clause; any other collision is a reject whatever its widths.
   Each candidate in order reads its widths from the waist in effect, as
   floats, to learn its regime, and one that passes that regime's clause is
   decided by :func:`_collide`, the plain-value decision :func:`resolve` also
-  makes.  Only a firing builds a state, which sets the waist for the rest.
+  makes.  Only a firing builds a state, which sets the waist for the next
+  segment.
 - Fill.  Every collision's widths are read out from the waist in effect
   before it, one numpy pass per segment between firings, into arrays
   allocated once per run.  Rows go to the sink in order, and the recovery
@@ -54,17 +56,13 @@ A window is ``_WINDOW_BLOCKS`` blocks of up to ``_BLOCK_SIZE`` collisions
 (about 4 pi / alpha_s, twice the mean gap between phase passes).  Near the
 duration a block is sized to the collisions due before it, lambda (T - t)
 plus six standard deviations and 16; one that falls short is followed by
-another.  A window ends at the duration, at ``max_collisions``, or at a
-firing that redraws the phase constant: that takes one more word, so the
-collisions after it start one word later.  The first failure in time order
-raises as in :func:`step`: a width that is not finite at a grid row or a
-collision, found in numpy and raised by the float readout, or a firing's
-contraction.
+another.  A window ends at the duration or at ``max_collisions``.  The first
+failure in time order raises as in :func:`step`: a width that is not finite
+at a grid row or a collision, found in numpy and raised by the float
+readout, or a firing's contraction.
 
-Each collision's words are drawn once, into the flat buffer of a run's
-:class:`_WordBuffer`, which owns its one :class:`RngState`.  The words past a
-redraw stay held, shifted by one word.  The stream seeks only to top the
-buffer up and to draw a redrawn phase; nothing is seeded again.
+A run reads its one :class:`RngState` in order, each block's words once into
+a flat buffer; nothing is sought or seeded again.
 
 The arithmetic matches the scalar path bit for bit: gaps are the C
 library's ``log1p``, which ``math.log1p`` calls and which numpy calls on a
@@ -119,8 +117,9 @@ class SimState:
     ``t_ref``, ``sigma`` and ``alpha`` are the object's waist: the time of
     the last collapse (or 0), the widths then, and the phase constant.  The
     widths at t are ``spread_widths(sigma, config.object.mass, t - t_ref)``.
-    ``position`` counts the words of the seeded stream consumed so far:
-    ``RngState(config.seed, position)`` draws the next collision.
+    ``position`` counts the words of the seeded stream consumed so far,
+    three per collision: ``RngState(config.seed, position)`` draws the next
+    collision.
     """
 
     t: float
@@ -368,13 +367,13 @@ def regime_for(sigma: Vec3, internal_radius: float) -> Regime:
 
 
 def initial_state(config: ScenarioConfig, rng: Optional[RngState] = None) -> SimState:
-    """Build the t=0 state.  A random phase constant is the first word of
-    ``rng``, a stream of ``config.seed`` at word 0, or of a new one."""
-    if config.initial_alpha == RANDOM_ALPHA:
-        alpha, position = draw_phase(rng or RngState(config.seed)), 1
-    else:
-        alpha, position = config.initial_alpha, 0
-    return SimState(0.0, 0.0, config.initial_sigma, alpha, 0, 0, position)
+    """Build the t=0 state.  A random phase constant is the keyed phase of
+    no collisions, drawn with ``rng``, a stream of ``config.seed``, or with a
+    new one."""
+    alpha = config.initial_alpha
+    if alpha == RANDOM_ALPHA:
+        alpha = draw_phase(rng or RngState(config.seed), 0)
+    return SimState(0.0, 0.0, config.initial_sigma, alpha, 0, 0, 0)
 
 
 def _state_error(t: float, n_collisions: int, n_collapses: int, problem) -> EngineError:
@@ -418,8 +417,8 @@ def resolve(
     state: SimState, event: CollisionEvent, config: ScenarioConfig, rng: RngState
 ) -> tuple[SimState, TimeSeriesRecord]:
     """Resolve ``event``, the next collision of ``state``, with :func:`_collide`.
-    ``rng`` stands just past its words; a firing reads one more only for a
-    phase redraw, and the new state's position is ``rng.position``."""
+    ``rng`` stands just past its words, the new state's position; a firing
+    that redraws the phase reads it with :func:`draw_phase`."""
     t, n_collisions = event.time, state.n_collisions + 1
     sigma = _widths_at(state, config.object.mass, t, state.n_collisions)
     after = _collide(
@@ -431,7 +430,7 @@ def resolve(
         last_event = LastEvent.COLLISION_NO_COLLAPSE
     else:
         sigma = after
-        alpha = draw_phase(rng) if config.redraw_alpha_after_collapse else state.alpha
+        alpha = draw_phase(rng, n_collisions) if config.redraw_alpha_after_collapse else state.alpha
         new_state = SimState(t, t, sigma, alpha, n_collisions, state.n_collapses + 1, rng.position)
         last_event = LastEvent.COLLAPSE
     record = TimeSeriesRecord(
@@ -533,34 +532,6 @@ def _block_for(expected: float) -> int:
     return min(_BLOCK_SIZE, math.ceil(expected + 6.0 * math.sqrt(expected)) + 16)
 
 
-class _WordBuffer:
-    """A run's one stream and the words drawn from it that no collision has
-    used yet: ``buf[:held]`` holds the stream's words from word ``held_at``
-    on, in one flat buffer of a block's words."""
-
-    __slots__ = ("rng", "buf", "held", "held_at")
-
-    def __init__(self, rng: RngState):
-        self.rng = rng
-        self.buf = np.empty(COLLISION_WORDS * _BLOCK_SIZE)
-        self.held, self.held_at = 0, rng.position
-
-    def take(self, position: int, n: int) -> np.ndarray:
-        """The words of the n collisions from stream word ``position`` on:
-        those held, moved to the front, and the rest drawn into the buffer."""
-        buf, need = self.buf, COLLISION_WORDS * n
-        used = min(position - self.held_at, self.held)
-        held = self.held - used
-        if used and held:
-            buf[:held] = buf[used : used + held]
-        if held < need:
-            self.rng.seek(position + held)
-            self.rng.words(need - held, out=buf[held:need])
-            held = need
-        self.held, self.held_at = held, position
-        return buf[:need]
-
-
 @dataclass
 class _Sums:
     """Running aggregates of one run, accumulated in collision order."""
@@ -603,12 +574,22 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
+def _cluster_at(waist: SimState, mass: float, t: float, internal_radius: float) -> Optional[bool]:
+    """Whether the widths read out from ``waist`` at t are in the cluster
+    regime; None if they cannot be read."""
+    try:
+        return min(spread_widths(waist.sigma, mass, t - waist.t_ref)) < internal_radius
+    except ArithmeticError:
+        return None
+
+
 def _decide(
-    config: ScenarioConfig, state: SimState, buffer: _WordBuffer, alphas: np.ndarray,
-    times: np.ndarray, limit: int,
+    config: ScenarioConfig, state: SimState, rng: RngState, words: np.ndarray,
+    alphas: np.ndarray, times: np.ndarray, limit: int,
 ) -> tuple[int, list[tuple[int, SimState]], Optional[EngineError], bool]:
-    """Decide the window of at most ``limit`` collisions after ``state``;
-    their times go to ``times``, and ``alphas`` are the cluster constants.
+    """Decide the window of at most ``limit`` collisions after ``state``,
+    drawing each block's words from ``rng`` into ``words``; their times go
+    to ``times``, and ``alphas`` are the cluster constants.
 
     Returns the window's end, its firings, each as the collisions up to and
     including it and the state after it, the first failure or None, and
@@ -616,44 +597,63 @@ def _decide(
     """
     env = config.environment
     mass, internal_radius = config.object.mass, config.object.internal_radius
-    n0, p0 = state.n_collisions, state.position
+    n0 = state.n_collisions
     waist, firings, end = state, [], 0
     while end < limit:
         t_last = times.item(end - 1) if end else state.t
         n = min(limit - end, _block_for(env.collision_rate * (config.duration - t_last)))
-        words = buffer.take(p0 + COLLISION_WORDS * end, n)
-        gaps, env_alpha, pick = draw_collision_block(words, env)
+        block_words = rng.words(COLLISION_WORDS * n, out=words[: COLLISION_WORDS * n])
+        gaps, env_alpha, pick = draw_collision_block(block_words, env)
         gaps[0] += t_last
-        np.cumsum(gaps, out=times[end : end + n])
+        block = np.cumsum(gaps, out=times[end : end + n])
         # The window ends before the first collision past the duration.
-        n_in = int(np.searchsorted(times[end : end + n], config.duration, side="right"))
+        n_in = int(np.searchsorted(block, config.duration, side="right"))
         env_alpha = env_alpha[:n_in]
-        picked = alphas.take((pick[:n_in] * len(alphas)).astype(np.intp), mode="clip")
-        cm_pass = phase_clause_batch(waist.alpha, env_alpha)
-        cluster_pass = phase_clause_batch(picked, env_alpha)
-        for j in np.flatnonzero(cm_pass | cluster_pass).tolist():
-            i, t = end + j, times.item(end + j)
-            try:
-                sigma = _widths_at(waist, mass, t, n0 + i)
-                if not (cluster_pass if min(sigma) < internal_radius else cm_pass)[j]:
-                    continue
-                w = words[COLLISION_WORDS * j : COLLISION_WORDS * (j + 1)].tolist()
-                offset, env_sigma = packet_from_words(w, env)
-                after = _collide(
-                    config, sigma, waist.alpha, env_alpha.item(j), env_sigma, offset, w[11],
-                    t, n0 + i + 1, waist.n_collapses,
-                )
-            except EngineError as exc:
-                return i, firings, exc, False
-            if after is not None:
-                alpha, position = waist.alpha, p0 + COLLISION_WORDS * (i + 1)
-                if config.redraw_alpha_after_collapse:
-                    buffer.rng.seek(position)
-                    alpha, position = draw_phase(buffer.rng), position + 1
-                waist = SimState(t, t, after, alpha, n0 + i + 1, waist.n_collapses + 1, position)
-                firings.append((i + 1, waist))
-                if config.redraw_alpha_after_collapse:
-                    return i + 1, firings, None, False
+        cm_pass = cm_alpha = cluster_pass = None
+        s = 0
+        while s < n_in:  # a segment under one waist
+            # Widths grow between firings: if the segment's last collision is
+            # in the cluster regime, all are; if its first is in the CM
+            # regime, all are.  Else (None) it needs both clauses.
+            regime = _cluster_at(waist, mass, block.item(n_in - 1), internal_radius)
+            if regime is not True:
+                if _cluster_at(waist, mass, block.item(s), internal_radius) is not False:
+                    regime = None
+                if cm_alpha != waist.alpha:
+                    cm_pass, cm_alpha = phase_clause_batch(waist.alpha, env_alpha), waist.alpha
+            if regime is not False and cluster_pass is None:
+                picked = alphas.take((pick[:n_in] * len(alphas)).astype(np.intp), mode="clip")
+                cluster_pass = phase_clause_batch(picked, env_alpha)
+            if regime is None:
+                passes = cm_pass | cluster_pass
+            else:
+                passes = cluster_pass if regime else cm_pass
+            segment_end = n_in
+            for j in (s + np.flatnonzero(passes[s:])).tolist():
+                i, t = end + j, block.item(j)
+                try:
+                    sigma = _widths_at(waist, mass, t, n0 + i)
+                    if not (cluster_pass if min(sigma) < internal_radius else cm_pass)[j]:
+                        continue
+                    offset, env_sigma = packet_from_words(rng, n0 + i, env)
+                    after = _collide(
+                        config, sigma, waist.alpha, env_alpha.item(j), env_sigma, offset,
+                        pick.item(j), t, n0 + i + 1, waist.n_collapses,
+                    )
+                except EngineError as exc:
+                    return i, firings, exc, False
+                if after is not None:
+                    alpha = waist.alpha
+                    if config.redraw_alpha_after_collapse:
+                        alpha = draw_phase(rng, n0 + i + 1)
+                    waist = SimState(
+                        t, t, after, alpha, n0 + i + 1, waist.n_collapses + 1,
+                        COLLISION_WORDS * (n0 + i + 1),
+                    )
+                    firings.append((i + 1, waist))
+                    segment_end = j + 1
+                    break
+            s = segment_end
         end += n_in
         if n_in < n:
             return end, firings, None, True
@@ -679,8 +679,9 @@ def run(
     env = config.environment
     mass, internal_radius = config.object.mass, config.object.internal_radius
     alphas = np.array(config.object.cluster_alphas)
-    buffer = _WordBuffer(RngState(config.seed))
-    state = initial_state(config, buffer.rng)
+    rng = RngState(config.seed)
+    words = np.empty(COLLISION_WORDS * _BLOCK_SIZE)
+    state = initial_state(config, rng)
     # A window's columns, reused by every window: the times, three rows of
     # widths, a scratch row that ends as the recovery ratios, and the
     # regime mask.
@@ -756,8 +757,8 @@ def run(
                 if limit <= 0:
                     budget_exhausted = True
                     break
-            n0, p0 = state.n_collisions, state.position
-            end, firings, error, done = _decide(config, state, buffer, alphas, times, limit)
+            n0 = state.n_collisions
+            end, firings, error, done = _decide(config, state, rng, words, alphas, times, limit)
 
             # Fill.  A firing ends its segment.  The recovery ratios, the
             # firings' among them, start after the run's first firing.
@@ -790,7 +791,7 @@ def run(
             rows(columns, a, end)
             sums.add_recovery(widths[3, first:end])
             if a < end:
-                t, position = times.item(end - 1), p0 + COLLISION_WORDS * end
+                t, position = times.item(end - 1), COLLISION_WORDS * (n0 + end)
                 state = replace(state, t=t, n_collisions=n0 + end, position=position)
             if done:  # the window ended at the duration
                 break

@@ -8,13 +8,22 @@ needed; its widths, the configured template with optional relative
 jitter; and a uniform that picks which of the object's clusters the packet
 meets.  No packet object is built per encounter.
 
-Randomness is fully positional: :class:`RngState` wraps a PCG64 generator
-and counts consumed 64-bit words, so a state can be reconstructed from
-``(seed, position)`` alone and a stream replayed bit-exactly within one
-build.  :meth:`RngState.seek` moves a stream to any position, forward or
-back, by the same jump that construction uses and without seeding again, so
-one stream serves a whole run.  Every logical draw consumes a fixed number
-of words, and a collision takes :data:`COLLISION_WORDS` in every regime.
+Randomness is fully positional, in stream layout :data:`STREAM_VERSION`.
+:class:`RngState` wraps a PCG64 generator and counts consumed 64-bit words;
+collision ``i`` takes words ``3i`` to ``3i + 2`` of it, its inter-arrival
+time, environment phase and cluster pick (:data:`COLLISION_WORDS`), so a
+state is reconstructed from ``(seed, position)`` alone and a stream replayed
+bit-exactly within one build.  :meth:`RngState.seek` moves a stream to any
+position, forward or back, without seeding again.
+
+The words that only a phase pass reads come from a counter-based generator
+keyed by the seed (Philox, Salmon et al. 2011), addressed in O(1) and built
+on first use: collision ``i``'s six offset uniforms and three width jitters
+(:func:`packet_from_words`) at counter ``3i``, and the object's phase
+constant drawn once it has had ``n`` collisions (:func:`draw_phase`: the
+random initial phase at ``n = 0``, a redraw after a firing at its count) at
+counter ``2**64 + n``.  A reject reads none of them, and the main stream
+never shifts: a run's position is always three words per collision.
 """
 
 from __future__ import annotations
@@ -25,16 +34,19 @@ from numbers import Integral
 from typing import Optional
 
 import numpy as np
-from numpy.random import PCG64, Generator
+from numpy.random import PCG64, Generator, Philox, SeedSequence
 
 from .config import EnvironmentSpec
 from .packets import TWO_PI, Vec3
 
-# Fixed word budget of one collision draw: 1 inter-arrival + 3 x 2 offset
-# normals (Box-Muller, first of each pair) + 3 width jitters + 1 phase + 1
-# cluster pick.  The pick is drawn in either regime; only the cluster regime
-# reads it.
-COLLISION_WORDS = 12
+STREAM_VERSION = 2  # the word layout; a new one changes every output for a seed
+# Main-stream words of a collision, drawn in either regime: the inter-arrival
+# time, the phase and the cluster pick, which only the cluster regime reads.
+COLLISION_WORDS = 3
+# Keyed words of collision i's packet, at counter 3i (3 Philox blocks of 4):
+# 3 x 2 offset uniforms (Box-Muller, first of each pair) and 3 width jitters.
+PACKET_WORDS = 9
+_PHASE_COUNTER = 1 << 64  # the phase constants' counters, past every packet's
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,14 +67,15 @@ class CollisionEvent:
 
 
 class RngState:
-    """PCG64 stream with word-level position accounting.
+    """PCG64 stream with word-level position accounting, and the keyed
+    generator of the same seed.
 
     ``RngState(seed, position)`` reproduces the exact state of any stream
     that has consumed ``position`` 64-bit words since seeding, so equality of
     ``(seed, position)`` implies bit-identical continuations.
     """
 
-    __slots__ = ("seed", "position", "_gen")
+    __slots__ = ("seed", "position", "_gen", "_keyed")
 
     def __init__(self, seed: int, position: int = 0):
         if not isinstance(seed, Integral) or seed < 0:
@@ -70,6 +83,7 @@ class RngState:
         self.seed = int(seed)
         self.position = 0
         self._gen = Generator(PCG64(self.seed))
+        self._keyed = None
         self.seek(position)
 
     def seek(self, position: int) -> None:
@@ -92,6 +106,24 @@ class RngState:
         self.position += 1
         return self._gen.random()
 
+    def keyed(self, counter: int, n: int) -> list[float]:
+        """``n`` uniforms on [0, 1) of the keyed generator with its counter
+        set to ``counter``: the words of Philox4x64 blocks ``counter + 1``
+        on.  The position does not move.  The generator, keyed by a child
+        of the seed's ``SeedSequence``, is built on first use."""
+        if self._keyed is None:
+            gen = Generator(Philox(SeedSequence(self.seed, spawn_key=(1,))))
+            state = gen.bit_generator.state
+            # Plain lists: the state setter reads them faster than arrays.
+            state["state"] = {"counter": [0, 0, 0, 0], "key": state["state"]["key"].tolist()}
+            state["buffer"] = [0, 0, 0, 0]
+            self._keyed = gen, state
+        gen, state = self._keyed
+        counts = state["state"]["counter"]
+        counts[0], counts[1] = counter & 0xFFFFFFFFFFFFFFFF, counter >> 64
+        gen.bit_generator.state = state  # also empties the block buffer
+        return gen.random(n).tolist()
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RngState)
@@ -103,9 +135,11 @@ class RngState:
         return f"RngState(seed={self.seed}, position={self.position})"
 
 
-def draw_phase(rng: RngState) -> float:
-    """Draw one phase constant uniform on [0, 2*pi). Consumes one word."""
-    return TWO_PI * rng.uniform()
+def draw_phase(rng: RngState, n_collisions: int) -> float:
+    """The object's phase constant once it has had ``n_collisions``
+    collisions, uniform on [0, 2*pi): one keyed word, so the position does
+    not move."""
+    return TWO_PI * rng.keyed(_PHASE_COUNTER + n_collisions, 1)[0]
 
 
 def _standard_normal(u1: float, u2: float) -> float:
@@ -119,36 +153,43 @@ def next_collision(rng: RngState, spec: EnvironmentSpec, t_now: float) -> Option
     Returns None, and consumes nothing, when the collision rate is zero.  The event time
     is exponential with the configured rate; the offset is Gaussian with the
     configured impact spread; the widths are the template scaled by a uniform
-    relative jitter.  Consumes exactly :data:`COLLISION_WORDS` (12) words.
+    relative jitter.  ``rng`` stands at the start of a collision, a multiple
+    of :data:`COLLISION_WORDS` (3), and moves past its words.
     """
     if spec.collision_rate == 0.0:
         return None
-    w = rng.words(COLLISION_WORDS).tolist()
-    dt = -math.log1p(-w[0]) / spec.collision_rate
-    offset, sigma = packet_from_words(w, spec)
-    return CollisionEvent(t_now + dt, offset, sigma, TWO_PI * w[10], w[11])
+    i, misaligned = divmod(rng.position, COLLISION_WORDS)
+    if misaligned:
+        raise ValueError(f"{rng!r} is not at the start of a collision")
+    u, phase, pick = rng.words(COLLISION_WORDS).tolist()
+    dt = -math.log1p(-u) / spec.collision_rate
+    offset, sigma = packet_from_words(rng, i, spec)
+    return CollisionEvent(t_now + dt, offset, sigma, TWO_PI * phase, pick)
 
 
-def packet_from_words(w: list, spec: EnvironmentSpec) -> tuple[Vec3, Vec3]:
-    """The environment packet's offset and widths in a collision whose 12
-    words are ``w``, as plain floats."""
-    spread = spec.impact_spread
+def packet_from_words(rng: RngState, i: int, spec: EnvironmentSpec) -> tuple[Vec3, Vec3]:
+    """The environment packet's offset and widths in collision ``i`` of the
+    seed of ``rng``, as plain floats.  The collision's keyed words are read
+    only if ``spec`` spreads the impact or jitters the widths."""
+    spread, j = spec.impact_spread, spec.env_sigma_jitter
+    if spread == 0.0 and j == 0.0:
+        return (0.0, 0.0, 0.0), spec.env_sigma
+    w = rng.keyed(3 * i, PACKET_WORDS)
     if spread != 0.0:
         offset = (
-            spread * _standard_normal(w[1], w[2]),
-            spread * _standard_normal(w[3], w[4]),
-            spread * _standard_normal(w[5], w[6]),
+            spread * _standard_normal(w[0], w[1]),
+            spread * _standard_normal(w[2], w[3]),
+            spread * _standard_normal(w[4], w[5]),
         )
     else:
         offset = (0.0, 0.0, 0.0)
-    j = spec.env_sigma_jitter
     if j == 0.0:
         return offset, spec.env_sigma
     t1, t2, t3 = spec.env_sigma
     return offset, (
-        t1 * (1.0 + j * (2.0 * w[7] - 1.0)),
-        t2 * (1.0 + j * (2.0 * w[8] - 1.0)),
-        t3 * (1.0 + j * (2.0 * w[9] - 1.0)),
+        t1 * (1.0 + j * (2.0 * w[6] - 1.0)),
+        t2 * (1.0 + j * (2.0 * w[7] - 1.0)),
+        t3 * (1.0 + j * (2.0 * w[8] - 1.0)),
     )
 
 
@@ -157,8 +198,8 @@ def draw_collision_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The collisions whose words are ``words``, at a positive collision rate.
 
-    ``words`` holds 12 words per collision, ``n * 12`` in all: collision
-    ``i`` occupies words ``i * 12`` to ``i * 12 + 11``, the layout of
+    ``words`` holds 3 words per collision, ``n * 3`` in all: collision
+    ``i`` occupies words ``i * 3`` to ``i * 3 + 2``, the layout of
     :func:`next_collision`.  Returns the inter-arrival times, the
     environment phase constants and the cluster-pick uniforms, so element
     ``i`` equals what :func:`next_collision` builds from the same words.
@@ -174,4 +215,4 @@ def draw_collision_block(
     x = -w[:, 0]
     log_gap = np.log1p(x[::-1])[::-1]
     # ``-log_gap / rate`` into ``x``: rounding to nearest is symmetric in sign.
-    return np.divide(log_gap, -spec.collision_rate, out=x), TWO_PI * w[:, 10], w[:, 11]
+    return np.divide(log_gap, -spec.collision_rate, out=x), TWO_PI * w[:, 1], w[:, 2]

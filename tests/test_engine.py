@@ -27,6 +27,7 @@ from collapsim import (
     to_document,
 )
 import collapsim.engine as engine
+import collapsim.environment as environment
 from collapsim.contraction import damped_sigma
 from collapsim.engine import _widths_at, aggregate_summaries, initial_state, regime_for
 from collapsim.constants import HBAR, PHASE_ACCEPTANCE_PROBABILITY
@@ -105,7 +106,7 @@ class TestStep:
         first = step(s0, cfg)
         assert step(s0, cfg) == first
         assert s0 == before
-        assert first[0].position == s0.position + 12
+        assert first[0].position == s0.position + 3
 
     def test_zero_rate_rejected(self):
         cfg = micro_config(environment=EnvironmentSpec(collision_rate=0.0, env_sigma=1e-10))
@@ -121,28 +122,29 @@ class TestStep:
 
 
 class TestWordLayout:
-    """A collision takes 12 words of the stream in either regime; a firing
-    with phase redraw takes one more."""
+    """A collision takes 3 words of the stream in either regime, and a
+    firing takes no more, also when it redraws the phase: a state's position
+    is three words per collision."""
 
     @pytest.mark.parametrize(
         "initial_sigma, regime", [(0.05, Regime.CM_PHASE), (5e-11, Regime.CLUSTER_PHASE)]
     )
-    def test_collision_takes_12_words_in_either_regime(self, initial_sigma, regime):
+    def test_collision_takes_3_words_in_either_regime(self, initial_sigma, regime):
         cfg = replace(preset("sugar_grain"), initial_sigma=initial_sigma)
         state = initial_state(cfg)
         new_state, record = step(state, cfg)
         assert record.last_event is LastEvent.COLLISION_NO_COLLAPSE
         assert record.regime is regime
-        assert new_state.position == state.position + 12
+        assert new_state.position == state.position + 3
 
     @pytest.mark.parametrize("redraw", [False, True])
-    def test_firing_takes_one_more_word_only_for_a_redraw(self, redraw):
+    def test_firing_takes_no_more_words(self, redraw):
         cfg = replace(generic_document_config(1.0), redraw_alpha_after_collapse=redraw)
         state = initial_state(cfg)
         for _ in range(100_000):
             new_state, record = step(state, cfg)
             fired = record.last_event is LastEvent.COLLAPSE
-            assert new_state.position == state.position + 12 + (fired and redraw)
+            assert new_state.position == state.position + 3 == 3 * new_state.n_collisions
             state = new_state
             if fired:
                 break
@@ -151,8 +153,8 @@ class TestWordLayout:
 
     @pytest.mark.parametrize("name", ["tpp", "generic"])
     def test_windows_end_only_at_redraws_and_the_duration(self, monkeypatch, name):
-        """A firing ends its window only when it redraws the phase: each
-        window sums its recovery ratios once."""
+        """No firing ends its window, not even one that redraws the phase:
+        each window sums its recovery ratios once."""
         windows = []
         add_recovery = engine._Sums.add_recovery
         monkeypatch.setattr(
@@ -163,8 +165,7 @@ class TestWordLayout:
         summary, _ = run(replace(config, seed=1, duration=0.05), keep_records=False)
         assert summary.n_collapses > 0
         window = engine._WINDOW_BLOCKS * engine._BLOCK_SIZE
-        redraws = summary.n_collapses if config.redraw_alpha_after_collapse else 0
-        assert len(windows) <= summary.n_collisions // window + redraws + 1
+        assert len(windows) <= summary.n_collisions // window + 1
 
 
 class TestRun:
@@ -323,7 +324,7 @@ class TestRun:
         assert s1 == s2
         state = initial_state(cfg)
         assert 0.0 <= state.alpha < TWO_PI
-        assert state.position == 1
+        assert state.position == 0
 
 
 class TestClusterRegime:
@@ -473,7 +474,11 @@ def rebuild_collision(cfg: ScenarioConfig, state):
     sigma_p = reference.product(sigma, event.sigma)
     if cluster and cfg.cluster_eta != 1.0:
         sigma_p = reference.damped(sigma, sigma_p, cfg.cluster_eta)
-    alpha_after = TWO_PI * rng.uniform() if cfg.redraw_alpha_after_collapse else state.alpha
+    # The redrawn phase is the keyed word of counter 2**64 + collisions.
+    n_collisions = state.n_collisions + 1
+    alpha_after = state.alpha
+    if cfg.redraw_alpha_after_collapse:
+        alpha_after = TWO_PI * rng.keyed(2**64 + n_collisions, 1)[0]
     return True, sigma_p, alpha_after, rng.position
 
 
@@ -608,11 +613,75 @@ def test_run_builds_one_stream(monkeypatch):
         assert len(calls) == 1
 
 
+class TestStreamContract:
+    """Stream layout 2: three words of the seeded stream per collision; the
+    packet and phase words come from the keyed generator, addressed by the
+    collision count, and only where they are read."""
+
+    @pytest.mark.parametrize(
+        "name, max_collisions",
+        [("generic", None), ("generic", 3000), ("tpp_random_phase", None), ("tpp", 5000)],
+    )
+    def test_position_is_three_words_per_collision(self, name, max_collisions):
+        """Also with a random initial phase, with phase redraws (the generic
+        document has both) and with a ``max_collisions`` cut."""
+        config = {
+            "generic": generic_document_config(0.01),
+            "tpp_random_phase": replace(preset("tpp"), initial_alpha="random"),
+            "tpp": preset("tpp"),
+        }[name]
+        for seed in range(2):
+            cfg = replace(config, seed=seed, duration=0.01)
+            summary, _ = run(cfg, keep_records=False, max_collisions=max_collisions)
+            assert summary.rng_position == 3 * summary.n_collisions
+            assert summary.budget_exhausted is (max_collisions is not None)
+        assert initial_state(cfg).position == 0
+
+    @pytest.mark.parametrize("name", ["tpp", "sugar_grain"])
+    def test_presets_build_no_keyed_generator(self, monkeypatch, name):
+        """A preset neither spreads the impact, jitters the widths nor draws a
+        phase: its run builds no keyed generator.  The generic document's
+        run builds one, when it first needs it."""
+        built = []
+        philox = environment.Philox
+        monkeypatch.setattr(
+            environment, "Philox", lambda *args: built.append(1) or philox(*args)
+        )
+        summary, _ = run(replace(preset(name), duration=0.05))
+        assert summary.n_collapses > 0 and not built
+        run(generic_document_config(0.01))
+        assert len(built) == 1
+
+    def test_candidate_packets_agree_through_run_step_and_replay(self, monkeypatch):
+        """A candidate's packet is the same in ``run``, in the loop over
+        ``step`` and in a replay from ``RngState(seed, 3 * i)``."""
+        cfg = generic_document_config(0.01)
+        packet_from_words = environment.packet_from_words
+        in_run, in_steps = {}, {}
+
+        def recorded(into):
+            def record(rng, i, spec):
+                into[i] = packet_from_words(rng, i, spec)
+                return into[i]
+            return record
+
+        monkeypatch.setattr(engine, "packet_from_words", recorded(in_run))
+        monkeypatch.setattr(environment, "packet_from_words", recorded(in_steps))
+        summary, _ = run(cfg, keep_records=False)
+        assert len(in_run) >= 10 and not in_steps
+        reference_run(cfg)
+        assert len(in_steps) == summary.n_collisions + 1  # and the first past the duration
+        for i, packet in in_run.items():
+            assert in_steps[i] == packet
+            event = next_collision(RngState(cfg.seed, 3 * i), cfg.environment, 0.0)
+            assert (event.offset, event.sigma) == packet
+
+
 @pytest.mark.parametrize("name", ["tpp", "sugar_grain", "generic"])
 def test_each_collision_is_drawn_once(monkeypatch, name):
-    """The words ``run`` draws for its blocks are at most 12 per collision
-    used and one block more, plus one word per firing for a phase redraw:
-    the words past a firing are carried into the next block."""
+    """The words ``run`` draws for its blocks are at most 3 per collision
+    used and one block more: a firing, also one that redraws the phase,
+    takes no word of the stream."""
     drawn = []
     words = RngState.words
     monkeypatch.setattr(
@@ -621,8 +690,7 @@ def test_each_collision_is_drawn_once(monkeypatch, name):
     config = generic_document_config(0.05) if name == "generic" else preset(name)
     summary, _ = run(replace(config, duration=0.05), keep_records=False)
     assert summary.n_collapses > 0
-    bound = 12 * (summary.n_collisions + engine._BLOCK_SIZE) + summary.n_collapses
-    assert sum(drawn) <= bound
+    assert sum(drawn) <= 3 * (summary.n_collisions + engine._BLOCK_SIZE)
 
 
 def reference_run(config: ScenarioConfig, max_collisions=None):
@@ -776,9 +844,9 @@ def test_runs_shorter_than_a_block_match_step_loop(name, duration):
 
 
 def test_short_runs_draw_little_past_their_collisions(monkeypatch):
-    """A 0.01 s ``sugar_grain`` run draws at most its used collisions plus
-    the sizing margin at the run's start, 6 sqrt(rate * duration) + 16, plus
-    one word per firing for a phase redraw: well under a block more."""
+    """A 0.01 s ``sugar_grain`` run with phase redraws draws the 3 words of
+    at most its used collisions plus the sizing margin at the run's start,
+    6 sqrt(rate * duration) + 16: well under a block more."""
     drawn = []
     words = RngState.words
     monkeypatch.setattr(
@@ -791,7 +859,7 @@ def test_short_runs_draw_little_past_their_collisions(monkeypatch):
     for seed in range(16):
         drawn.clear()
         summary, _ = run(replace(config, seed=seed), keep_records=False)
-        assert sum(drawn) <= 12 * (summary.n_collisions + margin) + summary.n_collapses
+        assert sum(drawn) <= 3 * (summary.n_collisions + margin)
         collapses += summary.n_collapses
     assert collapses > 0
 
@@ -799,8 +867,8 @@ def test_short_runs_draw_little_past_their_collisions(monkeypatch):
 @pytest.mark.parametrize("block_size", [1, 2])
 def test_words_carried_past_firings_match_step_loop(monkeypatch, block_size):
     """With blocks of one or two collisions, a firing with a phase redraw
-    often ends its block: the next block then starts past the held words,
-    or takes the words left after the redraw word."""
+    often ends its block: the next block starts at the next collision's
+    words, and the redraw reads none of them."""
     monkeypatch.setattr(engine, "_BLOCK_SIZE", block_size)
     config = replace(preset("tpp"), duration=1e-3, redraw_alpha_after_collapse=True)
     collapses = 0
@@ -853,6 +921,31 @@ def test_firings_inside_windows_match_step_loop(monkeypatch):
                     assert run(cfg) == expected
                 collapses += expected[0].n_collapses
     assert collapses >= 30
+
+
+def test_redrawn_phases_match_step_loop():
+    """A heavy object whose widths equal the environment's stays in the CM
+    regime, where its overlap with a packet is near 1: whether a phase pass
+    fires depends on the object's phase constant, so each redrawn phase and
+    the CM clause after it must match the loop over ``step``."""
+    config = ScenarioConfig(
+        object=ObjectSpec(mass=1e-3, internal_radius=1e-12, cluster_alphas=(0.0,)),
+        initial_sigma=1e-9,
+        initial_alpha="random",
+        environment=EnvironmentSpec(collision_rate=1e6, env_sigma=1e-9),
+        duration=5e-3,
+        seed=0,
+        sample_interval=1e-3,
+        cluster_eta=1.0,
+        redraw_alpha_after_collapse=True,
+    )
+    collapses = 0
+    for seed in range(8):
+        cfg = replace(config, seed=seed)
+        summary, records = run(cfg)
+        assert (summary, records) == reference_run(cfg)
+        collapses += summary.n_collapses
+    assert collapses >= 10
 
 
 class TestBlockMatchesStep:
@@ -937,12 +1030,17 @@ class TestRecords:
     @pytest.fixture(scope="class")
     def stored(self):
         """A run's store and the ``step`` loop's list of the same rows: grid
-        rows, rejects and firings in both regimes."""
-        config = replace(BLOCK_CONFIGS["light_crossing"][0], seed=1)
+        rows, rejects and firings in both regimes, at the first seed whose
+        run has all of them."""
+        for seed in range(64):
+            config = replace(BLOCK_CONFIGS["light_crossing"][0], seed=seed)
+            _, expected = reference_run(config)
+            kinds = {r.last_event for r in expected}, {r.regime for r in expected}
+            if kinds == (set(LastEvent), set(Regime)):
+                break
+        else:
+            pytest.fail("no seed in 0-63 has every kind of row")
         _, records = run(config)
-        _, expected = reference_run(config)
-        assert {r.last_event for r in expected} == set(LastEvent)
-        assert {r.regime for r in expected} == set(Regime)
         return records, expected
 
     def test_equals_step_loop_list(self, stored):
@@ -1020,7 +1118,7 @@ class TestStoreChunks:
         """Per config, the ``step`` loop's runs over a few seeds."""
         configs = {"tpp": BLOCK_CONFIGS["tpp"][0], "generic": BLOCK_CONFIGS["generic_json"][0]}
         return {
-            name: [(cfg, reference_run(cfg)) for cfg in (replace(c, seed=s) for s in range(3))]
+            name: [(cfg, reference_run(cfg)) for cfg in (replace(c, seed=s) for s in range(8))]
             for name, c in configs.items()
         }
 
@@ -1101,8 +1199,8 @@ def test_record_memory_per_row():
 # Collisions of ``tpp`` at seed 1: the first firing, and a later collision
 # that does not fire.
 DURATION_COLLISIONS = {
-    "firing": (0.00026408747048057175, LastEvent.COLLAPSE),
-    "no_firing": (0.0004971239138790481, LastEvent.COLLISION_NO_COLLAPSE),
+    "firing": (0.0011115954429440458, LastEvent.COLLAPSE),
+    "no_firing": (0.025663543076483396, LastEvent.COLLISION_NO_COLLAPSE),
 }
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox, SeedSequence
 from scipy import stats
 
 from collapsim import (
@@ -11,7 +12,9 @@ from collapsim import (
     draw_phase,
     next_collision,
 )
-from collapsim.environment import COLLISION_WORDS, draw_collision_block
+from collapsim.environment import (
+    COLLISION_WORDS, PACKET_WORDS, draw_collision_block, packet_from_words,
+)
 from conftest import TWO_PI
 
 SPEC = EnvironmentSpec(collision_rate=1e3, env_sigma=(1e-9, 1e-9, 1e-9))
@@ -54,9 +57,9 @@ class TestRngState:
 
     def test_block_equals_sequential(self):
         a = RngState(5)
-        block = TWO_PI * a.words(1000)
+        block = a.words(1000)
         b = RngState(5)
-        singles = [draw_phase(b) for _ in range(1000)]
+        singles = [b.uniform() for _ in range(1000)]
         assert np.array_equal(block, np.array(singles))
         assert a.position == b.position == 1000
 
@@ -115,16 +118,30 @@ class TestRngState:
         assert rng.words(1)[0] == RngState(1).words(1)[0]
 
 
+    @pytest.mark.parametrize("seed", [0, 5, 2**70 + 1])
+    def test_keyed_words_are_philox_blocks(self, seed):
+        """``keyed(c, n)`` reads numpy's Philox, keyed by the seed's
+        ``SeedSequence`` child 1, from counter c, wherever it read before,
+        and does not move the stream."""
+        rng = RngState(seed, 6)
+        for counter, n in [(0, 9), (3 * 10**12, 9), (2**64 + 5, 1), (0, 4), (7, 12)]:
+            philox = Philox(SeedSequence(seed, spawn_key=(1,)), counter=counter)
+            assert rng.keyed(counter, n) == Generator(philox).random(n).tolist()
+        assert rng == RngState(seed, 6)
+
+
 class TestDrawPhase:
     def test_range(self):
-        rng = RngState(0)
-        for _ in range(1000):
-            alpha = draw_phase(rng)
-            assert 0.0 <= alpha < TWO_PI
+        """A phase is a keyed word: drawing it does not move the stream."""
+        rng = RngState(0, 12)
+        for n in range(1000):
+            alpha = draw_phase(rng, n)
+            assert 0.0 <= alpha < TWO_PI and alpha == draw_phase(RngState(0), n)
+        assert rng == RngState(0, 12)
 
     def test_fixed_seed_reproduces_sequence(self):
-        _, seq1, _ = draw_collision_block(RngState(77).words(500 * 12), SPEC)
-        _, seq2, _ = draw_collision_block(RngState(77).words(500 * 12), SPEC)
+        _, seq1, _ = draw_collision_block(RngState(77).words(500 * 3), SPEC)
+        _, seq2, _ = draw_collision_block(RngState(77).words(500 * 3), SPEC)
         assert np.array_equal(seq1, seq2)
 
     def test_uniform_moments(self):
@@ -156,7 +173,7 @@ class TestNextCollision:
     def test_fixed_word_consumption(self):
         rng = RngState(3)
         next_collision(rng, SPEC, 0.0)
-        assert rng.position == 12
+        assert rng.position == 3
 
     def test_times_strictly_increasing(self):
         events = collect_events(9, SPEC, 2000)
@@ -211,12 +228,12 @@ class TestNextCollision:
 class TestDrawCollisionBlock:
     @pytest.mark.parametrize("spread", [False, True])
     def test_equals_sequential_draws(self, spread):
-        # the 12-word layout holds whether or not the offset and jitter words are read
+        # the 3-word layout holds whether or not the keyed packet words are read
         extra = dict(impact_spread=1e-9, env_sigma_jitter=0.25) if spread else {}
         spec = EnvironmentSpec(collision_rate=1e6, env_sigma=1e-10, **extra)
-        block = RngState(9, 5)
-        gaps, alphas, picks = draw_collision_block(block.words(500 * 12), spec)
-        rng = RngState(9, 5)
+        block = RngState(9, 15)
+        gaps, alphas, picks = draw_collision_block(block.words(500 * 3), spec)
+        rng = RngState(9, 15)
         t = 0.0
         for i in range(500):
             event = next_collision(rng, spec, t)
@@ -226,7 +243,42 @@ class TestDrawCollisionBlock:
             t = event.time
         assert len(picks) == 500
         assert block == rng
-        assert block.position == 5 + 500 * 12
+        assert block.position == 15 + 500 * 3
+
+
+class TestKeyedWords:
+    """The keyed words of collisions 0-19,999 at seed 9017, both fixed
+    before the test first ran: each of the 9 word positions is uniform and
+    uncorrelated with the same collision's gap word, and the Box-Muller
+    offsets have the configured variance."""
+
+    SEED, N = 9017, 20_000
+
+    @pytest.fixture(scope="class")
+    def words(self):
+        rng = RngState(self.SEED)
+        keyed = np.array([rng.keyed(3 * i, PACKET_WORDS) for i in range(self.N)])
+        gaps = RngState(self.SEED).words(COLLISION_WORDS * self.N)[::COLLISION_WORDS]
+        return keyed, gaps
+
+    def test_each_position_is_uniform(self, words):
+        keyed, _ = words
+        for k in range(PACKET_WORDS):
+            assert stats.kstest(keyed[:, k], "uniform").pvalue > 1e-3, k
+
+    def test_uncorrelated_with_the_gap_word(self, words):
+        keyed, gaps = words
+        for k in range(PACKET_WORDS):
+            assert abs(np.corrcoef(keyed[:, k], gaps)[0, 1]) <= 4.0 / math.sqrt(self.N), k
+
+    def test_offset_variance(self):
+        spread = 3e-9
+        spec = EnvironmentSpec(collision_rate=1e3, env_sigma=1e-9, impact_spread=spread)
+        rng = RngState(self.SEED)
+        offsets = np.array([packet_from_words(rng, i, spec)[0] for i in range(self.N)])
+        se = spread**2 * math.sqrt(2.0 / (self.N - 1))
+        for axis in range(3):
+            assert abs(offsets[:, axis].var(ddof=1) - spread**2) <= 4.0 * se, axis
 
 
 def assert_gaps_match_libm(u: np.ndarray) -> None:

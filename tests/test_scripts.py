@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from collapsim.environment import STREAM_VERSION
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 DIGESTS = Path(__file__).with_name("output_digests.txt")
 
@@ -50,9 +52,17 @@ def test_output_bytes_match_pinned_digests(capsys):
     ``output_digests.txt``.  The digests hold for the build its header
     names: Python, numpy, the C library, whose ``log1p`` picks a variant per
     CPU, and whether the CPU has fused multiply-adds.  The message tells a
-    changed program from a different build."""
+    changed program from a different build; digests pinned for a stream
+    layout other than ``environment.STREAM_VERSION`` fail at once."""
     lines = DIGESTS.read_text().splitlines()
-    pinned_build = next(line.split(":", 1)[1].strip() for line in lines if line.startswith("# build:"))
+    header = dict(
+        line[2:].split(":", 1) for line in lines if line.startswith(("# build:", "# stream:"))
+    )
+    pinned_build, pinned_stream = header["build"].strip(), header["stream"].strip()
+    assert pinned_stream == f"v{STREAM_VERSION}", (
+        f"{DIGESTS.name} is pinned for stream {pinned_stream}; the program draws stream "
+        f"v{STREAM_VERSION}"
+    )
     expected = [line for line in lines if not line.startswith("#")]
     assert load_script("output_digests").main(["--seeds", "1,2,3"]) == 0
     got = capsys.readouterr().out.splitlines()
