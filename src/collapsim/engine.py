@@ -30,7 +30,7 @@ count (see :mod:`collapsim.environment`): a state's position is always
 ``3 * n_collisions``.
 
 Decide, then fill.  :func:`step` draws one collision with
-:func:`next_collision` and decides it with :func:`resolve`; it is the
+:func:`next_collision` and decides it with :func:`_collide`; it is the
 reference.  Only about alpha_s / (2 pi) ~ 1.2e-3 of encounters pass the
 phase clause, and a collision that does not fire only advances counters,
 records and the recovery sum.  So :func:`run` takes a window of collisions
@@ -44,13 +44,13 @@ at a time (thinning, Lewis & Shedler 1979) in two passes:
   needed clause; any other collision is a reject whatever its widths.
   Each candidate in order reads its widths from the waist in effect, as
   floats, to learn its regime, and one that passes that regime's clause is
-  decided by :func:`_collide`, the plain-value decision :func:`resolve` also
-  makes.  Only a firing builds a state, which sets the waist for the next
-  segment.
-- Fill.  Every collision's widths are read out from the waist in effect
-  before it, one numpy pass per segment between firings, into arrays
-  allocated once per run.  Rows go to the sink in order, and the recovery
-  ratios are added in one sequential ``np.cumsum``.
+  decided by :func:`_collide`, as in :func:`step`.  Only a firing builds a
+  state, which sets the waist for the next segment.
+- Fill (:class:`_Fill`).  Every collision's widths are read out from the
+  waist in effect before it, one numpy pass per segment between firings,
+  into arrays allocated once per run.  Rows go to the sink in order, with
+  the grid rows between them, and the recovery ratios are added in one
+  sequential ``np.cumsum``.
 
 A window is ``_WINDOW_BLOCKS`` blocks of up to ``_BLOCK_SIZE`` collisions
 (about 4 pi / alpha_s, twice the mean gap between phase passes).  Near the
@@ -89,8 +89,7 @@ from .constants import PHASE_ACCEPTANCE_PROBABILITY
 from .contraction import damped_sigma, product_width
 from .criterion import criterion_fires, phase_clause_batch
 from .environment import (
-    COLLISION_WORDS, CollisionEvent, RngState, draw_collision_block, draw_phase, next_collision,
-    packet_from_words,
+    COLLISION_WORDS, RngState, draw_collision_block, draw_phase, next_collision, packet_from_words,
 )
 from .packets import Vec3, spread_into, spread_widths
 
@@ -117,9 +116,6 @@ class SimState:
     ``t_ref``, ``sigma`` and ``alpha`` are the object's waist: the time of
     the last collapse (or 0), the widths then, and the phase constant.  The
     widths at t are ``spread_widths(sigma, config.object.mass, t - t_ref)``.
-    ``position`` counts the words of the seeded stream consumed so far,
-    three per collision: ``RngState(config.seed, position)`` draws the next
-    collision.
     """
 
     t: float
@@ -128,7 +124,12 @@ class SimState:
     alpha: float
     n_collisions: int
     n_collapses: int
-    position: int
+
+    @property
+    def position(self) -> int:
+        """Words of the seeded stream consumed so far, three per collision:
+        ``RngState(config.seed, position)`` draws the next collision."""
+        return COLLISION_WORDS * self.n_collisions
 
 
 @dataclass(frozen=True, slots=True)
@@ -373,7 +374,7 @@ def initial_state(config: ScenarioConfig, rng: Optional[RngState] = None) -> Sim
     alpha = config.initial_alpha
     if alpha == RANDOM_ALPHA:
         alpha = draw_phase(rng or RngState(config.seed), 0)
-    return SimState(0.0, 0.0, config.initial_sigma, alpha, 0, 0, 0)
+    return SimState(0.0, 0.0, config.initial_sigma, alpha, 0, 0)
 
 
 def _state_error(t: float, n_collisions: int, n_collapses: int, problem) -> EngineError:
@@ -403,22 +404,14 @@ def _widths_at(state: SimState, mass: float, t: float, n_collisions: int) -> Vec
 
 def step(state: SimState, config: ScenarioConfig) -> tuple[SimState, TimeSeriesRecord]:
     """Advance ``state``, a state of the run of ``config``, to the next
-    collision and resolve it: the scalar reference for :func:`run`.  The
-    stream is rebuilt from ``RngState(config.seed, state.position)``, so
-    ``state`` stays as it was."""
+    collision and decide it with :func:`_collide`: the scalar reference for
+    :func:`run`.  The stream is rebuilt from ``RngState(config.seed,
+    state.position)``, so ``state`` stays as it was; a firing that redraws
+    the phase reads it with :func:`draw_phase`."""
     rng = RngState(config.seed, state.position)
     event = next_collision(rng, config.environment, state.t)
     if event is None:
         raise ValueError("step requires a positive collision rate")
-    return resolve(state, event, config, rng)
-
-
-def resolve(
-    state: SimState, event: CollisionEvent, config: ScenarioConfig, rng: RngState
-) -> tuple[SimState, TimeSeriesRecord]:
-    """Resolve ``event``, the next collision of ``state``, with :func:`_collide`.
-    ``rng`` stands just past its words, the new state's position; a firing
-    that redraws the phase reads it with :func:`draw_phase`."""
     t, n_collisions = event.time, state.n_collisions + 1
     sigma = _widths_at(state, config.object.mass, t, state.n_collisions)
     after = _collide(
@@ -426,12 +419,12 @@ def resolve(
         t, n_collisions, state.n_collapses,
     )
     if after is None:
-        new_state = replace(state, t=t, n_collisions=n_collisions, position=rng.position)
+        new_state = replace(state, t=t, n_collisions=n_collisions)
         last_event = LastEvent.COLLISION_NO_COLLAPSE
     else:
         sigma = after
         alpha = draw_phase(rng, n_collisions) if config.redraw_alpha_after_collapse else state.alpha
-        new_state = SimState(t, t, sigma, alpha, n_collisions, state.n_collapses + 1, rng.position)
+        new_state = SimState(t, t, sigma, alpha, n_collisions, state.n_collapses + 1)
         last_event = LastEvent.COLLAPSE
     record = TimeSeriesRecord(
         t, sigma, n_collisions, new_state.n_collapses,
@@ -556,8 +549,8 @@ class _Sums:
             self.recovery_samples += len(ratios)
 
     def add_firing(self, sigma_before: float, sigma_after: float) -> None:
-        """One collision that fired, as :func:`resolve` found it; its
-        recovery ratio is among the window's."""
+        """One collision that fired, with the narrowest widths before and
+        after it; its recovery ratio is among the window's."""
         if self.sigma_after_last_collapse is not None:
             self.respread_sum += sigma_before / self.sigma_after_last_collapse
             self.respread_samples += 1
@@ -646,10 +639,7 @@ def _decide(
                     alpha = waist.alpha
                     if config.redraw_alpha_after_collapse:
                         alpha = draw_phase(rng, n0 + i + 1)
-                    waist = SimState(
-                        t, t, after, alpha, n0 + i + 1, waist.n_collapses + 1,
-                        COLLISION_WORDS * (n0 + i + 1),
-                    )
+                    waist = SimState(t, t, after, alpha, n0 + i + 1, waist.n_collapses + 1)
                     firings.append((i + 1, waist))
                     segment_end = j + 1
                     break
@@ -658,6 +648,113 @@ def _decide(
         if n_in < n:
             return end, firings, None, True
     return end, firings, None, False
+
+
+class _Fill:
+    """The fill of a run's windows: rows of the sampling grid (the next at
+    ``next_sample``) and of each collision go to ``sink`` in order, sums to
+    ``sums``.  Every window reuses the columns: ``times``, which
+    :func:`_decide` writes, three rows of ``widths`` and a scratch row that
+    ends as the recovery ratios, and the regime mask ``cluster``."""
+
+    def __init__(self, config: ScenarioConfig, sink, state: SimState) -> None:
+        self.mass, self.internal_radius = config.object.mass, config.object.internal_radius
+        self.interval = self.next_sample = config.sample_interval
+        size = _WINDOW_BLOCKS * _BLOCK_SIZE
+        self.times, self.widths = np.empty(size), np.empty((4, size))
+        self.cluster = np.empty(size, dtype=bool)
+        self.sink, self.sums = sink, _Sums(min_sigma=min(state.sigma))
+
+    def sample(self, state: SimState, t: float, n_collisions: int, emit: bool = True) -> Vec3:
+        """The widths at a grid time, read out from the waist of ``state``;
+        their row goes to the sink if ``emit``."""
+        sigma = _widths_at(state, self.mass, t, n_collisions)
+        if emit:
+            self.sink.append(
+                t, sigma, n_collisions, state.n_collapses, min(sigma) < self.internal_radius, _NONE
+            )
+        return sigma
+
+    def samples_before(self, state: SimState, t: float, n_collisions: int) -> None:
+        """Grid rows before a collision at t; a grid point equal to t is skipped."""
+        while self.next_sample < t:
+            self.sample(state, self.next_sample, n_collisions)
+            self.next_sample += self.interval
+        if self.next_sample == t:
+            self.next_sample += self.interval
+
+    def _read(self, state: SimState, lo: int, hi: int):
+        """Widths, regimes and recovery ratios of window collisions
+        lo..hi-1, read out from the waist of ``state``.  Returns their row
+        columns, the narrowest width of the last of them, and the first of
+        them whose widths are not finite, or hi.  The ratios, once the run
+        has fired, go to ``widths[3, lo:hi]``."""
+        scratch = self.widths[3, lo:hi]
+        np.subtract(self.times[lo:hi], state.t_ref, out=scratch)
+        x, y, z = spread_into(state.sigma, self.mass, scratch, self.widths[:3, lo:hi])
+        # An isotropic waist spreads one axis.
+        narrowest = x if y is x else np.minimum(np.minimum(x, y, out=scratch), z, out=scratch)
+        in_cluster = np.less(narrowest, self.internal_radius, out=self.cluster[lo:hi])
+        sigma_before, bad = None, hi
+        if lo < hi:
+            sigma_before = narrowest.item(-1)
+            # Widths grow with time: if the last are finite, so are the others.
+            if not (x[-1] < math.inf and y[-1] < math.inf and z[-1] < math.inf):
+                bad = lo + int(np.argmin((x < math.inf) & (y < math.inf) & (z < math.inf)))
+        if self.sums.sigma_after_last_collapse is not None:
+            np.divide(narrowest, self.sums.sigma_after_last_collapse, out=scratch)
+        return (self.times[lo:hi], x, y, z, in_cluster.view(np.int8)), sigma_before, bad
+
+    def _rows(self, state: SimState, n0: int, columns: tuple, lo: int, hi: int) -> None:
+        """The rows of window collisions lo..hi-1, which did not fire, with
+        the grid rows before each; ``columns`` start at collision lo, and
+        the window starts after ``n0`` collisions."""
+        times, i = self.times, lo
+        while i < hi and self.next_sample <= times[hi - 1]:
+            k = i + int(np.searchsorted(times[i:hi], self.next_sample))
+            self.sink.extend(columns, i - lo, k - lo, n0 + i + 1, state.n_collapses)
+            self.samples_before(state, times.item(k), n0 + k)
+            i = k
+        self.sink.extend(columns, i - lo, hi - lo, n0 + i + 1, state.n_collapses)
+
+    def window(self, state: SimState, end: int, firings: list, error) -> SimState:
+        """Fill the window of ``end`` collisions after ``state``, with the
+        ``firings`` and the first failure ``error`` that :func:`_decide`
+        found, and return the state after it."""
+        n0, sums = state.n_collisions, self.sums
+        # A firing ends its segment.  The recovery ratios, the firings'
+        # among them, start after the run's first firing.
+        if sums.sigma_after_last_collapse is not None:
+            first = 0
+        else:
+            first = firings[0][0] if firings else end
+        a = 0
+        for b, after in firings:
+            columns, sigma_before, _ = self._read(state, a, b)
+            self._rows(state, n0, columns, a, b - 1)
+            self.samples_before(state, after.t, n0 + b - 1)
+            self.sink.append(
+                after.t, after.sigma, after.n_collisions, after.n_collapses,
+                min(after.sigma) < self.internal_radius, _COLLAPSE,
+            )
+            sums.add_firing(sigma_before, min(after.sigma))
+            state, a = after, b
+        columns, _, bad = self._read(state, a, end)
+        if bad < end or error is not None:
+            # Only the last segment can fail: a firing's widths are finite,
+            # and so are the earlier ones of its segment.  The first failure
+            # in time order raises: a grid row, the widths of collision
+            # ``bad`` (``_widths_at`` raises), or the candidate's
+            # contraction (``error``).
+            self._rows(state, n0, columns, a, bad)
+            self.samples_before(state, self.times.item(bad), n0 + bad)
+            _widths_at(state, self.mass, self.times.item(bad), n0 + bad)
+            raise error
+        self._rows(state, n0, columns, a, end)
+        sums.add_recovery(self.widths[3, first:end])
+        if a < end:
+            state = replace(state, t=self.times.item(end - 1), n_collisions=n0 + end)
+        return state
 
 
 def run(
@@ -676,132 +773,35 @@ def run(
     """
     if max_collisions is not None:
         _check_count("max_collisions", max_collisions, 0)
-    env = config.environment
-    mass, internal_radius = config.object.mass, config.object.internal_radius
     alphas = np.array(config.object.cluster_alphas)
     rng = RngState(config.seed)
     words = np.empty(COLLISION_WORDS * _BLOCK_SIZE)
     state = initial_state(config, rng)
-    # A window's columns, reused by every window: the times, three rows of
-    # widths, a scratch row that ends as the recovery ratios, and the
-    # regime mask.
-    window = _WINDOW_BLOCKS * _BLOCK_SIZE
-    times = np.empty(window)
-    widths = np.empty((4, window))
-    cluster = np.empty(window, dtype=bool)
-    interval = config.sample_interval
     records = Records()
-    sink = records if keep_records else _Discard()
-    next_sample = interval
-    sums = _Sums(min_sigma=min(state.sigma))
+    fill = _Fill(config, records if keep_records else _Discard(), state)
+    fill.sample(state, 0.0, 0)
     budget_exhausted = False
-
-    def sample(t_sample: float, n_collisions: int, to=sink) -> Vec3:
-        """The widths at a grid time; their row goes to the sink ``to``."""
-        sigma = _widths_at(state, mass, t_sample, n_collisions)
-        to.append(
-            t_sample, sigma, n_collisions, state.n_collapses, min(sigma) < internal_radius, _NONE
-        )
-        return sigma
-
-    def emit_samples(t: float, n_collisions: int) -> None:
-        """Grid rows before a collision at t; a grid point equal to t is skipped."""
-        nonlocal next_sample
-        while next_sample < t:
-            sample(next_sample, n_collisions)
-            next_sample += interval
-        if next_sample == t:
-            next_sample += interval
-
-    def read_widths(lo: int, hi: int):
-        """Widths, regimes and recovery ratios of window collisions
-        lo..hi-1, read out from the waist of ``state``.  Returns their row
-        columns, the narrowest width of the last of them, and the first of
-        them whose widths are not finite, or hi.  The ratios, once the run
-        has fired, go to ``widths[3, lo:hi]``."""
-        scratch = widths[3, lo:hi]
-        np.subtract(times[lo:hi], state.t_ref, out=scratch)
-        x, y, z = spread_into(state.sigma, mass, scratch, widths[:3, lo:hi])
-        # An isotropic waist spreads one axis.
-        narrowest = x if y is x else np.minimum(np.minimum(x, y, out=scratch), z, out=scratch)
-        in_cluster = np.less(narrowest, internal_radius, out=cluster[lo:hi])
-        sigma_before, bad = None, hi
-        if lo < hi:
-            sigma_before = narrowest.item(-1)
-            # Widths grow with time: if the last are finite, so are the others.
-            if not (x[-1] < math.inf and y[-1] < math.inf and z[-1] < math.inf):
-                bad = lo + int(np.argmin((x < math.inf) & (y < math.inf) & (z < math.inf)))
-        if sums.sigma_after_last_collapse is not None:
-            np.divide(narrowest, sums.sigma_after_last_collapse, out=scratch)
-        return (times[lo:hi], x, y, z, in_cluster.view(np.int8)), sigma_before, bad
-
-    def rows(columns: tuple, lo: int, hi: int) -> None:
-        """The rows of window collisions lo..hi-1, which did not fire, with
-        the grid rows before each; ``columns`` start at collision lo."""
-        i = lo
-        while i < hi and next_sample <= times[hi - 1]:
-            k = i + int(np.searchsorted(times[i:hi], next_sample))
-            sink.extend(columns, i - lo, k - lo, n0 + i + 1, state.n_collapses)
-            emit_samples(times.item(k), n0 + k)
-            i = k
-        sink.extend(columns, i - lo, hi - lo, n0 + i + 1, state.n_collapses)
-
-    sample(0.0, 0)
 
     # A width that is not finite is found in numpy and raised in scalar.
     with np.errstate(all="ignore"):
-        while env.collision_rate > 0.0:
-            limit = window
+        while config.environment.collision_rate > 0.0:
+            limit = len(fill.times)
             if max_collisions is not None:
                 limit = min(limit, max_collisions - state.n_collisions)
                 if limit <= 0:
                     budget_exhausted = True
                     break
-            n0 = state.n_collisions
-            end, firings, error, done = _decide(config, state, rng, words, alphas, times, limit)
-
-            # Fill.  A firing ends its segment.  The recovery ratios, the
-            # firings' among them, start after the run's first firing.
-            if sums.sigma_after_last_collapse is not None:
-                first = 0
-            else:
-                first = firings[0][0] if firings else end
-            a = 0
-            for b, after in firings:
-                columns, sigma_before, _ = read_widths(a, b)
-                rows(columns, a, b - 1)
-                emit_samples(after.t, n0 + b - 1)
-                sink.append(
-                    after.t, after.sigma, after.n_collisions, after.n_collapses,
-                    min(after.sigma) < internal_radius, _COLLAPSE,
-                )
-                sums.add_firing(sigma_before, min(after.sigma))
-                state, a = after, b
-            columns, _, bad = read_widths(a, end)
-            if bad < end or error is not None:
-                # Only the last segment can fail: a firing's widths are
-                # finite, and so are the earlier ones of its segment.  The
-                # first failure in time order raises: a grid row, the
-                # widths of collision ``bad`` (``_widths_at`` raises), or
-                # the candidate's contraction (``error``).
-                rows(columns, a, bad)
-                emit_samples(times.item(bad), n0 + bad)
-                _widths_at(state, mass, times.item(bad), n0 + bad)
-                raise error
-            rows(columns, a, end)
-            sums.add_recovery(widths[3, first:end])
-            if a < end:
-                t, position = times.item(end - 1), COLLISION_WORDS * (n0 + end)
-                state = replace(state, t=t, n_collisions=n0 + end, position=position)
+            end, firings, error, done = _decide(
+                config, state, rng, words, alphas, fill.times, limit
+            )
+            state = fill.window(state, end, firings, error)
             if done:  # the window ended at the duration
                 break
 
-    emit_samples(config.duration, state.n_collisions)
+    fill.samples_before(state, config.duration, state.n_collisions)
     # No final row when a collision fell exactly on the duration.
-    final_sigma = sample(
-        config.duration, state.n_collisions, sink if state.t < config.duration else _Discard()
-    )
-
+    final_sigma = fill.sample(state, config.duration, state.n_collisions, state.t < config.duration)
+    sums = fill.sums
     summary = RunSummary(
         seed=config.seed,
         duration=config.duration,
@@ -816,8 +816,8 @@ def run(
         respread_samples=sums.respread_samples,
         collapse_before_sum=sums.collapse_before_sum,
         collapse_after_sum=sums.collapse_after_sum,
-        localized=min(final_sigma) <= internal_radius,
-        final_regime=regime_for(final_sigma, internal_radius),
+        localized=min(final_sigma) <= fill.internal_radius,
+        final_regime=regime_for(final_sigma, fill.internal_radius),
         budget_exhausted=budget_exhausted,
         rng_position=state.position,
     )

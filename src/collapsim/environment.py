@@ -13,8 +13,7 @@ Randomness is fully positional, in stream layout :data:`STREAM_VERSION`.
 collision ``i`` takes words ``3i`` to ``3i + 2`` of it, its inter-arrival
 time, environment phase and cluster pick (:data:`COLLISION_WORDS`), so a
 state is reconstructed from ``(seed, position)`` alone and a stream replayed
-bit-exactly within one build.  :meth:`RngState.seek` moves a stream to any
-position, forward or back, without seeding again.
+bit-exactly within one build.
 
 The words that only a phase pass reads come from a counter-based generator
 keyed by the seed (Philox, Salmon et al. 2011), addressed in O(1) and built
@@ -78,33 +77,20 @@ class RngState:
     __slots__ = ("seed", "position", "_gen", "_keyed")
 
     def __init__(self, seed: int, position: int = 0):
-        if not isinstance(seed, Integral) or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-        self.seed = int(seed)
-        self.position = 0
+        for name, value in (("seed", seed), ("position", position)):
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+        self.seed, self.position = int(seed), int(position)
         self._gen = Generator(PCG64(self.seed))
+        # PCG64 jumps any distance in O(log n) steps.
+        self._gen.bit_generator.advance(self.position % (1 << 128))
         self._keyed = None
-        self.seek(position)
-
-    def seek(self, position: int) -> None:
-        """Move the stream to word ``position``, forward or back, without
-        seeding again: PCG64 jumps any distance in O(log n) steps."""
-        if not isinstance(position, Integral) or position < 0:
-            raise ValueError(f"position must be a non-negative integer, got {position!r}")
-        position = int(position)
-        self._gen.bit_generator.advance((position - self.position) % (1 << 128))
-        self.position = position
 
     def words(self, n: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Consume n words as uniforms on [0, 1), drawn into ``out`` if given."""
         words = self._gen.random(n, out=out)
         self.position += n
         return words
-
-    def uniform(self) -> float:
-        """One uniform draw on [0, 1); consumes one word."""
-        self.position += 1
-        return self._gen.random()
 
     def keyed(self, counter: int, n: int) -> list[float]:
         """``n`` uniforms on [0, 1) of the keyed generator with its counter

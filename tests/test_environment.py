@@ -53,13 +53,13 @@ class TestRngState:
         rng.words(17)
         resumed = RngState(2024, 17)
         assert resumed == rng
-        assert resumed.uniform() == rng.uniform()
+        assert resumed.words(1)[0] == rng.words(1)[0]
 
     def test_block_equals_sequential(self):
         a = RngState(5)
         block = a.words(1000)
         b = RngState(5)
-        singles = [b.uniform() for _ in range(1000)]
+        singles = [b.words(1)[0] for _ in range(1000)]
         assert np.array_equal(block, np.array(singles))
         assert a.position == b.position == 1000
 
@@ -78,14 +78,14 @@ class TestRngState:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 2**40 + 3])
     @pytest.mark.parametrize("p, q", [(100, 0), (100, 37), (100, 100), (5, 1000), (0, 1)])
     def test_seek_equals_fresh_stream(self, seed, p, q):
-        rng = RngState(seed, p)
-        rng.words(3)  # the stream need not stand at p when it seeks
-        rng.seek(q)
-        fresh = RngState(seed, q)
-        assert rng == fresh
-        assert np.array_equal(rng.words(25), fresh.words(25))
-        assert rng.uniform() == fresh.uniform()
-        assert rng == fresh
+        """``RngState(seed, q)``, which seeks word q with ``PCG64.advance``,
+        draws words q to q + 24 of ``RngState(seed)``, whatever another
+        stream of the seed, built at p, drew before."""
+        other = RngState(seed, p)
+        other.words(3)
+        rng, fresh = RngState(seed, q), RngState(seed)
+        assert np.array_equal(rng.words(25), fresh.words(q + 25)[q:])
+        assert rng == fresh == RngState(seed, q + 25) and other == RngState(seed, p + 3)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -95,28 +95,20 @@ class TestRngState:
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: RngState(1.9), lambda: RngState(1, 2.7), lambda: RngState(1).seek(2.5)],
-        ids=["seed", "position", "seek"],
+        [lambda: RngState(1.9), lambda: RngState(1, 2.7), lambda: RngState(True),
+         lambda: RngState(1, False)],
+        ids=["seed", "position", "bool_seed", "bool_position"],
     )
     def test_non_integer_refused(self, make):
-        # Refused, not truncated to RngState(1) or RngState(1, 2).
+        # Refused, not truncated to RngState(1) or RngState(1, 2), nor read
+        # as RngState(1) or RngState(1, 0).
         with pytest.raises(ValueError, match="non-negative integer"):
             make()
 
     def test_numpy_integers_accepted(self):
         rng = RngState(np.int64(7), np.uint32(5))
         assert rng == RngState(7, 5) and type(rng.seed) is int and type(rng.position) is int
-        rng.seek(np.int64(9))
-        assert rng == RngState(7, 9)
-        assert rng.words(1)[0] == RngState(7, 9).words(1)[0]
-
-    def test_seek_refuses_negative_position(self):
-        rng = RngState(1)
-        with pytest.raises(ValueError, match="non-negative"):
-            rng.seek(-5)
-        assert rng == RngState(1)
-        assert rng.words(1)[0] == RngState(1).words(1)[0]
-
+        assert rng.words(1)[0] == RngState(7, 5).words(1)[0]
 
     @pytest.mark.parametrize("seed", [0, 5, 2**70 + 1])
     def test_keyed_words_are_philox_blocks(self, seed):
