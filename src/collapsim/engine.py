@@ -38,25 +38,29 @@ at a time (thinning, Lewis & Shedler 1979) in two passes:
 
 - Decide (:func:`_decide`).  The words give each collision's time (a
   sequential ``np.cumsum`` of the gaps), phase and cluster pick in numpy.
-  Widths grow between firings, so the regimes at a segment's ends tell
-  which phase clause it needs: the object's constant (CM), the picked
-  cluster's, or both where the regime crosses.  A *candidate* passes a
-  needed clause; any other collision is a reject whatever its widths.
-  Each candidate in order reads its widths from the waist in effect, as
-  floats, to learn its regime, and one that passes that regime's clause is
-  decided by :func:`_collide`, as in :func:`step`.  Only a firing builds a
-  state, which sets the waist for the next segment.
-- Fill (:class:`_Fill`).  Every collision's widths are read out from the
-  waist in effect before it, one numpy pass per segment between firings,
-  into arrays allocated once per run.  Rows go to the sink in order, with
-  the grid rows between them, and the recovery ratios are added in one
-  sequential ``np.cumsum``.
+  Widths grow between firings, so the regimes at the ends of a stretch
+  under one waist tell which phase clause it needs: the object's constant
+  (CM), the picked cluster's, or both where the regime crosses.  A
+  *candidate* passes a computed clause; any other collision is a reject
+  whatever its widths.  Each block has one candidate walk: each candidate
+  in order reads its widths from the waist in effect, as floats, and one
+  that passes the clause of its own regime is decided by :func:`_collide`,
+  as in :func:`step`.  Only a firing builds a state, which sets the waist
+  for the rest of the block; the walk goes on unless the new waist needs a
+  clause not yet computed for the block, or a redrawn phase makes the CM
+  clause stale, which is then computed over the rest of the block.
+- Fill (:class:`_Fill`).  One readout per window: each collision's waist
+  and recovery divisor, those of its stretch between firings, are repeated
+  over it, and one :func:`spread_into` reads every width out into arrays
+  allocated once per run.  The firings' rows are patched in.  Rows go to
+  the sink in order, a store chunk at a time between grid rows, and the
+  recovery ratios are added in one sequential ``np.cumsum``.
 
-A window is ``_WINDOW_BLOCKS`` blocks of up to ``_BLOCK_SIZE`` collisions
-(about 4 pi / alpha_s, twice the mean gap between phase passes).  Near the
-duration a block is sized to the collisions due before it, lambda (T - t)
-plus six standard deviations and 16; one that falls short is followed by
-another.  A window ends at the duration or at ``max_collisions``.  The first
+A window is one block of ``_BLOCK_SIZE`` collisions (about 8 pi / alpha_s,
+four times the mean gap between phase passes).  Near the duration a block
+is sized to the collisions due before it, lambda (T - t) plus six standard
+deviations and 16; one that falls short is followed by another in the same
+window.  A window ends at the duration or at ``max_collisions``.  The first
 failure in time order raises as in :func:`step`: a width that is not finite
 at a grid row or a collision, found in numpy and raised by the float
 readout, or a firing's contraction.
@@ -76,6 +80,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence, Sized
 from dataclasses import dataclass, replace
 from itertools import chain, islice
@@ -212,10 +217,14 @@ class Records(Sequence):
         codes[:, a] = regime, last_event
         self._at = a + 1
 
-    def extend(self, columns, lo: int, hi: int, n_first: int, n_collapses: int) -> None:
+    def extend(
+        self, columns, lo: int, hi: int, n_first: int, n_collapses: int, fired: Sequence = ()
+    ) -> None:
         """Add rows ``lo .. hi-1`` of a window's time, width and regime
-        ``columns``: collisions that did not fire, counted from ``n_first``.
-        The width columns of an isotropic waist are one array."""
+        ``columns``: collisions counted from ``n_first``, after ``n_collapses``
+        collapses.  The rows listed in ``fired``, ascending, fired: each
+        counts its collapse from its own row on; the other rows did not.
+        The width columns of isotropic widths are one array."""
         t, x, y, z, regime = columns
         while lo < hi:
             (floats, counts, codes), a = self._room()
@@ -230,6 +239,11 @@ class Records(Sequence):
             counts[1, a:b] = n_collapses
             codes[0, a:b] = regime[rows]
             codes[1, a:b] = _NO_COLLAPSE
+            for f in fired:
+                if lo <= f < lo + m:
+                    n_collapses += 1
+                    counts[1, a + f - lo : b] = n_collapses
+                    codes[1, a + f - lo] = _COLLAPSE
             self._at, lo, n_first = b, lo + m, n_first + m
 
     def add_columns(self, columns: Sequence) -> None:
@@ -369,8 +383,8 @@ def regime_for(sigma: Vec3, internal_radius: float) -> Regime:
 
 def initial_state(config: ScenarioConfig, rng: Optional[RngState] = None) -> SimState:
     """Build the t=0 state.  A random phase constant is the keyed phase of
-    no collisions, drawn with ``rng``, a stream of ``config.seed``, or with a
-    new one."""
+    no collisions, drawn with ``rng``, the run's stream, or with a new
+    stream of ``config.seed``."""
     alpha = config.initial_alpha
     if alpha == RANDOM_ALPHA:
         alpha = draw_phase(rng or RngState(config.seed), 0)
@@ -510,11 +524,11 @@ class RunSummary:
         return self.collapse_after_sum / self.n_collapses
 
 
-# Collisions drawn and swept at a time: twice the mean gap between
-# phase-clause passes.  A window of _WINDOW_BLOCKS blocks has its rows and
-# sums filled at once.
-_BLOCK_SIZE = 2 * math.ceil(1.0 / PHASE_ACCEPTANCE_PROBABILITY)
-_WINDOW_BLOCKS = 2
+# Collisions drawn and decided at a time, and a window's capacity: four
+# times the mean gap between phase-clause passes.  A firing does not end
+# its block, so the block's own costs are paid once per window, except for
+# the short blocks near the duration.
+_BLOCK_SIZE = 4 * math.ceil(1.0 / PHASE_ACCEPTANCE_PROBABILITY)
 
 
 def _block_for(expected: float) -> int:
@@ -602,27 +616,39 @@ def _decide(
         # The window ends before the first collision past the duration.
         n_in = int(np.searchsorted(block, config.duration, side="right"))
         env_alpha = env_alpha[:n_in]
+        # The block's clauses: the CM clause against ``cm_alpha``, valid from
+        # where it was last computed on, and the cluster clause.  A clause is
+        # computed when the collisions from ``s`` on first need it, and
+        # ``candidates`` walks the passes of either across firings.
         cm_pass = cm_alpha = cluster_pass = None
-        s = 0
-        while s < n_in:  # a segment under one waist
-            # Widths grow between firings: if the segment's last collision is
-            # in the cluster regime, all are; if its first is in the CM
-            # regime, all are.  Else (None) it needs both clauses.
-            regime = _cluster_at(waist, mass, block.item(n_in - 1), internal_radius)
-            if regime is not True:
-                if _cluster_at(waist, mass, block.item(s), internal_radius) is not False:
-                    regime = None
-                if cm_alpha != waist.alpha:
-                    cm_pass, cm_alpha = phase_clause_batch(waist.alpha, env_alpha), waist.alpha
-            if regime is not False and cluster_pass is None:
-                picked = alphas.take((pick[:n_in] * len(alphas)).astype(np.intp), mode="clip")
-                cluster_pass = phase_clause_batch(picked, env_alpha)
-            if regime is None:
-                passes = cm_pass | cluster_pass
-            else:
-                passes = cluster_pass if regime else cm_pass
-            segment_end = n_in
-            for j in (s + np.flatnonzero(passes[s:])).tolist():
+        s, first, candidates = 0, None, iter(())
+        while s < n_in:  # the collisions from s on are under ``waist``
+            if cluster_pass is None or cm_alpha != waist.alpha:
+                # Widths grow until the next firing: if the first collision
+                # from s on is in the CM regime, all are; if the last is in
+                # the cluster regime, all are.  ``first`` after a firing is
+                # the regime of its own widths.  None: not read, so both.
+                last = False if first is False else _cluster_at(
+                    waist, mass, block.item(n_in - 1), internal_radius
+                )
+                if first is None:
+                    first = last or _cluster_at(waist, mass, block.item(s), internal_radius)
+                rebuild = False
+                if cluster_pass is None and first is not False:
+                    picked = alphas.take((pick[:n_in] * len(alphas)).astype(np.intp), mode="clip")
+                    cluster_pass, rebuild = phase_clause_batch(picked, env_alpha), True
+                if last is not True and cm_alpha != waist.alpha:
+                    if cm_pass is None:
+                        cm_pass = np.empty(n_in, dtype=bool)
+                    cm_pass[s:] = phase_clause_batch(waist.alpha, env_alpha[s:])
+                    cm_alpha, rebuild = waist.alpha, True
+                if rebuild:
+                    if cm_pass is None or cluster_pass is None:
+                        passes = cluster_pass if cm_pass is None else cm_pass
+                    else:
+                        passes = cm_pass | cluster_pass
+                    candidates = iter((s + np.flatnonzero(passes[s:])).tolist())
+            for j in candidates:
                 i, t = end + j, block.item(j)
                 try:
                     sigma = _widths_at(waist, mass, t, n0 + i)
@@ -641,9 +667,10 @@ def _decide(
                         alpha = draw_phase(rng, n0 + i + 1)
                     waist = SimState(t, t, after, alpha, n0 + i + 1, waist.n_collapses + 1)
                     firings.append((i + 1, waist))
-                    segment_end = j + 1
+                    s, first = j + 1, min(after) < internal_radius
                     break
-            s = segment_end
+            else:
+                break
         end += n_in
         if n_in < n:
             return end, firings, None, True
@@ -660,9 +687,8 @@ class _Fill:
     def __init__(self, config: ScenarioConfig, sink, state: SimState) -> None:
         self.mass, self.internal_radius = config.object.mass, config.object.internal_radius
         self.interval = self.next_sample = config.sample_interval
-        size = _WINDOW_BLOCKS * _BLOCK_SIZE
-        self.times, self.widths = np.empty(size), np.empty((4, size))
-        self.cluster = np.empty(size, dtype=bool)
+        self.times, self.widths = np.empty(_BLOCK_SIZE), np.empty((4, _BLOCK_SIZE))
+        self.cluster = np.empty(_BLOCK_SIZE, dtype=bool)
         self.sink, self.sums = sink, _Sums(min_sigma=min(state.sigma))
 
     def sample(self, state: SimState, t: float, n_collisions: int, emit: bool = True) -> Vec3:
@@ -683,77 +709,76 @@ class _Fill:
         if self.next_sample == t:
             self.next_sample += self.interval
 
-    def _read(self, state: SimState, lo: int, hi: int):
-        """Widths, regimes and recovery ratios of window collisions
-        lo..hi-1, read out from the waist of ``state``.  Returns their row
-        columns, the narrowest width of the last of them, and the first of
-        them whose widths are not finite, or hi.  The ratios, once the run
-        has fired, go to ``widths[3, lo:hi]``."""
-        scratch = self.widths[3, lo:hi]
-        np.subtract(self.times[lo:hi], state.t_ref, out=scratch)
-        x, y, z = spread_into(state.sigma, self.mass, scratch, self.widths[:3, lo:hi])
-        # An isotropic waist spreads one axis.
-        narrowest = x if y is x else np.minimum(np.minimum(x, y, out=scratch), z, out=scratch)
-        in_cluster = np.less(narrowest, self.internal_radius, out=self.cluster[lo:hi])
-        sigma_before, bad = None, hi
-        if lo < hi:
-            sigma_before = narrowest.item(-1)
-            # Widths grow with time: if the last are finite, so are the others.
-            if not (x[-1] < math.inf and y[-1] < math.inf and z[-1] < math.inf):
-                bad = lo + int(np.argmin((x < math.inf) & (y < math.inf) & (z < math.inf)))
-        if self.sums.sigma_after_last_collapse is not None:
-            np.divide(narrowest, self.sums.sigma_after_last_collapse, out=scratch)
-        return (self.times[lo:hi], x, y, z, in_cluster.view(np.int8)), sigma_before, bad
-
-    def _rows(self, state: SimState, n0: int, columns: tuple, lo: int, hi: int) -> None:
-        """The rows of window collisions lo..hi-1, which did not fire, with
-        the grid rows before each; ``columns`` start at collision lo, and
-        the window starts after ``n0`` collisions."""
-        times, i = self.times, lo
+    def _rows(self, waists: list, fired: list, columns: tuple, hi: int) -> None:
+        """The rows of window collisions 0..hi-1, those in ``fired`` firings,
+        with the grid rows before each; ``waists[q]`` is the state after q of
+        the window's firings."""
+        times, i, n0 = self.times, 0, waists[0].n_collisions
         while i < hi and self.next_sample <= times[hi - 1]:
             k = i + int(np.searchsorted(times[i:hi], self.next_sample))
-            self.sink.extend(columns, i - lo, k - lo, n0 + i + 1, state.n_collapses)
-            self.samples_before(state, times.item(k), n0 + k)
+            n_collapses = waists[bisect_left(fired, i)].n_collapses
+            self.sink.extend(columns, i, k, n0 + i + 1, n_collapses, fired)
+            self.samples_before(waists[bisect_left(fired, k)], times.item(k), n0 + k)
             i = k
-        self.sink.extend(columns, i - lo, hi - lo, n0 + i + 1, state.n_collapses)
+        n_collapses = waists[bisect_left(fired, i)].n_collapses
+        self.sink.extend(columns, i, hi, n0 + i + 1, n_collapses, fired)
 
     def window(self, state: SimState, end: int, firings: list, error) -> SimState:
         """Fill the window of ``end`` collisions after ``state``, with the
         ``firings`` and the first failure ``error`` that :func:`_decide`
         found, and return the state after it."""
-        n0, sums = state.n_collisions, self.sums
-        # A firing ends its segment.  The recovery ratios, the firings'
-        # among them, start after the run's first firing.
-        if sums.sigma_after_last_collapse is not None:
-            first = 0
+        sums, radius = self.sums, self.internal_radius
+        waists = [state, *(after for _, after in firings)]
+        bounds = [b for b, _ in firings]
+        fired = [b - 1 for b in bounds]
+        sigmas = [w.sigma for w in waists]
+        # One readout for the window: a collision's waist and recovery
+        # divisor are those of its segment, which a firing ends.
+        lengths = [b - a for a, b in zip([0, *bounds], [*bounds, end])]
+
+        def per_collision(values: list):
+            return np.repeat(np.array(values), lengths) if firings else values[0]
+
+        if all(s[0] == s[1] == s[2] for s in sigmas):
+            axes = (per_collision([s[0] for s in sigmas]),) * 3
         else:
-            first = firings[0][0] if firings else end
-        a = 0
-        for b, after in firings:
-            columns, sigma_before, _ = self._read(state, a, b)
-            self._rows(state, n0, columns, a, b - 1)
-            self.samples_before(state, after.t, n0 + b - 1)
-            self.sink.append(
-                after.t, after.sigma, after.n_collisions, after.n_collapses,
-                min(after.sigma) < self.internal_radius, _COLLAPSE,
-            )
-            sums.add_firing(sigma_before, min(after.sigma))
-            state, a = after, b
-        columns, _, bad = self._read(state, a, end)
+            axes = [per_collision(axis) for axis in zip(*sigmas)]
+        scratch = self.widths[3, :end]
+        np.subtract(self.times[:end], per_collision([w.t_ref for w in waists]), out=scratch)
+        x, y, z = spread_into(axes, self.mass, scratch, self.widths[:3, :end])
+        narrowest = x if y is x else np.minimum(np.minimum(x, y, out=scratch), z, out=scratch)
+        in_cluster = np.less(narrowest, radius, out=self.cluster[:end])
+        # Widths grow between firings, and a firing's are finite: only the
+        # last segment can hold widths that are not, and its last are widest.
+        bad = end
+        if end and not (x[-1] < math.inf and y[-1] < math.inf and z[-1] < math.inf):
+            bad = int(np.argmin((x < math.inf) & (y < math.inf) & (z < math.inf)))
+        before = [narrowest.item(f) for f in fired]
+        # The recovery ratios, the firings' among them, start after the run's
+        # first firing.
+        first = 0 if sums.sigma_after_last_collapse is not None else [*bounds, end][0]
+        if first < end:
+            divisors = [sums.sigma_after_last_collapse or math.nan, *(min(s) for s in sigmas[1:])]
+            np.divide(narrowest, per_collision(divisors), out=scratch)
+        for f, sigma in zip(fired, sigmas[1:]):
+            x[f], y[f], z[f] = sigma
+            in_cluster[f] = min(sigma) < radius
+        columns = self.times, x, y, z, in_cluster.view(np.int8)
         if bad < end or error is not None:
-            # Only the last segment can fail: a firing's widths are finite,
-            # and so are the earlier ones of its segment.  The first failure
-            # in time order raises: a grid row, the widths of collision
-            # ``bad`` (``_widths_at`` raises), or the candidate's
-            # contraction (``error``).
-            self._rows(state, n0, columns, a, bad)
-            self.samples_before(state, self.times.item(bad), n0 + bad)
-            _widths_at(state, self.mass, self.times.item(bad), n0 + bad)
+            # The first failure in time order raises: a grid row, the widths
+            # of collision ``bad`` (``_widths_at`` raises), or the
+            # candidate's contraction (``error``).
+            self._rows(waists, fired, columns, bad)
+            self.samples_before(waists[-1], self.times.item(bad), state.n_collisions + bad)
+            _widths_at(waists[-1], self.mass, self.times.item(bad), state.n_collisions + bad)
             raise error
-        self._rows(state, n0, columns, a, end)
-        sums.add_recovery(self.widths[3, first:end])
-        if a < end:
-            state = replace(state, t=self.times.item(end - 1), n_collisions=n0 + end)
+        self._rows(waists, fired, columns, end)
+        for sigma_before, sigma in zip(before, sigmas[1:]):
+            sums.add_firing(sigma_before, min(sigma))
+        sums.add_recovery(scratch[first:end])
+        n_end, state = state.n_collisions + end, waists[-1]
+        if state.n_collisions < n_end:  # collisions after the last firing
+            state = replace(state, t=self.times.item(end - 1), n_collisions=n_end)
         return state
 
 
@@ -773,8 +798,16 @@ def run(
     """
     if max_collisions is not None:
         _check_count("max_collisions", max_collisions, 0)
+    return _run(config, config.seed, keep_records, max_collisions)
+
+
+def _run(
+    config: ScenarioConfig, seed: int, keep_records: bool, max_collisions: Optional[int]
+) -> tuple[RunSummary, Records]:
+    """:func:`run` of ``config`` with ``seed``, a valid seed, in place of its
+    own, and a ``max_collisions`` already checked."""
     alphas = np.array(config.object.cluster_alphas)
-    rng = RngState(config.seed)
+    rng = RngState(seed)
     words = np.empty(COLLISION_WORDS * _BLOCK_SIZE)
     state = initial_state(config, rng)
     records = Records()
@@ -803,7 +836,7 @@ def run(
     final_sigma = fill.sample(state, config.duration, state.n_collisions, state.t < config.duration)
     sums = fill.sums
     summary = RunSummary(
-        seed=config.seed,
+        seed=seed,
         duration=config.duration,
         n_collisions=state.n_collisions,
         n_collapses=state.n_collapses,
@@ -884,12 +917,12 @@ def run_ensemble(
         _check_count("max_collisions", max_collisions, 0)
     summaries: list[RunSummary] = []
     failures: list[tuple[int, str]] = []
+    # Every replica's seed is valid: ``config.seed`` is a non-negative
+    # integer (``ScenarioConfig`` refuses any other), and so is every
+    # ``config.seed + i``.  No replica re-runs the config's rules.
     for seed in range(config.seed, config.seed + n_replicas):
         try:
-            summary, _ = run(
-                replace(config, seed=seed), keep_records=False, max_collisions=max_collisions
-            )
-            summaries.append(summary)
+            summaries.append(_run(config, seed, False, max_collisions)[0])
         except EngineError as exc:
             failures.append((seed, str(exc)))
     return aggregate_summaries(summaries, config.seed, failures)

@@ -149,15 +149,18 @@ def spread_widths(sigma0: Vec3, mass: float, dt):
 def spread_into(sigma0: Vec3, mass: float, dt: np.ndarray, out: np.ndarray) -> tuple:
     """:func:`spread_widths` of an array ``dt``, computed in place.
 
-    The widths go into the rows of ``out``, each shaped like ``dt``, and
-    ``dt`` is overwritten; nothing else is allocated.  An isotropic waist,
-    three bit-equal widths, spreads one axis into ``out[0]``, which then
-    stands for all three.  Returns the three width arrays.
+    ``sigma0`` is three widths: floats, or arrays shaped like ``dt`` that
+    give each element its own waist.  The widths go into the rows of
+    ``out``, each shaped like ``dt``, and ``dt`` is overwritten; nothing else
+    is allocated but a square per axis of array widths.  An isotropic waist,
+    three bit-equal floats or one array given thrice, spreads one axis into
+    ``out[0]``, which then stands for all three.  Returns the three width
+    arrays.
     """
     k = np.multiply(dt, HBAR, out=dt)
     np.divide(k, 2.0 * mass, out=k)
     s1, s2, s3 = sigma0
-    axes = (s1,) if s1 == s2 == s3 else sigma0
+    axes = (s1,) if s1 is s2 is s3 or np.ndim(s1) == 0 and s1 == s2 == s3 else sigma0
     for s, q in zip(axes, out):
         np.divide(k, s * s, out=q)
         np.multiply(q, q, out=q)

@@ -164,8 +164,7 @@ class TestWordLayout:
         config = generic_document_config(0.05) if name == "generic" else preset("tpp")
         summary, _ = run(replace(config, seed=1, duration=0.05), keep_records=False)
         assert summary.n_collapses > 0
-        window = engine._WINDOW_BLOCKS * engine._BLOCK_SIZE
-        assert len(windows) <= summary.n_collisions // window + 1
+        assert len(windows) <= summary.n_collisions // engine._BLOCK_SIZE + 1
 
 
 class TestRun:
@@ -593,6 +592,29 @@ def test_phase_passes_build_no_objects(monkeypatch, name):
     assert summary.n_collapses > 0 and len(records) > summary.n_collisions
     assert CollisionEvent not in built
     assert built.count(engine.SimState) <= 1 + summary.n_collapses + len(windows)
+
+
+@pytest.mark.parametrize("name", ["tpp", "sugar_grain", "generic"])
+def test_one_readout_per_window(monkeypatch, name):
+    """``_Fill.window`` reads the widths of a window's collisions out in
+    one ``spread_into`` call, however many firings the window holds."""
+    calls, windows = [], []
+    spread_into = engine.spread_into
+    monkeypatch.setattr(engine, "spread_into", lambda *args: calls.append(1) or spread_into(*args))
+    window = engine._Fill.window
+
+    def counted(fill, state, end, firings, error):
+        calls.clear()
+        after = window(fill, state, end, firings, error)
+        windows.append((len(calls), len(firings)))
+        return after
+
+    monkeypatch.setattr(engine._Fill, "window", counted)
+    config = generic_document_config(0.05) if name == "generic" else preset(name)
+    summary, _ = run(replace(config, duration=0.05))
+    assert sum(firings for _, firings in windows) == summary.n_collapses
+    assert max(firings for _, firings in windows) >= 2
+    assert max(readouts for readouts, _ in windows) <= 1
 
 
 def test_run_builds_one_stream(monkeypatch):

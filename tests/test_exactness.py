@@ -13,6 +13,8 @@ scaling (barring subnormals and overflow) and they hold bit for bit:
   ratios, so widths scale by c and nothing else moves.
 """
 
+import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from collapsim import EngineError, EnvironmentSpec, ObjectSpec, ScenarioConfig, preset, run
-from test_engine import BLOCK_CONFIGS, generic_document_config, reference_run
+from test_engine import BLOCK_CONFIGS, UNDERFLOW_CONFIG, generic_document_config, reference_run
 
 SYMMETRY_CONFIGS = {
     "tpp": replace(preset("tpp"), duration=0.02),
@@ -161,3 +163,89 @@ def test_run_matches_step_loop_on_fuzzed_configs(case):
     if not isinstance(expected, str):
         expected = expected[0], []  # the summary, and no rows kept
     assert _outcome(lambda: run(config, keep_records=False, max_collisions=budget)) == expected
+
+
+@st.composite
+def failing_configs(draw, kind: str):
+    """A config of a ``kind`` that mostly fails, and a budget or None:
+
+    - ``overflow``: widths near 1e-15 m and a mass so small that they
+      overflow after about ``n`` collisions, two to ten thousand, so inside
+      a window and, in some, after a firing, whose narrower waist spreads
+      faster;
+    - ``underflow``: the widths of ``UNDERFLOW_CONFIG``, whose first firing
+      contracts them to 0;
+    - ``grid_row``: an ``overflow`` object with grid rows ten times denser
+      than collisions, so that a grid row between two collisions overflows
+      first.
+    """
+    near = st.floats(0.5, 2.0)
+    rate = draw(_log_uniform(1e5, 1e7))
+    if kind == "underflow":
+        width, env_width, mass = 1e-160, 1e-170, UNDERFLOW_CONFIG.object.mass
+        # A cluster constant of 0 passes the amplitude clause of widths whose
+        # overlap underflows to 0.
+        alphas = (0.0,) * draw(st.integers(1, 3)) + (draw(st.floats(0.0, 6.28)),)
+        internal_radius = UNDERFLOW_CONFIG.object.internal_radius
+        n = draw(st.floats(1500.0, 6000.0))
+    else:
+        # Widths of 1e-15 m overflow once hbar dt / (2 m sigma^2) passes
+        # about 1.3e154, at dt = 2.5e158 m.
+        width = env_width = 1e-15
+        n = draw(_log_uniform(2e3, 1e4) if kind == "overflow" else _log_uniform(30.0, 300.0))
+        mass = n / (2.5e158 * rate)
+        alphas = (0.0,)
+        internal_radius = 1e-15 * draw(st.sampled_from([0.1, 2.0]))
+    duration = 1.5 * n / rate
+    interval = 0.1 / rate if kind == "grid_row" else duration
+    config = ScenarioConfig(
+        object=ObjectSpec(mass=mass, internal_radius=internal_radius, cluster_alphas=alphas),
+        initial_sigma=tuple(width * draw(near) for _ in range(3)),
+        initial_alpha=draw(st.sampled_from([0.0, "random"])),
+        environment=EnvironmentSpec(
+            collision_rate=rate,
+            env_sigma=tuple(env_width * draw(near) for _ in range(3)),
+            env_sigma_jitter=draw(st.sampled_from([0.0, 0.5])),
+        ),
+        duration=duration,
+        seed=draw(st.integers(0, 2**32)),
+        sample_interval=interval * draw(st.floats(0.2, 1.0)),
+        cluster_eta=draw(st.sampled_from([1.0, 0.5])),
+        redraw_alpha_after_collapse=draw(st.booleans()),
+    )
+    budget = None
+    if draw(st.integers(0, 9)) < 2:
+        budget = draw(st.integers(0, int(rate * duration)))
+    return config, budget
+
+
+@pytest.mark.parametrize("kind", ["overflow", "underflow", "grid_row"])
+def test_run_matches_step_loop_on_fuzzed_failures(kind):
+    """On configs that mostly fail, ``run``, ``run(keep_records=False)``
+    and the loop over ``step`` raise the same message.  Each kind raises
+    in most examples: widths that overflow inside a window, after a firing
+    in some; a contraction that underflows; a grid row that overflows
+    before the next collision."""
+    raised = Counter()
+
+    @settings(max_examples=15, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(failing_configs(kind))
+    def check(case):
+        config, budget = case
+        expected = _outcome(lambda: reference_run(config, max_collisions=budget))
+        assert _outcome(lambda: run(config, max_collisions=budget)) == expected
+        quiet = expected if isinstance(expected, str) else (expected[0], [])
+        assert _outcome(lambda: run(config, keep_records=False, max_collisions=budget)) == quiet
+        if isinstance(expected, str):
+            t = float(expected.split("t=")[1].split(" ")[0]) / config.sample_interval
+            raised["raised"] += 1
+            raised["after a firing"] += "collapses=0)" not in expected
+            raised["at a grid time"] += math.isclose(t, round(t))
+
+    check()
+    assert raised["raised"] >= 8, raised
+    if kind == "overflow":
+        assert raised["after a firing"] >= 2, raised
+    if kind == "grid_row":
+        assert raised["at a grid time"] >= 3, raised
