@@ -1,13 +1,16 @@
 """Scenario configuration: the input types, presets and document parsing.
 
 Config documents are flat JSON objects with units encoded in the key names
-(``mass_kg``, ``duration_s``, ...).  One rule set serves every input: each
-rule is written once, in the constructor of the type that holds the value,
-names the document key, and takes a number as an int or a float, never a
-bool or a string.  A constructor reports all of its problems in one
-:class:`ConfigError`.  :func:`parse_config` checks only the JSON (syntax,
-object shape, unknown and missing keys) and lists together the problems of
-the three types it builds.
+(``mass_kg``, ``duration_s``, ...).  One table, ``_KEYS``, names each key
+once, with the field it fills, its stand-in and whether it is required;
+:func:`parse_config` builds the specs from it and :func:`to_document` reads
+it back.  One rule set serves every input: each rule is written once, in
+the constructor of the type that holds the value, names the document key,
+and takes a number as an int or a float, never a bool or a string.  A
+constructor reports all of its problems in one :class:`ConfigError`.
+:func:`parse_config` checks only the JSON (syntax, object shape, unknown
+and missing keys) and lists together the problems of the three types it
+builds.
 """
 
 from __future__ import annotations
@@ -304,29 +307,31 @@ def preset(name: str) -> ScenarioConfig:
 PRESETS = ("tpp", "sugar_grain")
 
 
-# Every document key, the eleven required ones first, with the value that
-# stands in for it when it is absent: an optional key's default, or, for a
-# required key (listed as missing), a value its rule passes.  A missing grid
-# key does not size a grid: either grid stand-in gives at most one row.
-_STAND_INS = {
-    "mass_kg": 1.0,
-    "internal_radius_m": 1.0,
-    "cluster_alphas_rad": [0.0],
-    "initial_sigma_m": 1.0,
-    "initial_alpha_rad": 0.0,
-    "collision_rate_hz": 0.0,
-    "env_sigma_m": 1.0,
-    "duration_s": 5e-324,  # the smallest positive float
-    "seed": 0,
-    "sample_interval_s": sys.float_info.max,
-    "cluster_eta": 1.0,
-    "env_sigma_jitter": 0.0,
-    "impact_spread_m": 0.0,
-    "output_path": None,
-    "output_format": "csv",
-    "redraw_alpha_after_collapse": False,
-}
-_REQUIRED_KEYS = tuple(_STAND_INS)[:11]
+# The document's keys, in the order :func:`to_document` writes them.  Per
+# key: the spec that holds its value (None for the scenario itself), the
+# field, the value that stands in for the key when it is absent, and
+# whether the document must give it.  A stand-in is an optional key's
+# default or, for a required key (listed as missing), a value its rule
+# passes.  A missing grid key does not size a grid: either grid stand-in
+# gives at most one row.
+_KEYS = (
+    ("mass_kg", "object", "mass", 1.0, True),
+    ("internal_radius_m", "object", "internal_radius", 1.0, True),
+    ("cluster_alphas_rad", "object", "cluster_alphas", (0.0,), True),
+    ("initial_sigma_m", None, "initial_sigma", 1.0, True),
+    ("initial_alpha_rad", None, "initial_alpha", 0.0, True),
+    ("collision_rate_hz", "environment", "collision_rate", 0.0, True),
+    ("env_sigma_m", "environment", "env_sigma", 1.0, True),
+    ("env_sigma_jitter", "environment", "env_sigma_jitter", 0.0, False),
+    ("impact_spread_m", "environment", "impact_spread", 0.0, False),
+    ("duration_s", None, "duration", 5e-324, True),  # the smallest positive float
+    ("seed", None, "seed", 0, True),
+    ("sample_interval_s", None, "sample_interval", sys.float_info.max, True),
+    ("cluster_eta", None, "cluster_eta", 1.0, True),
+    ("output_path", None, "output_path", None, False),
+    ("output_format", None, "output_format", "csv", False),
+    ("redraw_alpha_after_collapse", None, "redraw_alpha_after_collapse", False, False),
+)
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -344,9 +349,12 @@ def parse_config(text: str) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError(["config document must be a JSON object"])
 
-    problems = [f"unknown key: {key!r}" for key in sorted(set(doc) - set(_STAND_INS))]
-    problems += [f"missing required key: {key!r}" for key in _REQUIRED_KEYS if key not in doc]
-    v = {key: doc.get(key, stand_in) for key, stand_in in _STAND_INS.items()}
+    problems = [f"unknown key: {key!r}" for key in sorted(set(doc) - {key for key, *_ in _KEYS})]
+    inputs = {"object": {}, "environment": {}, None: {}}
+    for key, owner, field, stand_in, required in _KEYS:
+        if required and key not in doc:
+            problems.append(f"missing required key: {key!r}")
+        inputs[owner][field] = doc.get(key, stand_in)
     found = []
 
     def build(cls, **values):
@@ -358,28 +366,9 @@ def parse_config(text: str) -> ScenarioConfig:
 
     config = build(
         ScenarioConfig,
-        object=build(
-            ObjectSpec,
-            mass=v["mass_kg"],
-            internal_radius=v["internal_radius_m"],
-            cluster_alphas=v["cluster_alphas_rad"],
-        ),
-        initial_sigma=v["initial_sigma_m"],
-        initial_alpha=v["initial_alpha_rad"],
-        environment=build(
-            EnvironmentSpec,
-            collision_rate=v["collision_rate_hz"],
-            env_sigma=v["env_sigma_m"],
-            env_sigma_jitter=v["env_sigma_jitter"],
-            impact_spread=v["impact_spread_m"],
-        ),
-        duration=v["duration_s"],
-        seed=v["seed"],
-        sample_interval=v["sample_interval_s"],
-        cluster_eta=v["cluster_eta"],
-        output_path=v["output_path"],
-        output_format=v["output_format"],
-        redraw_alpha_after_collapse=v["redraw_alpha_after_collapse"],
+        object=build(ObjectSpec, **inputs["object"]),
+        environment=build(EnvironmentSpec, **inputs["environment"]),
+        **inputs[None],
     )
     # A spec that failed is passed on as None, and its problems are listed
     # already; the refusal of the None is not listed again.
@@ -393,21 +382,8 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def to_document(config: ScenarioConfig) -> dict:
     """Flat JSON-compatible dict that parses back to an equal config."""
-    return {
-        "mass_kg": config.object.mass,
-        "internal_radius_m": config.object.internal_radius,
-        "cluster_alphas_rad": list(config.object.cluster_alphas),
-        "initial_sigma_m": list(config.initial_sigma),
-        "initial_alpha_rad": config.initial_alpha,
-        "collision_rate_hz": config.environment.collision_rate,
-        "env_sigma_m": list(config.environment.env_sigma),
-        "env_sigma_jitter": config.environment.env_sigma_jitter,
-        "impact_spread_m": config.environment.impact_spread,
-        "duration_s": config.duration,
-        "seed": config.seed,
-        "sample_interval_s": config.sample_interval,
-        "cluster_eta": config.cluster_eta,
-        "output_path": config.output_path,
-        "output_format": config.output_format,
-        "redraw_alpha_after_collapse": config.redraw_alpha_after_collapse,
-    }
+    doc = {}
+    for key, owner, field, _, _ in _KEYS:
+        value = getattr(config if owner is None else getattr(config, owner), field)
+        doc[key] = list(value) if isinstance(value, tuple) else value
+    return doc

@@ -83,7 +83,7 @@ import operator
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence, Sized
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import islice
 from numbers import Integral
 from typing import Optional
 
@@ -178,34 +178,30 @@ class Records(Sequence):
     FIELDS = ("t_s", "sigma_x_m", "sigma_y_m", "sigma_z_m", "n_collisions", "n_collapses",
               "regime", "last_event")
     DTYPES = (np.float64,) * 4 + (np.int64,) * 2 + (np.int8,) * 2
-    __slots__ = ("_chunks", "_size", "_at")
+    __slots__ = ("_chunks", "_at")
 
     def __init__(self) -> None:
         self._chunks: list[tuple[np.ndarray, ...]] = []
-        self._size = CHUNK_ROWS
-        self._at = self._size  # rows used in the last chunk; full when there is none
+        self._at = CHUNK_ROWS  # rows used in the last chunk; full when there is none
 
     @classmethod
     def from_rows(cls, rows: Iterable[TimeSeriesRecord]) -> Records:
         """A store of ``rows``, read once; a ``ValueError`` names a field it cannot hold."""
         out, rows = cls(), iter(rows)
         for batch in iter(lambda: list(islice(rows, CHUNK_ROWS)), []):
-            columns = _plain_columns(batch)
-            if columns is None:
-                for r in batch:
-                    if (problem := _refusal(r)) is not None:
-                        raise ValueError(problem)
-                values = [(r.t, *r.sigma, r.n_collisions, r.n_collapses,
-                           cls.REGIMES.index(r.regime), cls.EVENTS.index(r.last_event))
-                          for r in batch]
-                columns = [np.array(c, dtype) for c, dtype in zip(zip(*values), cls.DTYPES)]
-            out.add_columns(columns)
+            for r in batch:
+                if (problem := _refusal(r)) is not None:
+                    raise ValueError(problem)
+            values = [(r.t, *r.sigma, r.n_collisions, r.n_collapses,
+                       cls.REGIMES.index(r.regime), cls.EVENTS.index(r.last_event))
+                      for r in batch]
+            out.add_columns([np.array(c, dtype) for c, dtype in zip(zip(*values), cls.DTYPES)])
         return out
 
     def _room(self) -> tuple[tuple[np.ndarray, ...], int]:
         """The last chunk and its first free row, once a chunk has room."""
-        if self._at == self._size:
-            self._chunks.append(_new_chunk(self._size))
+        if self._at == CHUNK_ROWS:
+            self._chunks.append(_new_chunk(CHUNK_ROWS))
             self._at = 0
         return self._chunks[-1], self._at
 
@@ -228,7 +224,7 @@ class Records(Sequence):
         t, x, y, z, regime = columns
         while lo < hi:
             (floats, counts, codes), a = self._room()
-            m = min(hi - lo, self._size - a)
+            m = min(hi - lo, CHUNK_ROWS - a)
             rows, b = slice(lo, lo + m), a + m
             floats[0, a:b] = t[rows]
             if x is y is z:
@@ -251,7 +247,7 @@ class Records(Sequence):
         lo, n = 0, len(columns[0])
         while lo < n:
             chunk, a = self._room()
-            m = min(n - lo, self._size - a)
+            m = min(n - lo, CHUNK_ROWS - a)
             for row, values in zip((row for array in chunk for row in array), columns):
                 row[a : a + m] = values[lo : lo + m]
             self._at, lo = a + m, lo + m
@@ -259,7 +255,7 @@ class Records(Sequence):
     def _rows(self, lo: int, hi: int) -> Sequence[np.ndarray]:
         """Rows ``lo .. hi-1`` as arrays laid out as a chunk's: views of
         their chunk, or a copy if they span chunks."""
-        size = self._size
+        size = CHUNK_ROWS
         pieces = [
             [array[:, max(lo - q * size, 0) : hi - q * size] for array in self._chunks[q]]
             for q in range(lo // size, -(-hi // size))
@@ -278,7 +274,7 @@ class Records(Sequence):
         return tuple(row for array in self._rows(0, len(self)) for row in array)
 
     def __len__(self) -> int:
-        return len(self._chunks) * self._size - (self._size - self._at)
+        return len(self._chunks) * CHUNK_ROWS - (CHUNK_ROWS - self._at)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -293,7 +289,7 @@ class Records(Sequence):
 
     def __iter__(self):
         regimes, events = self.REGIMES, self.EVENTS
-        for floats, counts, codes in self.chunks(self._size):
+        for floats, counts, codes in self.chunks(CHUNK_ROWS):
             rows = zip(*floats.tolist(), *counts.tolist(), *codes.tolist())
             for t, sx, sy, sz, n_collisions, n_collapses, regime, event in rows:
                 yield TimeSeriesRecord(
@@ -333,34 +329,6 @@ def _refusal(r: TimeSeriesRecord) -> Optional[str]:
         if value not in known:
             known_names = [v.value for v in known]
             return f"malformed record field {name!r}: {value!r} is not one of {known_names}"
-
-
-# Per name column, each member's code by its id: hashing an enum member runs Python.
-_CODES = [{id(member): code for code, member in enumerate(known)}
-          for known in (Records.REGIMES, Records.EVENTS)]
-
-
-def _plain_columns(batch: list[TimeSeriesRecord]) -> Optional[list[np.ndarray]]:
-    """The eight columns of a batch whose times and widths are all ``float``,
-    ``numpy.float64`` or ``int``, counts ``int``, widths tuples of three and
-    names known, checked at once; else None, for :func:`_refusal` to check."""
-    sigma = [r.sigma for r in batch]
-    if set(map(type, sigma)) != {tuple} or set(map(len, sigma)) != {3}:
-        return None
-    t = [r.t for r in batch]
-    counts = [r.n_collisions for r in batch], [r.n_collapses for r in batch]
-    if not (set(map(type, chain(t, *sigma))) <= {float, int, np.float64}
-            and set(map(type, chain(*counts))) <= {int}):
-        return None
-    names = [r.regime for r in batch], [r.last_event for r in batch]
-    codes = [list(map(known.get, map(id, values))) for known, values in zip(_CODES, names)]
-    if None in codes[0] or None in codes[1]:
-        return None
-    try:
-        columns = (t, *zip(*sigma), *counts, *codes)
-        return [np.array(c, dtype) for c, dtype in zip(columns, Records.DTYPES)]
-    except OverflowError:  # an int past the float range or past int64
-        return None
 
 
 _NONE, _NO_COLLAPSE, _COLLAPSE = (Records.EVENTS.index(event) for event in LastEvent)

@@ -88,12 +88,16 @@ class GaussianPacket:
             raise ValueError("center, velocity and t_ref must be finite")
 
 
+def _require_positive(**values: float) -> None:
+    """Refuse the first of ``values`` that is not positive, by its name."""
+    for name, x in values.items():
+        if not x > 0.0:
+            raise ValueError(f"{name} must be positive, got {x}")
+
+
 def de_broglie_wavelength(mass: float, v0: float) -> float:
     """Matter wavelength h / (m * v) of an object moving at speed v0."""
-    if not mass > 0.0:
-        raise ValueError(f"mass must be positive, got {mass}")
-    if not v0 > 0.0:
-        raise ValueError(f"v0 must be positive, got {v0}")
+    _require_positive(mass=mass, v0=v0)
     return PLANCK_H / (mass * v0)
 
 
@@ -103,39 +107,29 @@ def spreading_velocity(diameter: float, mass: float) -> float:
     ``diameter`` is the minimum diameter at the beginning of spreading,
     identified with twice the |psi|^2 standard deviation.
     """
-    if not diameter > 0.0:
-        raise ValueError(f"diameter must be positive, got {diameter}")
-    if not mass > 0.0:
-        raise ValueError(f"mass must be positive, got {mass}")
+    _require_positive(diameter=diameter, mass=mass)
     return HBAR / (diameter * mass)
 
 
 def spreading_velocity_via_lambda(wavelength: float, v0: float, diameter: float) -> float:
     """Spreading rate written through the matter wavelength: lambda * v0 / (2 pi d)."""
-    if not wavelength > 0.0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    if not v0 > 0.0:
-        raise ValueError(f"v0 must be positive, got {v0}")
-    if not diameter > 0.0:
-        raise ValueError(f"diameter must be positive, got {diameter}")
+    _require_positive(wavelength=wavelength, v0=v0, diameter=diameter)
     return wavelength * v0 / (TWO_PI * diameter)
 
 
-def spread_widths(sigma0: Vec3, mass: float, dt):
+def spread_widths(sigma0: Vec3, mass: float, dt: float) -> Vec3:
     """Per-axis widths a time dt after a waist of widths sigma0.
 
     Each axis follows the free-Schroedinger law
 
         sigma(dt) = sigma0 * sqrt(1 + q^2),  q = hbar * dt / (2 m sigma0^2)
 
-    ``dt`` is a float or a numpy array of times; an array gives one array per
-    axis (see :func:`spread_into`) whose elements equal the float results bit
-    for bit.  Both forms square as ``q * q`` (``q ** 2`` on a float calls the
-    C ``pow``, which is not correctly rounded) and take a correctly rounded
-    square root.  A square that overflows gives ``inf``; it does not raise.
+    :func:`spread_into` takes an array of times and gives elements that
+    equal these results bit for bit.  Both square as ``q * q`` (``q ** 2`` on
+    a float calls the C ``pow``, which is not correctly rounded) and take a
+    correctly rounded square root.  A square that overflows gives ``inf``;
+    it does not raise.
     """
-    if isinstance(dt, np.ndarray):
-        return spread_into(sigma0, mass, dt.astype(float), np.empty((3, *dt.shape)))
     k = HBAR * dt / (2.0 * mass)
     s1, s2, s3 = sigma0
     q1, q2, q3 = k / (s1 * s1), k / (s2 * s2), k / (s3 * s3)
@@ -147,7 +141,7 @@ def spread_widths(sigma0: Vec3, mass: float, dt):
 
 
 def spread_into(sigma0: Vec3, mass: float, dt: np.ndarray, out: np.ndarray) -> tuple:
-    """:func:`spread_widths` of an array ``dt``, computed in place.
+    """:func:`spread_widths` of an array ``dt`` of floats, computed in place.
 
     ``sigma0`` is three widths: floats, or arrays shaped like ``dt`` that
     give each element its own waist.  The widths go into the rows of

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import math
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapsim import ConfigError, parse_config, preset, to_document
-from collapsim.config import PRESETS, ScenarioConfig
+from collapsim import ConfigError, config, parse_config, preset, to_document
+from collapsim.config import PRESETS, EnvironmentSpec, ObjectSpec, ScenarioConfig
 
 
 class TestPresets:
@@ -38,6 +41,28 @@ class TestPresets:
         message = str(exc.value)
         for name in PRESETS:
             assert name in message
+
+
+class TestKeyTable:
+    """``config._KEYS`` is the document's one schema."""
+
+    def test_names_every_field_once(self):
+        # A field added to a spec without a document key fails here.
+        specs = {"object": ObjectSpec, "environment": EnvironmentSpec, None: ScenarioConfig}
+        fields = [
+            (owner, field.name)
+            for owner, cls in specs.items()
+            for field in dataclasses.fields(cls)
+            if field.name not in specs
+        ]
+        named = [(owner, field) for _, owner, field, _, _ in config._KEYS]
+        assert Counter(named) == Counter(fields)
+        assert len({key for key, *_ in config._KEYS}) == len(config._KEYS)
+
+    def test_document_keys_in_readme_order(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("### Config documents")[1].split("```json")[1].split("```")[0]
+        assert list(to_document(preset("tpp"))) == list(json.loads(example))
 
 
 class TestParseConfig:
@@ -173,11 +198,8 @@ JSON_VALUES = st.one_of(
 )
 DOCUMENT_KEYS = sorted(to_document(preset("tpp")))
 # Keys checked together with another key: one alone may be rejected and the
-# pair accepted (a duration fits a coarser grid; a cluster count fits a list).
-COUPLED = {
-    "duration_s": "sample_interval_s", "sample_interval_s": "duration_s",
-    "n_clusters": "cluster_alphas_rad", "cluster_alphas_rad": "n_clusters",
-}
+# pair accepted (a duration fits a coarser grid).
+COUPLED = {"duration_s": "sample_interval_s", "sample_interval_s": "duration_s"}
 
 
 def config_problems(doc: dict):

@@ -155,7 +155,7 @@ class TestSpreadWidths:
             sigma0 = tuple(log_uniform(gen, 1e-12, 1e-2, 3))
             mass = float(log_uniform(gen, 1e-25, 1e-5))
             dt = log_uniform(gen, 1e-12, 1e2, 500)
-            arrays = spread_widths(sigma0, mass, dt)
+            arrays = spread_into(sigma0, mass, dt.copy(), np.empty((3, dt.size)))
             for i, d in enumerate(dt.tolist()):
                 assert tuple(a[i] for a in arrays) == spread_widths(sigma0, mass, d)
 

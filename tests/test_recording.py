@@ -741,14 +741,16 @@ class TestStoreChunksInWriter:
         "store_rows, writer_rows", [(1, 5), (2, 3), (3, 2), (5, 1), (5, 3), (3, CHUNK_ROWS)]
     )
     def test_bytes_equal_reference_writer(self, store_rows, writer_rows, fmt):
+        # A store reads its chunk size from engine.CHUNK_ROWS: it is read
+        # under the size it was filled under.
         with mock.patch.object(engine, "CHUNK_ROWS", store_rows):
             _, records = run(replace(preset("tpp"), seed=2, duration=1e-3))
             stored = Records.from_rows(run_rows([1, 2, 3, 4, 5, 1, 7, 2, 3], EDGE_FLOATS))
-        for store in (records, stored):
-            assert len(store._chunks) == -(-len(store) // store_rows)
-            expected = written(reference_write, store, fmt)
-            with mock.patch.object(recording, "CHUNK_ROWS", writer_rows):
-                assert written(write_records, store, fmt) == expected
+            for store in (records, stored):
+                assert len(store._chunks) == -(-len(store) // store_rows)
+                expected = written(reference_write, store, fmt)
+                with mock.patch.object(recording, "CHUNK_ROWS", writer_rows):
+                    assert written(write_records, store, fmt) == expected
 
 
 def fitted_rows(case: str) -> list[TimeSeriesRecord]:
@@ -830,16 +832,8 @@ class TestFittedLayout:
 
 
 class TestFromRowsChecksBatches:
-    """``Records.from_rows`` checks a batch of plain rows at once, and only a
-    batch that is not plain row by row."""
-
-    def test_plain_rows_are_not_checked_one_by_one(self):
-        rows = random_records(5000)
-        with mock.patch.object(engine, "_refusal", wraps=engine._refusal) as refusal:
-            store = Records.from_rows(rows)
-        assert refusal.call_count == 0
-        with mock.patch.object(engine, "_plain_columns", return_value=None):
-            assert column_bits(store) == column_bits(Records.from_rows(rows))
+    """``Records.from_rows`` checks each row, then stores a batch of rows at
+    once, whatever storable types they hold."""
 
     def test_other_rows_are_stored_as_before(self):
         # Not plain, yet storable: numpy scalars, a list of widths, an int time.

@@ -20,7 +20,7 @@ from collapsim.criterion import (
     phase_clause_batch,
     phase_distance,
 )
-from collapsim.packets import spread_widths
+from collapsim.packets import spread_into, spread_widths
 import reference
 
 TWO_PI = 2.0 * math.pi
@@ -111,7 +111,7 @@ def test_spread_widths_float(sigma0, mass, dt):
 @given(vec3_widths, masses, st.lists(times, min_size=1, max_size=20))
 def test_spread_widths_array(sigma0, mass, dts):
     with np.errstate(over="ignore"):
-        columns = spread_widths(sigma0, mass, np.array(dts))
+        columns = spread_into(sigma0, mass, np.array(dts), np.empty((3, len(dts))))
     assert list(zip(*(c.tolist() for c in columns))) == [
         reference.spread(sigma0, mass, dt) for dt in dts
     ]
