@@ -1,150 +1,174 @@
-"""Command-line interface: run, sweep, selftest."""
+"""Command-line interface: run, sweep, selftest, parsed from one flag table."""
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import IO, Optional
 
 from .config import OUTPUT_FORMATS, PRESETS, ConfigError, ScenarioConfig, parse_config, preset
 from .engine import EngineError, run, run_ensemble
-from .recording import RecordWriteError, write_records
+from .recording import RecordWriteError, write_ensemble, write_records
 from .sweep import SweepAxis, sweep
 
+_DESCRIPTION = (
+    "Event-driven simulator of criterion-gated wavepacket contraction and free spreading."
+)
+_COMMANDS = {
+    "run": "simulate one scenario (or an ensemble)",
+    "sweep": "scan mass, diameter or collision rate",
+    "selftest": "run the built-in oracle checks",
+}
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", choices=PRESETS, help="built-in scenario preset")
-    p.add_argument("--config", type=Path, help="path to a JSON config document")
-    p.add_argument("--seed", type=int, help="override the base random seed")
-    p.add_argument("--duration-s", type=float, dest="duration_s", help="override run duration")
-    p.add_argument("--rate-hz", type=float, dest="rate_hz", help="override collision rate")
-    p.add_argument("--eta", type=float, help="override cluster-regime damping exponent")
-    p.add_argument("--output", type=Path, help="output file (default: stdout)")
-    p.add_argument("--format", choices=OUTPUT_FORMATS, help="output format")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="collapsim",
-        description=(
-            "Event-driven simulator of criterion-gated wavepacket contraction "
-            "and free spreading."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="simulate one scenario (or an ensemble)")
-    _add_common_flags(p_run)
-    p_run.add_argument("--replicas", type=int, default=1, help="number of independent replicas")
-
-    p_sweep = sub.add_parser("sweep", help="scan mass, diameter or collision rate")
-    _add_common_flags(p_sweep)
-    p_sweep.add_argument(
-        "--axis",
-        choices=tuple(a.value for a in SweepAxis),
-        required=True,
-        help="which parameter to scan",
-    )
-    p_sweep.add_argument(
-        "--values", required=True, help="comma-separated positive values for the axis"
-    )
-    p_sweep.add_argument("--replicas", type=int, default=4, help="replicas per value")
-
-    p_self = sub.add_parser("selftest", help="run the built-in oracle checks")
-    p_self.add_argument("--fast", action="store_true", help="smaller sample sizes")
-
-    return parser
+# One row per flag: the flag, the commands that take it, its converter (int,
+# float, Path or str; a tuple of choices; bool for a switch), its default
+# (``...`` for a flag that must be given) and its help line.
+_FLAGS = (
+    ("--scenario", ("run", "sweep"), PRESETS, None, "built-in scenario preset"),
+    ("--config", ("run", "sweep"), Path, None, "path to a JSON config document"),
+    ("--seed", ("run", "sweep"), int, None, "override the base random seed"),
+    ("--duration-s", ("run", "sweep"), float, None, "override run duration"),
+    ("--rate-hz", ("run", "sweep"), float, None, "override collision rate"),
+    ("--eta", ("run", "sweep"), float, None, "override cluster-regime damping exponent"),
+    ("--output", ("run", "sweep"), Path, None, "output file (default: stdout)"),
+    ("--format", ("run", "sweep"), OUTPUT_FORMATS, None, "output format"),
+    ("--replicas", ("run",), int, 1, "number of independent replicas"),
+    ("--axis", ("sweep",), tuple(a.value for a in SweepAxis), ..., "which parameter to scan"),
+    ("--values", ("sweep",), str, ..., "comma-separated positive values for the axis"),
+    ("--replicas", ("sweep",), int, 4, "replicas per value"),
+    ("--fast", ("selftest",), bool, False, "smaller sample sizes"),
+)
 
 
-def _load_config(args: argparse.Namespace) -> ScenarioConfig:
-    if bool(args.scenario) == bool(args.config):
-        raise ConfigError(["exactly one of --scenario or --config is required"])
-    if args.scenario:
-        config = preset(args.scenario)
+def _parse(argv: list[str]) -> tuple[Optional[str], dict, list[str]]:
+    """One pass over ``argv``: its command (None if it names none), the
+    values by flag, defaults included, and every problem.  A flag is spelled
+    in full, as ``--flag value`` or ``--flag=value``; a given flag whose
+    value fails keeps its default, or reads as None."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    if command is None:
+        named = f"unknown command {argv[0]!r}" if argv and argv[0][:1] != "-" else "no command"
+        return None, {}, [f"{named}: choose from {', '.join(_COMMANDS)}"]
+    rows = {row[0]: row for row in _FLAGS if command in row[1]}
+    flags = {flag: row[3] for flag, row in rows.items() if row[3] not in (None, ...)}
+    problems, tokens = [], list(reversed(argv[1:]))  # pop() takes the next token
+    while tokens:
+        token = tokens.pop()
+        flag, eq, text = token.partition("=")
+        convert = rows[flag][2] if flag in rows else None
+        # The next token is the flag's value, also an unknown flag's, unless
+        # it is a flag too.
+        if (not eq and convert is not bool and flag[:2] == "--"
+                and tokens and tokens[-1][:2] != "--"):
+            eq, text = "=", tokens.pop()
+        if convert is None:
+            problems.append(f"{token!r} is not a flag of {command}")
+            continue
+        if convert is bool:
+            problem, text = (f"{flag} takes no value, got {text!r}" if eq else None), True
+        elif not eq:
+            problem = f"{flag}: expected a value"
+        elif isinstance(convert, tuple):
+            choose = f"invalid choice (choose from {', '.join(convert)})"
+            problem = None if text in convert else f"{flag} {text!r}: {choose}"
+        else:
+            try:
+                text, problem = convert(text), None
+            except ValueError:
+                problem = f"{flag} {text!r}: invalid {convert.__name__} value"
+        if problem:
+            problems.append(problem)
+        flags[flag] = flags.get(flag) if problem else text
+    problems += [f"{flag} is required" for flag, row in rows.items()
+                 if row[3] is ... and flag not in flags]
+    if flags.get("--replicas", 1) < 1:
+        problems.append(f"--replicas must be >= 1, got {flags['--replicas']}")
+    return command, flags, problems
+
+
+def _usage(command: Optional[str]) -> str:
+    """The help of ``command``, or of the program when it is None."""
+    lines = [f"usage: collapsim {command or '{' + ','.join(_COMMANDS) + '}'} [flags]", ""]
+    if command is None:
+        lines += [_DESCRIPTION, "", *(f"  {n:<10}{text}" for n, text in _COMMANDS.items()), ""]
     else:
-        try:
-            text = args.config.read_text()
-        except OSError as exc:
-            raise ConfigError([f"cannot read config file {args.config}: {exc}"]) from exc
-        config = parse_config(text)
+        lines += [_COMMANDS[command], ""]
+    for flag, commands, convert, default, text in _FLAGS:
+        if command in commands:
+            if convert is not bool:
+                flag += " " + ("{" + ",".join(convert) + "}" if isinstance(convert, tuple)
+                               else convert.__name__.upper())
+            note = " (required)" if default is ... else f" (default {default})" if default else ""
+            lines.append(f"  {flag}\n      {text}{note}")
+    return "\n".join([*lines, "  -h, --help\n      show this help and exit"])
+
+
+def _load_config(flags: dict, problems: list[str]) -> ScenarioConfig:
+    """The config that ``flags`` give, or a ``ConfigError`` listing its
+    problems and then ``problems``, those of the parse and the command."""
+    path = flags.get("--config")
+    try:
+        if ("--scenario" in flags) == ("--config" in flags):
+            raise ConfigError(["exactly one of --scenario or --config is required"])
+        if flags.get("--scenario"):
+            config = preset(flags["--scenario"])
+        elif path:
+            config = parse_config(path.read_text())
+        else:  # the flag's value failed, and its problem is listed
+            raise ConfigError([])
+    except OSError as exc:
+        raise ConfigError([f"cannot read config file {path}: {exc}", *problems]) from exc
+    except ConfigError as exc:
+        raise ConfigError(exc.problems + problems) from None
     overrides = (
-        ("--seed", args.seed, lambda c, v: replace(c, seed=v)),
-        ("--duration-s", args.duration_s, lambda c, v: replace(c, duration=v)),
-        (
-            "--rate-hz",
-            args.rate_hz,
-            lambda c, v: replace(c, environment=replace(c.environment, collision_rate=v)),
-        ),
-        ("--eta", args.eta, lambda c, v: replace(c, cluster_eta=v)),
-        ("--format", args.format, lambda c, v: replace(c, output_format=v)),
-        ("--output", args.output, lambda c, v: replace(c, output_path=str(v))),
+        ("--seed", lambda c, v: replace(c, seed=v)),
+        ("--duration-s", lambda c, v: replace(c, duration=v)),
+        ("--rate-hz", lambda c, v: replace(c, environment=replace(c.environment,
+                                                                   collision_rate=v))),
+        ("--eta", lambda c, v: replace(c, cluster_eta=v)),
+        ("--format", lambda c, v: replace(c, output_format=v)),
+        ("--output", lambda c, v: replace(c, output_path=str(v))),
     )
-    problems = []
-    for flag, value, apply in overrides:
+    listed = []
+    for flag, apply in overrides:
+        value = flags.get(flag)
         if value is None:
             continue
         try:
             config = apply(config, value)
         except ValueError as exc:
-            problems.append(f"{flag} {value}: {exc}")
-    if problems:
-        raise ConfigError(problems)
+            listed.append(f"{flag} {value}: {exc}")
+    if listed or problems:
+        raise ConfigError(listed + problems)
     return config
 
 
-def _load_config_and_flags(args: argparse.Namespace, problems: list[str]) -> ScenarioConfig:
-    """The config, or a ``ConfigError`` listing its problems and then the
-    command's own flag ``problems``."""
-    try:
-        config = _load_config(args)
-    except ConfigError as exc:
-        problems = exc.problems + problems
-    if problems:
-        raise ConfigError(problems)
-    return config
-
-
-def _open_sink(path: Optional[str]):
+@contextmanager
+def _sink(path: Optional[str]):
+    """The output file at ``path``, closed on exit, or stdout for None or "-"."""
     if path is None or path == "-":
-        return sys.stdout, False
+        yield sys.stdout
+        return
     try:
-        return open(path, "w"), True
+        sink = open(path, "w")
     except OSError as exc:
         raise ConfigError([f"cannot open output file {path}: {exc}"]) from exc
+    with sink:
+        yield sink
 
 
-def _summary_obj(summary) -> dict:
-    return {
-        "seed": summary.seed,
-        "duration_s": summary.duration,
-        "n_collisions": summary.n_collisions,
-        "n_collapses": summary.n_collapses,
-        "final_sigma_m": list(summary.final_sigma),
-        "final_min_sigma_m": summary.final_min_sigma,
-        "min_sigma_m": summary.min_sigma,
-        "mean_recovery_ratio": summary.mean_recovery_ratio,
-        "mean_respread_between_collapses": summary.mean_respread_between_collapses,
-        "localized": summary.localized,
-        "final_regime": summary.final_regime.value,
-    }
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    problems = []
-    if args.replicas < 1:
-        problems.append(f"--replicas must be >= 1, got {args.replicas}")
-    elif args.replicas > 1 and args.format == "csv":
+def _cmd_run(flags: dict, problems: list[str]) -> int:
+    replicas = flags["--replicas"]
+    if replicas > 1 and flags.get("--format") == "csv":
         problems.append(
-            f"--format csv: --replicas {args.replicas} writes an ensemble summary, which is JSON"
+            f"--format csv: --replicas {replicas} writes an ensemble summary, which is JSON"
         )
-    config = _load_config_and_flags(args, problems)
-    sink, close = _open_sink(config.output_path)
-    try:
-        if args.replicas == 1:
+    config = _load_config(flags, problems)
+    with _sink(config.output_path) as sink:
+        if replicas == 1:
             summary, records = run(config)
             write_records(records, config.output_format, sink)
             print(
@@ -154,24 +178,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         else:
-            ensemble = run_ensemble(config, args.replicas)
-            obj = {
-                "n_replicas": ensemble.n_replicas,
-                "base_seed": ensemble.base_seed,
-                "total_collisions": ensemble.total_collisions,
-                "total_collapses": ensemble.total_collapses,
-                "firing_fraction": ensemble.firing_fraction,
-                "mean_recovery_ratio": ensemble.mean_recovery_ratio,
-                "final_min_sigma_mean_m": ensemble.final_min_sigma_mean,
-                "localized_fraction": ensemble.localized_fraction,
-                "failures": [list(f) for f in ensemble.failures],
-                "replicas": [_summary_obj(s) for s in ensemble.replicas],
-            }
-            json.dump(obj, sink, indent=1)
-            sink.write("\n")
-    finally:
-        if close:
-            sink.close()
+            write_ensemble(run_ensemble(config, replicas), sink)
     return 0
 
 
@@ -186,13 +193,15 @@ def _write_sweep(rows, sink: IO[str]) -> None:
         )
 
 
-def _sweep_flags(args: argparse.Namespace) -> tuple[list[float], list[str]]:
-    """The ``--values`` list, and every problem with ``--values``, ``--replicas``
-    and ``--format``."""
-    values, problems = [], []
-    for text in (v.strip() for v in args.values.split(",")):
-        if not text:
-            continue
+def _sweep_flags(flags: dict, problems: list[str]) -> list[float]:
+    """The ``--values`` list; every problem with ``--values`` and ``--format``
+    that the parse did not find goes to ``problems``."""
+    given = flags.get("--values")
+    texts = [t for t in (v.strip() for v in (given or "").split(",")) if t]
+    if given is not None and not texts:
+        problems.append("--values: at least one value is required")
+    values = []
+    for text in texts:
         try:
             value = float(text)
         except ValueError:
@@ -201,51 +210,42 @@ def _sweep_flags(args: argparse.Namespace) -> tuple[list[float], list[str]]:
         if not 0.0 < value < math.inf:
             problems.append(f"--values {text}: must be positive and finite")
         values.append(value)
-    if not values and not problems:
-        problems.append("--values: at least one value is required")
-    if args.replicas < 1:
-        problems.append(f"--replicas must be >= 1, got {args.replicas}")
-    if args.format == "json":
+    if flags.get("--format") == "json":
         problems.append("--format json: the sweep table is CSV")
-    return values, problems
+    return values
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    values, problems = _sweep_flags(args)
-    config = _load_config_and_flags(args, problems)
-    sink, close = _open_sink(config.output_path)
-    try:
-        rows = sweep(config, SweepAxis(args.axis), values, args.replicas)
-        _write_sweep(rows, sink)
-    finally:
-        if close:
-            sink.close()
+def _cmd_sweep(flags: dict, problems: list[str]) -> int:
+    values = _sweep_flags(flags, problems)
+    config = _load_config(flags, problems)
+    with _sink(config.output_path) as sink:
+        _write_sweep(sweep(config, SweepAxis(flags["--axis"]), values, flags["--replicas"]), sink)
     return 0
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
+def _cmd_selftest(flags: dict) -> int:
     from . import selftest  # imports scipy; no other command needs it
 
-    results = selftest.run_all(fast=args.fast)
-    all_ok = True
+    results = selftest.run_all(fast=flags["--fast"])
     for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"{status}  {res.name}: {res.detail}")
-        all_ok = all_ok and res.passed
-    return 0 if all_ok else 1
+        print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}")
+    return 0 if all(res.passed for res in results) else 1
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command, flags, problems = _parse(argv)
+    if "-h" in argv or "--help" in argv:
+        print(_usage(command))
+        return 0
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "selftest":
-            return _cmd_selftest(args)
-        parser.error(f"unknown command {args.command!r}")
+        if command == "run":
+            return _cmd_run(flags, problems)
+        if command == "sweep":
+            return _cmd_sweep(flags, problems)
+        if problems:  # also the missing or unknown command's
+            raise ConfigError(problems)
+        return _cmd_selftest(flags)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
@@ -253,7 +253,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (EngineError, RecordWriteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -695,6 +695,8 @@ class _Fill:
         """Fill the window of ``end`` collisions after ``state``, with the
         ``firings`` and the first failure ``error`` that :func:`_decide`
         found, and return the state after it."""
+        if not end and error is None:  # a window without collisions
+            return state
         sums, radius = self.sums, self.internal_radius
         waists = [state, *(after for _, after in firings)]
         bounds = [b for b, _ in firings]

@@ -17,7 +17,7 @@ bit-exactly within one build.
 
 The words that only a phase pass reads come from a counter-based generator
 keyed by the seed (Philox, Salmon et al. 2011), addressed in O(1) and built
-on first use: collision ``i``'s six offset uniforms and three width jitters
+once per seed, on first use: collision ``i``'s six offset uniforms and three width jitters
 (:func:`packet_from_words`) at counter ``3i``, and the object's phase
 constant drawn once it has had ``n`` collisions (:func:`draw_phase`: the
 random initial phase at ``n = 0``, a redraw after a firing at its count) at
@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Integral
+from threading import Lock
 from typing import Optional
 
 import numpy as np
@@ -74,7 +76,7 @@ class RngState:
     ``(seed, position)`` implies bit-identical continuations.
     """
 
-    __slots__ = ("seed", "position", "_gen", "_keyed")
+    __slots__ = ("seed", "position", "_gen")
 
     def __init__(self, seed: int, position: int = 0):
         for name, value in (("seed", seed), ("position", position)):
@@ -84,7 +86,6 @@ class RngState:
         self._gen = Generator(PCG64(self.seed))
         # PCG64 jumps any distance in O(log n) steps.
         self._gen.bit_generator.advance(self.position % (1 << 128))
-        self._keyed = None
 
     def words(self, n: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Consume n words as uniforms on [0, 1), drawn into ``out`` if given."""
@@ -95,20 +96,14 @@ class RngState:
     def keyed(self, counter: int, n: int) -> list[float]:
         """``n`` uniforms on [0, 1) of the keyed generator with its counter
         set to ``counter``: the words of Philox4x64 blocks ``counter + 1``
-        on.  The position does not move.  The generator, keyed by a child
-        of the seed's ``SeedSequence``, is built on first use."""
-        if self._keyed is None:
-            gen = Generator(Philox(SeedSequence(self.seed, spawn_key=(1,))))
-            state = gen.bit_generator.state
-            # Plain lists: the state setter reads them faster than arrays.
-            state["state"] = {"counter": [0, 0, 0, 0], "key": state["state"]["key"].tolist()}
-            state["buffer"] = [0, 0, 0, 0]
-            self._keyed = gen, state
-        gen, state = self._keyed
+        on.  The position does not move.  The generator of the seed is
+        built on its first use in the process (:func:`_keyed_generator`)."""
+        gen, state, lock = _keyed_generator(self.seed)
         counts = state["state"]["counter"]
-        counts[0], counts[1] = counter & 0xFFFFFFFFFFFFFFFF, counter >> 64
-        gen.bit_generator.state = state  # also empties the block buffer
-        return gen.random(n).tolist()
+        with lock:
+            counts[0], counts[1] = counter & 0xFFFFFFFFFFFFFFFF, counter >> 64
+            gen.bit_generator.state = state  # also empties the block buffer
+            return gen.random(n).tolist()
 
     def __eq__(self, other) -> bool:
         return (
@@ -119,6 +114,20 @@ class RngState:
 
     def __repr__(self) -> str:
         return f"RngState(seed={self.seed}, position={self.position})"
+
+
+@lru_cache(maxsize=64)
+def _keyed_generator(seed: int) -> tuple[Generator, dict, Lock]:
+    """The keyed generator of ``seed``, keyed by a child of the seed's
+    ``SeedSequence``, the state a draw sets and the lock it holds.  Every
+    :class:`RngState` of the seed shares them: a draw sets the whole state,
+    counter and buffer, under the lock, so no draw sees another's."""
+    gen = Generator(Philox(SeedSequence(seed, spawn_key=(1,))))
+    state = gen.bit_generator.state
+    # Plain lists: the state setter reads them faster than arrays.
+    state["state"] = {"counter": [0, 0, 0, 0], "key": state["state"]["key"].tolist()}
+    state["buffer"] = [0, 0, 0, 0]
+    return gen, state, Lock()
 
 
 def draw_phase(rng: RngState, n_collisions: int) -> float:

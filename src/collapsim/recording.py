@@ -52,6 +52,9 @@ The reader parses ``CHUNK_ROWS`` rows at a time into a chunk of a
 column's type: a number (an int or a float, never a boolean) for a time or
 a width, an int for a count, and a string for the regime and the last
 event.  A refusal of a field's value names the field, in either direction.
+
+An ensemble's summary, which ``collapsim run --replicas`` writes, is one
+JSON object (:func:`write_ensemble`).
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from typing import IO, Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .config import OUTPUT_FORMATS
-from .engine import CHUNK_ROWS, LastEvent, Records, Regime, TimeSeriesRecord
+from .engine import CHUNK_ROWS, EnsembleSummary, LastEvent, Records, Regime, TimeSeriesRecord
 
 CSV_HEADER = ",".join(Records.FIELDS)
 
@@ -507,6 +510,41 @@ def write_records(records: Iterable[TimeSeriesRecord], format: str, sink: IO[str
         raise RecordWriteError(
             f"failed while writing records ({exc}); output may be partial"
         ) from exc
+
+
+def write_ensemble(ensemble: EnsembleSummary, sink: IO[str]) -> None:
+    """Write an ensemble's summary to an open text sink as JSON, with one
+    object per succeeded replica, followed by a newline."""
+    replicas = [
+        {
+            "seed": summary.seed,
+            "duration_s": summary.duration,
+            "n_collisions": summary.n_collisions,
+            "n_collapses": summary.n_collapses,
+            "final_sigma_m": list(summary.final_sigma),
+            "final_min_sigma_m": summary.final_min_sigma,
+            "min_sigma_m": summary.min_sigma,
+            "mean_recovery_ratio": summary.mean_recovery_ratio,
+            "mean_respread_between_collapses": summary.mean_respread_between_collapses,
+            "localized": summary.localized,
+            "final_regime": summary.final_regime.value,
+        }
+        for summary in ensemble.replicas
+    ]
+    obj = {
+        "n_replicas": ensemble.n_replicas,
+        "base_seed": ensemble.base_seed,
+        "total_collisions": ensemble.total_collisions,
+        "total_collapses": ensemble.total_collapses,
+        "firing_fraction": ensemble.firing_fraction,
+        "mean_recovery_ratio": ensemble.mean_recovery_ratio,
+        "final_min_sigma_mean_m": ensemble.final_min_sigma_mean,
+        "localized_fraction": ensemble.localized_fraction,
+        "failures": [list(f) for f in ensemble.failures],
+        "replicas": replicas,
+    }
+    json.dump(obj, sink, indent=1)
+    sink.write("\n")
 
 
 def read_records(source: IO[str], format: str) -> Records:

@@ -1,5 +1,3 @@
-import contextlib
-import io
 import json
 import os
 import subprocess
@@ -10,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapsim.cli import _load_config, build_parser, main
+from collapsim.cli import _load_config, _parse, main
 from collapsim.config import PRESETS, ConfigError, preset, to_document
 from collapsim.recording import CSV_HEADER
 
@@ -250,18 +248,12 @@ FLAG_VALUES = st.one_of(
 
 
 def override_problems(scenario: str, flags: dict):
-    """``None`` when the override flags load, ``"argparse"`` when the parser
-    refuses them (exit 2, naming the flag), else the ``ConfigError`` problems."""
+    """``None`` when the override flags load, else the problems of their
+    parse and of the config they give."""
     argv = ["run", "--scenario", scenario] + [f"{flag}={value}" for flag, value in flags.items()]
-    err = io.StringIO()
+    _, parsed, problems = _parse(argv)
     try:
-        with contextlib.redirect_stderr(err):
-            args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        assert exc.code == 2 and "argument --" in err.getvalue()
-        return "argparse"
-    try:
-        _load_config(args)
+        _load_config(parsed, problems)
     except ConfigError as exc:
         return exc.problems
     return None
@@ -277,7 +269,7 @@ class TestFuzzedOverrides:
     )
     def test_every_rejected_flag_is_named(self, scenario, flags):
         problems = override_problems(scenario, flags)
-        if problems in (None, "argparse"):
+        if problems is None:
             return
         named = {flag for flag in flags if any(p.startswith(f"{flag} ") for p in problems)}
         assert len(named) == len(problems), problems
@@ -288,6 +280,22 @@ class TestFuzzedOverrides:
 
 
 class TestImportCost:
+    def test_run_does_not_import_argparse_or_locale(self, tmp_path):
+        # argparse's first use imports gettext, and gettext imports locale.
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys, collapsim, collapsim.cli\n"
+            f"assert collapsim.cli.main(['run', '--scenario', 'tpp', '--duration-s', '1e-4',"
+            f" '--output', {str(tmp_path / 'out.csv')!r}]) == 0\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_run_does_not_import_scipy(self, tmp_path):
         # scipy serves only the quadrature oracle and selftest; a run never needs it.
         src = Path(__file__).resolve().parents[1] / "src"
@@ -304,6 +312,67 @@ class TestImportCost:
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+COMMAND_FLAGS = {
+    "run": ("--scenario", "--config", "--seed", "--duration-s", "--rate-hz", "--eta",
+            "--output", "--format", "--replicas"),
+    "selftest": ("--fast",),
+}
+COMMAND_FLAGS["sweep"] = (*COMMAND_FLAGS["run"], "--axis", "--values")
+
+
+class TestFlagParse:
+    @pytest.mark.parametrize("command", [None, "run", "sweep", "selftest"])
+    @pytest.mark.parametrize("help_flag", ["-h", "--help"])
+    def test_help_names_every_flag(self, command, help_flag, capsys):
+        argv = [help_flag] if command is None else [command, "--seed=x", help_flag]
+        assert run_cli(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.startswith("usage: collapsim ")
+        names = ("run", "sweep", "selftest") if command is None else COMMAND_FLAGS[command]
+        words = set(captured.out.replace(",", " ").split())
+        for name in (*names, "-h", "--help"):
+            assert name in words, name
+
+    def test_every_flag_problem_listed(self, capsys):
+        code = run_cli(["run", "--scenario", "tpq", "--seed", "x", "--duration-s", "y",
+                        "--replicas", "0", "--format", "xml", "--bogus", "1"])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 6
+        for flag in ("--scenario", "--seed", "--duration-s", "--replicas", "--format", "--bogus"):
+            assert sum(line.startswith("error: ") and flag in line for line in lines) == 1, flag
+
+    @pytest.mark.parametrize(
+        "argv, problems",
+        [
+            ([], ["no command: choose from run, sweep, selftest"]),
+            (["simulate", "--seed", "1"],
+             ["unknown command 'simulate': choose from run, sweep, selftest"]),
+            (["run", "--scenario", "tpp", "--dur", "1e-4"], ["'--dur' is not a flag of run"]),
+            (["run", "--scenario", "tpp", "extra"], ["'extra' is not a flag of run"]),
+            (["run", "--scenario", "tpp", "--seed"], ["--seed: expected a value"]),
+            (["run", "--seed", "--scenario", "tpp"], ["--seed: expected a value"]),
+            (["run", "--config"], ["--config: expected a value"]),
+            (["run", "--scenario=tpp", "--seed=1.5"], ["--seed '1.5': invalid int value"]),
+            (["selftest", "--fast=yes"], ["--fast takes no value, got 'yes'"]),
+            (["sweep", "--scenario", "tpp"], ["--axis is required", "--values is required"]),
+            (["sweep", "--scenario", "tpp", "--axis", "size", "--values", "1"],
+             ["--axis 'size': invalid choice (choose from mass, diameter, rate)"]),
+        ],
+    )
+    def test_flag_problems(self, argv, problems, capsys):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {p}" for p in problems]
+
+    def test_equals_form_reads_as_separate_value(self, tmp_path):
+        args = ["run", "--scenario", "tpp", "--seed", "7", "--duration-s", "1e-4"]
+        joined = ["run", "--scenario=tpp", "--seed=7", "--duration-s=1e-4"]
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(args + ["--output", str(out1)]) == 0
+        assert run_cli(joined + [f"--output={out2}"]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 class TestSweepCommand:

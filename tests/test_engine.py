@@ -661,6 +661,7 @@ class TestStreamContract:
         """A preset neither spreads the impact, jitters the widths nor draws a
         phase: its run builds no keyed generator.  The generic document's
         run builds one, when it first needs it."""
+        environment._keyed_generator.cache_clear()  # built once per seed per process
         built = []
         philox = environment.Philox
         monkeypatch.setattr(

@@ -1,4 +1,9 @@
+import ast
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +125,26 @@ class TestRngState:
             philox = Philox(SeedSequence(seed, spawn_key=(1,)), counter=counter)
             assert rng.keyed(counter, n) == Generator(philox).random(n).tolist()
         assert rng == RngState(seed, 6)
+
+    def test_interleaved_seeds_draw_as_fresh_processes(self):
+        """The keyed generator is built once per seed and shared: draws of
+        interleaved seeds and positions equal those of a fresh process per
+        seed."""
+        queries = [(seed, position, counter, n) for counter, n in [(0, 9), (2**64 + 3, 1), (12, 4)]
+                   for position in (0, 30) for seed in (3, 2**40, 3 + 1)]
+        here = {q: (RngState(*q[:2]).keyed(*q[2:]), RngState(*q[:2]).words(3).tolist())
+                for q in queries}
+        src = Path(__file__).resolve().parents[1] / "src"
+        for seed in {q[0] for q in queries}:
+            mine = [q for q in queries if q[0] == seed]
+            code = ("import sys; from collapsim import RngState\n"
+                    f"print([(RngState(s, p).keyed(c, n), RngState(s, p).words(3).tolist())"
+                    f" for s, p, c, n in {mine!r}])")
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            fresh = [tuple(pair) for pair in ast.literal_eval(proc.stdout)]
+            assert [here[q] for q in mine] == fresh
 
 
 class TestDrawPhase:
