@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
 from typing import IO, Optional
@@ -148,16 +148,24 @@ def _load_config(flags: dict, problems: list[str]) -> ScenarioConfig:
 
 @contextmanager
 def _sink(path: Optional[str]):
-    """The output file at ``path``, closed on exit, or stdout for None or "-"."""
+    """The output file at ``path``, closed on exit, or stdout for None or "-".
+    An ``OSError`` from writing or closing it is a ``RecordWriteError``."""
     if path is None or path == "-":
-        yield sys.stdout
-        return
+        path, sink = "stdout", nullcontext(sys.stdout)
+    else:
+        try:
+            sink = open(path, "w")
+        except OSError as exc:
+            raise ConfigError([f"cannot open output file {path}: {exc}"]) from exc
     try:
-        sink = open(path, "w")
+        with sink as out:
+            yield out
+    except RecordWriteError:
+        raise
     except OSError as exc:
-        raise ConfigError([f"cannot open output file {path}: {exc}"]) from exc
-    with sink:
-        yield sink
+        raise RecordWriteError(
+            f"failed while writing {path} ({exc}); output may be partial"
+        ) from exc
 
 
 def _cmd_run(flags: dict, problems: list[str]) -> int:

@@ -45,10 +45,10 @@ at a time (thinning, Lewis & Shedler 1979) in two passes:
   whatever its widths.  Each block has one candidate walk: each candidate
   in order reads its widths from the waist in effect, as floats, and one
   that passes the clause of its own regime is decided by :func:`_collide`,
-  as in :func:`step`.  Only a firing builds a state, which sets the waist
-  for the rest of the block; the walk goes on unless the new waist needs a
-  clause not yet computed for the block, or a redrawn phase makes the CM
-  clause stale, which is then computed over the rest of the block.
+  as in :func:`step`.  Only a firing builds a state, in :func:`_collide`,
+  which sets the waist for the rest of the block; the walk goes on unless
+  it needs a clause not yet computed for the block, or a redrawn phase
+  makes the CM clause stale, which is then computed over the rest of it.
 - Fill (:class:`_Fill`).  One readout per window: each collision's waist
   and recovery divisor, those of its stretch between firings, are repeated
   over it, and one :func:`spread_into` reads every width out into arrays
@@ -388,26 +388,22 @@ def step(state: SimState, config: ScenarioConfig) -> tuple[SimState, TimeSeriesR
     """Advance ``state``, a state of the run of ``config``, to the next
     collision and decide it with :func:`_collide`: the scalar reference for
     :func:`run`.  The stream is rebuilt from ``RngState(config.seed,
-    state.position)``, so ``state`` stays as it was; a firing that redraws
-    the phase reads it with :func:`draw_phase`."""
+    state.position)``, so ``state`` stays as it was."""
     rng = RngState(config.seed, state.position)
     event = next_collision(rng, config.environment, state.t)
     if event is None:
         raise ValueError("step requires a positive collision rate")
     t, n_collisions = event.time, state.n_collisions + 1
     sigma = _widths_at(state, config.object.mass, t, state.n_collisions)
-    after = _collide(
-        config, sigma, state.alpha, event.alpha, event.sigma, event.offset, event.pick,
-        t, n_collisions, state.n_collapses,
+    new_state = _collide(
+        config, rng, state, sigma, event.alpha, event.sigma, event.offset, event.pick,
+        t, n_collisions,
     )
-    if after is None:
+    if new_state is None:
         new_state = replace(state, t=t, n_collisions=n_collisions)
         last_event = LastEvent.COLLISION_NO_COLLAPSE
     else:
-        sigma = after
-        alpha = draw_phase(rng, n_collisions) if config.redraw_alpha_after_collapse else state.alpha
-        new_state = SimState(t, t, sigma, alpha, n_collisions, state.n_collapses + 1)
-        last_event = LastEvent.COLLAPSE
+        sigma, last_event = new_state.sigma, LastEvent.COLLAPSE
     record = TimeSeriesRecord(
         t, sigma, n_collisions, new_state.n_collapses,
         regime_for(sigma, config.object.internal_radius), last_event,
@@ -416,19 +412,22 @@ def step(state: SimState, config: ScenarioConfig) -> tuple[SimState, TimeSeriesR
 
 
 def _collide(
-    config: ScenarioConfig, sigma: Vec3, alpha: float, env_alpha: float, env_sigma: Vec3,
-    offset: Vec3, pick: float, t: float, n_collisions: int, n_collapses: int,
-) -> Optional[Vec3]:
-    """Decide a collision at ``t`` on plain values: the object's widths
+    config: ScenarioConfig, rng: RngState, waist: SimState, sigma: Vec3, env_alpha: float,
+    env_sigma: Vec3, offset: Vec3, pick: float, t: float, n_collisions: int,
+) -> Optional[SimState]:
+    """Decide collision ``n_collisions`` at ``t`` on plain values: the state
     after it if it fires, else None.
 
-    The object has widths ``sigma`` and phase constant ``alpha``, the
-    environment packet ``env_alpha``, ``env_sigma`` and ``offset``; in the
-    cluster regime ``pick`` selects the compared cluster and the contraction
-    is damped.  The counts, this collision's included, go into the message
-    of a contraction that is not finite.
+    The object has widths ``sigma``, read out from ``waist``, whose phase
+    constant and collapse count are in effect; the environment packet has
+    ``env_alpha``, ``env_sigma`` and ``offset``.  In the cluster regime
+    ``pick`` selects the compared cluster and the contraction is damped.  A
+    firing's state has the contracted widths and, if the config redraws, the
+    phase that :func:`draw_phase` reads from ``rng``.  A contraction that is
+    not finite raises with the counts, this collision's included.
     """
     spec = config.object
+    alpha = waist.alpha
     cluster = min(sigma) < spec.internal_radius
     if cluster:
         alphas = spec.cluster_alphas
@@ -438,7 +437,10 @@ def _collide(
     contracted = product_width(sigma, env_sigma)
     if cluster and config.cluster_eta != 1.0:
         contracted = damped_sigma(sigma, contracted, config.cluster_eta)
-    return _checked(contracted, t, n_collisions, n_collapses + 1)
+    n_collapses = waist.n_collapses + 1
+    contracted = _checked(contracted, t, n_collisions, n_collapses)
+    alpha = draw_phase(rng, n_collisions) if config.redraw_alpha_after_collapse else waist.alpha
+    return SimState(t, t, contracted, alpha, n_collisions, n_collapses)
 
 
 @dataclass(frozen=True)
@@ -509,36 +511,36 @@ def _block_for(expected: float) -> int:
 
 @dataclass
 class _Sums:
-    """Running aggregates of one run, accumulated in collision order."""
+    """Running aggregates of one run, accumulated in collision order, under
+    the names of the :class:`RunSummary` fields they become."""
 
     min_sigma: float
-    recovery_sum: float = 0.0
+    recovery_ratio_sum: float = 0.0
     recovery_samples: int = 0
     respread_sum: float = 0.0
     respread_samples: int = 0
     collapse_before_sum: float = 0.0
     collapse_after_sum: float = 0.0
-    sigma_after_last_collapse: Optional[float] = None
 
     def add_recovery(self, ratios: np.ndarray) -> None:
         """Add a window's recovery ratios, firings' included, in collision
         order; ``ratios`` is overwritten with the running sums."""
         if len(ratios):
             # A sequential sum, as the scalar loop adds; np.sum adds pairwise.
-            ratios[0] += self.recovery_sum
+            ratios[0] += self.recovery_ratio_sum
             np.cumsum(ratios, out=ratios)
-            self.recovery_sum = ratios.item(-1)
+            self.recovery_ratio_sum = ratios.item(-1)
             self.recovery_samples += len(ratios)
 
-    def add_firing(self, sigma_before: float, sigma_after: float) -> None:
-        """One collision that fired, with the narrowest widths before and
-        after it; its recovery ratio is among the window's."""
-        if self.sigma_after_last_collapse is not None:
-            self.respread_sum += sigma_before / self.sigma_after_last_collapse
+    def add_firing(self, waist: SimState, sigma_before: float, sigma_after: float) -> None:
+        """One collision that fired under ``waist``, with the narrowest widths
+        before and after it; its recovery ratio is among the window's.  The
+        waist of a run that has collapsed holds the last collapse's widths."""
+        if waist.n_collapses:
+            self.respread_sum += sigma_before / min(waist.sigma)
             self.respread_samples += 1
         self.collapse_before_sum += sigma_before
         self.collapse_after_sum += sigma_after
-        self.sigma_after_last_collapse = sigma_after
         if sigma_after < self.min_sigma:
             self.min_sigma = sigma_after
 
@@ -561,14 +563,13 @@ def _cluster_at(waist: SimState, mass: float, t: float, internal_radius: float) 
 def _decide(
     config: ScenarioConfig, state: SimState, rng: RngState, words: np.ndarray,
     alphas: np.ndarray, times: np.ndarray, limit: int,
-) -> tuple[int, list[tuple[int, SimState]], Optional[EngineError], bool]:
+) -> tuple[int, list[SimState], Optional[EngineError], bool]:
     """Decide the window of at most ``limit`` collisions after ``state``,
     drawing each block's words from ``rng`` into ``words``; their times go
     to ``times``, and ``alphas`` are the cluster constants.
 
-    Returns the window's end, its firings, each as the collisions up to and
-    including it and the state after it, the first failure or None, and
-    whether the window ended at the duration.
+    Returns the window's end, the state after each of its firings, the
+    first failure or None, and whether the window ended at the duration.
     """
     env = config.environment
     mass, internal_radius = config.object.mass, config.object.internal_radius
@@ -624,18 +625,14 @@ def _decide(
                         continue
                     offset, env_sigma = packet_from_words(rng, n0 + i, env)
                     after = _collide(
-                        config, sigma, waist.alpha, env_alpha.item(j), env_sigma, offset,
-                        pick.item(j), t, n0 + i + 1, waist.n_collapses,
+                        config, rng, waist, sigma, env_alpha.item(j), env_sigma, offset,
+                        pick.item(j), t, n0 + i + 1,
                     )
                 except EngineError as exc:
                     return i, firings, exc, False
                 if after is not None:
-                    alpha = waist.alpha
-                    if config.redraw_alpha_after_collapse:
-                        alpha = draw_phase(rng, n0 + i + 1)
-                    waist = SimState(t, t, after, alpha, n0 + i + 1, waist.n_collapses + 1)
-                    firings.append((i + 1, waist))
-                    s, first = j + 1, min(after) < internal_radius
+                    firings.append(after)
+                    waist, s, first = after, j + 1, min(after.sigma) < internal_radius
                     break
             else:
                 break
@@ -698,8 +695,8 @@ class _Fill:
         if not end and error is None:  # a window without collisions
             return state
         sums, radius = self.sums, self.internal_radius
-        waists = [state, *(after for _, after in firings)]
-        bounds = [b for b, _ in firings]
+        waists = [state, *firings]
+        bounds = [w.n_collisions - state.n_collisions for w in firings]
         fired = [b - 1 for b in bounds]
         sigmas = [w.sigma for w in waists]
         # One readout for the window: a collision's waist and recovery
@@ -725,11 +722,10 @@ class _Fill:
             bad = int(np.argmin((x < math.inf) & (y < math.inf) & (z < math.inf)))
         before = [narrowest.item(f) for f in fired]
         # The recovery ratios, the firings' among them, start after the run's
-        # first firing.
-        first = 0 if sums.sigma_after_last_collapse is not None else [*bounds, end][0]
+        # first firing; a waist that follows one holds its widths.
+        first = 0 if state.n_collapses else [*bounds, end][0]
         if first < end:
-            divisors = [sums.sigma_after_last_collapse or math.nan, *(min(s) for s in sigmas[1:])]
-            np.divide(narrowest, per_collision(divisors), out=scratch)
+            np.divide(narrowest, per_collision([min(s) for s in sigmas]), out=scratch)
         for f, sigma in zip(fired, sigmas[1:]):
             x[f], y[f], z[f] = sigma
             in_cluster[f] = min(sigma) < radius
@@ -743,8 +739,8 @@ class _Fill:
             _widths_at(waists[-1], self.mass, self.times.item(bad), state.n_collisions + bad)
             raise error
         self._rows(waists, fired, columns, end)
-        for sigma_before, sigma in zip(before, sigmas[1:]):
-            sums.add_firing(sigma_before, min(sigma))
+        for waist, sigma_before, sigma in zip(waists, before, sigmas[1:]):
+            sums.add_firing(waist, sigma_before, min(sigma))
         sums.add_recovery(scratch[first:end])
         n_end, state = state.n_collisions + end, waists[-1]
         if state.n_collisions < n_end:  # collisions after the last firing
@@ -804,7 +800,7 @@ def _run(
     fill.samples_before(state, config.duration, state.n_collisions)
     # No final row when a collision fell exactly on the duration.
     final_sigma = fill.sample(state, config.duration, state.n_collisions, state.t < config.duration)
-    sums = fill.sums
+    # Widths only grow from a waist, so the final ones never lower ``min_sigma``.
     summary = RunSummary(
         seed=seed,
         duration=config.duration,
@@ -812,13 +808,7 @@ def _run(
         n_collapses=state.n_collapses,
         final_sigma=final_sigma,
         final_min_sigma=min(final_sigma),
-        min_sigma=min(sums.min_sigma, min(final_sigma)),
-        recovery_ratio_sum=sums.recovery_sum,
-        recovery_samples=sums.recovery_samples,
-        respread_sum=sums.respread_sum,
-        respread_samples=sums.respread_samples,
-        collapse_before_sum=sums.collapse_before_sum,
-        collapse_after_sum=sums.collapse_after_sum,
+        **vars(fill.sums),
         localized=min(final_sigma) <= fill.internal_radius,
         final_regime=regime_for(final_sigma, fill.internal_radius),
         budget_exhausted=budget_exhausted,

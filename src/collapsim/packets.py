@@ -18,7 +18,6 @@ none depends on an earlier one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,17 +26,6 @@ from .constants import HBAR, PLANCK_H
 TWO_PI = 2.0 * math.pi
 
 Vec3 = tuple[float, float, float]
-
-
-def as_vec3(value, name: str) -> Vec3:
-    """Coerce a scalar or length-3 sequence to a tuple of three floats."""
-    if isinstance(value, (int, float)):
-        v = float(value)
-        return (v, v, v)
-    seq = tuple(float(x) for x in value)
-    if len(seq) != 3:
-        raise ValueError(f"{name} must be a scalar or a length-3 sequence, got {value!r}")
-    return seq
 
 
 def reduce_phase(alpha: float) -> float:
@@ -55,37 +43,12 @@ def reduce_phase(alpha: float) -> float:
     return a
 
 
-_INF = math.inf
-
-
-# Kept only for the benchmark's traced mode, which wraps __post_init__ to
-# count constructions; nothing in the package builds one or exports it.
-@dataclass(frozen=True, slots=True)
 class GaussianPacket:
-    """Normalized Gaussian wavepacket with an absolute phase constant."""
-
-    center: Vec3
-    sigma: Vec3
-    velocity: Vec3
-    mass: float
-    alpha: float
-    t_ref: float
+    """Kept only for the benchmark's traced mode, which wraps
+    ``__post_init__`` to count packets built; nothing builds one."""
 
     def __post_init__(self) -> None:
-        setattr_ = object.__setattr__
-        setattr_(self, "center", as_vec3(self.center, "center"))
-        setattr_(self, "sigma", as_vec3(self.sigma, "sigma"))
-        setattr_(self, "velocity", as_vec3(self.velocity, "velocity"))
-        setattr_(self, "mass", float(self.mass))
-        setattr_(self, "t_ref", float(self.t_ref))
-        setattr_(self, "alpha", reduce_phase(self.alpha))
-        if not all(0.0 < s < _INF for s in self.sigma):
-            raise ValueError(f"sigma components must be positive and finite, got {self.sigma}")
-        if not 0.0 < self.mass < _INF:
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
-        coordinates = self.center + self.velocity + (self.t_ref,)
-        if not all(-_INF < x < _INF for x in coordinates):
-            raise ValueError("center, velocity and t_ref must be finite")
+        pass
 
 
 def _require_positive(**values: float) -> None:

@@ -3,7 +3,9 @@
 Each function states one law in plain Python, for the tests to check the
 engine's functions against.  ``reference_write`` is the record writer in its
 plainest form: one formatted line per CSV row, and ``json.dump`` of the rows
-as objects.  The module imports nothing from ``collapsim``
+as objects.  ``reference_thinned_run`` draws a whole run from these laws by
+another algorithm than the engine's, for a two-sample test of the engine's
+distribution.  The module imports nothing from ``collapsim``
 but its physical constants, so a fault in an engine formula cannot reach
 the reference (``tests/test_reference.py`` checks the imports).
 
@@ -94,6 +96,51 @@ def complex_width(a, mass, dt):
 def width_of(a):
     """The width |A| / sqrt(Re A) of a complex width A."""
     return abs(a) / math.sqrt(a.real)
+
+
+def reference_thinned_run(config, generator):
+    """One run of ``config`` drawn by thinning, with ``generator``, a
+    ``numpy.random.Generator``: only the encounters that pass the phase
+    clause.
+
+    The environment phase is uniform and independent of the compared one,
+    so each encounter passes with probability p = alpha_s / 2 pi and the
+    passes are a Poisson process of rate lambda p (Kingman 1993, 5.1;
+    Lewis & Shedler 1979).  Given a pass, the environment phase is uniform
+    on the arc of width alpha_s around the compared phase: the object's, or
+    in the cluster regime a uniformly picked cluster's.  A reject changes no
+    width, so none is drawn.  Returns the collapse count, the widths at the
+    duration and the firing times.
+    """
+    obj, env = config.object, config.environment
+    alpha = config.initial_alpha
+    if alpha == "random":
+        alpha = TWO_PI * generator.random()
+    t = t_ref = 0.0
+    waist, fired = tuple(config.initial_sigma), []
+    while True:
+        t += generator.exponential(TWO_PI / (FINE_STRUCTURE * env.collision_rate))
+        if t > config.duration:
+            break
+        sigma = spread(waist, obj.mass, t - t_ref)
+        cluster = min(sigma) < obj.internal_radius
+        compared = obj.cluster_alphas[generator.integers(obj.n_clusters)] if cluster else alpha
+        env_alpha = (compared + FINE_STRUCTURE * (generator.random() - 0.5)) % TWO_PI
+        jitter = generator.uniform(-1.0, 1.0, 3)
+        env_sigma = tuple(
+            w * (1.0 + env.env_sigma_jitter * u) for w, u in zip(env.env_sigma, jitter)
+        )
+        offset = tuple(env.impact_spread * generator.standard_normal(3))
+        if not amplitude_clause(overlap(sigma, env_sigma, offset), compared, env_alpha):
+            continue
+        waist = product(sigma, env_sigma)
+        if cluster:
+            waist = damped(sigma, waist, config.cluster_eta)
+        t_ref = t
+        fired.append(t)
+        if config.redraw_alpha_after_collapse:
+            alpha = TWO_PI * generator.random()
+    return len(fired), spread(waist, obj.mass, config.duration - t_ref), fired
 
 
 CSV_HEADER = "t_s,sigma_x_m,sigma_y_m,sigma_z_m,n_collisions,n_collapses,regime,last_event"

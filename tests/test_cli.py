@@ -238,6 +238,44 @@ class TestEngineFailure:
         assert doc["final_min_sigma_mean_m"] is None and doc["mean_recovery_ratio"] is None
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "args",
+    [
+        # At 2e-3 s a write fails; at 1e-5 s the records fit the buffer, and the close fails.
+        ["run", "--scenario", "tpp", "--duration-s", "2e-3"],
+        ["run", "--scenario", "tpp", "--duration-s", "1e-5"],
+        ["run", "--scenario", "tpp", "--duration-s", "1e-4", "--replicas", "2"],
+        ["sweep", "--scenario", "tpp", "--axis", "mass", "--values", "1e-7", "--replicas", "1",
+         "--duration-s", "1e-4"],
+    ],
+)
+def test_full_device_exits_1_with_one_error(args, capsys):
+    assert run_cli([*args, "--output", "/dev/full"]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [
+        "error: failed while writing /dev/full ([Errno 28] No space left on device); "
+        "output may be partial"
+    ]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_1_with_one_error():
+    src = Path(__file__).resolve().parents[1] / "src"
+    args = ["sweep", "--scenario", "tpp", "--axis", "mass", "--values", "1e-7",
+            "--replicas", "1", "--duration-s", "1e-4"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "collapsim", *args], env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: failed while writing stdout ([Errno 28] No space left on device); "
+        "output may be partial\n"
+    )
+
+
 OVERRIDE_FLAGS = ("--seed", "--duration-s", "--rate-hz", "--eta", "--format", "--output")
 FLAG_VALUES = st.one_of(
     st.floats().map(repr),

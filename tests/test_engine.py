@@ -912,13 +912,13 @@ def test_resolve_sees_only_phase_passes(monkeypatch, name):
     seen = []
     collide = engine._collide
 
-    def checked(cfg, sigma, alpha, env_alpha, env_sigma, offset, pick, *rest):
-        compared = alpha
+    def checked(cfg, rng, waist, sigma, env_alpha, env_sigma, offset, pick, *rest):
+        compared = waist.alpha
         if min(sigma) < obj.internal_radius:
             alphas = obj.cluster_alphas
             compared = alphas[min(int(pick * len(alphas)), len(alphas) - 1)]
         seen.append(reference.phase_clause(compared, env_alpha))
-        return collide(cfg, sigma, alpha, env_alpha, env_sigma, offset, pick, *rest)
+        return collide(cfg, rng, waist, sigma, env_alpha, env_sigma, offset, pick, *rest)
 
     monkeypatch.setattr(engine, "_collide", checked)
     summary, _ = run(config, keep_records=False)

@@ -20,6 +20,7 @@ from collapsim import (
 from collapsim.environment import (
     COLLISION_WORDS, PACKET_WORDS, draw_collision_block, packet_from_words,
 )
+from collapsim.selftest import check_interarrival_mean
 from conftest import TWO_PI
 
 SPEC = EnvironmentSpec(collision_rate=1e3, env_sigma=(1e-9, 1e-9, 1e-9))
@@ -203,6 +204,17 @@ class TestNextCollision:
         events = collect_events(21, SPEC, n)
         mean = events[-1].time / n
         assert abs(mean * SPEC.collision_rate - 1.0) < 5e-3
+
+    @pytest.mark.parametrize("seed", [987, 4242])
+    def test_selftest_clock_is_the_collision_loops(self, seed):
+        """The self test's vectorized clock reads as a loop over
+        ``next_collision`` reads, to its last printed digit."""
+        n = 20_000
+        mean = collect_events(seed, SPEC, n)[-1].time / n
+        expected = (
+            f"mean*rate = {mean * SPEC.collision_rate:.6f} over {n} events (limit |dev| 0.005)"
+        )
+        assert check_interarrival_mean(n_events=n, seed=seed).detail == expected
 
     @pytest.mark.parametrize("seed", [101, 202, 303])
     def test_interarrival_ks_against_exponential(self, seed):

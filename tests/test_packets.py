@@ -13,7 +13,7 @@ from collapsim import (
     spreading_velocity_via_lambda,
 )
 from collapsim.constants import FINE_STRUCTURE, HBAR, PLANCK_H
-from collapsim.packets import GaussianPacket, spread_into, spread_widths
+from collapsim.packets import reduce_phase, spread_into, spread_widths
 from conftest import TWO_PI, log_uniform, masses, widths
 import reference
 
@@ -199,36 +199,16 @@ class TestAsymptoticRegimeCheck:
         assert linear_law_error(5e-11, 1e-7, 1.0) > 1.0 / 200.0
 
 
-class TestPacketValidation:
-    @staticmethod
-    def packet(center=0.0, sigma=1e-9, mass=1e-20, alpha=0.0):
-        return GaussianPacket(
-            center=center, sigma=sigma, velocity=0.0, mass=mass, alpha=alpha, t_ref=0.0
-        )
+class TestReducePhase:
+    def test_turns_removed(self):
+        assert reduce_phase(2 * TWO_PI + 1.0) == pytest.approx(1.0, abs=1e-12)
 
-    def test_alpha_stored_reduced(self):
-        p = self.packet(alpha=2 * TWO_PI + 1.0)
-        assert p.alpha == pytest.approx(1.0, abs=1e-12)
-        q = self.packet(alpha=-0.5)
-        assert 0.0 <= q.alpha < TWO_PI
-
-    @pytest.mark.parametrize("sigma", [0.0, -1e-9, math.inf, math.nan])
-    def test_bad_sigma_rejected(self, sigma):
-        with pytest.raises(ValueError):
-            self.packet(sigma=sigma)
-
-    @pytest.mark.parametrize("mass", [0.0, -1.0, math.inf])
-    def test_bad_mass_rejected(self, mass):
-        with pytest.raises(ValueError):
-            self.packet(mass=mass)
-
-    def test_vector_length_enforced(self):
-        with pytest.raises(ValueError):
-            self.packet(center=(0.0, 0.0))
+    def test_negative_wraps_into_range(self):
+        assert 0.0 <= reduce_phase(-0.5) < TWO_PI
 
     @given(st.floats(-100.0, 100.0, allow_nan=False))
     def test_reduced_alpha_in_range(self, alpha):
-        assert 0.0 <= self.packet(alpha=alpha).alpha < TWO_PI
+        assert 0.0 <= reduce_phase(alpha) < TWO_PI
 
 
 class TestObjectSpec:
