@@ -176,17 +176,18 @@ def _cmd_run(flags: dict, problems: list[str]) -> int:
         )
     config = _load_config(flags, problems)
     with _sink(config.output_path) as sink:
-        if replicas == 1:
-            summary, records = run(config)
-            write_records(records, config.output_format, sink)
-            print(
-                f"run complete: {summary.n_collisions} collisions, "
-                f"{summary.n_collapses} collapses, final min sigma "
-                f"{summary.final_min_sigma:.6e} m, localized={summary.localized}",
-                file=sys.stderr,
-            )
-        else:
+        if replicas > 1:
             write_ensemble(run_ensemble(config, replicas), sink)
+            return 0
+        summary, records = run(config)
+        write_records(records, config.output_format, sink)
+    # Only once the output has closed without error has the run completed.
+    print(
+        f"run complete: {summary.n_collisions} collisions, "
+        f"{summary.n_collapses} collapses, final min sigma "
+        f"{summary.final_min_sigma:.6e} m, localized={summary.localized}",
+        file=sys.stderr,
+    )
     return 0
 
 

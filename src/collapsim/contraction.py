@@ -25,9 +25,11 @@ def product_width(sigma1: Vec3, sigma2: Vec3) -> Vec3:
     """Width of the Gaussian-shaped product of two moduli, per axis."""
     # The exact value satisfies sigma_p <= min(s1, s2); clamp the one-ulp
     # rounding excursions so that the invariant holds literally.
-    return tuple(
-        min(s1 * s2 / math.sqrt(s1 * s1 + s2 * s2), s1 if s1 <= s2 else s2)
-        for s1, s2 in zip(sigma1, sigma2)
+    (a1, a2, a3), (b1, b2, b3) = sigma1, sigma2
+    return (
+        min(a1 * b1 / math.sqrt(a1 * a1 + b1 * b1), a1 if a1 <= b1 else b1),
+        min(a2 * b2 / math.sqrt(a2 * a2 + b2 * b2), a2 if a2 <= b2 else b2),
+        min(a3 * b3 / math.sqrt(a3 * a3 + b3 * b3), a3 if a3 <= b3 else b3),
     )
 
 
@@ -38,4 +40,5 @@ def damped_sigma(sigma_old: Vec3, sigma_p: Vec3, eta: float) -> Vec3:
     eta = 1 reproduces the undamped contraction.  ``eta`` is not checked
     here: :class:`ScenarioConfig` refuses values outside (0, 1].
     """
-    return tuple(so * (sp / so) ** eta for so, sp in zip(sigma_old, sigma_p))
+    (o1, o2, o3), (p1, p2, p3) = sigma_old, sigma_p
+    return o1 * (p1 / o1) ** eta, o2 * (p2 / o2) ** eta, o3 * (p3 / o3) ** eta

@@ -49,12 +49,19 @@ at a time (thinning, Lewis & Shedler 1979) in two passes:
   which sets the waist for the rest of the block; the walk goes on unless
   it needs a clause not yet computed for the block, or a redrawn phase
   makes the CM clause stale, which is then computed over the rest of it.
-- Fill (:class:`_Fill`).  One readout per window: each collision's waist
-  and recovery divisor, those of its stretch between firings, are repeated
-  over it, and one :func:`spread_into` reads every width out into arrays
-  allocated once per run.  The firings' rows are patched in.  Rows go to
-  the sink in order, a store chunk at a time between grid rows, and the
-  recovery ratios are added in one sequential ``np.cumsum``.
+- Fill (:class:`_Fill`).  At most one readout per window: each
+  collision's waist and recovery divisor, those of its segment (its stretch
+  between firings), are repeated over it, and one :func:`spread_into` reads
+  every width out into arrays allocated once per run.  A segment whose
+  widths at its last collision are its waist's is frozen: each step of a
+  readout is correctly rounded, so monotone in t, and every width of the
+  segment is its waist's, bit for bit, and every recovery ratio 1.0.  A
+  window of frozen segments, every window of a heavy grain, skips the
+  readout.  The firings' rows are patched in.  Rows go to the sink in
+  order, a store chunk at a time between grid rows, and the recovery ratios
+  are added in one sequential ``np.cumsum``.  A run without records builds
+  no row: a window that does not fail only advances the grid clock, as a
+  grid row's widths lie between its waist's and the next collision's.
 
 A window is one block of ``_BLOCK_SIZE`` collisions (about 8 pi / alpha_s,
 four times the mean gap between phase passes).  Near the duration a block
@@ -369,7 +376,8 @@ def _state_error(t: float, n_collisions: int, n_collapses: int, problem) -> Engi
 def _checked(sigma: Vec3, t: float, n_collisions: int, n_collapses: int) -> Vec3:
     """``sigma`` if every width is positive and finite, else EngineError
     naming t and the counters: the engine's one width check."""
-    if all(0.0 < s < math.inf for s in sigma):
+    s1, s2, s3 = sigma
+    if 0.0 < s1 < math.inf and 0.0 < s2 < math.inf and 0.0 < s3 < math.inf:
         return sigma
     raise _state_error(t, n_collisions, n_collapses, f"widths {sigma} are not positive and finite")
 
@@ -551,11 +559,10 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
-def _cluster_at(waist: SimState, mass: float, t: float, internal_radius: float) -> Optional[bool]:
-    """Whether the widths read out from ``waist`` at t are in the cluster
-    regime; None if they cannot be read."""
+def _readout(waist: SimState, mass: float, t: float) -> Optional[Vec3]:
+    """The widths read out from ``waist`` at t; None if they cannot be read."""
     try:
-        return min(spread_widths(waist.sigma, mass, t - waist.t_ref)) < internal_radius
+        return spread_widths(waist.sigma, mass, t - waist.t_ref)
     except ArithmeticError:
         return None
 
@@ -575,6 +582,11 @@ def _decide(
     mass, internal_radius = config.object.mass, config.object.internal_radius
     n0 = state.n_collisions
     waist, firings, end = state, [], 0
+
+    def cluster_at(t: float) -> Optional[bool]:  # None: the widths cannot be read
+        sigma = _readout(waist, mass, t)
+        return None if sigma is None else min(sigma) < internal_radius
+
     while end < limit:
         t_last = times.item(end - 1) if end else state.t
         n = min(limit - end, _block_for(env.collision_rate * (config.duration - t_last)))
@@ -597,11 +609,9 @@ def _decide(
                 # from s on is in the CM regime, all are; if the last is in
                 # the cluster regime, all are.  ``first`` after a firing is
                 # the regime of its own widths.  None: not read, so both.
-                last = False if first is False else _cluster_at(
-                    waist, mass, block.item(n_in - 1), internal_radius
-                )
+                last = False if first is False else cluster_at(block.item(n_in - 1))
                 if first is None:
-                    first = last or _cluster_at(waist, mass, block.item(s), internal_radius)
+                    first = last or cluster_at(block.item(s))
                 rebuild = False
                 if cluster_pass is None and first is not False:
                     picked = alphas.take((pick[:n_in] * len(alphas)).astype(np.intp), mode="clip")
@@ -646,15 +656,16 @@ class _Fill:
     """The fill of a run's windows: rows of the sampling grid (the next at
     ``next_sample``) and of each collision go to ``sink`` in order, sums to
     ``sums``.  Every window reuses the columns: ``times``, which
-    :func:`_decide` writes, three rows of ``widths`` and a scratch row that
-    ends as the recovery ratios, and the regime mask ``cluster``."""
+    :func:`_decide` writes, the rows of ``widths`` (three widths, a scratch
+    row and the recovery ratios) and the regime mask ``cluster``."""
 
     def __init__(self, config: ScenarioConfig, sink, state: SimState) -> None:
         self.mass, self.internal_radius = config.object.mass, config.object.internal_radius
         self.interval = self.next_sample = config.sample_interval
-        self.times, self.widths = np.empty(_BLOCK_SIZE), np.empty((4, _BLOCK_SIZE))
+        self.times, self.widths = np.empty(_BLOCK_SIZE), np.empty((5, _BLOCK_SIZE))
         self.cluster = np.empty(_BLOCK_SIZE, dtype=bool)
         self.sink, self.sums = sink, _Sums(min_sigma=min(state.sigma))
+        self.keeps_rows = not isinstance(sink, _Discard)
 
     def sample(self, state: SimState, t: float, n_collisions: int, emit: bool = True) -> Vec3:
         """The widths at a grid time, read out from the waist of ``state``;
@@ -694,57 +705,74 @@ class _Fill:
         found, and return the state after it."""
         if not end and error is None:  # a window without collisions
             return state
-        sums, radius = self.sums, self.internal_radius
+        sums, radius, times = self.sums, self.internal_radius, self.times
         waists = [state, *firings]
         bounds = [w.n_collisions - state.n_collisions for w in firings]
         fired = [b - 1 for b in bounds]
         sigmas = [w.sigma for w in waists]
-        # One readout for the window: a collision's waist and recovery
-        # divisor are those of its segment, which a firing ends.
+        mins = [min(s) for s in sigmas]
+        # A collision's waist and recovery divisor are those of its segment,
+        # which a firing ends.  A segment is frozen if the widths at its last
+        # collision are its waist's: readouts are monotone in t, so all are.
         lengths = [b - a for a, b in zip([0, *bounds], [*bounds, end])]
+        frozen = all(
+            _readout(w, self.mass, times.item(b - 1)) == w.sigma
+            for w, b, n in zip(waists, [*bounds, end], lengths) if n
+        )
 
-        def per_collision(values: list):
-            return np.repeat(np.array(values), lengths) if firings else values[0]
+        def per_collision(values: list):  # a lone segment's value broadcasts in a readout
+            return np.repeat(np.array(values), lengths) if firings or frozen else values[0]
 
-        if all(s[0] == s[1] == s[2] for s in sigmas):
-            axes = (per_collision([s[0] for s in sigmas]),) * 3
-        else:
-            axes = [per_collision(axis) for axis in zip(*sigmas)]
-        scratch = self.widths[3, :end]
-        np.subtract(self.times[:end], per_collision([w.t_ref for w in waists]), out=scratch)
-        x, y, z = spread_into(axes, self.mass, scratch, self.widths[:3, :end])
-        narrowest = x if y is x else np.minimum(np.minimum(x, y, out=scratch), z, out=scratch)
-        in_cluster = np.less(narrowest, radius, out=self.cluster[:end])
-        # Widths grow between firings, and a firing's are finite: only the
-        # last segment can hold widths that are not, and its last are widest.
-        bad = end
-        if end and not (x[-1] < math.inf and y[-1] < math.inf and z[-1] < math.inf):
-            bad = int(np.argmin((x < math.inf) & (y < math.inf) & (z < math.inf)))
-        before = [narrowest.item(f) for f in fired]
+        def waist_widths():
+            if all(s[0] == s[1] == s[2] for s in sigmas):
+                return (per_collision([s[0] for s in sigmas]),) * 3
+            return [per_collision(axis) for axis in zip(*sigmas)]
+
         # The recovery ratios, the firings' among them, start after the run's
         # first firing; a waist that follows one holds its widths.
         first = 0 if state.n_collapses else [*bounds, end][0]
-        if first < end:
-            np.divide(narrowest, per_collision([min(s) for s in sigmas]), out=scratch)
-        for f, sigma in zip(fired, sigmas[1:]):
-            x[f], y[f], z[f] = sigma
-            in_cluster[f] = min(sigma) < radius
-        columns = self.times, x, y, z, in_cluster.view(np.int8)
+        scratch, ratios, bad, columns = self.widths[3, :end], self.widths[4, :end], end, None
+        if frozen:  # every width is its waist's, and every recovery ratio 1.0
+            before = mins[:-1]
+            ratios[first:] = 1.0
+            if self.keeps_rows:
+                (x, y, z), narrowest = waist_widths(), per_collision(mins)
+        else:  # one readout for the window
+            np.subtract(times[:end], per_collision([w.t_ref for w in waists]), out=scratch)
+            x, y, z = spread_into(waist_widths(), self.mass, scratch, self.widths[:3, :end])
+            narrowest = x if y is x else np.minimum(np.minimum(x, y, out=scratch), z, out=scratch)
+            # Widths grow between firings, and a firing's are finite: only the
+            # last segment can hold widths that are not, and its last are widest.
+            if not (x[-1] < math.inf and y[-1] < math.inf and z[-1] < math.inf):
+                bad = int(np.argmin((x < math.inf) & (y < math.inf) & (z < math.inf)))
+            before = [narrowest.item(f) for f in fired]
+            if first < end:
+                np.divide(narrowest, per_collision(mins), out=ratios)
+        if self.keeps_rows:
+            in_cluster = np.less(narrowest, radius, out=self.cluster[:end])
+            for f, sigma in zip(fired, sigmas[1:]):
+                x[f], y[f], z[f] = sigma
+                in_cluster[f] = min(sigma) < radius
+            columns = times, x, y, z, in_cluster.view(np.int8)
         if bad < end or error is not None:
             # The first failure in time order raises: a grid row, the widths
             # of collision ``bad`` (``_widths_at`` raises), or the
             # candidate's contraction (``error``).
             self._rows(waists, fired, columns, bad)
-            self.samples_before(waists[-1], self.times.item(bad), state.n_collisions + bad)
-            _widths_at(waists[-1], self.mass, self.times.item(bad), state.n_collisions + bad)
+            self.samples_before(waists[-1], times.item(bad), state.n_collisions + bad)
+            _widths_at(waists[-1], self.mass, times.item(bad), state.n_collisions + bad)
             raise error
-        self._rows(waists, fired, columns, end)
+        if self.keeps_rows:
+            self._rows(waists, fired, columns, end)
+        else:  # no grid row fails: its widths lie between a waist's and a collision's
+            while self.next_sample <= times.item(end - 1):
+                self.next_sample += self.interval
         for waist, sigma_before, sigma in zip(waists, before, sigmas[1:]):
             sums.add_firing(waist, sigma_before, min(sigma))
-        sums.add_recovery(scratch[first:end])
+        sums.add_recovery(ratios[first:end])
         n_end, state = state.n_collisions + end, waists[-1]
         if state.n_collisions < n_end:  # collisions after the last firing
-            state = replace(state, t=self.times.item(end - 1), n_collisions=n_end)
+            state = replace(state, t=times.item(end - 1), n_collisions=n_end)
         return state
 
 

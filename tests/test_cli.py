@@ -260,6 +260,16 @@ def test_full_device_exits_1_with_one_error(args, capsys):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_close_announces_no_completed_run(capsys):
+    """A run whose records fit the write buffer fails only as its output
+    closes: stderr holds that one error, and no line saying the run completed."""
+    args = ["run", "--scenario", "tpp", "--duration-s", "1e-5", "--output", "/dev/full"]
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_stdout_exits_1_with_one_error():
     src = Path(__file__).resolve().parents[1] / "src"
     args = ["sweep", "--scenario", "tpp", "--axis", "mass", "--values", "1e-7",

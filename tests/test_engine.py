@@ -968,6 +968,76 @@ def test_redrawn_phases_match_step_loop():
     assert collapses >= 10
 
 
+_GRAIN = preset("sugar_grain")
+FILL_CONFIGS = {
+    # Every window is frozen.
+    "sugar_grain": replace(_GRAIN, duration=0.01),
+    # Jittered contractions leave anisotropic widths.
+    "generic": generic_document_config(0.01),
+    # A grain of 6e-9 kg with anisotropic widths: q * q passes 2**-53 about
+    # two milliseconds after a collapse, so windows are frozen, spread, or
+    # frozen in their first segment only.
+    "thawing": replace(
+        _GRAIN, object=replace(_GRAIN.object, mass=6e-9), duration=0.01,
+        environment=replace(_GRAIN.environment, env_sigma_jitter=0.5),
+    ),
+    # Frozen until the first contraction leaves widths whose squares
+    # underflow to 0: the next readout fails.
+    "underflow": replace(
+        UNDERFLOW_CONFIG, initial_sigma=1e-150,
+        environment=EnvironmentSpec(collision_rate=1e6, env_sigma=1e-165),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILL_CONFIGS))
+def test_frozen_fill_matches_step_loop(monkeypatch, name):
+    """``run`` with records, ``run`` without, and the loop over ``step``
+    agree on the records, the summary and the error message.  The thawing
+    config has frozen windows, windows that spread, and windows whose first
+    segment is frozen but a later one is not."""
+    kinds = {"frozen": 0, "spread": 0, "first frozen only": 0}
+    window = engine._Fill.window
+
+    def classified(fill, state, end, firings, error):
+        if end and name == "thawing":
+            bounds = [w.n_collisions - state.n_collisions for w in firings] + [end]
+            frozen = [
+                spread_widths(w.sigma, fill.mass, fill.times.item(b - 1) - w.t_ref) == w.sigma
+                for w, a, b in zip([state, *firings], [0, *bounds], bounds) if b > a
+            ]
+            kinds["frozen" if all(frozen) else "first frozen only" if frozen[0] else "spread"] += 1
+        return window(fill, state, end, firings, error)
+
+    monkeypatch.setattr(engine._Fill, "window", classified)
+    for seed in range(4):
+        cfg = replace(FILL_CONFIGS[name], seed=seed)
+        outcomes = []
+        for outcome in (reference_run, run, lambda c: run(c, keep_records=False)):
+            try:
+                outcomes.append(outcome(cfg))
+            except EngineError as exc:
+                outcomes.append(str(exc))
+        expected, kept, quiet = outcomes
+        assert kept == expected
+        if isinstance(expected, str):  # the error message
+            assert quiet == expected
+        else:
+            assert quiet[0] == expected[0] and not quiet[1]
+    if name == "thawing":
+        assert all(kinds.values()), kinds
+
+
+def test_frozen_grain_never_spreads(monkeypatch):
+    """Every window of a ``sugar_grain`` run is frozen, so none calls ``spread_into``."""
+    calls = []
+    monkeypatch.setattr(engine, "spread_into", lambda *args: calls.append(1))
+    for keep_records in (True, False):
+        summary, _ = run(preset("sugar_grain"), keep_records=keep_records)
+        assert summary.n_collapses > 0
+    assert not calls
+
+
 class TestBlockMatchesStep:
     @pytest.mark.parametrize("name", sorted(BLOCK_CONFIGS))
     def test_run_equals_step_loop(self, name):

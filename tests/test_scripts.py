@@ -4,6 +4,7 @@
 import importlib.util
 import json
 import platform
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,20 @@ def load_script(name: str):
 def test_script_runs(name, argv, capsys):
     assert load_script(name).main(argv) == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_ab_engine_compares_a_tree_with_itself(capsys):
+    """Both sides import their own copy of the package, give equal summaries
+    and are timed on every config in every round."""
+    tree = str(SCRIPTS.parent)
+    argv = ["--parent", tree, "--change", tree, "--rounds", "2", "--seed", "3", "--scale", "0.01"]
+    assert load_script("ab_engine").main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" | ")[0] for line in lines[2:]] == [
+        "| grain_ensemble", "| tpp", "| generic"
+    ]
+    assert all(line.endswith("/2 |") for line in lines[2:])
+    assert not any(name.startswith(("collapsim_parent", "collapsim_change")) for name in sys.modules)
 
 
 def test_output_digests_names_every_output(capsys):
