@@ -9,6 +9,8 @@ of the machine's speed between phases falls on both sides alike:
 - ``grain_ensemble``: ``run_ensemble`` of 8 ``sugar_grain`` replicas of
   0.01 s each, as the benchmark workload runs them;
 - ``tpp``: ``run`` of the ``tpp`` preset, its records kept;
+- ``tpp_no_records``: the same run without records, the path of a window
+  that spreads and builds no row;
 - ``generic``: ``run`` of the benchmark's generic document, records kept.
 
     python3 scripts/ab_engine.py --parent ../parent --change . --rounds 40 --seed 7171
@@ -58,6 +60,7 @@ def calls(package, seed: int, scale: float) -> dict:
     return {
         "grain_ensemble": lambda: package.run_ensemble(ensemble, ENSEMBLE_REPLICAS),
         "tpp": lambda: package.run(tpp)[0],
+        "tpp_no_records": lambda: package.run(tpp, keep_records=False)[0],
         "generic": lambda: package.run(generic)[0],
     }
 

@@ -59,18 +59,19 @@ at a time (thinning, Lewis & Shedler 1979) in two passes:
   window of frozen segments, every window of a heavy grain, skips the
   readout.  The firings' rows are patched in.  Rows go to the sink in
   order, a store chunk at a time between grid rows, and the recovery ratios
-  are added in one sequential ``np.cumsum``.  A run without records builds
-  no row: a window that does not fail only advances the grid clock, as a
+  are added in one sequential ``np.cumsum``.  A run without records has no
+  sink and builds no row: its window only advances the grid clock, as a
   grid row's widths lie between its waist's and the next collision's.
 
-A window is one block of ``_BLOCK_SIZE`` collisions (about 8 pi / alpha_s,
-four times the mean gap between phase passes).  Near the duration a block
-is sized to the collisions due before it, lambda (T - t) plus six standard
-deviations and 16; one that falls short is followed by another in the same
-window.  A window ends at the duration or at ``max_collisions``.  The first
-failure in time order raises as in :func:`step`: a width that is not finite
-at a grid row or a collision, found in numpy and raised by the float
-readout, or a firing's contraction.
+A window is one block of at most ``_BLOCK_SIZE`` collisions (about 8 pi /
+alpha_s, four times the mean gap between phase passes).  Near the duration
+a block is sized to the collisions due before it, lambda (T - t) plus six
+standard deviations and 16; one that falls short (about 1e-9 of them) is
+followed by the next window.  A window ends at the duration or at
+``max_collisions``.  The first failure in time order raises as in
+:func:`step`: a width that is not finite at a grid row or a collision,
+found in numpy and raised by the float readout, or a firing's contraction.
+A failing run returns no rows, so its failing window writes none.
 
 A run reads its one :class:`RngState` in order, each block's words once into
 a flat buffer; nothing is sought or seeded again.
@@ -171,7 +172,7 @@ class Records(Sequence):
     CHUNK_ROWS)`` for the counts, and int8 ``(2, CHUNK_ROWS)`` for the
     regime and the last event, codes that index :attr:`REGIMES` and
     :attr:`EVENTS`.  Every chunk but the last is full.  A row takes 50
-    bytes; :meth:`chunks` hands the chunks out as views.
+    bytes; :meth:`chunks` hands the chunks out, :meth:`columns` copies.
 
     As a sequence of :class:`TimeSeriesRecord` the store is read-only:
     indexing builds the row's record, a slice is a new store, and a store
@@ -259,26 +260,16 @@ class Records(Sequence):
                 row[a : a + m] = values[lo : lo + m]
             self._at, lo = a + m, lo + m
 
-    def _rows(self, lo: int, hi: int) -> Sequence[np.ndarray]:
-        """Rows ``lo .. hi-1`` as arrays laid out as a chunk's: views of
-        their chunk, or a copy if they span chunks."""
-        size = CHUNK_ROWS
-        pieces = [
-            [array[:, max(lo - q * size, 0) : hi - q * size] for array in self._chunks[q]]
-            for q in range(lo // size, -(-hi // size))
-        ]
-        if len(pieces) == 1:
-            return pieces[0]
-        return [np.concatenate(arrays, axis=1) for arrays in zip(*pieces)] or _new_chunk(0)
-
-    def chunks(self, size: int) -> Iterator[Sequence[np.ndarray]]:
-        """The rows, ``size`` at a time, as a chunk's arrays: views, or copies across chunks."""
-        n = len(self)
-        return (self._rows(lo, min(lo + size, n)) for lo in range(0, n, size))
+    def chunks(self) -> Iterator[Sequence[np.ndarray]]:
+        """Each chunk's three arrays, never copies; the last one's trimmed to its rows."""
+        yield from self._chunks[:-1]
+        for chunk in self._chunks[-1:]:
+            yield [array[:, : self._at] for array in chunk]
 
     def columns(self) -> tuple[np.ndarray, ...]:
-        """The eight columns in :attr:`FIELDS` order: views of one chunk, else copies."""
-        return tuple(row for array in self._rows(0, len(self)) for row in array)
+        """The eight columns in :attr:`FIELDS` order, always copies."""
+        arrays = zip(*self.chunks(), _new_chunk(0))  # the empty chunk joins a store without rows
+        return tuple(row for parts in arrays for row in np.concatenate(parts, axis=1))
 
     def __len__(self) -> int:
         return len(self._chunks) * CHUNK_ROWS - (CHUNK_ROWS - self._at)
@@ -288,15 +279,16 @@ class Records(Sequence):
             out = Records()
             out.add_columns([column[i] for column in self.columns()])
             return out
-        i = range(len(self))[i]  # refuses an index out of range, or no integer
-        floats, counts, codes = (array[:, 0].tolist() for array in self._rows(i, i + 1))
+        # ``range`` refuses an index out of range, or no integer.
+        q, a = divmod(range(len(self))[i], CHUNK_ROWS)
+        floats, counts, codes = (array[:, a].tolist() for array in self._chunks[q])
         return TimeSeriesRecord(
             floats[0], tuple(floats[1:]), *counts, self.REGIMES[codes[0]], self.EVENTS[codes[1]]
         )
 
     def __iter__(self):
         regimes, events = self.REGIMES, self.EVENTS
-        for floats, counts, codes in self.chunks(CHUNK_ROWS):
+        for floats, counts, codes in self.chunks():
             rows = zip(*floats.tolist(), *counts.tolist(), *codes.tolist())
             for t, sx, sy, sz, n_collisions, n_collapses, regime, event in rows:
                 yield TimeSeriesRecord(
@@ -340,15 +332,6 @@ def _refusal(r: TimeSeriesRecord) -> Optional[str]:
 
 _NONE, _NO_COLLAPSE, _COLLAPSE = (Records.EVENTS.index(event) for event in LastEvent)
 _INT64 = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)  # what a count column holds
-
-
-class _Discard:
-    """The sink of a run without records: rows go nowhere."""
-
-    def append(self, *row) -> None:
-        pass
-
-    extend = append
 
 
 def regime_for(sigma: Vec3, internal_radius: float) -> Regime:
@@ -502,10 +485,9 @@ class RunSummary:
         return self.collapse_after_sum / self.n_collapses
 
 
-# Collisions drawn and decided at a time, and a window's capacity: four
-# times the mean gap between phase-clause passes.  A firing does not end
-# its block, so the block's own costs are paid once per window, except for
-# the short blocks near the duration.
+# Collisions drawn and decided at a time, a window's capacity: four times
+# the mean gap between phase-clause passes.  A firing does not end its
+# block, so the block's own costs are paid once per window.
 _BLOCK_SIZE = 4 * math.ceil(1.0 / PHASE_ACCEPTANCE_PROBABILITY)
 
 
@@ -571,107 +553,102 @@ def _decide(
     config: ScenarioConfig, state: SimState, rng: RngState, words: np.ndarray,
     alphas: np.ndarray, times: np.ndarray, limit: int,
 ) -> tuple[int, list[SimState], Optional[EngineError], bool]:
-    """Decide the window of at most ``limit`` collisions after ``state``,
-    drawing each block's words from ``rng`` into ``words``; their times go
-    to ``times``, and ``alphas`` are the cluster constants.
+    """Decide the window after ``state``, one block of at most ``limit``
+    collisions: its words are drawn from ``rng`` into ``words``, its times
+    go to ``times``, and ``alphas`` are the cluster constants.
 
-    Returns the window's end, the state after each of its firings, the
-    first failure or None, and whether the window ended at the duration.
-    """
+    Returns the window's collisions before its first failure, the state
+    after each firing, that failure or None, and whether the block drew a
+    collision past the duration."""
     env = config.environment
     mass, internal_radius = config.object.mass, config.object.internal_radius
     n0 = state.n_collisions
-    waist, firings, end = state, [], 0
+    waist, firings = state, []
 
     def cluster_at(t: float) -> Optional[bool]:  # None: the widths cannot be read
         sigma = _readout(waist, mass, t)
         return None if sigma is None else min(sigma) < internal_radius
 
-    while end < limit:
-        t_last = times.item(end - 1) if end else state.t
-        n = min(limit - end, _block_for(env.collision_rate * (config.duration - t_last)))
-        block_words = rng.words(COLLISION_WORDS * n, out=words[: COLLISION_WORDS * n])
-        gaps, env_alpha, pick = draw_collision_block(block_words, env)
-        gaps[0] += t_last
-        block = np.cumsum(gaps, out=times[end : end + n])
-        # The window ends before the first collision past the duration.
-        n_in = int(np.searchsorted(block, config.duration, side="right"))
-        env_alpha = env_alpha[:n_in]
-        # The block's clauses: the CM clause against ``cm_alpha``, valid from
-        # where it was last computed on, and the cluster clause.  A clause is
-        # computed when the collisions from ``s`` on first need it, and
-        # ``candidates`` walks the passes of either across firings.
-        cm_pass = cm_alpha = cluster_pass = None
-        s, first, candidates = 0, None, iter(())
-        while s < n_in:  # the collisions from s on are under ``waist``
-            if cluster_pass is None or cm_alpha != waist.alpha:
-                # Widths grow until the next firing: if the first collision
-                # from s on is in the CM regime, all are; if the last is in
-                # the cluster regime, all are.  ``first`` after a firing is
-                # the regime of its own widths.  None: not read, so both.
-                last = False if first is False else cluster_at(block.item(n_in - 1))
-                if first is None:
-                    first = last or cluster_at(block.item(s))
-                rebuild = False
-                if cluster_pass is None and first is not False:
-                    picked = alphas.take((pick[:n_in] * len(alphas)).astype(np.intp), mode="clip")
-                    cluster_pass, rebuild = phase_clause_batch(picked, env_alpha), True
-                if last is not True and cm_alpha != waist.alpha:
-                    if cm_pass is None:
-                        cm_pass = np.empty(n_in, dtype=bool)
-                    cm_pass[s:] = phase_clause_batch(waist.alpha, env_alpha[s:])
-                    cm_alpha, rebuild = waist.alpha, True
-                if rebuild:
-                    if cm_pass is None or cluster_pass is None:
-                        passes = cluster_pass if cm_pass is None else cm_pass
-                    else:
-                        passes = cm_pass | cluster_pass
-                    candidates = iter((s + np.flatnonzero(passes[s:])).tolist())
-            for j in candidates:
-                i, t = end + j, block.item(j)
-                try:
-                    sigma = _widths_at(waist, mass, t, n0 + i)
-                    if not (cluster_pass if min(sigma) < internal_radius else cm_pass)[j]:
-                        continue
-                    offset, env_sigma = packet_from_words(rng, n0 + i, env)
-                    after = _collide(
-                        config, rng, waist, sigma, env_alpha.item(j), env_sigma, offset,
-                        pick.item(j), t, n0 + i + 1,
-                    )
-                except EngineError as exc:
-                    return i, firings, exc, False
-                if after is not None:
-                    firings.append(after)
-                    waist, s, first = after, j + 1, min(after.sigma) < internal_radius
-                    break
-            else:
+    n = min(limit, _block_for(env.collision_rate * (config.duration - state.t)))
+    block_words = rng.words(COLLISION_WORDS * n, out=words[: COLLISION_WORDS * n])
+    gaps, env_alpha, pick = draw_collision_block(block_words, env)
+    gaps[0] += state.t
+    block = np.cumsum(gaps, out=times[:n])
+    # The window ends before the first collision past the duration.
+    n_in = int(np.searchsorted(block, config.duration, side="right"))
+    env_alpha = env_alpha[:n_in]
+    # The block's clauses: the CM clause against ``cm_alpha``, valid from
+    # where it was last computed on, and the cluster clause.  A clause is
+    # computed when the collisions from ``s`` on first need it, and
+    # ``candidates`` walks the passes of either across firings.
+    cm_pass = cm_alpha = cluster_pass = None
+    s, first, candidates = 0, None, iter(())
+    while s < n_in:  # the collisions from s on are under ``waist``
+        if cluster_pass is None or cm_alpha != waist.alpha:
+            # Widths grow until the next firing: if the first collision from
+            # s on is in the CM regime, all are; if the last is in the
+            # cluster regime, all are.  ``first`` after a firing is the
+            # regime of its own widths.  None: not read, so both.
+            last = False if first is False else cluster_at(block.item(n_in - 1))
+            if first is None:
+                first = last or cluster_at(block.item(s))
+            rebuild = False
+            if cluster_pass is None and first is not False:
+                picked = alphas.take((pick[:n_in] * len(alphas)).astype(np.intp), mode="clip")
+                cluster_pass, rebuild = phase_clause_batch(picked, env_alpha), True
+            if last is not True and cm_alpha != waist.alpha:
+                if cm_pass is None:
+                    cm_pass = np.empty(n_in, dtype=bool)
+                cm_pass[s:] = phase_clause_batch(waist.alpha, env_alpha[s:])
+                cm_alpha, rebuild = waist.alpha, True
+            if rebuild:
+                if cm_pass is None or cluster_pass is None:
+                    passes = cluster_pass if cm_pass is None else cm_pass
+                else:
+                    passes = cm_pass | cluster_pass
+                candidates = iter((s + np.flatnonzero(passes[s:])).tolist())
+        for j in candidates:
+            t = block.item(j)
+            try:
+                sigma = _widths_at(waist, mass, t, n0 + j)
+                if not (cluster_pass if min(sigma) < internal_radius else cm_pass)[j]:
+                    continue
+                offset, env_sigma = packet_from_words(rng, n0 + j, env)
+                after = _collide(
+                    config, rng, waist, sigma, env_alpha.item(j), env_sigma, offset,
+                    pick.item(j), t, n0 + j + 1,
+                )
+            except EngineError as exc:
+                return j, firings, exc, False
+            if after is not None:
+                firings.append(after)
+                waist, s, first = after, j + 1, min(after.sigma) < internal_radius
                 break
-        end += n_in
-        if n_in < n:
-            return end, firings, None, True
-    return end, firings, None, False
+        else:
+            break
+    return n_in, firings, None, n_in < n
 
 
 class _Fill:
     """The fill of a run's windows: rows of the sampling grid (the next at
     ``next_sample``) and of each collision go to ``sink`` in order, sums to
-    ``sums``.  Every window reuses the columns: ``times``, which
-    :func:`_decide` writes, the rows of ``widths`` (three widths, a scratch
-    row and the recovery ratios) and the regime mask ``cluster``."""
+    ``sums``; a run without records has no sink, and a failing window writes
+    no row.  Every window reuses the columns: ``times``, which :func:`_decide`
+    writes, the rows of ``widths`` (three widths, a scratch row and the
+    recovery ratios) and the regime mask ``cluster``."""
 
-    def __init__(self, config: ScenarioConfig, sink, state: SimState) -> None:
+    def __init__(self, config: ScenarioConfig, sink: Optional[Records], state: SimState) -> None:
         self.mass, self.internal_radius = config.object.mass, config.object.internal_radius
         self.interval = self.next_sample = config.sample_interval
         self.times, self.widths = np.empty(_BLOCK_SIZE), np.empty((5, _BLOCK_SIZE))
         self.cluster = np.empty(_BLOCK_SIZE, dtype=bool)
         self.sink, self.sums = sink, _Sums(min_sigma=min(state.sigma))
-        self.keeps_rows = not isinstance(sink, _Discard)
 
     def sample(self, state: SimState, t: float, n_collisions: int, emit: bool = True) -> Vec3:
         """The widths at a grid time, read out from the waist of ``state``;
-        their row goes to the sink if ``emit``."""
+        their row goes to the sink, if the run has one, when ``emit``."""
         sigma = _widths_at(state, self.mass, t, n_collisions)
-        if emit:
+        if emit and self.sink is not None:  # an empty store is falsy
             self.sink.append(
                 t, sigma, n_collisions, state.n_collapses, min(sigma) < self.internal_radius, _NONE
             )
@@ -685,19 +662,23 @@ class _Fill:
         if self.next_sample == t:
             self.next_sample += self.interval
 
-    def _rows(self, waists: list, fired: list, columns: tuple, hi: int) -> None:
-        """The rows of window collisions 0..hi-1, those in ``fired`` firings,
+    def skip_through(self, t: float) -> None:
+        """Move the grid clock past a collision at t without reading a row."""
+        while self.next_sample <= t:
+            self.next_sample += self.interval
+
+    def _rows(self, waists: list, fired: list, columns: tuple) -> None:
+        """The rows of the window's collisions, those in ``fired`` firings,
         with the grid rows before each; ``waists[q]`` is the state after q of
         the window's firings."""
-        times, i, n0 = self.times, 0, waists[0].n_collisions
-        while i < hi and self.next_sample <= times[hi - 1]:
-            k = i + int(np.searchsorted(times[i:hi], self.next_sample))
+        times, i, n0 = columns[0], 0, waists[0].n_collisions
+        while i < len(times):  # collisions i..k-1 come before the next grid row
+            k = i + int(np.searchsorted(times[i:], self.next_sample))
             n_collapses = waists[bisect_left(fired, i)].n_collapses
             self.sink.extend(columns, i, k, n0 + i + 1, n_collapses, fired)
-            self.samples_before(waists[bisect_left(fired, k)], times.item(k), n0 + k)
+            if k < len(times):
+                self.samples_before(waists[bisect_left(fired, k)], times.item(k), n0 + k)
             i = k
-        n_collapses = waists[bisect_left(fired, i)].n_collapses
-        self.sink.extend(columns, i, hi, n0 + i + 1, n_collapses, fired)
 
     def window(self, state: SimState, end: int, firings: list, error) -> SimState:
         """Fill the window of ``end`` collisions after ``state``, with the
@@ -731,11 +712,11 @@ class _Fill:
         # The recovery ratios, the firings' among them, start after the run's
         # first firing; a waist that follows one holds its widths.
         first = 0 if state.n_collapses else [*bounds, end][0]
-        scratch, ratios, bad, columns = self.widths[3, :end], self.widths[4, :end], end, None
+        scratch, ratios, bad = self.widths[3, :end], self.widths[4, :end], end
         if frozen:  # every width is its waist's, and every recovery ratio 1.0
             before = mins[:-1]
             ratios[first:] = 1.0
-            if self.keeps_rows:
+            if self.sink is not None:
                 (x, y, z), narrowest = waist_widths(), per_collision(mins)
         else:  # one readout for the window
             np.subtract(times[:end], per_collision([w.t_ref for w in waists]), out=scratch)
@@ -748,25 +729,24 @@ class _Fill:
             before = [narrowest.item(f) for f in fired]
             if first < end:
                 np.divide(narrowest, per_collision(mins), out=ratios)
-        if self.keeps_rows:
+        if bad < end or error is not None:
+            # The first failure in time order raises: a grid row after
+            # collision ``bad - 1`` (one before is no wider than its finite
+            # widths), the widths of collision ``bad`` (``_widths_at``
+            # raises), or the candidate's contraction (``error``).
+            self.sink = None  # the run returns no rows
+            self.skip_through(times.item(bad - 1) if bad else state.t)
+            self.samples_before(waists[-1], times.item(bad), state.n_collisions + bad)
+            _widths_at(waists[-1], self.mass, times.item(bad), state.n_collisions + bad)
+            raise error
+        if self.sink is not None:
             in_cluster = np.less(narrowest, radius, out=self.cluster[:end])
             for f, sigma in zip(fired, sigmas[1:]):
                 x[f], y[f], z[f] = sigma
                 in_cluster[f] = min(sigma) < radius
-            columns = times, x, y, z, in_cluster.view(np.int8)
-        if bad < end or error is not None:
-            # The first failure in time order raises: a grid row, the widths
-            # of collision ``bad`` (``_widths_at`` raises), or the
-            # candidate's contraction (``error``).
-            self._rows(waists, fired, columns, bad)
-            self.samples_before(waists[-1], times.item(bad), state.n_collisions + bad)
-            _widths_at(waists[-1], self.mass, times.item(bad), state.n_collisions + bad)
-            raise error
-        if self.keeps_rows:
-            self._rows(waists, fired, columns, end)
+            self._rows(waists, fired, (times[:end], x, y, z, in_cluster.view(np.int8)))
         else:  # no grid row fails: its widths lie between a waist's and a collision's
-            while self.next_sample <= times.item(end - 1):
-                self.next_sample += self.interval
+            self.skip_through(times.item(end - 1))
         for waist, sigma_before, sigma in zip(waists, before, sigmas[1:]):
             sums.add_firing(waist, sigma_before, min(sigma))
         sums.add_recovery(ratios[first:end])
@@ -782,13 +762,13 @@ def run(
     """Simulate one scenario from t=0 to t=duration.
 
     Emits one row per collision plus rows on the uniform sampling grid and
-    at t=0 and t=duration to a sink: the returned :class:`Records` store,
-    or, when ``keep_records`` is false, a sink that drops them and leaves
-    the store empty.  An event drawn beyond the duration is not processed.
-    ``max_collisions``, a non-negative integer, caps the number of processed
-    events.  Collisions are decided, then filled, a window at a time (see
-    the module docstring).  Rows, summary and stream position equal those of
-    a loop over :func:`step`.
+    at t=0 and t=duration to the returned :class:`Records` store; when
+    ``keep_records`` is false no row is built and the store stays empty.
+    An event drawn beyond the duration is not processed.  ``max_collisions``,
+    a non-negative integer, caps the number of processed events.
+    Collisions are decided, then filled, a window at a time (see the module
+    docstring).  Rows, summary and stream position equal those of a loop
+    over :func:`step`.
     """
     if max_collisions is not None:
         _check_count("max_collisions", max_collisions, 0)
@@ -805,7 +785,7 @@ def _run(
     words = np.empty(COLLISION_WORDS * _BLOCK_SIZE)
     state = initial_state(config, rng)
     records = Records()
-    fill = _Fill(config, records if keep_records else _Discard(), state)
+    fill = _Fill(config, records if keep_records else None, state)
     fill.sample(state, 0.0, 0)
     budget_exhausted = False
 

@@ -499,7 +499,7 @@ def write_records(records: Iterable[TimeSeriesRecord], format: str, sink: IO[str
     try:
         if format == "csv":
             sink.write(CSV_HEADER + "\n")
-        for i, part in enumerate(records.chunks(CHUNK_ROWS)):
+        for i, part in enumerate(records.chunks()):
             # Held until the next chunk is formatted, so that the allocator
             # reuses the memory below it, not trims it and faults it in again.
             text = _chunk(layout, part, i == 0)

@@ -863,6 +863,35 @@ def test_runs_shorter_than_a_block_match_step_loop(name, duration):
         assert run(cfg) == reference_run(cfg)
 
 
+@pytest.mark.parametrize(
+    "name, max_collisions", [("tpp", None), ("sugar_grain", None), ("tpp", 650)]
+)
+def test_short_blocks_that_fall_short_match_step_loop(monkeypatch, name, max_collisions):
+    """Blocks sized to a third of the collisions due fall short of the
+    duration: each window but the last ends before it, and the next window
+    draws on from its last collision, also where the budget ends a run."""
+    monkeypatch.setattr(
+        engine, "_block_for", lambda e: min(engine._BLOCK_SIZE, max(1, int(e) // 3))
+    )
+    blocks = []
+    draw = engine.draw_collision_block
+    monkeypatch.setattr(
+        engine, "draw_collision_block", lambda *args: blocks.append(1) or draw(*args)
+    )
+    config = replace(preset(name), duration=1e-3, redraw_alpha_after_collapse=True)
+    collapses = 0
+    for seed in range(8):
+        cfg = replace(config, seed=seed)
+        expected = reference_run(cfg, max_collisions)
+        blocks.clear()
+        assert run(cfg, max_collisions=max_collisions) == expected
+        assert len(blocks) >= 3
+        assert run(cfg, False, max_collisions)[0] == expected[0]
+        assert expected[0].budget_exhausted == (max_collisions is not None)
+        collapses += expected[0].n_collapses
+    assert collapses > 0
+
+
 def test_short_runs_draw_little_past_their_collisions(monkeypatch):
     """A 0.01 s ``sugar_grain`` run with phase redraws draws the 3 words of
     at most its used collisions plus the sizing margin at the run's start,

@@ -43,7 +43,7 @@ def test_ab_engine_compares_a_tree_with_itself(capsys):
     assert load_script("ab_engine").main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" | ")[0] for line in lines[2:]] == [
-        "| grain_ensemble", "| tpp", "| generic"
+        "| grain_ensemble", "| tpp", "| tpp_no_records", "| generic"
     ]
     assert all(line.endswith("/2 |") for line in lines[2:])
     assert not any(name.startswith(("collapsim_parent", "collapsim_change")) for name in sys.modules)
