@@ -24,7 +24,7 @@ oracle in :mod:`collapsim.quadrature` checks, on the same plain values.
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -63,11 +63,18 @@ def criterion_fires(
     return overlap * overlap >= alpha_min / TWO_PI
 
 
-def phase_clause_batch(alpha1: Union[float, np.ndarray], alpha2: np.ndarray) -> np.ndarray:
+def phase_clause_batch(
+    alpha1: Union[float, np.ndarray], alpha2: np.ndarray,
+    out: Optional[np.ndarray] = None, scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Phase-gap clause for arrays of phase constants already in range.
 
     Unchecked; element by element it decides exactly as the scalar clause
-    of :func:`criterion_fires` does.
+    of :func:`criterion_fires` does.  With a boolean ``out`` and two float
+    ``scratch`` rows, all shaped like ``alpha2``, nothing is allocated; an
+    array ``alpha1`` may be the first scratch row.
     """
-    d = np.abs(alpha1 - alpha2)
-    return np.minimum(d, TWO_PI - d) <= PHASE_GAP_LIMIT
+    rows = (None, None) if scratch is None else scratch
+    d = np.abs(np.subtract(alpha1, alpha2, out=rows[0]), out=rows[0])
+    other = np.subtract(TWO_PI, d, out=rows[1])
+    return np.less_equal(np.minimum(d, other, out=d), PHASE_GAP_LIMIT, out=out)

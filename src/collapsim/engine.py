@@ -52,19 +52,20 @@ at a time (thinning, Lewis & Shedler 1979) in two passes:
 - Fill (:class:`_Fill`).  At most one readout per window: each
   collision's waist and recovery divisor, those of its segment (its stretch
   between firings), are repeated over it, and one :func:`spread_into` reads
-  every width out into arrays allocated once per run.  A segment whose
+  every width out into the window's rows.  A segment whose
   widths at its last collision are its waist's is frozen: each step of a
   readout is correctly rounded, so monotone in t, and every width of the
-  segment is its waist's, bit for bit, and every recovery ratio 1.0.  A
-  window of frozen segments, every window of a heavy grain, skips the
-  readout.  The firings' rows are patched in.  Rows go to the sink in
-  order, a store chunk at a time between grid rows, and the recovery ratios
-  are added in one sequential ``np.cumsum``.  A run without records has no
+  segment is its waist's, bit for bit, and every recovery ratio 1.0; the
+  probe of the last segment takes :func:`_decide`'s readout there, where
+  it made one.  A window of frozen segments, every window of a heavy
+  grain, skips the readout.  The firings' rows are patched in.  Rows go to
+  the sink in order, a store chunk at a time between grid rows, and the
+  recovery ratios are added in one sequential ``np.cumsum``.  A run without records has no
   sink and builds no row: its window only advances the grid clock, as a
   grid row's widths lie between its waist's and the next collision's.
 
-A window is one block of at most ``_BLOCK_SIZE`` collisions (about 8 pi /
-alpha_s, four times the mean gap between phase passes).  Near the duration
+A window is one block of at most ``_BLOCK_SIZE`` collisions (about 16 pi /
+alpha_s, eight times the mean gap between phase passes).  Near the duration
 a block is sized to the collisions due before it, lambda (T - t) plus six
 standard deviations and 16; one that falls short (about 1e-9 of them) is
 followed by the next window.  A window ends at the duration or at
@@ -73,14 +74,21 @@ followed by the next window.  A window ends at the duration or at
 found in numpy and raised by the float readout, or a firing's contraction.
 A failing run returns no rows, so its failing window writes none.
 
-A run reads its one :class:`RngState` in order, each block's words once into
-a flat buffer; nothing is sought or seeded again.
+A run reads its one :class:`RngState` in order, each block's words once;
+nothing is sought or seeded again.  A window's arrays (:class:`_Buffers`) are
+allocated once per run, and once per :func:`run_ensemble` for all its
+replicas, since a fresh process pays page faults for each new allocation of
+a window's size.  The words are drawn into them and the window's arrays are
+computed in place: the gaps and phases overwrite their words, the times the
+gap words, the clauses and widths the window's rows and masks.  Only the
+per-collision waists of a window with firings are built anew.
 
 The arithmetic matches the scalar path bit for bit: gaps are the C
 library's ``log1p``, which ``math.log1p`` calls and which numpy calls on a
-strided operand (see :func:`draw_collision_block`), times are a sequential
-``np.cumsum`` of them, widths come from :func:`spread_into`, the array
-form of :func:`spread_widths`, and sums are accumulated in collision order.
+reversed operand written forward (see :func:`draw_collision_block`), times
+are a sequential ``np.cumsum`` of them, widths come from :func:`spread_into`,
+the array form of :func:`spread_widths`, and sums are accumulated in
+collision order.
 """
 
 from __future__ import annotations
@@ -97,7 +105,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import RANDOM_ALPHA, ScenarioConfig
+from .config import RANDOM_ALPHA, EnvironmentSpec, ScenarioConfig
 from .constants import PHASE_ACCEPTANCE_PROBABILITY
 from .contraction import damped_sigma, product_width
 from .criterion import criterion_fires, phase_clause_batch
@@ -485,10 +493,11 @@ class RunSummary:
         return self.collapse_after_sum / self.n_collapses
 
 
-# Collisions drawn and decided at a time, a window's capacity: four times
+# Collisions drawn and decided at a time, a window's capacity: eight times
 # the mean gap between phase-clause passes.  A firing does not end its
-# block, so the block's own costs are paid once per window.
-_BLOCK_SIZE = 4 * math.ceil(1.0 / PHASE_ACCEPTANCE_PROBABILITY)
+# block, so the block's own costs are paid once per window, and its buffers
+# once per run or ensemble (:class:`_Buffers`).
+_BLOCK_SIZE = 8 * math.ceil(1.0 / PHASE_ACCEPTANCE_PROBABILITY)
 
 
 def _block_for(expected: float) -> int:
@@ -549,13 +558,50 @@ def _readout(waist: SimState, mass: float, t: float) -> Optional[Vec3]:
         return None
 
 
+class _Buffers:
+    """The arrays of a window of at most ``size`` collisions, allocated once
+    per run, or once per ensemble for all its replicas.
+
+    :func:`_decide` draws the stream ``words``, three per collision, and
+    computes the gaps, phases and times in place (:meth:`draw`): the
+    ``times`` are a view of the gap words.  It takes the last two float
+    ``rows`` and the three boolean ``masks`` as scratch for its clauses, so
+    that a window without a readout touches no other row.  The fill then
+    writes three widths and a scratch row (the time since the waist, then
+    the narrowest widths or the recovery ratios) into ``rows``, and the
+    regime into ``masks[2]``.  ``readout`` is ``_decide``'s last readout at
+    the window's last collision, ``(waist, t, widths)``, which the fill's
+    frozen probe takes again."""
+
+    __slots__ = ("words", "times", "rows", "masks", "readout")
+
+    def __init__(self, size: int) -> None:
+        # One allocation for all.  Allocated one by one, they left the heap of
+        # a fresh process such that the JSON writer after a run of the generic
+        # document page-faulted about five times as often (1,672 against 340).
+        block = np.empty((COLLISION_WORDS + 4) * size + -(-3 * size // 8))
+        self.words, rest = block[: COLLISION_WORDS * size], block[COLLISION_WORDS * size :]
+        self.rows = rest[: 4 * size].reshape(4, size)
+        self.masks = rest[4 * size :].view(bool)[: 3 * size].reshape(3, size)
+        self.times = self.words[::COLLISION_WORDS]  # the gap words, overwritten
+        self.readout: Optional[tuple] = None
+
+    def draw(
+        self, rng: RngState, n: int, spec: EnvironmentSpec
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The gaps, phases and picks of the next ``n`` collisions of ``rng``,
+        drawn in place into ``words`` with the scratch row."""
+        words = rng.words(COLLISION_WORDS * n, out=self.words[: COLLISION_WORDS * n])
+        return draw_collision_block(words, spec, self.rows[3, :n])
+
+
 def _decide(
-    config: ScenarioConfig, state: SimState, rng: RngState, words: np.ndarray,
-    alphas: np.ndarray, times: np.ndarray, limit: int,
+    config: ScenarioConfig, state: SimState, rng: RngState, buffers: _Buffers,
+    alphas: np.ndarray, limit: int,
 ) -> tuple[int, list[SimState], Optional[EngineError], bool]:
     """Decide the window after ``state``, one block of at most ``limit``
-    collisions: its words are drawn from ``rng`` into ``words``, its times
-    go to ``times``, and ``alphas`` are the cluster constants.
+    collisions drawn from ``rng`` into ``buffers``, which also take its
+    times; ``alphas`` are the cluster constants.
 
     Returns the window's collisions before its first failure, the state
     after each firing, that failure or None, and whether the block drew a
@@ -564,49 +610,58 @@ def _decide(
     mass, internal_radius = config.object.mass, config.object.internal_radius
     n0 = state.n_collisions
     waist, firings = state, []
+    buffers.readout = None
 
     def cluster_at(t: float) -> Optional[bool]:  # None: the widths cannot be read
         sigma = _readout(waist, mass, t)
+        if t == t_last:
+            buffers.readout = waist, t, sigma
         return None if sigma is None else min(sigma) < internal_radius
 
     n = min(limit, _block_for(env.collision_rate * (config.duration - state.t)))
-    block_words = rng.words(COLLISION_WORDS * n, out=words[: COLLISION_WORDS * n])
-    gaps, env_alpha, pick = draw_collision_block(block_words, env)
+    gaps, env_alpha, pick = buffers.draw(rng, n, env)
     gaps[0] += state.t
-    block = np.cumsum(gaps, out=times[:n])
+    block = gaps.cumsum(out=gaps)
     # The window ends before the first collision past the duration.
-    n_in = int(np.searchsorted(block, config.duration, side="right"))
-    env_alpha = env_alpha[:n_in]
+    n_in = int(block.searchsorted(config.duration, side="right"))
+    if not n_in:  # the first collision is past the duration
+        return 0, firings, None, True
+    env_alpha, t_last = env_alpha[:n_in], block.item(n_in - 1)
+    rows, (cm_pass, cluster_pass, passes) = buffers.rows[:, :n_in], buffers.masks[:, :n_in]
     # The block's clauses: the CM clause against ``cm_alpha``, valid from
     # where it was last computed on, and the cluster clause.  A clause is
     # computed when the collisions from ``s`` on first need it, and
     # ``candidates`` walks the passes of either across firings.
-    cm_pass = cm_alpha = cluster_pass = None
+    cm_alpha, clustered = None, False
     s, first, candidates = 0, None, iter(())
     while s < n_in:  # the collisions from s on are under ``waist``
-        if cluster_pass is None or cm_alpha != waist.alpha:
+        if not clustered or cm_alpha != waist.alpha:
             # Widths grow until the next firing: if the first collision from
             # s on is in the CM regime, all are; if the last is in the
             # cluster regime, all are.  ``first`` after a firing is the
             # regime of its own widths.  None: not read, so both.
-            last = False if first is False else cluster_at(block.item(n_in - 1))
+            last = False if first is False else cluster_at(t_last)
             if first is None:
                 first = last or cluster_at(block.item(s))
             rebuild = False
-            if cluster_pass is None and first is not False:
-                picked = alphas.take((pick[:n_in] * len(alphas)).astype(np.intp), mode="clip")
-                cluster_pass, rebuild = phase_clause_batch(picked, env_alpha), True
+            if not clustered and first is not False:
+                if len(alphas) == 1:  # every pick picks the one cluster
+                    picked = alphas.item(0)
+                else:
+                    index = rows[3].view(np.intp)
+                    np.multiply(pick[:n_in], len(alphas), out=index, casting="unsafe")
+                    picked = alphas.take(index, mode="clip", out=rows[2])
+                phase_clause_batch(picked, env_alpha, cluster_pass, rows[2:])
+                clustered = rebuild = True
             if last is not True and cm_alpha != waist.alpha:
-                if cm_pass is None:
-                    cm_pass = np.empty(n_in, dtype=bool)
-                cm_pass[s:] = phase_clause_batch(waist.alpha, env_alpha[s:])
+                phase_clause_batch(waist.alpha, env_alpha[s:], cm_pass[s:], rows[2:, s:])
                 cm_alpha, rebuild = waist.alpha, True
             if rebuild:
-                if cm_pass is None or cluster_pass is None:
-                    passes = cluster_pass if cm_pass is None else cm_pass
+                if cm_alpha is None or not clustered:
+                    either = (cluster_pass if cm_alpha is None else cm_pass)[s:]
                 else:
-                    passes = cm_pass | cluster_pass
-                candidates = iter((s + np.flatnonzero(passes[s:])).tolist())
+                    either = np.logical_or(cm_pass[s:], cluster_pass[s:], out=passes[s:])
+                candidates = iter((either.nonzero()[0] + s).tolist())
         for j in candidates:
             t = block.item(j)
             try:
@@ -633,15 +688,17 @@ class _Fill:
     """The fill of a run's windows: rows of the sampling grid (the next at
     ``next_sample``) and of each collision go to ``sink`` in order, sums to
     ``sums``; a run without records has no sink, and a failing window writes
-    no row.  Every window reuses the columns: ``times``, which :func:`_decide`
-    writes, the rows of ``widths`` (three widths, a scratch row and the
-    recovery ratios) and the regime mask ``cluster``."""
+    no row.  Every window reuses the arrays of ``buffers``: the ``times``
+    that :func:`_decide` writes, the ``rows`` (three widths and a scratch
+    row) and the regime mask ``cluster``."""
 
-    def __init__(self, config: ScenarioConfig, sink: Optional[Records], state: SimState) -> None:
+    def __init__(
+        self, config: ScenarioConfig, sink: Optional[Records], state: SimState, buffers: _Buffers
+    ) -> None:
         self.mass, self.internal_radius = config.object.mass, config.object.internal_radius
         self.interval = self.next_sample = config.sample_interval
-        self.times, self.widths = np.empty(_BLOCK_SIZE), np.empty((5, _BLOCK_SIZE))
-        self.cluster = np.empty(_BLOCK_SIZE, dtype=bool)
+        self.buffers, self.times, self.rows = buffers, buffers.times, buffers.rows
+        self.cluster = buffers.masks[2]
         self.sink, self.sums = sink, _Sums(min_sigma=min(state.sigma))
 
     def sample(self, state: SimState, t: float, n_collisions: int, emit: bool = True) -> Vec3:
@@ -667,13 +724,20 @@ class _Fill:
         while self.next_sample <= t:
             self.next_sample += self.interval
 
+    def _probe(self, waist: SimState, t: float) -> Optional[Vec3]:
+        """The widths read out from ``waist`` at t, as :func:`_decide` read them if it did."""
+        readout = self.buffers.readout
+        if readout is not None and readout[0] is waist and readout[1] == t:
+            return readout[2]
+        return _readout(waist, self.mass, t)
+
     def _rows(self, waists: list, fired: list, columns: tuple) -> None:
         """The rows of the window's collisions, those in ``fired`` firings,
         with the grid rows before each; ``waists[q]`` is the state after q of
         the window's firings."""
         times, i, n0 = columns[0], 0, waists[0].n_collisions
         while i < len(times):  # collisions i..k-1 come before the next grid row
-            k = i + int(np.searchsorted(times[i:], self.next_sample))
+            k = i + int(times[i:].searchsorted(self.next_sample))
             n_collapses = waists[bisect_left(fired, i)].n_collapses
             self.sink.extend(columns, i, k, n0 + i + 1, n_collapses, fired)
             if k < len(times):
@@ -697,7 +761,7 @@ class _Fill:
         # collision are its waist's: readouts are monotone in t, so all are.
         lengths = [b - a for a, b in zip([0, *bounds], [*bounds, end])]
         frozen = all(
-            _readout(w, self.mass, times.item(b - 1)) == w.sigma
+            self._probe(w, times.item(b - 1)) == w.sigma
             for w, b, n in zip(waists, [*bounds, end], lengths) if n
         )
 
@@ -710,25 +774,23 @@ class _Fill:
             return [per_collision(axis) for axis in zip(*sigmas)]
 
         # The recovery ratios, the firings' among them, start after the run's
-        # first firing; a waist that follows one holds its widths.
+        # first firing; a waist that follows one holds its widths.  They go
+        # into the scratch row once the regime mask is read from it.
         first = 0 if state.n_collapses else [*bounds, end][0]
-        scratch, ratios, bad = self.widths[3, :end], self.widths[4, :end], end
+        scratch, bad = self.rows[3, :end], end
         if frozen:  # every width is its waist's, and every recovery ratio 1.0
             before = mins[:-1]
-            ratios[first:] = 1.0
             if self.sink is not None:
                 (x, y, z), narrowest = waist_widths(), per_collision(mins)
         else:  # one readout for the window
             np.subtract(times[:end], per_collision([w.t_ref for w in waists]), out=scratch)
-            x, y, z = spread_into(waist_widths(), self.mass, scratch, self.widths[:3, :end])
+            x, y, z = spread_into(waist_widths(), self.mass, scratch, self.rows[:3, :end])
             narrowest = x if y is x else np.minimum(np.minimum(x, y, out=scratch), z, out=scratch)
             # Widths grow between firings, and a firing's are finite: only the
             # last segment can hold widths that are not, and its last are widest.
             if not (x[-1] < math.inf and y[-1] < math.inf and z[-1] < math.inf):
                 bad = int(np.argmin((x < math.inf) & (y < math.inf) & (z < math.inf)))
             before = [narrowest.item(f) for f in fired]
-            if first < end:
-                np.divide(narrowest, per_collision(mins), out=ratios)
         if bad < end or error is not None:
             # The first failure in time order raises: a grid row after
             # collision ``bad - 1`` (one before is no wider than its finite
@@ -741,6 +803,11 @@ class _Fill:
             raise error
         if self.sink is not None:
             in_cluster = np.less(narrowest, radius, out=self.cluster[:end])
+        if frozen:
+            scratch[first:] = 1.0
+        elif first < end:
+            np.divide(narrowest, per_collision(mins), out=scratch)
+        if self.sink is not None:
             for f, sigma in zip(fired, sigmas[1:]):
                 x[f], y[f], z[f] = sigma
                 in_cluster[f] = min(sigma) < radius
@@ -749,10 +816,13 @@ class _Fill:
             self.skip_through(times.item(end - 1))
         for waist, sigma_before, sigma in zip(waists, before, sigmas[1:]):
             sums.add_firing(waist, sigma_before, min(sigma))
-        sums.add_recovery(ratios[first:end])
+        sums.add_recovery(scratch[first:])
         n_end, state = state.n_collisions + end, waists[-1]
         if state.n_collisions < n_end:  # collisions after the last firing
-            state = replace(state, t=times.item(end - 1), n_collisions=n_end)
+            state = SimState(
+                times.item(end - 1), state.t_ref, state.sigma, state.alpha, n_end,
+                state.n_collapses,
+            )
         return state
 
 
@@ -776,31 +846,31 @@ def run(
 
 
 def _run(
-    config: ScenarioConfig, seed: int, keep_records: bool, max_collisions: Optional[int]
+    config: ScenarioConfig, seed: int, keep_records: bool, max_collisions: Optional[int],
+    buffers: Optional[_Buffers] = None,
 ) -> tuple[RunSummary, Records]:
     """:func:`run` of ``config`` with ``seed``, a valid seed, in place of its
-    own, and a ``max_collisions`` already checked."""
+    own, and a ``max_collisions`` already checked; its windows use
+    ``buffers``, or buffers of their own."""
     alphas = np.array(config.object.cluster_alphas)
     rng = RngState(seed)
-    words = np.empty(COLLISION_WORDS * _BLOCK_SIZE)
     state = initial_state(config, rng)
     records = Records()
-    fill = _Fill(config, records if keep_records else None, state)
+    buffers = _Buffers(_BLOCK_SIZE) if buffers is None else buffers
+    fill = _Fill(config, records if keep_records else None, state, buffers)
     fill.sample(state, 0.0, 0)
     budget_exhausted = False
 
     # A width that is not finite is found in numpy and raised in scalar.
     with np.errstate(all="ignore"):
         while config.environment.collision_rate > 0.0:
-            limit = len(fill.times)
+            limit = len(buffers.times)
             if max_collisions is not None:
                 limit = min(limit, max_collisions - state.n_collisions)
                 if limit <= 0:
                     budget_exhausted = True
                     break
-            end, firings, error, done = _decide(
-                config, state, rng, words, alphas, fill.times, limit
-            )
+            end, firings, error, done = _decide(config, state, rng, buffers, alphas, limit)
             state = fill.window(state, end, firings, error)
             if done:  # the window ended at the duration
                 break
@@ -885,12 +955,13 @@ def run_ensemble(
         _check_count("max_collisions", max_collisions, 0)
     summaries: list[RunSummary] = []
     failures: list[tuple[int, str]] = []
+    buffers = _Buffers(_BLOCK_SIZE)  # one set for every replica
     # Every replica's seed is valid: ``config.seed`` is a non-negative
     # integer (``ScenarioConfig`` refuses any other), and so is every
     # ``config.seed + i``.  No replica re-runs the config's rules.
     for seed in range(config.seed, config.seed + n_replicas):
         try:
-            summaries.append(_run(config, seed, False, max_collisions)[0])
+            summaries.append(_run(config, seed, False, max_collisions, buffers)[0])
         except EngineError as exc:
             failures.append((seed, str(exc)))
     return aggregate_summaries(summaries, config.seed, failures)

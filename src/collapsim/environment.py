@@ -189,7 +189,7 @@ def packet_from_words(rng: RngState, i: int, spec: EnvironmentSpec) -> tuple[Vec
 
 
 def draw_collision_block(
-    words: np.ndarray, spec: EnvironmentSpec
+    words: np.ndarray, spec: EnvironmentSpec, scratch: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The collisions whose words are ``words``, at a positive collision rate.
 
@@ -198,16 +198,25 @@ def draw_collision_block(
     :func:`next_collision`.  Returns the inter-arrival times, the
     environment phase constants and the cluster-pick uniforms, so element
     ``i`` equals what :func:`next_collision` builds from the same words.
+    They are computed in place: the three are views of ``words``, whose
+    gap and phase words they overwrite.  ``scratch``, a float row of at
+    least ``n``, is overwritten too; without it one is allocated.
 
-    The inter-arrival logarithm is ``np.log1p`` over a view with a negative
-    stride.  On a contiguous operand numpy takes its own SIMD ``log1p``,
-    which is not bit-identical to ``math.log1p``; on a strided one it takes
-    its scalar loop, which calls the C library's ``log1p``, the function
-    ``math.log1p`` calls.  So the gaps equal ``-math.log1p(-u) / rate``
-    bit for bit, at the speed of a C loop.
+    The inter-arrival logarithm is ``np.log1p`` of a reversed operand into
+    a forward output: the negated gap words go into ``scratch`` in reverse
+    order, and their logarithms, read back reversed, into the gap words.
+    numpy takes its own SIMD ``log1p``, which is not bit-identical to
+    ``math.log1p``, wherever operand and output run the same way: on a
+    contiguous operand, in place, or into an output reversed like the
+    operand.  Where they run opposite ways it takes its scalar loop, which
+    calls the C library's ``log1p``, the function ``math.log1p`` calls.  So
+    the gaps equal ``-math.log1p(-u) / rate`` bit for bit, at the speed of a
+    C loop.
     """
     w = words.reshape(-1, COLLISION_WORDS)
-    x = -w[:, 0]
-    log_gap = np.log1p(x[::-1])[::-1]
-    # ``-log_gap / rate`` into ``x``: rounding to nearest is symmetric in sign.
-    return np.divide(log_gap, -spec.collision_rate, out=x), TWO_PI * w[:, 1], w[:, 2]
+    gaps, phases = w[:, 0], w[:, 1]
+    negated = np.negative(gaps[::-1], out=None if scratch is None else scratch[: len(gaps)])
+    np.log1p(negated[::-1], out=gaps)  # a reversed operand into a forward output
+    # ``-log1p(-u) / rate``: rounding to nearest is symmetric in sign.
+    np.divide(gaps, -spec.collision_rate, out=gaps)
+    return gaps, np.multiply(phases, TWO_PI, out=phases), w[:, 2]

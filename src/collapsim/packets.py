@@ -109,7 +109,8 @@ def spread_into(sigma0: Vec3, mass: float, dt: np.ndarray, out: np.ndarray) -> t
     ``sigma0`` is three widths: floats, or arrays shaped like ``dt`` that
     give each element its own waist.  The widths go into the rows of
     ``out``, each shaped like ``dt``, and ``dt`` is overwritten; nothing else
-    is allocated but a square per axis of array widths.  An isotropic waist,
+    is allocated.  An array waist squares into its own row of ``out``, so it
+    must not be that row.  An isotropic waist,
     three bit-equal floats or one array given thrice, spreads one axis into
     ``out[0]``, which then stands for all three.  Returns the three width
     arrays.
@@ -119,7 +120,7 @@ def spread_into(sigma0: Vec3, mass: float, dt: np.ndarray, out: np.ndarray) -> t
     s1, s2, s3 = sigma0
     axes = (s1,) if s1 is s2 is s3 or np.ndim(s1) == 0 and s1 == s2 == s3 else sigma0
     for s, q in zip(axes, out):
-        np.divide(k, s * s, out=q)
+        np.divide(k, s * s if np.ndim(s) == 0 else np.multiply(s, s, out=q), out=q)
         np.multiply(q, q, out=q)
         np.add(q, 1.0, out=q)
         np.sqrt(q, out=q)

@@ -375,6 +375,19 @@ class TestEnsemble:
         assert ensemble.replicas == (single,)
         assert ensemble.total_collisions == single.n_collisions
 
+    @pytest.mark.parametrize("name", ["sugar_grain", "generic"])
+    def test_every_replica_equals_run(self, name):
+        """The replicas share one set of window buffers: each still equals
+        a lone run of its seed, which allocates its own."""
+        config = generic_document_config(0.01) if name == "generic" else preset(name)
+        config = replace(config, duration=0.01, seed=21)
+        ensemble = run_ensemble(config, 4)
+        singles = tuple(
+            run(replace(config, seed=seed), keep_records=False)[0] for seed in range(21, 25)
+        )
+        assert ensemble.replicas == singles
+        assert sum(single.n_collapses for single in singles) > 0
+
     def test_same_base_seed_bit_identical(self):
         cfg = replace(preset("tpp"), duration=1e-3)
         cfg = replace(cfg, seed=40)
@@ -824,6 +837,7 @@ def generic_document_config(duration: float) -> ScenarioConfig:
     return parse_config(json.dumps(doc))
 
 
+HALF_BLOCK = engine._BLOCK_SIZE // 2
 BLOCK_CONFIGS = {
     "tpp": (replace(preset("tpp"), duration=1e-3), None),
     "sugar_grain": (replace(preset("sugar_grain"), duration=1e-3), None),
@@ -844,8 +858,9 @@ BLOCK_CONFIGS = {
     ),
     # 1000 is less than a block: the budget ends the first block part way.
     "budget_cut": (replace(preset("tpp"), duration=1.0), 1000),
-    # The budget ends the second block part way.
-    "budget_cut_second_block": (replace(preset("tpp"), duration=1.0), engine._BLOCK_SIZE + 138),
+    # The budget ends the second block part way, in blocks of ``HALF_BLOCK``
+    # (the test patches ``_BLOCK_SIZE``), so the loop over ``step`` stays short.
+    "budget_cut_second_block": (replace(preset("tpp"), duration=1.0), HALF_BLOCK + 138),
 }
 
 
@@ -1022,9 +1037,9 @@ FILL_CONFIGS = {
 @pytest.mark.parametrize("name", sorted(FILL_CONFIGS))
 def test_frozen_fill_matches_step_loop(monkeypatch, name):
     """``run`` with records, ``run`` without, and the loop over ``step``
-    agree on the records, the summary and the error message.  The thawing
-    config has frozen windows, windows that spread, and windows whose first
-    segment is frozen but a later one is not."""
+    agree on the records, the summary and the error message.  At seeds 4-7
+    the thawing config has frozen windows, windows that spread, and windows
+    whose first segment is frozen but a later one is not."""
     kinds = {"frozen": 0, "spread": 0, "first frozen only": 0}
     window = engine._Fill.window
 
@@ -1039,7 +1054,7 @@ def test_frozen_fill_matches_step_loop(monkeypatch, name):
         return window(fill, state, end, firings, error)
 
     monkeypatch.setattr(engine._Fill, "window", classified)
-    for seed in range(4):
+    for seed in range(4, 8):
         cfg = replace(FILL_CONFIGS[name], seed=seed)
         outcomes = []
         for outcome in (reference_run, run, lambda c: run(c, keep_records=False)):
@@ -1069,8 +1084,10 @@ def test_frozen_grain_never_spreads(monkeypatch):
 
 class TestBlockMatchesStep:
     @pytest.mark.parametrize("name", sorted(BLOCK_CONFIGS))
-    def test_run_equals_step_loop(self, name):
+    def test_run_equals_step_loop(self, monkeypatch, name):
         config, max_collisions = BLOCK_CONFIGS[name]
+        if name == "budget_cut_second_block":
+            monkeypatch.setattr(engine, "_BLOCK_SIZE", HALF_BLOCK)
         collapses = 0
         crossings = 0
         for seed in range(64):
