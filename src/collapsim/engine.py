@@ -55,12 +55,11 @@ at a time (thinning, Lewis & Shedler 1979) in two passes:
   every width out into the window's rows.  A segment whose
   widths at its last collision are its waist's is frozen: each step of a
   readout is correctly rounded, so monotone in t, and every width of the
-  segment is its waist's, bit for bit, and every recovery ratio 1.0; the
-  probe of the last segment takes :func:`_decide`'s readout there, where
-  it made one.  A window of frozen segments, every window of a heavy
-  grain, skips the readout.  The firings' rows are patched in.  Rows go to
-  the sink in order, a store chunk at a time between grid rows, and the
-  recovery ratios are added in one sequential ``np.cumsum``.  A run without records has no
+  segment is its waist's, bit for bit, and every recovery ratio 1.0.  A
+  window of frozen segments, every window of a heavy grain, skips the
+  readout.  The firings' rows are patched in.  Rows go to the sink in
+  order, a store chunk at a time between grid rows, and the recovery ratios
+  are added in one sequential ``np.cumsum``.  A run without records has no
   sink and builds no row: its window only advances the grid clock, as a
   grid row's widths lie between its waist's and the next collision's.
 
@@ -569,11 +568,9 @@ class _Buffers:
     that a window without a readout touches no other row.  The fill then
     writes three widths and a scratch row (the time since the waist, then
     the narrowest widths or the recovery ratios) into ``rows``, and the
-    regime into ``masks[2]``.  ``readout`` is ``_decide``'s last readout at
-    the window's last collision, ``(waist, t, widths)``, which the fill's
-    frozen probe takes again."""
+    regime into ``masks[2]``."""
 
-    __slots__ = ("words", "times", "rows", "masks", "readout")
+    __slots__ = ("words", "times", "rows", "masks")
 
     def __init__(self, size: int) -> None:
         # One allocation for all.  Allocated one by one, they left the heap of
@@ -584,7 +581,6 @@ class _Buffers:
         self.rows = rest[: 4 * size].reshape(4, size)
         self.masks = rest[4 * size :].view(bool)[: 3 * size].reshape(3, size)
         self.times = self.words[::COLLISION_WORDS]  # the gap words, overwritten
-        self.readout: Optional[tuple] = None
 
     def draw(
         self, rng: RngState, n: int, spec: EnvironmentSpec
@@ -610,12 +606,9 @@ def _decide(
     mass, internal_radius = config.object.mass, config.object.internal_radius
     n0 = state.n_collisions
     waist, firings = state, []
-    buffers.readout = None
 
     def cluster_at(t: float) -> Optional[bool]:  # None: the widths cannot be read
         sigma = _readout(waist, mass, t)
-        if t == t_last:
-            buffers.readout = waist, t, sigma
         return None if sigma is None else min(sigma) < internal_radius
 
     n = min(limit, _block_for(env.collision_rate * (config.duration - state.t)))
@@ -624,9 +617,7 @@ def _decide(
     block = gaps.cumsum(out=gaps)
     # The window ends before the first collision past the duration.
     n_in = int(block.searchsorted(config.duration, side="right"))
-    if not n_in:  # the first collision is past the duration
-        return 0, firings, None, True
-    env_alpha, t_last = env_alpha[:n_in], block.item(n_in - 1)
+    env_alpha = env_alpha[:n_in]
     rows, (cm_pass, cluster_pass, passes) = buffers.rows[:, :n_in], buffers.masks[:, :n_in]
     # The block's clauses: the CM clause against ``cm_alpha``, valid from
     # where it was last computed on, and the cluster clause.  A clause is
@@ -640,17 +631,14 @@ def _decide(
             # s on is in the CM regime, all are; if the last is in the
             # cluster regime, all are.  ``first`` after a firing is the
             # regime of its own widths.  None: not read, so both.
-            last = False if first is False else cluster_at(t_last)
+            last = False if first is False else cluster_at(block.item(n_in - 1))
             if first is None:
                 first = last or cluster_at(block.item(s))
             rebuild = False
             if not clustered and first is not False:
-                if len(alphas) == 1:  # every pick picks the one cluster
-                    picked = alphas.item(0)
-                else:
-                    index = rows[3].view(np.intp)
-                    np.multiply(pick[:n_in], len(alphas), out=index, casting="unsafe")
-                    picked = alphas.take(index, mode="clip", out=rows[2])
+                index = rows[3].view(np.intp)
+                np.multiply(pick[:n_in], len(alphas), out=index, casting="unsafe")
+                picked = alphas.take(index, mode="clip", out=rows[2])
                 phase_clause_batch(picked, env_alpha, cluster_pass, rows[2:])
                 clustered = rebuild = True
             if last is not True and cm_alpha != waist.alpha:
@@ -697,7 +685,7 @@ class _Fill:
     ) -> None:
         self.mass, self.internal_radius = config.object.mass, config.object.internal_radius
         self.interval = self.next_sample = config.sample_interval
-        self.buffers, self.times, self.rows = buffers, buffers.times, buffers.rows
+        self.times, self.rows = buffers.times, buffers.rows
         self.cluster = buffers.masks[2]
         self.sink, self.sums = sink, _Sums(min_sigma=min(state.sigma))
 
@@ -723,13 +711,6 @@ class _Fill:
         """Move the grid clock past a collision at t without reading a row."""
         while self.next_sample <= t:
             self.next_sample += self.interval
-
-    def _probe(self, waist: SimState, t: float) -> Optional[Vec3]:
-        """The widths read out from ``waist`` at t, as :func:`_decide` read them if it did."""
-        readout = self.buffers.readout
-        if readout is not None and readout[0] is waist and readout[1] == t:
-            return readout[2]
-        return _readout(waist, self.mass, t)
 
     def _rows(self, waists: list, fired: list, columns: tuple) -> None:
         """The rows of the window's collisions, those in ``fired`` firings,
@@ -761,7 +742,7 @@ class _Fill:
         # collision are its waist's: readouts are monotone in t, so all are.
         lengths = [b - a for a, b in zip([0, *bounds], [*bounds, end])]
         frozen = all(
-            self._probe(w, times.item(b - 1)) == w.sigma
+            _readout(w, self.mass, times.item(b - 1)) == w.sigma
             for w, b, n in zip(waists, [*bounds, end], lengths) if n
         )
 
